@@ -34,7 +34,6 @@ from .symplectic import (
     decode_point,
     derive_seed,
     enumeration_budget,
-    gaussian_binomial,
     random_form_space,
     random_independent_pair,
     random_isotropic_subspace,
@@ -294,12 +293,6 @@ def cmd_verify(args) -> int:
     if not 1 <= args.k <= args.n // 2:
         raise ValueError(f"need 1 <= k <= n/2, got k={args.k}, n={args.n}")
     budget = enumeration_budget()
-    if args.scope == "exhaustive":
-        total = gaussian_binomial(args.n, args.k, args.p)
-        if total > budget:
-            raise BudgetExceeded(
-                f"enumerating {total} subspaces per pair exceeds the budget of"
-                f" {budget} (raise MSGKIT_BUDGET to override)")
     payloads = [
         {"field": field.spec(), "n": args.n, "k": args.k, "seed": args.seed,
          "index": i, "scope": args.scope, "samples": args.samples,

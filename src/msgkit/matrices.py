@@ -41,15 +41,6 @@ class Matrix:
     # -- constructors -------------------------------------------------------
 
     @classmethod
-    def from_rows(cls, field: Field, rows, ncols: int | None = None) -> "Matrix":
-        rows = [list(r) for r in rows]
-        if ncols is None:
-            if not rows:
-                raise ValueError("cannot infer column count of an empty matrix")
-            ncols = len(rows[0])
-        return cls(field, len(rows), ncols, rows)
-
-    @classmethod
     def zeros(cls, field: Field, nrows: int, ncols: int) -> "Matrix":
         z = field.zero
         return cls(field, nrows, ncols, [[z] * ncols for _ in range(nrows)])
@@ -281,7 +272,8 @@ class Matrix:
                     row.append([const] if const else [])
             grid.append(row)
         det = pmat_det(F, grid)
-        assert len(det) == self.nrows + 1 and det[-1] == F.one
+        if len(det) != self.nrows + 1 or det[-1] != F.one:
+            raise ArithmeticError("characteristic polynomial is not monic of full degree")
         return det
 
     # -- JSON ----------------------------------------------------------------

@@ -6,10 +6,13 @@ to reduced row echelon form so that equality, hashing, and exhaustive
 de-duplication are structural.
 
 Enumeration of k-subspaces of F_q^n walks echelon pivot patterns and fills
-the free entries, which visits every subspace exactly once; the total per
-(n, k, q) is the Gaussian binomial coefficient, and a configurable budget
-(env var MSGKIT_BUDGET, default 10^7 visits) refuses oversized scans up
-front.
+the free entries, which visits every subspace exactly once.  Isotropic
+enumeration walks the same patterns but solves for the points row by row:
+each row's free entries must satisfy a linear system (orthogonality to the
+earlier rows under every form), so only isotropic subspaces are built.
+Both refuse oversized requests up front with the same budget (env var
+MSGKIT_BUDGET, default 10^7), which counts all C(n, k)_q subspaces, the
+Gaussian binomial coefficient.
 """
 
 from __future__ import annotations
@@ -59,7 +62,8 @@ def gaussian_binomial(n: int, k: int, q: int) -> int:
     for i in range(k):
         num *= q ** (n - i) - 1
         den *= q ** (k - i) - 1
-    assert num % den == 0
+    if num % den:
+        raise ArithmeticError(f"Gaussian binomial ({n} {k})_{q} is not an integer")
     return num // den
 
 
@@ -246,10 +250,6 @@ class Subspace:
     def field(self) -> Field:
         return self.basis.field
 
-    def contains_vector(self, v) -> bool:
-        probe = Matrix(self.field, 1, self.n, [v])
-        return self.basis.stack(probe).rank() == self.k
-
     def __eq__(self, other) -> bool:
         return isinstance(other, Subspace) and self.basis == other.basis
 
@@ -343,11 +343,9 @@ def random_isotropic_subspace(
 # exhaustive enumeration
 # ---------------------------------------------------------------------------
 
-def enumerate_subspaces(n: int, k: int, field: Field, budget: int | None = None):
-    """All k-subspaces of F_q^n, each exactly once, in pivot-pattern order.
-
-    Returns a generator; the budget check happens before the first yield.
-    """
+def _check_enumeration(n: int, k: int, field: Field, budget: int | None) -> None:
+    """Refuse an enumeration over a non-prime field, with k outside [0, n], or
+    whose C(n, k)_q subspaces exceed the budget (MSGKIT_BUDGET by default)."""
     if not isinstance(field, PrimeField):
         raise ValueError("exhaustive enumeration needs a finite prime field")
     if not 0 <= k <= n:
@@ -360,13 +358,26 @@ def enumerate_subspaces(n: int, k: int, field: Field, budget: int | None = None)
             f"enumerating {total} subspaces exceeds the budget of {budget}"
             " (raise MSGKIT_BUDGET to override)")
 
+
+def _free_columns(n: int, pivots: tuple[int, ...]) -> list[list[int]]:
+    """Per echelon row, the columns right of its pivot that hold no pivot."""
+    pivot_set = set(pivots)
+    return [[j for j in range(pc + 1, n) if j not in pivot_set] for pc in pivots]
+
+
+def enumerate_subspaces(n: int, k: int, field: Field, budget: int | None = None):
+    """All k-subspaces of F_q^n, each exactly once, in pivot-pattern order.
+
+    Returns a generator; the budget check happens before the first yield.
+    """
+    _check_enumeration(n, k, field, budget)
+
     def generate():
         elements = list(field.elements())
         zero, one = field.zero, field.one
         for pivots in itertools.combinations(range(n), k):
-            pivot_set = set(pivots)
-            free = [(i, j) for i in range(k)
-                    for j in range(pivots[i] + 1, n) if j not in pivot_set]
+            free = [(i, j) for i, cols in enumerate(_free_columns(n, pivots))
+                    for j in cols]
             for values in itertools.product(elements, repeat=len(free)):
                 rows = [[zero] * n for _ in range(k)]
                 for i, p in enumerate(pivots):
@@ -378,14 +389,71 @@ def enumerate_subspaces(n: int, k: int, field: Field, budget: int | None = None)
     return generate()
 
 
+def _row_solutions(field: PrimeField, pivot: int, cols: list[int], perps: list[list[int]]):
+    """Free-entry vectors x, in lexicographic order, such that the row
+    e_pivot + sum_a x[a] e_{cols[a]} pairs to zero with every w in `perps`.
+
+    Each w gives the equation w[pivot] + sum_a x[a] w[cols[a]] = 0.  The
+    columns are eliminated right to left, so every solved entry depends
+    only on free parameters to its left; counting through the parameters
+    in order then lists the solutions in lexicographic order.
+    """
+    p = field.p
+    f = len(cols)
+    system = Matrix(field, len(perps), f + 1,
+                    [[w[c] for c in reversed(cols)] + [-w[pivot]] for w in perps])
+    R, _, pivot_cols = system.rref()
+    if f in pivot_cols:
+        return ()
+    solved = [(f - 1 - c, R.rows[r][f],
+               [(f - 1 - d, R.rows[r][d]) for d in range(c + 1, f) if R.rows[r][d]])
+              for r, c in enumerate(pivot_cols)]
+    params = sorted(set(range(f)) - {a for a, _, _ in solved})
+    out = []
+    for values in itertools.product(range(p), repeat=len(params)):
+        x = [0] * f
+        for a, v in zip(params, values):
+            x[a] = v
+        for a, const, deps in solved:
+            x[a] = (const - sum(c * x[d] for d, c in deps)) % p
+        out.append(x)
+    return out
+
+
 def enumerate_isotropic_subspaces(k: int, F: FormSpace, budget: int | None = None):
-    """Every simultaneously isotropic k-subspace, filtered from the full walk."""
-    gen = enumerate_subspaces(F.dim, k, F.field, budget=budget)
+    """Every simultaneously isotropic k-subspace, in enumerate_subspaces order.
+
+    Walks the same echelon pivot patterns, but fills row i only with the
+    solutions of "row i pairs to zero with every earlier row under every
+    form", an affine system in row i's free entries, so the cost follows
+    the isotropic points rather than all C(n, k)_q subspaces.  The budget
+    still counts all C(n, k)_q subspaces and is checked before the first
+    yield.
+    """
+    n, field = F.dim, F.field
+    _check_enumeration(n, k, field, budget)
+    p = field.p
+    grams = [G.rows for G in F.grams()]
+
+    def extend(pivots, free, rows, perps):
+        i = len(rows)
+        if i == k:
+            yield Subspace(Matrix(field, k, n, rows), _trusted=True)
+            return
+        for x in _row_solutions(field, pivots[i], free[i], perps):
+            row = [0] * n
+            row[pivots[i]] = 1
+            for j, v in zip(free[i], x):
+                row[j] = v
+            # w = G row^T: a later row r is orthogonal to this one iff r . w = 0
+            more = [] if i + 1 == k else [
+                [sum(g * v for g, v in zip(G_row, row) if v) % p for G_row in G]
+                for G in grams]
+            yield from extend(pivots, free, rows + [row], perps + more)
 
     def generate():
-        for V in gen:
-            if is_isotropic(V, F):
-                yield V
+        for pivots in itertools.combinations(range(n), k):
+            yield from extend(pivots, _free_columns(n, pivots), [], [])
 
     return generate()
 

@@ -488,8 +488,12 @@ def tangent_report(ctx: PointContext, pencil: bool = True) -> TangentReport:
         degeneracy=degeneracy,
         pencil_checked=checked,
     )
-    assert report.tangent_dim >= report.expected_dim
-    assert len(report.phi_kernel) == ctx.m * (ctx.k * (ctx.k - 1) // 2) - rank
+    if report.tangent_dim < report.expected_dim:
+        raise ArithmeticError(
+            f"tangent dimension {report.tangent_dim} is below the expected"
+            f" {report.expected_dim}")
+    if len(report.phi_kernel) != ctx.m * (ctx.k * (ctx.k - 1) // 2) - rank:
+        raise ArithmeticError("kernel size disagrees with the constraint rank")
     return report
 
 

@@ -16,13 +16,18 @@ DATA_DIR = os.path.join(os.path.dirname(__file__), "data")
 
 
 def golden_compare(name: str, text: str) -> None:
-    """Byte-compare against a committed golden file; create it on first run."""
-    os.makedirs(GOLDEN_DIR, exist_ok=True)
+    """Byte-compare against a committed golden file.
+
+    A missing golden fails; set MSGKIT_REGEN_GOLDEN=1 to (re)write it.
+    """
     path = os.path.join(GOLDEN_DIR, name)
-    if not os.path.exists(path):
+    if os.environ.get("MSGKIT_REGEN_GOLDEN") == "1":
+        os.makedirs(GOLDEN_DIR, exist_ok=True)
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(text)
         return
+    if not os.path.exists(path):
+        pytest.fail(f"missing golden {name}; set MSGKIT_REGEN_GOLDEN=1 to record it")
     with open(path, "r", encoding="utf-8") as fh:
         assert fh.read() == text, f"golden mismatch: {name}"
 

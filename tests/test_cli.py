@@ -4,6 +4,7 @@ import subprocess
 import sys
 
 from msgkit import Matrix, QQ, standard_form
+from conftest import golden_compare
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
 
@@ -186,6 +187,25 @@ def test_verify_budget_exceeded_exit2():
                            env={"MSGKIT_BUDGET": "10"})
     assert code == 2
     assert "budget" in err.lower()
+
+
+def test_verify_budget_exceeded_exit2_in_pool_workers():
+    # two pairs so the pool really runs; the refusal comes from the workers
+    code, out, err = run_cli("verify", "--n", "4", "--k", "2", "--p", "3",
+                             "--pairs", "2", "--scope", "exhaustive",
+                             "--workers", "2", env={"MSGKIT_BUDGET": "10"})
+    assert code == 2
+    assert out == ""
+    assert "budget" in err.lower()
+    assert "Traceback" not in err
+
+
+def test_verify_fault_injection_golden():
+    # pins the point and mismatch order of exhaustive enumeration byte for byte
+    code, out, _ = run_cli("verify", "--n", "4", "--k", "2", "--p", "3",
+                           "--pairs", "3", "--seed", "2", "--inject-fault")
+    assert code == 1
+    golden_compare("verify_n4_k2_p3_pairs3_seed2_fault.json", out)
 
 
 def test_verify_rejects_bad_shape():

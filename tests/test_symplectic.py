@@ -211,6 +211,54 @@ def test_enumeration_budget():
         enumerate_subspaces(4, 2, QQ)
 
 
+def test_isotropic_enumeration_budget_and_validation():
+    fs = FormSpace([standard_form(4, PrimeField(3))])
+    # the budget counts all C(4,2)_3 = 130 subspaces, not the 40 isotropic ones
+    with pytest.raises(BudgetExceeded):
+        enumerate_isotropic_subspaces(2, fs, budget=129)
+    assert len(list(enumerate_isotropic_subspaces(2, fs, budget=130))) == 40
+    with pytest.raises(ValueError):
+        enumerate_isotropic_subspaces(5, fs)
+    with pytest.raises(ValueError):
+        enumerate_isotropic_subspaces(1, FormSpace([standard_form(4, QQ)]))
+
+
+def filtered_isotropic_subspaces(k, F):
+    """Reference oracle: the full pivot-pattern walk filtered by is_isotropic."""
+    return [V for V in enumerate_subspaces(F.dim, k, F.field) if is_isotropic(V, F)]
+
+
+# Every (n, k, m, p) with n in {4, 6}, k <= 3, m <= 3, p in {3, 5} whose
+# full walk has at most C(6,2)_3 = 11011 subspaces, plus the m = 2 case of
+# n = 6, k = 3, p = 3; the larger walks would dominate the test time.
+ORACLE_GRID = [
+    (n, k, m, p)
+    for n in (4, 6) for k in range(4) for m in (1, 2, 3) for p in (3, 5)
+    if gaussian_binomial(n, k, p) <= 11011
+] + [(6, 3, 2, 3)]
+
+
+@pytest.mark.parametrize("n,k,m,p", ORACLE_GRID,
+                         ids=[f"n{n}-k{k}-m{m}-p{p}" for n, k, m, p in ORACLE_GRID])
+def test_isotropic_enumeration_matches_filter_sequence(n, k, m, p):
+    fs = random_form_space(n, m, PrimeField(p), Random(1000 * n + 100 * k + 10 * m + p))
+    assert list(enumerate_isotropic_subspaces(k, fs)) == filtered_isotropic_subspaces(k, fs)
+
+
+@pytest.mark.parametrize("n,k,q", [
+    (4, 1, 3), (4, 2, 3), (6, 1, 3), (6, 2, 3), (6, 3, 3), (4, 2, 5), (6, 2, 5)])
+def test_isotropic_enumeration_m1_closed_form(n, k, q):
+    # isotropic k-subspaces of symplectic F_q^{2r}:
+    # prod_{i<k} (q^{2(r-i)} - 1) / (q^{i+1} - 1)
+    r = n // 2
+    num = den = 1
+    for i in range(k):
+        num *= q ** (2 * (r - i)) - 1
+        den *= q ** (i + 1) - 1
+    fs = FormSpace([random_symplectic_form(n, PrimeField(q), Random(10 * n + k + q))])
+    assert sum(1 for _ in enumerate_isotropic_subspaces(k, fs)) == num // den
+
+
 # --- support bits --------------------------------------------------------------------
 
 def test_derive_seed_stable():
