@@ -20,6 +20,7 @@ from __future__ import annotations
 import argparse
 import concurrent.futures
 import json
+import os
 import re
 import sys
 from random import Random
@@ -35,10 +36,16 @@ from .symplectic import (
     derive_seed,
     enumeration_budget,
     random_form_space,
-    random_independent_pair,
     random_isotropic_subspace,
 )
-from .tangent import PointContext, tangent_report, verify_pair
+from .tangent import (
+    PointContext,
+    _sampling_rng,
+    _seeded_pencil,
+    msg_expected_dim,
+    tangent_report,
+    verify_pair,
+)
 
 _SEED_RULE = "splitmix64(seed, index)"
 
@@ -145,19 +152,14 @@ def cmd_rho(args) -> int:
                                     d, k, g, m, variant)
                         rows.append(row)
 
-    if args.format == "plain":
-        if len(rows) == 1 and len(variants) == 1 and args.m is None:
-            _write_text(f"{rows[0][f'rho_{variants[0]}']}\n", args)
-        else:
-            cols = sorted({c for row in rows for c in row})
-            lines = ["\t".join(cols)]
-            lines += ["\t".join(str(row.get(c, "")) for c in cols) for row in rows]
-            _write_text("\n".join(lines) + "\n", args)
+    if args.format == "plain" and len(rows) == 1 and len(variants) == 1 and args.m is None:
+        _write_text(f"{rows[0][f'rho_{variants[0]}']}\n", args)
         return 0
-    if args.format == "csv":
+    if args.format in ("plain", "csv"):
+        sep = "\t" if args.format == "plain" else ","
         cols = sorted({c for row in rows for c in row})
-        lines = [",".join(cols)]
-        lines += [",".join(str(row.get(c, "")) for c in cols) for row in rows]
+        lines = [sep.join(cols)]
+        lines += [sep.join(str(row.get(c, "")) for c in cols) for row in rows]
         _write_text("\n".join(lines) + "\n", args)
         return 0
     _dump({
@@ -209,8 +211,15 @@ def _scan_sample(payload: dict) -> dict:
 
 
 def _run_tasks(worker, payloads: list[dict], workers: int) -> list[dict]:
-    """Order-preserving map, optionally across a process pool."""
-    if workers <= 1 or len(payloads) <= 1:
+    """Order-preserving map, optionally across a process pool.
+
+    The pool never outnumbers the tasks or the CPUs: a fork-started pool
+    starts all of its processes at once.
+    """
+    if workers < 1:
+        raise ValueError("--workers must be >= 1")
+    workers = min(workers, len(payloads), os.cpu_count() or 1)
+    if workers <= 1:
         return [worker(p) for p in payloads]
     with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(worker, payloads))
@@ -222,7 +231,6 @@ def cmd_scan(args) -> int:
         raise ValueError("--samples must be >= 1")
     if not 1 <= args.k <= args.n // 2:
         raise ValueError(f"need 1 <= k <= n/2, got k={args.k}, n={args.n}")
-    from .tangent import msg_expected_dim
     expected = msg_expected_dim(args.n, args.k, args.m)
     payloads = [
         {"field": field.spec(), "n": args.n, "k": args.k, "m": args.m,
@@ -261,37 +269,26 @@ def cmd_scan(args) -> int:
 # ---------------------------------------------------------------------------
 
 def _verify_one_pair(payload: dict) -> dict:
-    """Verify one random pencil; regenerates the pair from its derived seed."""
-    field = field_from_spec(payload["field"])
-    n, k = payload["n"], payload["k"]
-    fs = random_independent_pair(n, field, Random(derive_seed(payload["seed"], payload["index"])))
-    rng = Random(derive_seed(payload["seed"], payload["index"]) ^ 0xA5A5A5A5)
+    """Pool worker: pair `index` of the seeded run, as `verify_thm_equivalence` draws it."""
+    seed, index = payload["seed"], payload["index"]
+    fs = _seeded_pencil(payload["n"], field_from_spec(payload["field"]), seed, index)
     points, mismatches = verify_pair(
-        fs, k, scope=payload["scope"], rng=rng, samples=payload["samples"],
-        budget=payload["budget"], fault=payload["fault"])
-    enc_forms = [g.encode() for g in fs.grams()]
-    return {
-        "points": points,
-        "mismatches": [
-            {
-                "forms": enc_forms,
-                "subspace": rec.subspace.basis.encode(),
-                "tangent_dim": rec.tangent_dim,
-                "expected_dim": rec.expected_dim,
-                "degenerate": rec.degeneracy is not None,
-                "degeneracy": rec.degeneracy.encode() if rec.degeneracy else None,
-            }
-            for rec in mismatches
-        ],
-    }
+        fs, payload["k"], scope=payload["scope"], rng=_sampling_rng(seed, index),
+        samples=payload["samples"], budget=payload["budget"], fault=payload["fault"])
+    forms = [g.encode() for g in fs.grams()]
+    return {"points": points,
+            "mismatches": [{"forms": forms, **rec.encode()} for rec in mismatches]}
 
 
 def cmd_verify(args) -> int:
     field = PrimeField(args.p)
     if args.pairs < 1:
         raise ValueError("--pairs must be >= 1")
+    if args.samples < 1:
+        raise ValueError("--samples must be >= 1")
     if not 1 <= args.k <= args.n // 2:
         raise ValueError(f"need 1 <= k <= n/2, got k={args.k}, n={args.n}")
+    # read here, not in the workers, so a malformed MSGKIT_BUDGET fails in both scopes
     budget = enumeration_budget()
     payloads = [
         {"field": field.spec(), "n": args.n, "k": args.k, "seed": args.seed,

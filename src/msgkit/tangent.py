@@ -101,9 +101,10 @@ class PointContext:
     and `complement` completes it to a basis of the ambient space.  All
     reported dimensions are provably independent of both choices; kernel
     coordinates are not, which is why the choices are recorded here.
+    `restrictions` holds R_t = B G_t C^T, one per form, computed once here.
     """
 
-    __slots__ = ("subspace", "forms", "basis", "complement")
+    __slots__ = ("subspace", "forms", "basis", "complement", "restrictions")
 
     def __init__(
         self,
@@ -139,6 +140,8 @@ class PointContext:
         self.forms = forms
         self.basis = basis
         self.complement = complement
+        ct = complement.transpose()
+        self.restrictions = tuple(basis.mul(G).mul(ct) for G in forms.grams())
 
     @property
     def n(self) -> int:
@@ -168,27 +171,9 @@ def _pairs(k: int) -> list[tuple[int, int]]:
     return [(i, j) for i in range(k) for j in range(i + 1, k)]
 
 
-def _restrictions(basis: Matrix, complement: Matrix, grams: list[Matrix]) -> list[Matrix]:
-    ct = complement.transpose()
-    return [basis.mul(G).mul(ct) for G in grams]
-
-
 def restriction_matrices(ctx: PointContext) -> list[Matrix]:
     """R_t with R_t[i][a] = <v_i, w_a>_t, one k x (n-k) matrix per form."""
-    return _restrictions(ctx.basis, ctx.complement, ctx.forms.grams())
-
-
-def _constraints(field: Field, k: int, nk: int, restrictions: list[Matrix]) -> Matrix:
-    rows = []
-    for R in restrictions:
-        for (i, j) in _pairs(k):
-            row = [field.zero] * (k * nk)
-            Ri, Rj = R.rows[i], R.rows[j]
-            for a in range(nk):
-                row[j * nk + a] = Ri[a]
-                row[i * nk + a] = field.neg(Rj[a])
-            rows.append(row)
-    return Matrix(field, len(rows), k * nk, rows)
+    return list(ctx.restrictions)
 
 
 def build_constraints(ctx: PointContext) -> Matrix:
@@ -197,8 +182,17 @@ def build_constraints(ctx: PointContext) -> Matrix:
     Row order: form index outer, pairs (i, j) with i < j lexicographic.
     Column order: the Hom(V, E/V) grid f[i][a] flattened as i*(n-k) + a.
     """
-    return _constraints(ctx.field, ctx.k, ctx.n - ctx.k,
-                        _restrictions(ctx.basis, ctx.complement, ctx.forms.grams()))
+    field, k, nk = ctx.field, ctx.k, ctx.n - ctx.k
+    rows = []
+    for R in ctx.restrictions:
+        for (i, j) in _pairs(k):
+            row = [field.zero] * (k * nk)
+            Ri, Rj = R.rows[i], R.rows[j]
+            for a in range(nk):
+                row[j * nk + a] = Ri[a]
+                row[i * nk + a] = field.neg(Rj[a])
+            rows.append(row)
+    return Matrix(field, len(rows), k * nk, rows)
 
 
 # ---------------------------------------------------------------------------
@@ -276,7 +270,7 @@ def j_V(ctx: PointContext, elem: Matrix) -> tuple:
     ctx.field.require_same(elem.field)
     F = ctx.field
     out = [F.zero] * (ctx.n - ctx.k)
-    for t, R in enumerate(restriction_matrices(ctx)):
+    for t, R in enumerate(ctx.restrictions):
         for i in range(ctx.k):
             c = elem.entry(i, t)
             if c:
@@ -401,8 +395,7 @@ def find_degenerate_pencil(
     if ctx.k <= 1:
         return None
     F = ctx.field
-    grams = ctx.forms.grams()
-    R1, R2 = _restrictions(ctx.basis, ctx.complement, [grams[i1], grams[i2]])
+    R1, R2 = ctx.restrictions[i1], ctx.restrictions[i2]
     gcd = _pencil_minor_gcd(R1, R2)
     if gcd.is_constant() and not gcd.is_zero():
         return None
@@ -553,6 +546,15 @@ class MismatchRecord:
     expected_dim: int
     degeneracy: PencilDegeneracy | None
 
+    def encode(self) -> dict:
+        return {
+            "subspace": self.subspace.basis.encode(),
+            "tangent_dim": self.tangent_dim,
+            "expected_dim": self.expected_dim,
+            "degenerate": self.degeneracy is not None,
+            "degeneracy": self.degeneracy.encode() if self.degeneracy else None,
+        }
+
 
 @dataclass
 class VerifyReport:
@@ -561,28 +563,14 @@ class VerifyReport:
     mismatches: list  # (pair_index, FormSpace, MismatchRecord)
 
 
-def _equivalence_at_point(
-    fs: FormSpace, V: Subspace, fault: bool = False
-) -> tuple[bool, MismatchRecord | None]:
-    """One point of the two-sided check: dimension side vs pencil side.
+def _seeded_pencil(n: int, field: Field, seed: int, index: int) -> FormSpace:
+    """Pencil `index` of a seeded run, drawn from the derived seed (seed, index)."""
+    return random_independent_pair(n, field, Random(derive_seed(seed, index)))
 
-    `fault` zeroes the first constraint row before the rank computation; a
-    self-test hook that must produce mismatches if the harness is alive.
-    (Negating a row would be invisible: row scaling never changes rank.)
-    """
-    field = fs.field
-    V_ctx = PointContext(V, fs)
-    C = build_constraints(V_ctx)
-    if fault and C.nrows:
-        zeroed = [[field.zero] * C.ncols] + [list(r) for r in C.rows[1:]]
-        C = Matrix(field, C.nrows, C.ncols, zeroed)
-    tangent = V_ctx.k * (V_ctx.n - V_ctx.k) - C.rank()
-    expected = V_ctx.expected_dim()
-    degeneracy = find_degenerate_pencil(V_ctx)
-    if (tangent == expected) == (degeneracy is None):
-        return True, None
-    return False, MismatchRecord(
-        subspace=V, tangent_dim=tangent, expected_dim=expected, degeneracy=degeneracy)
+
+def _sampling_rng(seed: int, index: int) -> Random:
+    """The point-sampling stream of pair `index`, apart from its pencil's stream."""
+    return Random(derive_seed(seed, index) ^ 0xA5A5A5A5)
 
 
 def verify_pair(
@@ -598,7 +586,13 @@ def verify_pair(
 
     Exhaustive scope enumerates all simultaneously isotropic k-subspaces
     (prime fields only, budget applies); sampled scope draws `samples`
-    greedy random points and skips stalls.
+    greedy random points and skips stalls.  At each point the dimension
+    side (expected tangent dimension) must agree with the pencil side (no
+    degenerate combination).
+
+    `fault` zeroes the first constraint row before the rank computation; a
+    self-test hook that must produce mismatches if the harness is alive.
+    (Negating a row would be invisible: row scaling never changes rank.)
     """
     if fs.m != 2:
         raise ValueError("equivalence verification needs pencils (m = 2)")
@@ -619,9 +613,18 @@ def verify_pair(
         raise ValueError(f"unknown scope {scope!r}")
     for V in source:
         points += 1
-        ok, record = _equivalence_at_point(fs, V, fault=fault)
-        if not ok:
-            mismatches.append(record)
+        ctx = PointContext(V, fs)
+        C = build_constraints(ctx)
+        if fault and C.nrows:
+            zeroed = [[fs.field.zero] * C.ncols] + [list(r) for r in C.rows[1:]]
+            C = Matrix(fs.field, C.nrows, C.ncols, zeroed)
+        tangent = ctx.k * (ctx.n - ctx.k) - C.rank()
+        expected = ctx.expected_dim()
+        degeneracy = find_degenerate_pencil(ctx)
+        if (tangent == expected) != (degeneracy is None):
+            mismatches.append(MismatchRecord(
+                subspace=V, tangent_dim=tangent, expected_dim=expected,
+                degeneracy=degeneracy))
     return points, mismatches
 
 
@@ -644,10 +647,7 @@ def verify_thm_equivalence(
     (seed, i), so partitioned parallel runs reproduce the same pencils.
     """
     if isinstance(pairs, int):
-        pair_list = [
-            random_independent_pair(n, field, Random(derive_seed(seed, i)))
-            for i in range(pairs)
-        ]
+        pair_list = [_seeded_pencil(n, field, seed, i) for i in range(pairs)]
     else:
         pair_list = list(pairs)
         for fs in pair_list:
@@ -655,9 +655,8 @@ def verify_thm_equivalence(
                 raise ValueError("form space dimension disagrees with n")
     report = VerifyReport(pairs_checked=len(pair_list), points_checked=0, mismatches=[])
     for idx, fs in enumerate(pair_list):
-        rng = Random(derive_seed(seed, idx) ^ 0xA5A5A5A5) if scope == "sampled" else None
         points, mismatches = verify_pair(
-            fs, k, scope=scope, rng=rng, samples=samples_per_pair,
+            fs, k, scope=scope, rng=_sampling_rng(seed, idx), samples=samples_per_pair,
             budget=budget, fault=fault)
         report.points_checked += points
         report.mismatches.extend((idx, fs, rec) for rec in mismatches)

@@ -1,9 +1,13 @@
+import concurrent.futures
 import json
 import os
 import subprocess
 import sys
 
-from msgkit import Matrix, QQ, standard_form
+import pytest
+
+from msgkit import Matrix, PrimeField, QQ, standard_form, verify_thm_equivalence
+from msgkit import cli
 from conftest import golden_compare
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
@@ -26,6 +30,23 @@ def test_rho_single_value_plain():
                            "--k", "2", "--variant", "fixed", "--format", "plain")
     assert code == 0
     assert out.strip() == "8"
+
+
+def test_rho_multi_row_tables_exact_bytes():
+    grid = ("rho", "--r", "2", "--d", "2g-2", "--g", "2..3", "--k", "0..1", "--m", "1")
+    header = ["d", "g", "k", "m", "r", "rho2_special_fixed", "rho2_special_full",
+              "rho_fixed", "rho_full"]
+    rows = [[2, 2, 0, 1, 2, 1, 3, 3, 5], [2, 2, 1, 1, 2, 0, 2, 2, 4],
+            [4, 3, 0, 1, 2, 3, 6, 6, 9], [4, 3, 1, 1, 2, 2, 5, 5, 8]]
+    for fmt, sep in (("csv", ","), ("plain", "\t")):
+        code, out, _ = run_cli(*grid, "--format", fmt)
+        assert code == 0
+        expected = [sep.join(header)] + [sep.join(map(str, r)) for r in rows]
+        assert out == "\n".join(expected) + "\n"
+    code, out, _ = run_cli("rho", "--r", "2", "--d", "8", "--g", "5", "--k", "1..2",
+                           "--variant", "full", "--format", "plain")
+    assert code == 0
+    assert out == "d\tg\tk\tr\trho_full\n8\t5\t1\t2\t16\n8\t5\t2\t2\t13\n"
 
 
 def test_rho_grid_canonical_degree():
@@ -211,6 +232,101 @@ def test_verify_fault_injection_golden():
 def test_verify_rejects_bad_shape():
     code, _, _ = run_cli("verify", "--n", "4", "--k", "3", "--p", "3", "--pairs", "1")
     assert code == 2
+
+
+def test_verify_malformed_budget_exits_2_in_both_scopes():
+    for scope in ("exhaustive", "sampled"):
+        code, out, err = run_cli("verify", "--n", "4", "--k", "2", "--p", "3",
+                                 "--pairs", "1", "--scope", scope,
+                                 env={"MSGKIT_BUDGET": "ten"})
+        assert (scope, code, out) == (scope, 2, "")
+        assert "MSGKIT_BUDGET" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (("scan", "--n", "4", "--k", "1", "--p", "3", "--workers", "0"), "--workers"),
+    (("verify", "--n", "4", "--k", "1", "--p", "3", "--pairs", "1",
+      "--workers", "-2"), "--workers"),
+    (("verify", "--n", "4", "--k", "2", "--p", "3", "--pairs", "1",
+      "--scope", "sampled", "--samples", "-3"), "--samples"),
+])
+def test_nonpositive_counts_exit_2(argv, flag):
+    code, out, err = run_cli(*argv)
+    assert code == 2 and out == ""
+    assert f"{flag} must be >= 1" in err
+
+
+class _RecordingPool:
+    """Stands in for ProcessPoolExecutor: records its size, maps in process."""
+
+    sizes: list = []
+
+    def __init__(self, max_workers):
+        self.sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, items):
+        return map(fn, items)
+
+
+def test_run_tasks_caps_the_pool_at_tasks_and_cpus(monkeypatch, capsys):
+    monkeypatch.setattr(_RecordingPool, "sizes", [])
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _RecordingPool)
+    monkeypatch.setattr(os, "cpu_count", lambda: 4)
+    double = lambda x: 2 * x  # noqa: E731  (the stand-in pool does not pickle)
+    assert cli._run_tasks(double, [1, 2], 100000) == [2, 4]
+    assert cli._run_tasks(double, list(range(10)), 3) == list(range(0, 20, 2))
+    assert cli._run_tasks(double, list(range(10)), 100) == list(range(0, 20, 2))
+    assert cli._run_tasks(double, [1, 2, 3], 1) == [2, 4, 6]
+    assert cli._run_tasks(double, [7], 8) == [14]
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert cli._run_tasks(double, [1, 2, 3], 8) == [2, 4, 6]
+    assert _RecordingPool.sizes == [2, 3, 4]
+    # the CLI path: two pairs never start more than two workers
+    monkeypatch.setattr(os, "cpu_count", lambda: 64)
+    code = cli.main(["verify", "--n", "4", "--k", "1", "--p", "3", "--pairs", "2",
+                     "--workers", "100000"])
+    assert code == 0
+    assert json.loads(capsys.readouterr().out)["pairs_checked"] == 2
+    assert _RecordingPool.sizes == [2, 3, 4, 2]
+
+
+@pytest.mark.parametrize("n, scope, extra", [
+    (4, "exhaustive", ()),
+    (6, "sampled", ("--samples", "15")),
+    (4, "exhaustive", ("--inject-fault",)),
+    (6, "sampled", ("--samples", "15", "--inject-fault")),  # subspaces follow the rng
+])
+def test_cli_verify_agrees_with_library(n, scope, extra):
+    k, pairs, seed, samples = 2, 3, 7, 15
+    fault = "--inject-fault" in extra
+
+    def library(count):
+        return verify_thm_equivalence(n, k, PrimeField(3), pairs=count, scope=scope,
+                                      seed=seed, samples_per_pair=samples, fault=fault)
+
+    # pair i depends only on (seed, i), so run prefixes give per-pair points
+    totals = [library(count).points_checked for count in range(pairs + 1)]
+    points = [b - a for a, b in zip(totals, totals[1:])]
+    report = library(pairs)
+    expected = [(i, [g.encode() for g in fs.grams()], rec.subspace.basis.encode())
+                for i, fs, rec in report.mismatches]
+    assert bool(expected) == fault
+    for workers in ("1", "2"):
+        code, out, _ = run_cli("verify", "--n", str(n), "--k", str(k), "--p", "3",
+                               "--pairs", str(pairs), "--scope", scope, "--seed", str(seed),
+                               "--workers", workers, *extra)
+        assert code == (1 if fault else 0)
+        payload = json.loads(out)
+        assert [p["points"] for p in payload["per_pair"]] == points
+        assert payload["points_checked"] == report.points_checked > 0
+        assert [(m["pair"], m["forms"], m["subspace"])
+                for m in payload["mismatches"]] == expected
 
 
 # --- normal-form --------------------------------------------------------------------
