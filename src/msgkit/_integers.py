@@ -1,15 +1,13 @@
-"""Integer primality and factorization helpers.
+"""Integer primality test.
 
-Used for validating prime moduli and for enumerating divisors during
-rational root extraction.  Miller-Rabin with the first twelve prime bases
+Used for validating prime moduli and for choosing the prime from which
+rational roots are lifted.  Miller-Rabin with the first twelve prime bases
 is deterministic below 3.3e24, which covers every integer this package
 ever feeds it in practice; larger inputs get a probabilistic answer with
 error below 2^-72.
 """
 
 from __future__ import annotations
-
-import math
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
@@ -36,67 +34,3 @@ def is_prime(n: int) -> bool:
         else:
             return False
     return True
-
-
-def _pollard_brent(n: int) -> int:
-    """One nontrivial factor of composite odd n (Brent's cycle variant)."""
-    if n % 2 == 0:
-        return 2
-    # deterministic parameter sweep; each (y0, c) pair rarely fails
-    for c in range(1, 50):
-        y, m, g, r, q = 2, 128, 1, 1, 1
-        x = ys = y
-        while g == 1:
-            x = y
-            for _ in range(r):
-                y = (y * y + c) % n
-            k = 0
-            while k < r and g == 1:
-                ys = y
-                for _ in range(min(m, r - k)):
-                    y = (y * y + c) % n
-                    q = q * abs(x - y) % n
-                g = math.gcd(q, n)
-                k += m
-            r *= 2
-        if g == n:
-            g = 1
-            while g == 1:
-                ys = (ys * ys + c) % n
-                g = math.gcd(abs(x - ys), n)
-        if g != n:
-            return g
-    raise ArithmeticError(f"factorization failed for {n}")
-
-
-def factorint(n: int) -> dict[int, int]:
-    """Prime factorization of n >= 1 as {prime: multiplicity}."""
-    if n < 1:
-        raise ValueError("factorint expects n >= 1")
-    out: dict[int, int] = {}
-    for p in (2, 3, 5, 7, 11, 13):
-        while n % p == 0:
-            out[p] = out.get(p, 0) + 1
-            n //= p
-    stack = [n] if n > 1 else []
-    while stack:
-        m = stack.pop()
-        if m == 1:
-            continue
-        if is_prime(m):
-            out[m] = out.get(m, 0) + 1
-            continue
-        d = _pollard_brent(m)
-        stack.append(d)
-        stack.append(m // d)
-    return out
-
-
-def divisors(n: int) -> list[int]:
-    """Sorted positive divisors of n != 0."""
-    if n == 0:
-        raise ValueError("0 has no divisor list")
-    divs = [1]
-    for p, e in factorint(abs(n)).items():
-        divs = [d * p**i for d in divs for i in range(e + 1)]
-    return sorted(divs)

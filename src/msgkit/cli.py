@@ -71,7 +71,10 @@ def _fail(message: str) -> int:
 
 def _load_json(path: str) -> dict:
     with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+        try:
+            return json.load(fh)
+        except RecursionError:
+            raise ValueError(f"malformed JSON: {path} is nested too deeply") from None
 
 
 def _field_from_args(args) -> Field:

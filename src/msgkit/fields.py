@@ -174,7 +174,10 @@ class RationalField(Field):
         if isinstance(obj, int):
             return Fraction(obj)
         if isinstance(obj, str):
-            return Fraction(obj)
+            try:
+                return Fraction(obj)
+            except ZeroDivisionError:
+                raise ValueError(f"rational scalar has zero denominator: {obj!r}") from None
         raise ValueError(f"rational scalar must be int or 'a/b' string: {obj!r}")
 
     def spec(self) -> dict:
@@ -195,6 +198,8 @@ QQ = RationalField()
 
 def field_from_spec(spec: dict) -> Field:
     """Inverse of Field.spec(); accepts {'kind': 'prime', 'p': p} or {'kind': 'rational'}."""
+    if not isinstance(spec, dict):
+        raise ValueError(f"field spec must be an object: {spec!r}")
     kind = str(spec.get("kind", "")).lower()
     if kind == "prime":
         if "p" not in spec:

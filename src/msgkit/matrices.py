@@ -62,9 +62,6 @@ class Matrix:
     def entry(self, i: int, j: int):
         return self.rows[i][j]
 
-    def row(self, i: int) -> tuple:
-        return self.rows[i]
-
     def to_lists(self) -> list[list]:
         return [list(r) for r in self.rows]
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import lcm
 
-from ._integers import divisors
+from ._integers import is_prime
 from .fields import Field, PrimeField, QQ, RationalField
 
 
@@ -146,6 +146,9 @@ def pradical_char0(F: Field, a: list) -> list:
 # root extraction over the base field
 # ---------------------------------------------------------------------------
 
+_FIRST_LIFT_PRIME = 10007  # rational roots are lifted from F_q, q >= this
+
+
 def _prime_roots(F: PrimeField, f: list) -> list:
     """Distinct roots of f in F_p (equal-degree splitting into linears)."""
     p = F.p
@@ -185,40 +188,46 @@ def _prime_roots(F: PrimeField, f: list) -> list:
 
 
 def _rational_roots(f: list) -> list:
-    """Distinct rational roots of f over Q (rational root theorem)."""
-    F = QQ
+    """Distinct rational roots of a squarefree f over Q, by q-adic lifting.
+
+    Clear denominators to integers c_0..c_d with c_0 != 0.  A root a/b in
+    lowest terms has a | c_0 and b | c_d, so c_d*a/b is an integer of
+    absolute value at most |c_0*c_d|.  Modulo a prime q dividing neither
+    c_d nor the discriminant it reduces to a simple root of f mod q, which
+    Newton's iteration lifts uniquely to a modulus M > 2|c_0*c_d|; there
+    the symmetric residue of c_d*r is c_d*a/b itself.  Lifts that come
+    from no rational root fail the exact evaluation.
+    """
     roots = []
-    if f and f[0] == 0:
+    if f[0] == 0:
         roots.append(Fraction(0))
-        while f[0] == 0:
-            f = f[1:]
-    if pdeg(f) <= 0:
-        return sorted(roots)
-    if pdeg(f) == 1:
-        roots.append(-Fraction(f[0]) / f[1])
-        return sorted(roots)
-    scale = lcm(*[Fraction(c).denominator for c in f])
+        f = f[1:]
+    scale = lcm(*[c.denominator for c in f])
     ints = [int(c * scale) for c in f]
-    # a few cheap modular filters avoid evaluating hopeless candidates
-    filters = []
-    for q in (10007, 10009, 10037):
-        if ints[-1] % q and ints[0] % q:
+    q = _FIRST_LIFT_PRIME
+    while True:
+        if is_prime(q) and ints[-1] % q:
             Fq = PrimeField(q)
-            filters.append((q, set(_prime_roots(Fq, [c % q for c in ints]))))
-        if len(filters) == 2:
-            break
-    for num in divisors(ints[0]):
-        for den in divisors(ints[-1]):
-            for cand in (Fraction(num, den), Fraction(-num, den)):
-                ok = True
-                for q, rts in filters:
-                    if cand.denominator % q == 0:
-                        continue
-                    if cand.numerator * pow(cand.denominator, -1, q) % q not in rts:
-                        ok = False
-                        break
-                if ok and cand not in roots and peval(F, f, cand) == 0:
-                    roots.append(cand)
+            fq = [c % q for c in ints]
+            if pdeg(pgcd(Fq, fq, pderiv(Fq, fq))) == 0:
+                break
+        q += 2
+    bound = 2 * abs(ints[0] * ints[-1])
+    for r in _prime_roots(Fq, fq):
+        m = q
+        while m <= bound:
+            m *= m
+            fr = dfr = 0
+            for c in reversed(ints):  # f(r) and f'(r) by one Horner pass
+                dfr = (dfr * r + fr) % m
+                fr = (fr * r + c) % m
+            r = (r - fr * pow(dfr, -1, m)) % m
+        s = ints[-1] * r % m
+        if 2 * s > m:
+            s -= m
+        cand = Fraction(s, ints[-1])
+        if peval(QQ, f, cand) == 0:
+            roots.append(cand)
     return sorted(roots)
 
 

@@ -93,12 +93,6 @@ class SymplecticForm:
     def field(self) -> Field:
         return self.gram.field
 
-    def pairing(self, x, y):
-        """<x, y> = x G y^T for coordinate row vectors."""
-        left = Matrix(self.field, 1, self.dim, [x])
-        right = Matrix(self.field, 1, self.dim, [y])
-        return left.mul(self.gram).mul(right.transpose()).entry(0, 0)
-
     def __eq__(self, other) -> bool:
         return isinstance(other, SymplecticForm) and self.gram == other.gram
 

@@ -434,9 +434,6 @@ class TangentReport:
     def excess(self) -> int:
         return self.tangent_dim - self.expected_dim
 
-    def is_expected(self) -> bool:
-        return self.tangent_dim == self.expected_dim
-
     def encode(self) -> dict:
         return {
             "n": self.n,
@@ -558,9 +555,16 @@ class MismatchRecord:
 
 @dataclass
 class VerifyReport:
-    pairs_checked: int
-    points_checked: int
+    pair_points: list[int]  # points checked per pair, in pair order
     mismatches: list  # (pair_index, FormSpace, MismatchRecord)
+
+    @property
+    def pairs_checked(self) -> int:
+        return len(self.pair_points)
+
+    @property
+    def points_checked(self) -> int:
+        return sum(self.pair_points)
 
 
 def _seeded_pencil(n: int, field: Field, seed: int, index: int) -> FormSpace:
@@ -603,6 +607,8 @@ def verify_pair(
     elif scope == "sampled":
         if rng is None:
             raise ValueError("sampled scope needs an rng")
+        if samples < 1:
+            raise ValueError(f"sampled scope needs samples >= 1, got {samples}")
         def sampled():
             for _ in range(samples):
                 V = random_isotropic_subspace(k, fs, rng)
@@ -645,6 +651,8 @@ def verify_thm_equivalence(
     `pairs` is either an iterable of FormSpace pencils or an integer count
     of random independent pairs; pair i is drawn from the derived seed
     (seed, i), so partitioned parallel runs reproduce the same pencils.
+    An empty run, or sampled scope with `samples_per_pair` < 1, raises
+    ValueError instead of passing vacuously.
     """
     if isinstance(pairs, int):
         pair_list = [_seeded_pencil(n, field, seed, i) for i in range(pairs)]
@@ -653,11 +661,13 @@ def verify_thm_equivalence(
         for fs in pair_list:
             if fs.dim != n:
                 raise ValueError("form space dimension disagrees with n")
-    report = VerifyReport(pairs_checked=len(pair_list), points_checked=0, mismatches=[])
+    if not pair_list:
+        raise ValueError("verification needs at least one pair")
+    report = VerifyReport(pair_points=[], mismatches=[])
     for idx, fs in enumerate(pair_list):
         points, mismatches = verify_pair(
             fs, k, scope=scope, rng=_sampling_rng(seed, idx), samples=samples_per_pair,
             budget=budget, fault=fault)
-        report.points_checked += points
+        report.pair_points.append(points)
         report.mismatches.extend((idx, fs, rec) for rec in mismatches)
     return report

@@ -142,6 +142,34 @@ def test_check_point_malformed_json(tmp_path):
     assert "JSON" in err or "json" in err
 
 
+_POINT = {"field": {"kind": "rational"}, "n": 4,
+          "forms": [[[0, 0, 1, 0], [0, 0, 0, 1], [-1, 0, 0, 0], [0, -1, 0, 0]]],
+          "subspace": [[1, 0, 0, 0], [0, 1, 0, 0]]}
+_MATRIX = {"field": {"kind": "rational"}, "matrix": [[0, 1], [-1, 0]]}
+
+
+@pytest.mark.parametrize("subcommand, good", [("check-point", _POINT),
+                                              ("normal-form", _MATRIX)])
+@pytest.mark.parametrize("case", ["field_not_object", "zero_denominator", "deep_nesting"])
+def test_malformed_input_files_exit_2_without_traceback(tmp_path, subcommand, good, case):
+    obj = json.loads(json.dumps(good))
+    if case == "field_not_object":
+        obj["field"] = "prime"
+        text = json.dumps(obj)
+    elif case == "zero_denominator":
+        grid = obj["forms"][0] if "forms" in obj else obj["matrix"]
+        grid[0][1] = "1/0"
+        text = json.dumps(obj)
+    else:
+        text = "[" * 100000 + "]" * 100000
+    path = tmp_path / "bad.json"
+    path.write_text(text)
+    code, _, err = run_cli(subcommand, "--input", str(path))
+    assert code == 2
+    assert "error:" in err
+    assert "Traceback" not in err
+
+
 # --- scan --------------------------------------------------------------------------
 
 def test_scan_deterministic_bytes():
@@ -306,14 +334,8 @@ def test_cli_verify_agrees_with_library(n, scope, extra):
     k, pairs, seed, samples = 2, 3, 7, 15
     fault = "--inject-fault" in extra
 
-    def library(count):
-        return verify_thm_equivalence(n, k, PrimeField(3), pairs=count, scope=scope,
-                                      seed=seed, samples_per_pair=samples, fault=fault)
-
-    # pair i depends only on (seed, i), so run prefixes give per-pair points
-    totals = [library(count).points_checked for count in range(pairs + 1)]
-    points = [b - a for a, b in zip(totals, totals[1:])]
-    report = library(pairs)
+    report = verify_thm_equivalence(n, k, PrimeField(3), pairs=pairs, scope=scope,
+                                    seed=seed, samples_per_pair=samples, fault=fault)
     expected = [(i, [g.encode() for g in fs.grams()], rec.subspace.basis.encode())
                 for i, fs, rec in report.mismatches]
     assert bool(expected) == fault
@@ -323,7 +345,7 @@ def test_cli_verify_agrees_with_library(n, scope, extra):
                                "--workers", workers, *extra)
         assert code == (1 if fault else 0)
         payload = json.loads(out)
-        assert [p["points"] for p in payload["per_pair"]] == points
+        assert [p["points"] for p in payload["per_pair"]] == report.pair_points
         assert payload["points_checked"] == report.points_checked > 0
         assert [(m["pair"], m["forms"], m["subspace"])
                 for m in payload["mismatches"]] == expected

@@ -5,20 +5,47 @@ import glob
 import os
 import re
 
-SRC = os.path.join(os.path.dirname(__file__), os.pardir, "src", "msgkit")
+ROOT = os.path.join(os.path.dirname(__file__), os.pardir)
+SRC = os.path.join(ROOT, "src", "msgkit")
+
+
+def _parsed(*patterns):
+    """(path, syntax tree) of every file matching the patterns under the repo root."""
+    paths = sorted(p for pattern in patterns for p in glob.glob(os.path.join(ROOT, pattern)))
+    assert paths
+    for path in paths:
+        with open(path, "r", encoding="utf-8") as fh:
+            yield path, ast.parse(fh.read(), filename=path)
 
 
 def test_library_has_no_assert_statements():
     # invariants must be raised errors: `python -O` strips asserts
-    paths = sorted(glob.glob(os.path.join(SRC, "*.py")))
-    assert paths
     found = []
-    for path in paths:
-        with open(path, "r", encoding="utf-8") as fh:
-            tree = ast.parse(fh.read(), filename=path)
+    for path, tree in _parsed("src/msgkit/*.py"):
         found += [f"{os.path.basename(path)}:{node.lineno}"
                   for node in ast.walk(tree) if isinstance(node, ast.Assert)]
     assert found == []
+
+
+def test_every_library_function_has_a_caller():
+    # a name is used when code reads it; words in comments and docstrings
+    # do not count, and neither do imports
+    used = set()
+    for _, tree in _parsed("src/msgkit/*.py", "tests/*.py", "demos/*.py",
+                           "perfbench/*.py", "perfbench/tests/*.py"):
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+    unused = []
+    for path, tree in _parsed("src/msgkit/*.py"):
+        unused += [f"{os.path.basename(path)}:{node.lineno} {node.name}"
+                   for node in ast.walk(tree)
+                   if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+                   and not (node.name.startswith("__") and node.name.endswith("__"))
+                   and node.name not in used]
+    assert unused == []
 
 
 def test_sampling_seed_constant_is_written_once():

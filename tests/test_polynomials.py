@@ -1,7 +1,9 @@
+import time
 from fractions import Fraction
 from random import Random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from msgkit import BinaryForm, PrimeField, QQ, binary_form_gcd, binary_form_roots
 from msgkit.polynomials import (
@@ -12,8 +14,10 @@ from msgkit.polynomials import (
     pmat_det,
     pmul,
     proots,
+    pscale,
     ptrim,
 )
+from msgkit._integers import is_prime
 
 
 def test_divmod_reconstructs():
@@ -73,6 +77,64 @@ def test_rational_roots():
         f = pmul(QQ, f, [-r, Fraction(1)])
     f = pmul(QQ, f, [Fraction(7), Fraction(0), Fraction(1)])  # x^2 + 7: no rational roots
     assert proots(QQ, f) == sorted(roots)
+
+
+def _from_roots(roots):
+    f = [Fraction(1)]
+    for r in roots:
+        f = pmul(QQ, f, [-r, Fraction(1)])
+    return f
+
+
+def _next_prime(n):
+    while not is_prime(n):
+        n += 1
+    return n
+
+
+@settings(max_examples=200, deadline=None)
+@given(roots=st.lists(st.fractions(min_value=-50, max_value=50, max_denominator=40),
+                      max_size=5),
+       c=st.fractions(min_value=0, max_value=100, max_denominator=30).filter(bool),
+       scale=st.fractions(min_value=-1000, max_value=1000, max_denominator=1000).filter(bool))
+def test_rational_roots_are_exactly_the_planted_ones(roots, c, scale):
+    # x^2 + c with c > 0 has no real roots, so it plants none; repeats collapse
+    f = pscale(QQ, scale, pmul(QQ, _from_roots(roots), [c, Fraction(0), Fraction(1)]))
+    assert proots(QQ, f) == sorted(set(roots))
+
+
+def test_rational_roots_vs_sympy_factorization():
+    sympy = pytest.importorskip("sympy")
+    x = sympy.Symbol("x")
+    rng = Random(14)
+    for _ in range(150):
+        f = [Fraction(rng.randint(-20, 20)) for _ in range(rng.randrange(0, 4))]
+        f = ptrim(f + [Fraction(rng.randint(1, 20))])
+        for _ in range(rng.randrange(0, 4)):  # linear factors give rational roots
+            f = pmul(QQ, f, [Fraction(rng.randint(-30, 30)), Fraction(rng.randint(1, 12))])
+        poly = sympy.Poly([int(c) for c in reversed(f)], x)
+        expected = sorted({Fraction(int(-g.coeff_monomial(1)), int(g.coeff_monomial(x)))
+                           for g, _ in poly.factor_list()[1] if g.degree() == 1})
+        assert proots(QQ, f) == expected
+
+
+def test_rational_roots_of_large_height():
+    # divisor enumeration would have to factor a 40-digit semiprime here
+    a, b = _next_prime(10**19), _next_prime(3 * 10**19)
+    start = time.perf_counter()
+    assert proots(QQ, [Fraction(a * b), Fraction(0), Fraction(1)]) == []
+    assert time.perf_counter() - start < 1.0
+    A, B, C, D = (_next_prime(k * 10**39) for k in (2, 3, 5, 7))
+    f = pmul(QQ, [Fraction(-B), Fraction(A)], [Fraction(D), Fraction(0), Fraction(C)])
+    assert proots(QQ, f) == [Fraction(B, A)]
+
+
+def test_rational_roots_skip_unusable_lift_primes():
+    # 10007 divides the leading coefficient: the root 1/10007 has no image mod 10007
+    f = pmul(QQ, [Fraction(-1), Fraction(10007)], [Fraction(-2), Fraction(1)])
+    assert proots(QQ, f) == [Fraction(1, 10007), Fraction(2)]
+    # (x - 1)(x - 10008) = (x - 1)^2 mod 10007: squarefree over Q but not mod 10007
+    assert proots(QQ, _from_roots([Fraction(1), Fraction(10008)])) == [1, 10008]
 
 
 def test_large_prime_roots():

@@ -377,6 +377,27 @@ def test_equivalence_small_exhaustive():
     assert rep.mismatches == []
 
 
+def test_equivalence_report_keeps_points_per_pair():
+    rep = verify_thm_equivalence(4, 2, PrimeField(3), pairs=3, scope="exhaustive", seed=0)
+    assert len(rep.pair_points) == rep.pairs_checked == 3
+    assert rep.points_checked == sum(rep.pair_points)
+    assert rep.pair_points[:2] == verify_thm_equivalence(
+        4, 2, PrimeField(3), pairs=2, scope="exhaustive", seed=0).pair_points
+
+
+@pytest.mark.parametrize("pairs", [0, -2, []])
+def test_equivalence_rejects_no_pairs(pairs):
+    with pytest.raises(ValueError, match="at least one pair"):
+        verify_thm_equivalence(4, 2, PrimeField(3), pairs=pairs)
+
+
+@pytest.mark.parametrize("samples", [0, -3])
+def test_equivalence_rejects_nonpositive_samples_in_sampled_scope(samples):
+    with pytest.raises(ValueError, match="samples >= 1"):
+        verify_thm_equivalence(4, 2, PrimeField(3), pairs=2, scope="sampled",
+                               samples_per_pair=samples)
+
+
 def test_equivalence_k1_trivial():
     rep = verify_thm_equivalence(4, 1, PrimeField(3), pairs=3,
                                  scope="exhaustive", seed=1)
