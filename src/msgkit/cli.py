@@ -217,7 +217,8 @@ def _run_tasks(worker, payloads: list[dict], workers: int) -> list[dict]:
     """Order-preserving map, optionally across a process pool.
 
     The pool never outnumbers the tasks or the CPUs: a fork-started pool
-    starts all of its processes at once.
+    starts all of its processes at once.  Chunks of a quarter of each
+    worker's share cut the pickling round trips and still balance the tail.
     """
     if workers < 1:
         raise ValueError("--workers must be >= 1")
@@ -225,7 +226,7 @@ def _run_tasks(worker, payloads: list[dict], workers: int) -> list[dict]:
     if workers <= 1:
         return [worker(p) for p in payloads]
     with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(worker, payloads))
+        return list(pool.map(worker, payloads, chunksize=-(-len(payloads) // (4 * workers))))
 
 
 def cmd_scan(args) -> int:

@@ -134,7 +134,10 @@ class RationalField(Field):
         if isinstance(x, (int, Fraction)):
             return Fraction(x)
         if isinstance(x, str):
-            return Fraction(x)
+            try:
+                return Fraction(x)
+            except ZeroDivisionError:
+                raise ValueError(f"rational scalar has zero denominator: {x!r}") from None
         raise TypeError(f"rational scalar must be int, Fraction, or 'a/b': {x!r}")
 
     def add(self, a: Fraction, b: Fraction) -> Fraction:
@@ -171,13 +174,8 @@ class RationalField(Field):
     def decode(self, obj) -> Fraction:
         if isinstance(obj, bool):
             raise ValueError("rational scalar cannot decode from bool")
-        if isinstance(obj, int):
-            return Fraction(obj)
-        if isinstance(obj, str):
-            try:
-                return Fraction(obj)
-            except ZeroDivisionError:
-                raise ValueError(f"rational scalar has zero denominator: {obj!r}") from None
+        if isinstance(obj, (int, str)):
+            return self.element(obj)
         raise ValueError(f"rational scalar must be int or 'a/b' string: {obj!r}")
 
     def spec(self) -> dict:

@@ -4,6 +4,9 @@ Matrices are immutable (tuple-of-tuples of raw scalars plus the owning
 field), so they hash and deduplicate structurally.  Elimination uses
 first-nonzero pivoting: with exact arithmetic there is nothing numerical
 to stabilize, and a fixed pivot rule keeps every result reproducible.
+``Matrix(...)`` checks every scalar (``field.element``) and the shape at
+the public boundary; internal code that built canonical scalars itself
+passes ``_trusted=True`` to skip both.
 """
 
 from __future__ import annotations
@@ -28,10 +31,13 @@ class SingularMatrixError(ValueError):
 class Matrix:
     __slots__ = ("field", "nrows", "ncols", "rows", "_rref")
 
-    def __init__(self, field: Field, nrows: int, ncols: int, rows):
-        rows = tuple(tuple(field.element(x) for x in row) for row in rows)
-        if len(rows) != nrows or any(len(r) != ncols for r in rows):
-            raise ValueError(f"shape mismatch: expected {nrows}x{ncols}")
+    def __init__(self, field: Field, nrows: int, ncols: int, rows, _trusted: bool = False):
+        if _trusted:
+            rows = tuple(map(tuple, rows))
+        else:
+            rows = tuple(tuple(field.element(x) for x in row) for row in rows)
+            if len(rows) != nrows or any(len(r) != ncols for r in rows):
+                raise ValueError(f"shape mismatch: expected {nrows}x{ncols}")
         self.field = field
         self.nrows = nrows
         self.ncols = ncols
@@ -69,6 +75,7 @@ class Matrix:
         return Matrix(
             self.field, self.ncols, self.nrows,
             [[self.rows[i][j] for i in range(self.nrows)] for j in range(self.ncols)],
+            _trusted=True,
         )
 
     def __eq__(self, other) -> bool:
@@ -101,7 +108,7 @@ class Matrix:
         F = self.field
         return Matrix(F, self.nrows, self.ncols,
                       [[F.add(a, b) for a, b in zip(r1, r2)]
-                       for r1, r2 in zip(self.rows, other.rows)])
+                       for r1, r2 in zip(self.rows, other.rows)], _trusted=True)
 
     def sub(self, other: "Matrix") -> "Matrix":
         return self.add(other.neg())
@@ -109,13 +116,13 @@ class Matrix:
     def neg(self) -> "Matrix":
         F = self.field
         return Matrix(F, self.nrows, self.ncols,
-                      [[F.neg(x) for x in row] for row in self.rows])
+                      [[F.neg(x) for x in row] for row in self.rows], _trusted=True)
 
     def scale(self, c) -> "Matrix":
         F = self.field
         c = F.element(c)
         return Matrix(F, self.nrows, self.ncols,
-                      [[F.mul(c, x) for x in row] for row in self.rows])
+                      [[F.mul(c, x) for x in row] for row in self.rows], _trusted=True)
 
     def mul(self, other: "Matrix") -> "Matrix":
         self._check_same_field(other)
@@ -135,7 +142,7 @@ class Matrix:
                         for j in range(other.ncols):
                             acc[j] += a * br[j]
                 out.append([v % p for v in acc])
-            return Matrix(F, self.nrows, other.ncols, out)
+            return Matrix(F, self.nrows, other.ncols, out, _trusted=True)
         add, mul, zero = F.add, F.mul, F.zero
         out = []
         for arow in self.rows:
@@ -145,7 +152,7 @@ class Matrix:
                     br = brows[k]
                     acc = [add(acc[j], mul(a, br[j])) for j in range(other.ncols)]
             out.append(acc)
-        return Matrix(F, self.nrows, other.ncols, out)
+        return Matrix(F, self.nrows, other.ncols, out, _trusted=True)
 
     __matmul__ = mul
 
@@ -154,14 +161,14 @@ class Matrix:
         if self.ncols != other.ncols:
             raise ValueError("column counts differ")
         return Matrix(self.field, self.nrows + other.nrows, self.ncols,
-                      self.rows + other.rows)
+                      self.rows + other.rows, _trusted=True)
 
     def hstack(self, other: "Matrix") -> "Matrix":
         self._check_same_field(other)
         if self.nrows != other.nrows:
             raise ValueError("row counts differ")
         return Matrix(self.field, self.nrows, self.ncols + other.ncols,
-                      [r1 + r2 for r1, r2 in zip(self.rows, other.rows)])
+                      [r1 + r2 for r1, r2 in zip(self.rows, other.rows)], _trusted=True)
 
     # -- elimination --------------------------------------------------------
 
@@ -196,7 +203,7 @@ class Matrix:
                         rows[i] = [sub(x, mul(f, y)) for x, y in zip(rows[i], pivot_row)]
                 pivots.append(c)
                 r += 1
-            self._rref = (Matrix(F, m, n, rows), r, tuple(pivots))
+            self._rref = (Matrix(F, m, n, rows, _trusted=True), r, tuple(pivots))
         return self._rref
 
     def rank(self) -> int:
@@ -210,7 +217,8 @@ class Matrix:
         """
         F = self.field
         R, rank, pivots = self.rref()
-        free = [c for c in range(self.ncols) if c not in set(pivots)]
+        pivot_set = set(pivots)
+        free = [c for c in range(self.ncols) if c not in pivot_set]
         vecs = []
         for fc in free:
             v = [F.zero] * self.ncols
@@ -218,7 +226,7 @@ class Matrix:
             for i, pc in enumerate(pivots):
                 v[pc] = F.neg(R.rows[i][fc])
             vecs.append(v)
-        return Matrix(F, len(vecs), self.ncols, vecs)
+        return Matrix(F, len(vecs), self.ncols, vecs, _trusted=True)
 
     def left_kernel_basis(self) -> "Matrix":
         return self.transpose().kernel_basis()
@@ -231,7 +239,7 @@ class Matrix:
         R, rank, _ = aug.rref()
         if rank < n or any(R.rows[i][i] != self.field.one for i in range(n)):
             raise SingularMatrixError("matrix is singular")
-        return Matrix(self.field, n, n, [row[n:] for row in R.rows])
+        return Matrix(self.field, n, n, [row[n:] for row in R.rows], _trusted=True)
 
     # -- structure tests and invariants --------------------------------------
 

@@ -348,28 +348,30 @@ class BinaryForm:
         return "BinaryForm(" + " + ".join(terms) + ")"
 
 
-def binary_form_gcd(forms: list) -> BinaryForm:
+def binary_form_gcd(forms) -> BinaryForm:
     """Gcd of binary forms, monic in the dehomogenized variable.
 
     Zero inputs are absorbed (gcd(0, f) = f); the result is the zero form
     exactly when every input is zero.  The v-power dividing all inputs is
     tracked through the degree deficit, so common roots at infinity are
-    kept.
+    kept.  `forms` may be any iterable; it is read only until the gcd is
+    1 and v divides no form read so far, which no further form can change.
     """
-    if not forms:
-        raise ValueError("gcd of an empty set of forms")
-    field = forms[0].field
-    for f in forms[1:]:
+    field, g, v_mult = None, [], None
+    for f in forms:
+        if field is None:
+            field = f.field
         field.require_same(f.field)
-    nonzero = [f for f in forms if not f.is_zero()]
-    if not nonzero:
+        if not f.is_zero():
+            v = f.v_multiplicity()
+            v_mult = v if v_mult is None else min(v_mult, v)
+            g = pgcd(field, g, f.univariate())
+            if pdeg(g) == 0 and v_mult == 0:
+                break
+    if field is None:
+        raise ValueError("gcd of an empty set of forms")
+    if v_mult is None:
         return BinaryForm.zero(field)
-    g: list = []
-    v_mult = min(f.v_multiplicity() for f in nonzero)
-    for f in nonzero:
-        g = pgcd(field, g, f.univariate())
-        if pdeg(g) == 0 and v_mult == 0:
-            break
     return BinaryForm.from_univariate(field, g, pdeg(g) + v_mult)
 
 

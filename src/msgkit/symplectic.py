@@ -230,7 +230,8 @@ class Subspace:
     def from_span(cls, rows: Matrix) -> "Subspace":
         """Span of arbitrary rows; dependent or zero rows are dropped."""
         R, rank, _ = rows.rref()
-        return cls(Matrix(rows.field, rank, rows.ncols, R.rows[:rank]), _trusted=True)
+        basis = Matrix(rows.field, rank, rows.ncols, R.rows[:rank], _trusted=True)
+        return cls(basis, _trusted=True)
 
     @property
     def k(self) -> int:
@@ -295,16 +296,20 @@ def random_isotropic_subspace(
             f"isotropic dimension must satisfy 1 <= k <= n/2 = {n // 2}, got {k}")
     field = F.field
     span_rows: list[tuple] = []
+
+    def extends(v) -> bool:
+        r = len(span_rows)
+        return not r or Matrix(field, r + 1, n, span_rows + [v], _trusted=True).rank() > r
+
     while len(span_rows) < k:
         if span_rows:
-            span = Matrix(field, len(span_rows), n, span_rows)
+            span = Matrix(field, len(span_rows), n, span_rows, _trusted=True)
             constraint = None
             for G in F.grams():
                 block = span.mul(G)
                 constraint = block if constraint is None else constraint.stack(block)
             kernel = constraint.kernel_basis()
         else:
-            span = None
             kernel = Matrix.identity(field, n)
         if kernel.nrows == 0:
             return None
@@ -317,20 +322,20 @@ def random_isotropic_subspace(
                     v = [field.add(x, field.mul(c, y)) for x, y in zip(v, krow)]
             if not any(v):
                 continue
-            if span is None or span.stack(Matrix(field, 1, n, [v])).rank() > len(span_rows):
+            if extends(v):
                 found = tuple(v)
                 break
         if found is None:
             # deterministic fallback: some kernel basis vector extends the
             # span iff any extension exists
             for krow in kernel.rows:
-                if span is None or span.stack(Matrix(field, 1, n, [krow])).rank() > len(span_rows):
+                if extends(krow):
                     found = krow
                     break
         if found is None:
             return None
         span_rows.append(found)
-    return Subspace.from_span(Matrix(field, k, n, span_rows))
+    return Subspace.from_span(Matrix(field, k, n, span_rows, _trusted=True))
 
 
 # ---------------------------------------------------------------------------
@@ -432,7 +437,7 @@ def enumerate_isotropic_subspaces(k: int, F: FormSpace, budget: int | None = Non
     def extend(pivots, free, rows, perps):
         i = len(rows)
         if i == k:
-            yield Subspace(Matrix(field, k, n, rows), _trusted=True)
+            yield Subspace(Matrix(field, k, n, rows, _trusted=True), _trusted=True)
             return
         for x in _row_solutions(field, pivots[i], free[i], perps):
             row = [0] * n

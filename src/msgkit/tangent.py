@@ -82,7 +82,7 @@ def default_complement(V: Subspace) -> Matrix:
             row = [field.zero] * V.n
             row[j] = field.one
             rows.append(row)
-    return Matrix(field, V.n - V.k, V.n, rows)
+    return Matrix(field, V.n - V.k, V.n, rows, _trusted=True)
 
 
 def random_complement(V: Subspace, rng: Random) -> Matrix:
@@ -192,7 +192,7 @@ def build_constraints(ctx: PointContext) -> Matrix:
                 row[j * nk + a] = Ri[a]
                 row[i * nk + a] = field.neg(Rj[a])
             rows.append(row)
-    return Matrix(field, len(rows), k * nk, rows)
+    return Matrix(field, len(rows), k * nk, rows, _trusted=True)
 
 
 # ---------------------------------------------------------------------------
@@ -357,19 +357,20 @@ def _pencil_minor_gcd(R1: Matrix, R2: Matrix) -> BinaryForm:
     if k - 1 == 0:
         # 0x0 minors are the empty determinant 1: rank never drops below 0
         return BinaryForm(F, 0, [F.one])
-    minors = []
-    for rows in itertools.combinations(range(k), k - 1):
-        for cols in itertools.combinations(range(w), k - 1):
-            grid = []
-            for i in rows:
-                row = []
-                for a in cols:
-                    c1, c2 = R1.entry(i, a), R2.entry(i, a)
-                    row.append([c2, c1] if (c1 or c2) else [])
-                grid.append(row)
-            det = pmat_det(F, grid)
-            minors.append(BinaryForm.from_univariate(F, det, k - 1))
-    return binary_form_gcd(minors)
+
+    def minors():  # lazy: the gcd stops reading once it is 1 with no v-factor
+        for rows in itertools.combinations(range(k), k - 1):
+            for cols in itertools.combinations(range(w), k - 1):
+                grid = []
+                for i in rows:
+                    row = []
+                    for a in cols:
+                        c1, c2 = R1.entry(i, a), R2.entry(i, a)
+                        row.append([c2, c1] if (c1 or c2) else [])
+                    grid.append(row)
+                yield BinaryForm.from_univariate(F, pmat_det(F, grid), k - 1)
+
+    return binary_form_gcd(minors())
 
 
 def find_degenerate_pencil(

@@ -285,9 +285,11 @@ def test_nonpositive_counts_exit_2(argv, flag):
 
 
 class _RecordingPool:
-    """Stands in for ProcessPoolExecutor: records its size, maps in process."""
+    """Stands in for ProcessPoolExecutor: records its size and chunk sizes,
+    maps in process."""
 
     sizes: list = []
+    chunks: list = []
 
     def __init__(self, max_workers):
         self.sizes.append(max_workers)
@@ -298,12 +300,14 @@ class _RecordingPool:
     def __exit__(self, *exc):
         return False
 
-    def map(self, fn, items):
+    def map(self, fn, items, chunksize=1):
+        self.chunks.append(chunksize)
         return map(fn, items)
 
 
 def test_run_tasks_caps_the_pool_at_tasks_and_cpus(monkeypatch, capsys):
     monkeypatch.setattr(_RecordingPool, "sizes", [])
+    monkeypatch.setattr(_RecordingPool, "chunks", [])
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _RecordingPool)
     monkeypatch.setattr(os, "cpu_count", lambda: 4)
     double = lambda x: 2 * x  # noqa: E731  (the stand-in pool does not pickle)
@@ -315,13 +319,19 @@ def test_run_tasks_caps_the_pool_at_tasks_and_cpus(monkeypatch, capsys):
     monkeypatch.setattr(os, "cpu_count", lambda: None)
     assert cli._run_tasks(double, [1, 2, 3], 8) == [2, 4, 6]
     assert _RecordingPool.sizes == [2, 3, 4]
+    # chunks of ceil(tasks / (4 * workers)): 1600 tasks on 2 workers go out as 8 chunks
+    assert _RecordingPool.chunks == [1, 1, 1]
+    monkeypatch.setattr(os, "cpu_count", lambda: 4)
+    assert cli._run_tasks(double, list(range(1600)), 2) == list(range(0, 3200, 2))
+    assert cli._run_tasks(double, list(range(13)), 3) == list(range(0, 26, 2))
+    assert _RecordingPool.chunks == [1, 1, 1, 200, 2]
     # the CLI path: two pairs never start more than two workers
     monkeypatch.setattr(os, "cpu_count", lambda: 64)
     code = cli.main(["verify", "--n", "4", "--k", "1", "--p", "3", "--pairs", "2",
                      "--workers", "100000"])
     assert code == 0
     assert json.loads(capsys.readouterr().out)["pairs_checked"] == 2
-    assert _RecordingPool.sizes == [2, 3, 4, 2]
+    assert _RecordingPool.sizes == [2, 3, 4, 2, 3, 2]
 
 
 @pytest.mark.parametrize("n, scope, extra", [

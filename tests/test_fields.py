@@ -121,3 +121,12 @@ def test_scalar_type_checks():
         F.element(True)
     with pytest.raises(TypeError):
         QQ.element(0.5)
+
+
+def test_rational_zero_denominator_is_a_value_error():
+    # element and decode agree, also behind the public Matrix constructor
+    for parse in (QQ.element, QQ.decode):
+        with pytest.raises(ValueError, match="zero denominator"):
+            parse("1/0")
+    with pytest.raises(ValueError, match="zero denominator"):
+        Matrix(QQ, 1, 1, [["1/0"]])

@@ -1,3 +1,5 @@
+import json
+import os
 from itertools import permutations
 from random import Random
 
@@ -12,8 +14,10 @@ from msgkit import (
     random_invertible,
     random_matrix,
     skew_normal_form,
+    standard_form,
 )
-from conftest import random_alternating
+from msgkit import cli
+from conftest import DATA_DIR, random_alternating
 
 
 # --- rref / rank --------------------------------------------------------------
@@ -228,3 +232,65 @@ def test_matrix_decode_validation():
         Matrix.decode(F, [])
     with pytest.raises(ValueError):
         Matrix.decode(F, [[1, "x"]])
+
+
+# --- trusted construction ------------------------------------------------------------
+
+@pytest.fixture
+def guarded_trust(monkeypatch):
+    """Make every Matrix(..., _trusted=True) prove what it skips: each scalar
+    is already canonical (field.element returns it unchanged, same type) and
+    the rows have the declared shape."""
+    init = Matrix.__init__
+
+    def guarded(self, field, nrows, ncols, rows, _trusted=False):
+        if _trusted:
+            rows = [list(r) for r in rows]
+            assert len(rows) == nrows and all(len(r) == ncols for r in rows), "shape"
+            for x in (x for r in rows for x in r):
+                y = field.element(x)
+                assert type(y) is type(x) and y == x, f"non-canonical {x!r} in {field}"
+        init(self, field, nrows, ncols, rows, _trusted=_trusted)
+
+    monkeypatch.setattr(Matrix, "__init__", guarded)
+
+
+def test_trust_guard_catches_a_non_canonical_scalar(guarded_trust):
+    with pytest.raises(AssertionError, match="non-canonical"):
+        Matrix(PrimeField(3), 1, 1, [[-1]], _trusted=True)
+    with pytest.raises(AssertionError, match="non-canonical"):
+        Matrix(QQ, 1, 1, [[1]], _trusted=True)  # an int, not a Fraction
+    with pytest.raises(AssertionError, match="shape"):
+        Matrix(QQ, 2, 1, [[QQ.one]], _trusted=True)
+    assert Matrix(PrimeField(3), 1, 1, [[-1]]).rows == ((2,),)  # public: reduced
+
+
+def test_internal_trusted_constructions_are_canonical(guarded_trust, tmp_path, capsys):
+    # every subcommand that builds matrices, over F_p and Q, in both verify
+    # scopes with and without the injected fault
+    F7 = PrimeField(7)
+    files = {
+        "point_p": {"field": F7.spec(), "n": 4, "forms": [standard_form(4, F7).gram.encode()],
+                    "subspace": [[1, 0, 0, 0], [0, 0, 1, 0]]},
+        "alt_q": {"field": QQ.spec(), "matrix": [[0, "1/2", -3], ["-1/2", 0, 2], [3, -2, 0]]},
+        "alt_p": {"field": F7.spec(), "matrix": random_alternating(F7, 5, Random(3)).encode()},
+    }
+    for name, obj in files.items():
+        (tmp_path / f"{name}.json").write_text(json.dumps(obj))
+    verify = ["verify", "--n", "4", "--k", "2", "--p", "3", "--pairs", "3", "--seed", "2"]
+    sampled = ["verify", "--scope", "sampled", "--n", "6", "--k", "2", "--p", "5",
+               "--pairs", "2", "--samples", "8"]
+    runs = [
+        (verify, 0), (verify + ["--inject-fault"], 1),
+        (sampled, 0), (sampled + ["--inject-fault"], 1),
+        (["scan", "--n", "6", "--k", "2", "--m", "2", "--p", "3", "--samples", "8"], 0),
+        (["scan", "--n", "6", "--k", "2", "--m", "2", "--field", "rational",
+          "--samples", "3"], 0),
+        (["check-point", "--input", os.path.join(DATA_DIR, "degenerate_n4k2.json")], 0),
+        (["check-point", "--input", str(tmp_path / "point_p.json")], 0),
+        (["normal-form", "--input", str(tmp_path / "alt_q.json")], 0),
+        (["normal-form", "--input", str(tmp_path / "alt_p.json")], 0),
+    ]
+    for argv, code in runs:
+        assert cli.main(argv) == code, (argv, capsys.readouterr().err)
+    capsys.readouterr()

@@ -180,6 +180,22 @@ def test_binary_gcd_zero_handling():
         binary_form_gcd([])
 
 
+def test_binary_gcd_reads_a_generator_lazily():
+    def forms():
+        yield BinaryForm.zero(QQ)  # absorbed
+        yield v_form(QQ)  # gcd is already 1, but v still divides every form read
+        yield u_form(QQ)  # gcd 1 and no common v: no later form can change that
+        raise AssertionError("read past the first coprime prefix")
+
+    assert binary_form_gcd(forms()) == BinaryForm(QQ, 0, [1])
+    # a common v-factor survives a constant gcd of the dehomogenizations
+    uv = BinaryForm(QQ, 2, [0, 1, 0])
+    assert binary_form_gcd(iter([v_form(QQ), uv])) == v_form(QQ)
+    assert binary_form_gcd(iter([BinaryForm.zero(QQ)])).is_zero()
+    with pytest.raises(ValueError):
+        binary_form_gcd(iter([]))
+
+
 def test_binary_gcd_divides_inputs_randomized():
     rng = Random(17)
     F = PrimeField(11)

@@ -1,7 +1,9 @@
+import itertools
 from fractions import Fraction
 from random import Random
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from msgkit import (
     FormSpace,
@@ -28,6 +30,7 @@ from msgkit import (
     tangent_report,
     verify_thm_equivalence,
 )
+from msgkit.polynomials import BinaryForm, pdeg, pgcd, pmat_det
 from msgkit.tangent import PhiKernelElement, _pencil_minor_gcd
 from conftest import degenerate_instance, random_alternating_nonsingular
 
@@ -325,6 +328,65 @@ def test_pencil_minor_gcd_degenerate_fabrications():
     R2 = Matrix(F, 2, 2, [[1, 1], [0, 1]])
     g = _pencil_minor_gcd(R1, R2)
     assert g.is_constant() and not g.is_zero()
+
+
+def _eager_minor_gcd(R1, R2):
+    """Reference: every (k-1)-minor of u*R1 + v*R2, gcd over all of them and
+    the least v-multiplicity, with no early exit; no minors give zero."""
+    F = R1.field
+    k, w = R1.shape
+    g, v_mult = [], None
+    for rows in itertools.combinations(range(k), k - 1):
+        for cols in itertools.combinations(range(w), k - 1):
+            det = pmat_det(F, [[[R2.entry(i, a), R1.entry(i, a)] for a in cols]
+                               for i in rows])
+            if det:
+                g = pgcd(F, g, det)
+                v = k - 1 - pdeg(det)
+                v_mult = v if v_mult is None else min(v_mult, v)
+    if v_mult is None:
+        return BinaryForm.zero(F)
+    return BinaryForm.from_univariate(F, g, pdeg(g) + v_mult)
+
+
+@st.composite
+def _pencils(draw):
+    """(R1, R2) of one k x w shape over F_3, F_5 or Q, random or structured:
+    equal, zero, both through one rank <= k-2 factor (rank-deficient pencil),
+    or R1 alone of rank <= k-2 (v divides every minor)."""
+    F = draw(st.sampled_from([PrimeField(3), PrimeField(5), QQ]))
+    scalars = (st.builds(Fraction, st.integers(-4, 4), st.integers(1, 3)) if F == QQ
+               else st.integers(0, F.p - 1))
+    k, w = draw(st.integers(1, 4)), draw(st.integers(0, 4))
+
+    def mat(r, c):
+        return Matrix(F, r, c, draw(st.lists(st.lists(scalars, min_size=c, max_size=c),
+                                             min_size=r, max_size=r)))
+
+    R1, R2 = mat(k, w), mat(k, w)
+    shape = draw(st.sampled_from(["random", "equal", "zero", "low_rank", "v_factor"]))
+    if shape == "equal":
+        R2 = R1
+    elif shape == "zero":
+        R1 = R2 = Matrix.zeros(F, k, w)
+    elif shape in ("low_rank", "v_factor"):
+        L = mat(k, draw(st.integers(0, max(0, k - 2))))
+        R1 = L.mul(mat(L.ncols, w))
+        if shape == "low_rank":
+            R2 = L.mul(mat(L.ncols, w))
+    return R1, R2
+
+
+@settings(max_examples=300, deadline=None)
+@given(_pencils())
+@example((Matrix.identity(QQ, 1), Matrix.zeros(QQ, 1, 1)))  # k = 1
+@example((Matrix.zeros(QQ, 4, 2),
+          Matrix(QQ, 4, 2, [[1, 0], [0, 1], [1, 1], [0, 0]])))  # k - 1 > w
+@example((Matrix(PrimeField(3), 3, 3, [[1, 0, 0], [0, 0, 0], [0, 0, 0]]),
+          Matrix.identity(PrimeField(3), 3)))  # rank R1 = k - 2: common v-factor
+def test_pencil_minor_gcd_matches_eager_reference(pencil):
+    R1, R2 = pencil
+    assert _pencil_minor_gcd(R1, R2) == _eager_minor_gcd(R1, R2)
 
 
 # --- even eigenspaces ------------------------------------------------------------------
