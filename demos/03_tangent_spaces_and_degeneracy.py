@@ -19,7 +19,6 @@ from msgkit import (
     decode_kernel_element,
     find_degenerate_pencil,
     j_V,
-    restriction_matrices,
     tangent_report,
 )
 
@@ -34,7 +33,7 @@ print("V = span(e1, e2) in F^4, isotropic for both forms")
 print("complement (default):", ctx.complement.encode())
 
 print("\n== restriction matrices <v_i, w_a>_t ==")
-R1, R2 = restriction_matrices(ctx)
+R1, R2 = ctx.restrictions
 print("R1 =", R1.encode())
 print("R2 =", R2.encode(), " (identical: the forms agree on V x complement)")
 

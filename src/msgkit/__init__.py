@@ -68,7 +68,6 @@ from .tangent import (
     j_V,
     msg_expected_dim,
     random_complement,
-    restriction_matrices,
     tangent_report,
     verify_pair,
     verify_thm_equivalence,

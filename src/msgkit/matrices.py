@@ -176,7 +176,9 @@ class Matrix:
         """Reduced row echelon form, rank, and pivot columns."""
         if self._rref is None:
             F = self.field
-            sub, mul, inv = F.sub, F.mul, F.inv
+            # over F_p, update plain int residues in place of boxed field calls
+            p = F.p if isinstance(F, PrimeField) else None
+            sub, mul, one = F.sub, F.mul, F.one
             rows = [list(r) for r in self.rows]
             m, n = self.nrows, self.ncols
             pivots = []
@@ -193,14 +195,21 @@ class Matrix:
                     continue
                 rows[r], rows[pr] = rows[pr], rows[r]
                 head = rows[r][c]
-                if head != F.one:
-                    f = inv(head)
-                    rows[r] = [mul(f, x) for x in rows[r]]
+                if head != one:
+                    if p:
+                        f = pow(head, p - 2, p)
+                        rows[r] = [f * x % p for x in rows[r]]
+                    else:
+                        f = F.inv(head)
+                        rows[r] = [mul(f, x) for x in rows[r]]
+                pivot_row = rows[r]
                 for i in range(m):
-                    if i != r and rows[i][c]:
-                        f = rows[i][c]
-                        pivot_row = rows[r]
-                        rows[i] = [sub(x, mul(f, y)) for x, y in zip(rows[i], pivot_row)]
+                    f = rows[i][c]
+                    if f and i != r:
+                        if p:
+                            rows[i] = [(x - f * y) % p for x, y in zip(rows[i], pivot_row)]
+                        else:
+                            rows[i] = [sub(x, mul(f, y)) for x, y in zip(rows[i], pivot_row)]
                 pivots.append(c)
                 r += 1
             self._rref = (Matrix(F, m, n, rows, _trusted=True), r, tuple(pivots))

@@ -193,14 +193,14 @@ def random_form_space(n: int, m: int, field: Field, rng: Random) -> FormSpace:
     while len(forms) < m:
         candidate = random_symplectic_form(n, field, rng)
         try:
-            FormSpace(forms + [candidate])
+            space = FormSpace(forms + [candidate])
         except ValueError:
             guard += 1
             if guard > 256:
                 raise RuntimeError("could not sample independent forms") from None
             continue
         forms.append(candidate)
-    return FormSpace(forms)
+    return space
 
 
 def random_independent_pair(n: int, field: Field, rng: Random) -> FormSpace:
@@ -217,21 +217,23 @@ class Subspace:
 
     __slots__ = ("basis", "_hash")
 
-    def __init__(self, basis: Matrix, _trusted: bool = False):
-        if not _trusted:
-            R, rank, _ = basis.rref()
+    def __init__(self, basis: Matrix, _pivots: tuple[int, ...] | None = None):
+        # internal callers pass the pivots of a basis they built in RREF
+        if _pivots is None:
+            R, rank, _pivots = basis.rref()
             if rank != basis.nrows:
                 raise ValueError("basis rows are linearly dependent")
             basis = R
+        basis._rref = (basis, basis.nrows, _pivots)  # an RREF is its own RREF
         self.basis = basis
         self._hash = hash(basis)
 
     @classmethod
     def from_span(cls, rows: Matrix) -> "Subspace":
         """Span of arbitrary rows; dependent or zero rows are dropped."""
-        R, rank, _ = rows.rref()
+        R, rank, pivots = rows.rref()
         basis = Matrix(rows.field, rank, rows.ncols, R.rows[:rank], _trusted=True)
-        return cls(basis, _trusted=True)
+        return cls(basis, _pivots=pivots)
 
     @property
     def k(self) -> int:
@@ -383,7 +385,7 @@ def enumerate_subspaces(n: int, k: int, field: Field, budget: int | None = None)
                     rows[i][p] = one
                 for (i, j), v in zip(free, values):
                     rows[i][j] = v
-                yield Subspace(Matrix(field, k, n, rows), _trusted=True)
+                yield Subspace(Matrix(field, k, n, rows), _pivots=pivots)
 
     return generate()
 
@@ -437,7 +439,7 @@ def enumerate_isotropic_subspaces(k: int, F: FormSpace, budget: int | None = Non
     def extend(pivots, free, rows, perps):
         i = len(rows)
         if i == k:
-            yield Subspace(Matrix(field, k, n, rows, _trusted=True), _trusted=True)
+            yield Subspace(Matrix(field, k, n, rows, _trusted=True), _pivots=pivots)
             return
         for x in _row_solutions(field, pivots[i], free[i], perps):
             row = [0] * n

@@ -34,7 +34,6 @@ from .symplectic import (
     Subspace,
     derive_seed,
     enumerate_isotropic_subspaces,
-    isotropy_failure,
     random_independent_pair,
     random_isotropic_subspace,
 )
@@ -50,7 +49,6 @@ __all__ = [
     "msg_expected_dim",
     "default_complement",
     "random_complement",
-    "restriction_matrices",
     "build_constraints",
     "tangent_report",
     "j_V",
@@ -71,17 +69,19 @@ def msg_expected_dim(n: int, k: int, m: int) -> int:
     return k * (n - k) - m * (k * (k - 1) // 2)
 
 
+def _non_pivot_columns(V: Subspace) -> list[int]:
+    pivot_set = set(V.basis.rref()[2])
+    return [j for j in range(V.n) if j not in pivot_set]
+
+
 def default_complement(V: Subspace) -> Matrix:
     """Identity rows at the non-pivot columns of the RREF basis."""
     field = V.field
-    _, _, pivots = V.basis.rref()
-    pivot_set = set(pivots)
     rows = []
-    for j in range(V.n):
-        if j not in pivot_set:
-            row = [field.zero] * V.n
-            row[j] = field.one
-            rows.append(row)
+    for j in _non_pivot_columns(V):
+        row = [field.zero] * V.n
+        row[j] = field.one
+        rows.append(row)
     return Matrix(field, V.n - V.k, V.n, rows, _trusted=True)
 
 
@@ -101,7 +101,10 @@ class PointContext:
     and `complement` completes it to a basis of the ambient space.  All
     reported dimensions are provably independent of both choices; kernel
     coordinates are not, which is why the choices are recorded here.
-    `restrictions` holds R_t = B G_t C^T, one per form, computed once here.
+    `restrictions` holds R_t = B G_t C^T, one per form.  B G_t is computed
+    once per form and shared: the isotropy check reads (B G_t) B^T from it,
+    and with the default complement, a selector of the non-pivot columns,
+    R_t is just those columns of B G_t.
     """
 
     __slots__ = ("subspace", "forms", "basis", "complement", "restrictions")
@@ -117,21 +120,31 @@ class PointContext:
             raise ValueError(
                 f"subspace lives in n={subspace.n} but forms act on n={forms.dim}")
         subspace.field.require_same(forms.field)
-        bad = isotropy_failure(subspace, forms)
-        if bad is not None:
-            t, i, j, val = bad
-            raise ValueError(
-                f"subspace is not isotropic for form {t}:"
-                f" <v_{i + 1}, v_{j + 1}> = {val}")
+        grams = forms.grams()
+        rref_basis = subspace.basis
+        rref_basis_t = rref_basis.transpose()
+        products = []
+        for t, G in enumerate(grams):
+            BG = rref_basis.mul(G)
+            for i, row in enumerate(BG.mul(rref_basis_t).rows):
+                for j, val in enumerate(row):
+                    if val:
+                        raise ValueError(
+                            f"subspace is not isotropic for form {t}:"
+                            f" <v_{i + 1}, v_{j + 1}> = {val}")
+            products.append(BG)
         if basis is None:
-            basis = subspace.basis
+            basis = rref_basis
         else:
-            if basis.shape != subspace.basis.shape:
+            if basis.shape != rref_basis.shape:
                 raise ValueError("working basis has the wrong shape")
             if Subspace.from_span(basis) != subspace:
                 raise ValueError("working basis does not span the subspace")
+            products = [basis.mul(G) for G in grams]
+        free = None
         if complement is None:
             complement = default_complement(subspace)
+            free = _non_pivot_columns(subspace)
         if complement.shape != (subspace.n - subspace.k, subspace.n):
             raise ValueError("complement has the wrong shape")
         if basis.stack(complement).rank() != subspace.n:
@@ -140,8 +153,14 @@ class PointContext:
         self.forms = forms
         self.basis = basis
         self.complement = complement
-        ct = complement.transpose()
-        self.restrictions = tuple(basis.mul(G).mul(ct) for G in forms.grams())
+        if free is None:
+            ct = complement.transpose()
+            self.restrictions = tuple(BG.mul(ct) for BG in products)
+        else:
+            self.restrictions = tuple(
+                Matrix(BG.field, BG.nrows, len(free),
+                       [[row[j] for j in free] for row in BG.rows], _trusted=True)
+                for BG in products)
 
     @property
     def n(self) -> int:
@@ -169,11 +188,6 @@ class PointContext:
 
 def _pairs(k: int) -> list[tuple[int, int]]:
     return [(i, j) for i in range(k) for j in range(i + 1, k)]
-
-
-def restriction_matrices(ctx: PointContext) -> list[Matrix]:
-    """R_t with R_t[i][a] = <v_i, w_a>_t, one k x (n-k) matrix per form."""
-    return list(ctx.restrictions)
 
 
 def build_constraints(ctx: PointContext) -> Matrix:
@@ -357,6 +371,13 @@ def _pencil_minor_gcd(R1: Matrix, R2: Matrix) -> BinaryForm:
     if k - 1 == 0:
         # 0x0 minors are the empty determinant 1: rank never drops below 0
         return BinaryForm(F, 0, [F.one])
+    if k == 2:
+        # the 1x1 minors are the linear forms u*R1[i][a] + v*R2[i][a]; their
+        # gcd is 1 iff two of them are not proportional, that is iff
+        # [vec R1; vec R2] has rank 2.  Otherwise read the minors below.
+        flat = [[x for row in R.rows for x in row] for R in (R1, R2)]
+        if Matrix(F, 2, 2 * w, flat, _trusted=True).rank() == 2:
+            return BinaryForm(F, 0, [F.one])
 
     def minors():  # lazy: the gcd stops reading once it is 1 with no v-factor
         for rows in itertools.combinations(range(k), k - 1):

@@ -13,12 +13,12 @@ from conftest import golden_compare
 DATA = os.path.join(os.path.dirname(__file__), "data")
 
 
-def run_cli(*args, env=None):
+def run_cli(*args, env=None, flags=()):
     full_env = dict(os.environ)
     if env:
         full_env.update(env)
     proc = subprocess.run(
-        [sys.executable, "-m", "msgkit", *args],
+        [sys.executable, *flags, "-m", "msgkit", *args],
         capture_output=True, text=True, env=full_env)
     return proc.returncode, proc.stdout, proc.stderr
 
@@ -255,6 +255,17 @@ def test_verify_fault_injection_golden():
                            "--pairs", "3", "--seed", "2", "--inject-fault")
     assert code == 1
     golden_compare("verify_n4_k2_p3_pairs3_seed2_fault.json", out)
+
+
+def test_verify_fault_self_test_survives_python_O():
+    # -O strips assert statements: no check the run relies on may be one
+    argv = ("verify", "--n", "4", "--k", "2", "--p", "3", "--pairs", "3", "--seed", "2",
+            "--inject-fault")
+    plain = run_cli(*argv)
+    optimized = run_cli(*argv, flags=("-O",))
+    assert optimized == plain
+    code, out, _ = optimized
+    assert code == 1 and json.loads(out)["mismatch_count"] > 0
 
 
 def test_verify_rejects_bad_shape():

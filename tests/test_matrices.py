@@ -4,6 +4,7 @@ from itertools import permutations
 from random import Random
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from msgkit import (
     Matrix,
@@ -294,3 +295,54 @@ def test_internal_trusted_constructions_are_canonical(guarded_trust, tmp_path, c
     for argv, code in runs:
         assert cli.main(argv) == code, (argv, capsys.readouterr().err)
     capsys.readouterr()
+
+
+# --- unboxed F_p elimination ------------------------------------------------------------
+
+def _reference_rref(F, rows, ncols):
+    """Gauss-Jordan with first-nonzero pivots, through F.sub, F.mul and F.inv only."""
+    rows = [list(r) for r in rows]
+    pivots = []
+    for c in range(ncols):
+        r = len(pivots)
+        below = [i for i in range(r, len(rows)) if rows[i][c] != F.zero]
+        if not below:
+            continue
+        rows[r], rows[below[0]] = rows[below[0]], rows[r]
+        f = F.inv(rows[r][c])
+        rows[r] = [F.mul(f, x) for x in rows[r]]
+        for i in range(len(rows)):
+            if i != r:
+                g = rows[i][c]
+                rows[i] = [F.sub(x, F.mul(g, y)) for x, y in zip(rows[i], rows[r])]
+        pivots.append(c)
+    return rows, len(pivots), tuple(pivots)
+
+
+@st.composite
+def _prime_matrices(draw):
+    """An m x n matrix over F_3, F_5, F_7 or F_(2^31 - 1), m <= 6, n <= 9: random
+    (often sparse), with zeroed rows or columns, or already in RREF."""
+    F = PrimeField(draw(st.sampled_from([3, 5, 7, 2**31 - 1])))
+    m, n = draw(st.integers(0, 6)), draw(st.integers(0, 9))
+    scalar = st.one_of(st.just(0), st.integers(0, F.p - 1))
+    rows = draw(st.lists(st.lists(scalar, min_size=n, max_size=n), min_size=m, max_size=m))
+    shape = draw(st.sampled_from(["random", "zero_rows", "zero_cols", "rref"]))
+    if shape == "zero_rows":
+        dead = draw(st.sets(st.integers(0, max(0, m - 1))))
+        rows = [[0] * n if i in dead else r for i, r in enumerate(rows)]
+    elif shape == "zero_cols":
+        dead = draw(st.sets(st.integers(0, max(0, n - 1))))
+        rows = [[0 if j in dead else x for j, x in enumerate(r)] for r in rows]
+    elif shape == "rref":
+        rows = _reference_rref(F, rows, n)[0]
+    return Matrix(F, m, n, rows)
+
+
+@settings(max_examples=400, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(_prime_matrices())
+def test_prime_rref_matches_boxed_reference(guarded_trust, M):
+    rows, rank, pivots = _reference_rref(M.field, M.rows, M.ncols)
+    R, got_rank, got_pivots = M.rref()
+    assert (R.rows, got_rank, got_pivots) == (tuple(map(tuple, rows)), rank, pivots)

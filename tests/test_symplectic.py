@@ -7,6 +7,7 @@ from msgkit import (
     BudgetExceeded,
     FormSpace,
     Matrix,
+    PointContext,
     PrimeField,
     QQ,
     Subspace,
@@ -19,9 +20,12 @@ from msgkit import (
     gaussian_binomial,
     is_isotropic,
     isotropy_failure,
+    random_complement,
     random_form_space,
     random_independent_pair,
+    random_invertible,
     random_isotropic_subspace,
+    random_matrix,
     random_symplectic_form,
     standard_form,
 )
@@ -243,6 +247,51 @@ ORACLE_GRID = [
 def test_isotropic_enumeration_matches_filter_sequence(n, k, m, p):
     fs = random_form_space(n, m, PrimeField(p), Random(1000 * n + 100 * k + 10 * m + p))
     assert list(enumerate_isotropic_subspaces(k, fs)) == filtered_isotropic_subspaces(k, fs)
+
+
+@pytest.mark.parametrize("n,k,m,p", ORACLE_GRID,
+                         ids=[f"n{n}-k{k}-m{m}-p{p}" for n, k, m, p in ORACLE_GRID])
+def test_point_context_restrictions_match_the_triple_product(n, k, m, p):
+    # R_t = B G_t C^T as two products, at every point with the default
+    # coordinates and at every 10th point with a random complement, a random
+    # working basis, and both
+    F = PrimeField(p)
+    rng = Random(1000 * n + 100 * k + 10 * m + p)
+    fs = random_form_space(n, m, F, rng)
+
+    def triple(basis, complement):
+        return tuple(basis.mul(G).mul(complement.transpose()) for G in fs.grams())
+
+    for index, V in enumerate(enumerate_isotropic_subspaces(k, fs)):
+        ctx = PointContext(V, fs)
+        assert ctx.restrictions == triple(V.basis, ctx.complement)
+        if index % 10:
+            continue
+        C = random_complement(V, rng)
+        B = random_invertible(F, k, rng).mul(V.basis)
+        for complement, basis in ((C, None), (None, B), (C, B)):
+            ctx = PointContext(V, fs, complement=complement, basis=basis)
+            assert ctx.restrictions == triple(ctx.basis, ctx.complement)
+
+
+def test_subspace_basis_carries_its_own_rref():
+    # the cached RREF of a canonical basis equals a fresh elimination of it
+    rng = Random(83)
+    spaces = []
+    for F in (PrimeField(3), PrimeField(5), QQ):
+        for r in range(5):
+            spaces.append(Subspace.from_span(random_matrix(F, r, 6, rng).stack(
+                Matrix.zeros(F, 1, 6))))  # a zero row: the span drops it
+        fs = random_form_space(6, 2, F, rng)
+        spaces += [V for V in (random_isotropic_subspace(k, fs, rng) for k in (1, 2, 3))
+                   if V is not None]
+        spaces.append(Subspace(Matrix(F, 3, 6, random_invertible(F, 6, rng).rows[:3])))
+    fs = random_form_space(4, 2, PrimeField(3), rng)
+    spaces += list(enumerate_isotropic_subspaces(2, fs))
+    spaces += list(enumerate_subspaces(4, 2, PrimeField(3)))[::17]
+    for V in spaces:
+        B = V.basis
+        assert B._rref == Matrix(V.field, V.k, V.n, B.rows).rref()
 
 
 @pytest.mark.parametrize("n,k,q", [

@@ -19,13 +19,14 @@ from msgkit import (
     default_complement,
     enumerate_isotropic_subspaces,
     find_degenerate_pencil,
+    isotropy_failure,
     j_V,
     msg_expected_dim,
     random_complement,
     random_form_space,
     random_invertible,
     random_isotropic_subspace,
-    restriction_matrices,
+    random_matrix,
     standard_form,
     tangent_report,
     verify_thm_equivalence,
@@ -125,6 +126,31 @@ def test_point_context_validation():
         PointContext(V, good, basis=Matrix(F, 2, 4, [[0, 0, 1, 0], [0, 0, 0, 1]]))
 
 
+@pytest.mark.parametrize("field", [PrimeField(3), PrimeField(7), QQ], ids=str)
+def test_point_context_names_the_first_non_isotropic_pairing(field):
+    # the message carries exactly the (t, i, j, value) of isotropy_failure;
+    # half the points are isotropic for form 0, so form 1 gets named too
+    rng = Random(97)
+    named = set()
+    for trial in range(60):
+        fs = random_form_space(6, 2, field, rng)
+        if trial % 2:
+            V = random_isotropic_subspace(3, FormSpace(fs.forms[:1]), rng)
+        else:
+            V = Subspace.from_span(random_matrix(field, 3, 6, rng))
+        bad = isotropy_failure(V, fs)
+        if bad is None:
+            PointContext(V, fs)
+            continue
+        t, i, j, val = bad
+        with pytest.raises(ValueError) as info:
+            PointContext(V, fs)
+        assert str(info.value) == \
+            f"subspace is not isotropic for form {t}: <v_{i + 1}, v_{j + 1}> = {val}"
+        named.add(t)
+    assert named == {0, 1}
+
+
 # --- m = 1 smoothness ----------------------------------------------------------------
 
 def test_single_form_always_expected_dim():
@@ -156,7 +182,7 @@ def test_degenerate_instance_report(degenerate_ctx):
 
 
 def test_degenerate_instance_restrictions_are_identity(degenerate_ctx):
-    R1, R2 = restriction_matrices(degenerate_ctx)
+    R1, R2 = degenerate_ctx.restrictions
     I2 = Matrix.identity(QQ, 2)
     assert R1 == I2 and R2 == I2
 
@@ -384,9 +410,19 @@ def _pencils(draw):
           Matrix(QQ, 4, 2, [[1, 0], [0, 1], [1, 1], [0, 0]])))  # k - 1 > w
 @example((Matrix(PrimeField(3), 3, 3, [[1, 0, 0], [0, 0, 0], [0, 0, 0]]),
           Matrix.identity(PrimeField(3), 3)))  # rank R1 = k - 2: common v-factor
+@example((Matrix(PrimeField(5), 2, 2, [[1, 2], [0, 3]]),
+          Matrix(PrimeField(5), 2, 2, [[2, 4], [0, 1]])))  # k = 2, proportional
+@example((Matrix(PrimeField(5), 2, 1, [[0], [1]]),
+          Matrix(PrimeField(5), 2, 1, [[1], [0]])))  # k = 2, rank 2 through zeros
 def test_pencil_minor_gcd_matches_eager_reference(pencil):
     R1, R2 = pencil
-    assert _pencil_minor_gcd(R1, R2) == _eager_minor_gcd(R1, R2)
+    eager = _eager_minor_gcd(R1, R2)
+    assert _pencil_minor_gcd(R1, R2) == eager
+    if R1.nrows == 2:
+        # k = 2: no degenerate pencil point iff [vec R1; vec R2] has rank 2
+        flat = Matrix(R1.field, 2, 2 * R1.ncols,
+                      [[x for row in R.rows for x in row] for R in (R1, R2)])
+        assert (flat.rank() == 2) == (eager.is_constant() and not eager.is_zero())
 
 
 # --- even eigenspaces ------------------------------------------------------------------
