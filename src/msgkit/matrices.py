@@ -390,7 +390,8 @@ def skew_normal_form(M: Matrix) -> tuple[Matrix, int]:
 
 def random_matrix(field: Field, nrows: int, ncols: int, rng) -> Matrix:
     return Matrix(field, nrows, ncols,
-                  [[field.random(rng) for _ in range(ncols)] for _ in range(nrows)])
+                  [[field.random(rng) for _ in range(ncols)] for _ in range(nrows)],
+                  _trusted=True)
 
 
 def random_invertible(field: Field, n: int, rng) -> Matrix:

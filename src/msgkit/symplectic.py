@@ -25,6 +25,7 @@ from .fields import Field, PrimeField, field_from_spec
 from .matrices import Matrix, canonical_alternating, random_invertible
 
 DEFAULT_BUDGET = 10**7
+_RETRIES = 64  # random draws per sampler step before the kernel sweep
 
 _MASK64 = (1 << 64) - 1
 
@@ -213,9 +214,10 @@ def random_independent_pair(n: int, field: Field, rng: Random) -> FormSpace:
 # ---------------------------------------------------------------------------
 
 class Subspace:
-    """A k-dimensional subspace of F^n, stored as its canonical RREF basis."""
+    """A k-dimensional subspace of F^n: its canonical RREF `basis` and the
+    basis's `pivots`, the increasing pivot column of each row."""
 
-    __slots__ = ("basis", "_hash")
+    __slots__ = ("basis", "pivots", "_hash")
 
     def __init__(self, basis: Matrix, _pivots: tuple[int, ...] | None = None):
         # internal callers pass the pivots of a basis they built in RREF
@@ -224,8 +226,8 @@ class Subspace:
             if rank != basis.nrows:
                 raise ValueError("basis rows are linearly dependent")
             basis = R
-        basis._rref = (basis, basis.nrows, _pivots)  # an RREF is its own RREF
         self.basis = basis
+        self.pivots = _pivots
         self._hash = hash(basis)
 
     @classmethod
@@ -257,6 +259,18 @@ class Subspace:
         return f"Subspace(k={self.k}, n={self.n}, {self.field})"
 
 
+def _first_nonzero_pairing(B: Matrix, products):
+    """First (t, i, j, value) with (B G_t B^T)[i][j] != 0, or None; `products`
+    yields B G_t in form order and is read only up to the first failing form."""
+    Bt = B.transpose()
+    for t, BG in enumerate(products):
+        for i, row in enumerate(BG.mul(Bt).rows):
+            for j, val in enumerate(row):
+                if val:
+                    return (t, i, j, val)
+    return None
+
+
 def isotropy_failure(V: Subspace, F: FormSpace):
     """None if V is simultaneously isotropic, else (form_index, i, j, value).
 
@@ -266,13 +280,7 @@ def isotropy_failure(V: Subspace, F: FormSpace):
     if V.n != F.dim:
         raise ValueError(f"dimension mismatch: subspace in n={V.n}, forms on n={F.dim}")
     B = V.basis
-    for t, G in enumerate(F.grams()):
-        M = B.mul(G).mul(B.transpose())
-        for i in range(V.k):
-            for j in range(V.k):
-                if M.entry(i, j):
-                    return (t, i, j, M.entry(i, j))
-    return None
+    return _first_nonzero_pairing(B, (B.mul(G) for G in F.grams()))
 
 
 def is_isotropic(V: Subspace, F: FormSpace) -> bool:
@@ -280,52 +288,42 @@ def is_isotropic(V: Subspace, F: FormSpace) -> bool:
     return isotropy_failure(V, F) is None
 
 
-def random_isotropic_subspace(
-    k: int, F: FormSpace, rng: Random, retries: int = 64
-) -> Subspace | None:
+def random_isotropic_subspace(k: int, F: FormSpace, rng: Random) -> Subspace | None:
     """Greedy extension by random vectors in the intersection of the perps.
 
     Each step solves for the simultaneous perp of the current span, then
-    draws random kernel combinations; if `retries` draws fail to leave the
+    draws random kernel combinations; if _RETRIES draws fail to leave the
     span, a deterministic sweep of the kernel basis settles whether any
     extension exists at all.  None therefore means a genuine stall (the
     greedy span admits no further simultaneously-isotropic extension),
-    which can only happen for m >= 2.
+    which can only happen for m >= 2.  The perp system gains the rows v G_t
+    of each accepted v; its kernel basis, read off the RREF, depends only
+    on the row space, and the empty system's kernel is the identity.
     """
     n = F.dim
     if not 1 <= k <= n // 2:
         raise ValueError(
             f"isotropic dimension must satisfy 1 <= k <= n/2 = {n // 2}, got {k}")
     field = F.field
+    grams = F.grams()
     span_rows: list[tuple] = []
+    perp_rows: list[tuple] = []
 
     def extends(v) -> bool:
         r = len(span_rows)
         return not r or Matrix(field, r + 1, n, span_rows + [v], _trusted=True).rank() > r
 
-    while len(span_rows) < k:
-        if span_rows:
-            span = Matrix(field, len(span_rows), n, span_rows, _trusted=True)
-            constraint = None
-            for G in F.grams():
-                block = span.mul(G)
-                constraint = block if constraint is None else constraint.stack(block)
-            kernel = constraint.kernel_basis()
-        else:
-            kernel = Matrix.identity(field, n)
+    while True:
+        kernel = Matrix(field, len(perp_rows), n, perp_rows, _trusted=True).kernel_basis()
         if kernel.nrows == 0:
             return None
         found = None
-        for _ in range(retries):
-            coeffs = [field.random(rng) for _ in range(kernel.nrows)]
-            v = [field.zero] * n
-            for c, krow in zip(coeffs, kernel.rows):
-                if c:
-                    v = [field.add(x, field.mul(c, y)) for x, y in zip(v, krow)]
-            if not any(v):
-                continue
-            if extends(v):
-                found = tuple(v)
+        for _ in range(_RETRIES):
+            coeffs = Matrix(field, 1, kernel.nrows,
+                            [[field.random(rng) for _ in range(kernel.nrows)]], _trusted=True)
+            v = coeffs.mul(kernel).rows[0]
+            if any(v) and extends(v):
+                found = v
                 break
         if found is None:
             # deterministic fallback: some kernel basis vector extends the
@@ -337,7 +335,10 @@ def random_isotropic_subspace(
         if found is None:
             return None
         span_rows.append(found)
-    return Subspace.from_span(Matrix(field, k, n, span_rows, _trusted=True))
+        if len(span_rows) == k:
+            return Subspace.from_span(Matrix(field, k, n, span_rows, _trusted=True))
+        v = Matrix(field, 1, n, [found], _trusted=True)
+        perp_rows += [v.mul(G).rows[0] for G in grams]
 
 
 # ---------------------------------------------------------------------------
@@ -402,7 +403,8 @@ def _row_solutions(field: PrimeField, pivot: int, cols: list[int], perps: list[l
     p = field.p
     f = len(cols)
     system = Matrix(field, len(perps), f + 1,
-                    [[w[c] for c in reversed(cols)] + [-w[pivot]] for w in perps])
+                    [[w[c] for c in reversed(cols)] + [-w[pivot] % p] for w in perps],
+                    _trusted=True)
     R, _, pivot_cols = system.rref()
     if f in pivot_cols:
         return ()

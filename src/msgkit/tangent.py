@@ -32,6 +32,7 @@ from .polynomials import BinaryForm, binary_form_gcd, binary_form_roots, pmat_de
 from .symplectic import (
     FormSpace,
     Subspace,
+    _first_nonzero_pairing,
     derive_seed,
     enumerate_isotropic_subspaces,
     random_independent_pair,
@@ -70,7 +71,7 @@ def msg_expected_dim(n: int, k: int, m: int) -> int:
 
 
 def _non_pivot_columns(V: Subspace) -> list[int]:
-    pivot_set = set(V.basis.rref()[2])
+    pivot_set = set(V.pivots)
     return [j for j in range(V.n) if j not in pivot_set]
 
 
@@ -104,7 +105,9 @@ class PointContext:
     `restrictions` holds R_t = B G_t C^T, one per form.  B G_t is computed
     once per form and shared: the isotropy check reads (B G_t) B^T from it,
     and with the default complement, a selector of the non-pivot columns,
-    R_t is just those columns of B G_t.
+    R_t is just those columns of B G_t.  Only a complement the caller
+    passes is rank-checked against the basis: the default one holds the
+    unit rows at the non-pivot columns, which complete any basis of V.
     """
 
     __slots__ = ("subspace", "forms", "basis", "complement", "restrictions")
@@ -121,46 +124,39 @@ class PointContext:
                 f"subspace lives in n={subspace.n} but forms act on n={forms.dim}")
         subspace.field.require_same(forms.field)
         grams = forms.grams()
-        rref_basis = subspace.basis
-        rref_basis_t = rref_basis.transpose()
-        products = []
-        for t, G in enumerate(grams):
-            BG = rref_basis.mul(G)
-            for i, row in enumerate(BG.mul(rref_basis_t).rows):
-                for j, val in enumerate(row):
-                    if val:
-                        raise ValueError(
-                            f"subspace is not isotropic for form {t}:"
-                            f" <v_{i + 1}, v_{j + 1}> = {val}")
-            products.append(BG)
+        products = [subspace.basis.mul(G) for G in grams]
+        failure = _first_nonzero_pairing(subspace.basis, products)
+        if failure is not None:
+            t, i, j, val = failure
+            raise ValueError(
+                f"subspace is not isotropic for form {t}: <v_{i + 1}, v_{j + 1}> = {val}")
         if basis is None:
-            basis = rref_basis
+            basis = subspace.basis
         else:
-            if basis.shape != rref_basis.shape:
+            if basis.shape != subspace.basis.shape:
                 raise ValueError("working basis has the wrong shape")
             if Subspace.from_span(basis) != subspace:
                 raise ValueError("working basis does not span the subspace")
             products = [basis.mul(G) for G in grams]
-        free = None
         if complement is None:
             complement = default_complement(subspace)
             free = _non_pivot_columns(subspace)
-        if complement.shape != (subspace.n - subspace.k, subspace.n):
-            raise ValueError("complement has the wrong shape")
-        if basis.stack(complement).rank() != subspace.n:
-            raise ValueError("basis plus complement do not span the ambient space")
+            restrictions = tuple(
+                Matrix(BG.field, BG.nrows, len(free),
+                       [[row[j] for j in free] for row in BG.rows], _trusted=True)
+                for BG in products)
+        else:
+            if complement.shape != (subspace.n - subspace.k, subspace.n):
+                raise ValueError("complement has the wrong shape")
+            if basis.stack(complement).rank() != subspace.n:
+                raise ValueError("basis plus complement do not span the ambient space")
+            ct = complement.transpose()
+            restrictions = tuple(BG.mul(ct) for BG in products)
         self.subspace = subspace
         self.forms = forms
         self.basis = basis
         self.complement = complement
-        if free is None:
-            ct = complement.transpose()
-            self.restrictions = tuple(BG.mul(ct) for BG in products)
-        else:
-            self.restrictions = tuple(
-                Matrix(BG.field, BG.nrows, len(free),
-                       [[row[j] for j in free] for row in BG.rows], _trusted=True)
-                for BG in products)
+        self.restrictions = restrictions
 
     @property
     def n(self) -> int:

@@ -170,7 +170,26 @@ def test_malformed_input_files_exit_2_without_traceback(tmp_path, subcommand, go
     assert "Traceback" not in err
 
 
+def test_check_point_dependent_subspace_rows_exit_2(tmp_path):
+    point = dict(_POINT, subspace=[[1, 0, 0, 0], [2, 0, 0, 0]])
+    path = tmp_path / "dependent.json"
+    path.write_text(json.dumps(point))
+    code, out, err = run_cli("check-point", "--input", str(path))
+    assert (code, out) == (2, "")
+    assert err == "error: subspace basis rows are linearly dependent\n"
+
+
 # --- scan --------------------------------------------------------------------------
+
+def test_scan_needs_exactly_one_field_flag():
+    base = ("scan", "--n", "4", "--k", "1", "--samples", "2")
+    code, out, err = run_cli(*base, "--p", "3", "--field", "rational")
+    assert (code, out) == (2, "")
+    assert "--field: not allowed with argument --p" in err
+    code, out, err = run_cli(*base)
+    assert (code, out) == (2, "")
+    assert err == "error: specify --p PRIME or --field rational\n"
+
 
 def test_scan_deterministic_bytes():
     args = ("scan", "--n", "4", "--k", "2", "--m", "2", "--p", "3",

@@ -27,6 +27,30 @@ def test_library_has_no_assert_statements():
     assert found == []
 
 
+def test_library_writes_private_attributes_only_on_self():
+    # an object's private state is written by its own methods only; a
+    # write through another name (say, into a matrix's cache) couples two
+    # classes behind their backs
+    found = []
+    for path, tree in _parsed("src/msgkit/*.py"):
+        targets = []
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Assign):
+                targets += node.targets
+            elif isinstance(node, (ast.AugAssign, ast.AnnAssign)):
+                targets.append(node.target)
+        while targets:
+            target = targets.pop()
+            if isinstance(target, (ast.Tuple, ast.List)):
+                targets += target.elts
+            elif isinstance(target, ast.Starred):
+                targets.append(target.value)
+            elif (isinstance(target, ast.Attribute) and target.attr.startswith("_")
+                  and not (isinstance(target.value, ast.Name) and target.value.id == "self")):
+                found.append(f"{os.path.basename(path)}:{target.lineno}")
+    assert found == []
+
+
 def test_every_library_function_has_a_caller():
     # a name is used when code reads it; words in comments and docstrings
     # do not count, and neither do imports

@@ -2,6 +2,7 @@ import json
 from random import Random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from msgkit import (
     BudgetExceeded,
@@ -13,6 +14,7 @@ from msgkit import (
     Subspace,
     SymplecticForm,
     decode_point,
+    default_complement,
     derive_seed,
     encode_point,
     enumerate_isotropic_subspaces,
@@ -162,6 +164,79 @@ def test_sampler_postconditions():
         random_isotropic_subspace(4, fs, rng)  # k > n/2
 
 
+def _reference_isotropic_subspace(k, F, rng, retries=64):
+    """The sampler as it was before the perp system grew incrementally: it
+    rebuilds span G_t for every form at every step and forms kernel
+    combinations with boxed field calls."""
+    n = F.dim
+    field = F.field
+    span_rows = []
+
+    def extends(v):
+        r = len(span_rows)
+        return not r or Matrix(field, r + 1, n, span_rows + [v]).rank() > r
+
+    while len(span_rows) < k:
+        if span_rows:
+            span = Matrix(field, len(span_rows), n, span_rows)
+            constraint = None
+            for G in F.grams():
+                block = span.mul(G)
+                constraint = block if constraint is None else constraint.stack(block)
+            kernel = constraint.kernel_basis()
+        else:
+            kernel = Matrix.identity(field, n)
+        if kernel.nrows == 0:
+            return None
+        found = None
+        for _ in range(retries):
+            coeffs = [field.random(rng) for _ in range(kernel.nrows)]
+            v = [field.zero] * n
+            for c, krow in zip(coeffs, kernel.rows):
+                if c:
+                    v = [field.add(x, field.mul(c, y)) for x, y in zip(v, krow)]
+            if not any(v):
+                continue
+            if extends(v):
+                found = tuple(v)
+                break
+        if found is None:
+            for krow in kernel.rows:
+                if extends(krow):
+                    found = krow
+                    break
+        if found is None:
+            return None
+        span_rows.append(found)
+    return Subspace.from_span(Matrix(field, k, n, span_rows))
+
+
+@st.composite
+def _sampler_cases(draw):
+    field = draw(st.sampled_from([PrimeField(3), PrimeField(5), QQ]))
+    n = draw(st.sampled_from([4, 6, 8]))
+    m = draw(st.sampled_from([1, 2, 3]))
+    k = draw(st.integers(1, n // 2))
+    return field, n, m, k, draw(st.integers(0, 2**32)), draw(st.integers(0, 2**32))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_sampler_cases())
+def test_incremental_sampler_matches_the_rebuilding_reference(case):
+    # same Subspace (or None) and the same generator state after every draw,
+    # over several draws from one form space
+    field, n, m, k, form_seed, seed = case
+    fs = random_form_space(n, m, field, Random(form_seed))
+    ours, theirs = Random(seed), Random(seed)
+    for _ in range(3):
+        V = random_isotropic_subspace(k, fs, ours)
+        assert V == _reference_isotropic_subspace(k, fs, theirs)
+        assert ours.getstate() == theirs.getstate()
+        if V is not None:
+            assert V.pivots == Matrix(field, k, n, V.basis.rows).rref()[2]
+            assert is_isotropic(V, fs)
+
+
 def test_sampler_m1_never_stalls_many_draws():
     rng = Random(83)
     for field in (PrimeField(3), QQ):
@@ -264,6 +339,8 @@ def test_point_context_restrictions_match_the_triple_product(n, k, m, p):
 
     for index, V in enumerate(enumerate_isotropic_subspaces(k, fs)):
         ctx = PointContext(V, fs)
+        # the default complement is not rank-checked: it must complete V
+        assert V.basis.stack(default_complement(V)).rank() == n
         assert ctx.restrictions == triple(V.basis, ctx.complement)
         if index % 10:
             continue
@@ -275,7 +352,7 @@ def test_point_context_restrictions_match_the_triple_product(n, k, m, p):
 
 
 def test_subspace_basis_carries_its_own_rref():
-    # the cached RREF of a canonical basis equals a fresh elimination of it
+    # the basis, dimension and pivots equal a fresh elimination of the basis
     rng = Random(83)
     spaces = []
     for F in (PrimeField(3), PrimeField(5), QQ):
@@ -290,8 +367,7 @@ def test_subspace_basis_carries_its_own_rref():
     spaces += list(enumerate_isotropic_subspaces(2, fs))
     spaces += list(enumerate_subspaces(4, 2, PrimeField(3)))[::17]
     for V in spaces:
-        B = V.basis
-        assert B._rref == Matrix(V.field, V.k, V.n, B.rows).rref()
+        assert (V.basis, V.k, V.pivots) == Matrix(V.field, V.k, V.n, V.basis.rows).rref()
 
 
 @pytest.mark.parametrize("n,k,q", [
