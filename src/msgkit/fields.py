@@ -28,8 +28,6 @@ class FieldMismatchError(ValueError):
 class Field:
     """Common interface; see PrimeField and RationalField."""
 
-    kind: str
-
     def sub(self, a, b):
         return self.add(a, self.neg(b))
 
@@ -47,7 +45,6 @@ class Field:
 class PrimeField(Field):
     """F_p for an odd prime p, 3 <= p < 2**31.  Scalars are ints in [0, p)."""
 
-    kind = "prime"
     __slots__ = ("p",)
 
     def __init__(self, p: int):
@@ -122,7 +119,6 @@ class PrimeField(Field):
 class RationalField(Field):
     """The rationals with arbitrary-precision numerators and denominators."""
 
-    kind = "rational"
     __slots__ = ()
 
     zero = Fraction(0)

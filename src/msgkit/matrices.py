@@ -12,7 +12,7 @@ passes ``_trusted=True`` to skip both.
 from __future__ import annotations
 
 from .fields import Field, PrimeField
-from .polynomials import pmat_det
+from .polynomials import _linear_grid, pmat_det
 
 __all__ = [
     "Matrix",
@@ -29,7 +29,7 @@ class SingularMatrixError(ValueError):
 
 
 class Matrix:
-    __slots__ = ("field", "nrows", "ncols", "rows", "_rref")
+    __slots__ = ("field", "nrows", "ncols", "rows")
 
     def __init__(self, field: Field, nrows: int, ncols: int, rows, _trusted: bool = False):
         if _trusted:
@@ -42,7 +42,6 @@ class Matrix:
         self.nrows = nrows
         self.ncols = ncols
         self.rows = rows
-        self._rref = None
 
     # -- constructors -------------------------------------------------------
 
@@ -174,46 +173,44 @@ class Matrix:
 
     def rref(self) -> tuple["Matrix", int, tuple[int, ...]]:
         """Reduced row echelon form, rank, and pivot columns."""
-        if self._rref is None:
-            F = self.field
-            # over F_p, update plain int residues in place of boxed field calls
-            p = F.p if isinstance(F, PrimeField) else None
-            sub, mul, one = F.sub, F.mul, F.one
-            rows = [list(r) for r in self.rows]
-            m, n = self.nrows, self.ncols
-            pivots = []
-            r = 0
-            for c in range(n):
-                if r == m:
+        F = self.field
+        # over F_p, update plain int residues in place of boxed field calls
+        p = F.p if isinstance(F, PrimeField) else None
+        sub, mul, one = F.sub, F.mul, F.one
+        rows = [list(r) for r in self.rows]
+        m, n = self.nrows, self.ncols
+        pivots = []
+        r = 0
+        for c in range(n):
+            if r == m:
+                break
+            pr = None
+            for i in range(r, m):
+                if rows[i][c]:
+                    pr = i
                     break
-                pr = None
-                for i in range(r, m):
-                    if rows[i][c]:
-                        pr = i
-                        break
-                if pr is None:
-                    continue
-                rows[r], rows[pr] = rows[pr], rows[r]
-                head = rows[r][c]
-                if head != one:
+            if pr is None:
+                continue
+            rows[r], rows[pr] = rows[pr], rows[r]
+            head = rows[r][c]
+            if head != one:
+                if p:
+                    f = pow(head, p - 2, p)
+                    rows[r] = [f * x % p for x in rows[r]]
+                else:
+                    f = F.inv(head)
+                    rows[r] = [mul(f, x) for x in rows[r]]
+            pivot_row = rows[r]
+            for i in range(m):
+                f = rows[i][c]
+                if f and i != r:
                     if p:
-                        f = pow(head, p - 2, p)
-                        rows[r] = [f * x % p for x in rows[r]]
+                        rows[i] = [(x - f * y) % p for x, y in zip(rows[i], pivot_row)]
                     else:
-                        f = F.inv(head)
-                        rows[r] = [mul(f, x) for x in rows[r]]
-                pivot_row = rows[r]
-                for i in range(m):
-                    f = rows[i][c]
-                    if f and i != r:
-                        if p:
-                            rows[i] = [(x - f * y) % p for x, y in zip(rows[i], pivot_row)]
-                        else:
-                            rows[i] = [sub(x, mul(f, y)) for x, y in zip(rows[i], pivot_row)]
-                pivots.append(c)
-                r += 1
-            self._rref = (Matrix(F, m, n, rows, _trusted=True), r, tuple(pivots))
-        return self._rref
+                        rows[i] = [sub(x, mul(f, y)) for x, y in zip(rows[i], pivot_row)]
+            pivots.append(c)
+            r += 1
+        return Matrix(F, m, n, rows, _trusted=True), r, tuple(pivots)
 
     def rank(self) -> int:
         return self.rref()[1]
@@ -268,24 +265,14 @@ class Matrix:
     def char_poly(self) -> list:
         """Coefficients of det(x*I - M), monic, c[i] = coefficient of x^i.
 
-        Computed by fraction-free (Bareiss) elimination over F[x]; no
-        root-finding, and no division by integers that could vanish in
-        small characteristic.
+        The determinant of the linear grid -M + x*I, by fraction-free
+        (Bareiss) elimination over F[x]; no root-finding, and no division
+        by integers that could vanish in small characteristic.
         """
         if not self.is_square():
             raise ValueError("characteristic polynomial needs a square matrix")
         F = self.field
-        grid = []
-        for i in range(self.nrows):
-            row = []
-            for j in range(self.ncols):
-                const = F.neg(self.rows[i][j])
-                if i == j:
-                    row.append([const, F.one])
-                else:
-                    row.append([const] if const else [])
-            grid.append(row)
-        det = pmat_det(F, grid)
+        det = pmat_det(F, _linear_grid(self.neg().rows, Matrix.identity(F, self.nrows).rows))
         if len(det) != self.nrows + 1 or det[-1] != F.one:
             raise ArithmeticError("characteristic polynomial is not monic of full degree")
         return det
@@ -321,7 +308,7 @@ def canonical_alternating(field: Field, n: int, rank: int) -> Matrix:
     for b in range(rank // 2):
         M[2 * b][2 * b + 1] = field.one
         M[2 * b + 1][2 * b] = field.neg(field.one)
-    return Matrix(field, n, n, M)
+    return Matrix(field, n, n, M, _trusted=True)
 
 
 def skew_normal_form(M: Matrix) -> tuple[Matrix, int]:

@@ -401,11 +401,21 @@ def binary_form_roots(form: BinaryForm) -> list:
 # determinants of polynomial matrices (fraction-free)
 # ---------------------------------------------------------------------------
 
+def _linear_grid(A, B) -> list:
+    """The grid of linear entries [a, b] = a + b*x of A + x*B, two equal-shape row lists.
+
+    Entries are left untrimmed; `pmat_det` trims its own copies, so one grid
+    can be sliced into many minors.
+    """
+    return [[[a, b] for a, b in zip(ra, rb)] for ra, rb in zip(A, B)]
+
+
 def pmat_det(F: Field, grid: list) -> list:
     """Determinant of a square matrix of univariate polynomials.
 
     Bareiss one-step elimination: every division is exact in F[x], so the
-    entries stay polynomials throughout.  Row swaps flip the sign.
+    entries stay polynomials throughout.  Row swaps flip the sign.  The
+    input grid is not modified.
     """
     n = len(grid)
     if any(len(row) != n for row in grid):

@@ -120,7 +120,7 @@ class FormSpace:
             if f.dim != n:
                 raise ValueError("forms live on spaces of different dimension")
         flat = Matrix(field, len(forms), n * n,
-                      [[x for row in f.gram.rows for x in row] for f in forms])
+                      [[x for row in f.gram.rows for x in row] for f in forms], _trusted=True)
         if flat.rank() != len(forms):
             raise ValueError("Gram matrices are linearly dependent")
         self.forms = forms

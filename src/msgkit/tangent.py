@@ -27,8 +27,9 @@ from dataclasses import dataclass, field as dc_field
 from random import Random
 
 from .fields import Field
-from .matrices import Matrix, SingularMatrixError, random_matrix
-from .polynomials import BinaryForm, binary_form_gcd, binary_form_roots, pmat_det, proots
+from .matrices import Matrix, random_matrix
+from .polynomials import (BinaryForm, _linear_grid, binary_form_gcd, binary_form_roots,
+                          pmat_det, proots)
 from .symplectic import (
     FormSpace,
     Subspace,
@@ -375,17 +376,13 @@ def _pencil_minor_gcd(R1: Matrix, R2: Matrix) -> BinaryForm:
         if Matrix(F, 2, 2 * w, flat, _trusted=True).rank() == 2:
             return BinaryForm(F, 0, [F.one])
 
+    grid = _linear_grid(R2.rows, R1.rows)  # u*R1 + v*R2 at v = 1
+
     def minors():  # lazy: the gcd stops reading once it is 1 with no v-factor
         for rows in itertools.combinations(range(k), k - 1):
             for cols in itertools.combinations(range(w), k - 1):
-                grid = []
-                for i in rows:
-                    row = []
-                    for a in cols:
-                        c1, c2 = R1.entry(i, a), R2.entry(i, a)
-                        row.append([c2, c1] if (c1 or c2) else [])
-                    grid.append(row)
-                yield BinaryForm.from_univariate(F, pmat_det(F, grid), k - 1)
+                minor = [[grid[i][a] for a in cols] for i in rows]
+                yield BinaryForm.from_univariate(F, pmat_det(F, minor), k - 1)
 
     return binary_form_gcd(minors())
 
@@ -519,9 +516,12 @@ class EigenspaceReport:
 def check_even_eigenspaces(M1: Matrix, M2: Matrix) -> EigenspaceReport:
     """Nullity parity of d*I - M2*M1^{-1} at every base-field eigenvalue d.
 
-    d*I - M2*M1^{-1} has the kernel of d*M2^{-1} - M1^{-1}, an alternating
-    matrix, so each nullity is (even size) - (even rank): the parity claim
-    this reports on.
+    det(x*M1 - M2) = det(M1) * det(x*I - M2*M1^{-1}), so the eigenvalues
+    are its roots; its leading coefficient is det(M1) and, n being even,
+    its constant term is det(M2).  d*I - M2*M1^{-1} = (d*M1 - M2)*M1^{-1}
+    has the nullity of d*M1 - M2, an alternating matrix, so each nullity
+    is (even size) - (even rank): the parity claim this reports on.  No
+    inverse is formed.
     """
     M1.field.require_same(M2.field)
     if M1.shape != M2.shape or not M1.is_square():
@@ -530,19 +530,13 @@ def check_even_eigenspaces(M1: Matrix, M2: Matrix) -> EigenspaceReport:
         raise ValueError("size must be even")
     if not (M1.is_alternating() and M2.is_alternating()):
         raise ValueError("both matrices must be alternating")
-    k = M1.nrows
-    try:
-        N = M2.mul(M1.inverse())
-    except SingularMatrixError:
-        raise ValueError("both matrices must be nonsingular") from None
-    if M2.rank() != k:
-        raise ValueError("both matrices must be nonsingular")
+    n = M1.nrows
     F = M1.field
-    eigenvalues = proots(F, N.char_poly())
-    nullities = []
-    for d in eigenvalues:
-        shifted = Matrix.identity(F, k).scale(d).sub(N)
-        nullities.append(k - shifted.rank())
+    det = pmat_det(F, _linear_grid(M2.neg().rows, M1.rows))
+    if len(det) != n + 1 or det[0] == 0:
+        raise ValueError("both matrices must be nonsingular")
+    eigenvalues = proots(F, det)
+    nullities = [n - M1.scale(d).sub(M2).rank() for d in eigenvalues]
     return EigenspaceReport(
         eigenvalues_in_field=tuple(eigenvalues),
         nullities=tuple(nullities),
@@ -615,9 +609,13 @@ def verify_pair(
     `fault` zeroes the first constraint row before the rank computation; a
     self-test hook that must produce mismatches if the harness is alive.
     (Negating a row would be invisible: row scaling never changes rank.)
+    It needs k >= 2: at k = 1 there is no constraint row to corrupt.
     """
     if fs.m != 2:
         raise ValueError("equivalence verification needs pencils (m = 2)")
+    if fault and k < 2:
+        raise ValueError(f"fault injection needs k >= 2, got k={k}:"
+                         " there is no constraint row to corrupt")
     points = 0
     mismatches = []
     if scope == "exhaustive":
@@ -639,7 +637,7 @@ def verify_pair(
         points += 1
         ctx = PointContext(V, fs)
         C = build_constraints(ctx)
-        if fault and C.nrows:
+        if fault:
             zeroed = [[fs.field.zero] * C.ncols] + [list(r) for r in C.rows[1:]]
             C = Matrix(fs.field, C.nrows, C.ncols, zeroed)
         tangent = ctx.k * (ctx.n - ctx.k) - C.rank()

@@ -287,6 +287,16 @@ def test_verify_fault_self_test_survives_python_O():
     assert code == 1 and json.loads(out)["mismatch_count"] > 0
 
 
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_verify_fault_injection_at_k1_exits_2(workers):
+    # at k = 1 there is no constraint row to corrupt, so the self-test cannot trip
+    code, out, err = run_cli("verify", "--n", "4", "--k", "1", "--p", "3", "--pairs", "2",
+                             "--inject-fault", "--workers", workers)
+    assert (code, out) == (2, "")
+    assert err == ("error: fault injection needs k >= 2, got k=1:"
+                   " there is no constraint row to corrupt\n")
+
+
 def test_verify_rejects_bad_shape():
     code, _, _ = run_cli("verify", "--n", "4", "--k", "3", "--p", "3", "--pairs", "1")
     assert code == 2

@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from msgkit import BinaryForm, PrimeField, QQ, binary_form_gcd, binary_form_roots
 from msgkit.polynomials import (
+    _linear_grid,
     pdeg,
     pdivmod,
     peval,
@@ -276,3 +277,28 @@ def test_pmat_det_vs_permanent_expansion():
             grid = [[[F.random(rng) for _ in range(rng.randrange(0, 3))]
                      for _ in range(n)] for _ in range(n)]
             assert pmat_det(F, grid) == perm_det(F, grid)
+
+
+def test_pmat_det_reads_a_shared_linear_grid_without_changing_it():
+    """The pencil minors are slices of one `_linear_grid`: each determinant must
+    leave the untrimmed entries the next minor reads as they were, and the
+    grid of A and B must be A + x*B (checked at x = t against a constant grid)."""
+    from copy import deepcopy
+    from itertools import combinations
+
+    rng = Random(29)
+    for F in (PrimeField(5), QQ):
+        for _ in range(40):
+            k, w = rng.randrange(1, 4), rng.randrange(1, 5)
+            A, B = ([[F.random(rng) if rng.random() < 0.6 else F.zero for _ in range(w)]
+                     for _ in range(k)] for _ in range(2))
+            grid = _linear_grid(A, B)
+            snapshot = deepcopy(grid)
+            t = F.random(rng)
+            r = min(k, w)
+            for rows in combinations(range(k), r):
+                for cols in combinations(range(w), r):
+                    det = pmat_det(F, [[grid[i][a] for a in cols] for i in rows])
+                    assert grid == snapshot
+                    at_t = [[[F.add(A[i][a], F.mul(t, B[i][a]))] for a in cols] for i in rows]
+                    assert ptrim([peval(F, det, t)]) == pmat_det(F, at_t)

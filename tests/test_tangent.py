@@ -11,9 +11,11 @@ from msgkit import (
     PointContext,
     PrimeField,
     QQ,
+    SingularMatrixError,
     Subspace,
     SymplecticForm,
     build_constraints,
+    canonical_alternating,
     check_even_eigenspaces,
     decode_kernel_element,
     default_complement,
@@ -29,9 +31,10 @@ from msgkit import (
     random_matrix,
     standard_form,
     tangent_report,
+    verify_pair,
     verify_thm_equivalence,
 )
-from msgkit.polynomials import BinaryForm, pdeg, pgcd, pmat_det
+from msgkit.polynomials import BinaryForm, pdeg, pgcd, pmat_det, proots
 from msgkit.tangent import PhiKernelElement, _pencil_minor_gcd
 from conftest import degenerate_instance, random_alternating_nonsingular
 
@@ -465,6 +468,76 @@ def test_even_eigenspaces_randomized():
                 assert check_even_eigenspaces(M1, M2).all_even
 
 
+@pytest.mark.parametrize("field", [PrimeField(3), PrimeField(7), QQ], ids=str)
+def test_even_eigenspaces_singular_m1_raises(field):
+    # det(x*M1 - M2) drops below degree n exactly when M1 is singular
+    J = standard_form(4, field).gram
+    for rank in (0, 2):
+        with pytest.raises(ValueError, match="both matrices must be nonsingular"):
+            check_even_eigenspaces(canonical_alternating(field, 4, rank), J)
+
+
+def _inverse_route_eigenspaces(M1, M2):
+    """Reference: N = M2*M1^{-1}, the roots of det(x*I - N), and the nullity
+    of d*I - N at each; SingularMatrixError when M1 or M2 is singular."""
+    F, n = M1.field, M1.nrows
+    N = M2.mul(M1.inverse())
+    if M2.rank() != n:
+        raise SingularMatrixError("M2 is singular")
+    eigenvalues = proots(F, N.char_poly())
+    nullities = [n - Matrix.identity(F, n).scale(d).sub(N).rank() for d in eigenvalues]
+    return tuple(eigenvalues), tuple(nullities)
+
+
+@st.composite
+def _alternating_pencils(draw):
+    """(M1, M2) alternating n x n over F_3, F_5, F_7 or Q, n in {0, 2, 4, 6}:
+    random (often singular over small fields), M2 = d*M1, or planted
+    P^T J P and P^T diag(d_b J) P with the d_b drawn from two values, so
+    eigenvalues repeat and eigenspaces reach dimension 4 and 6."""
+    F = draw(st.sampled_from([PrimeField(3), PrimeField(5), PrimeField(7), QQ]))
+    scalars = (st.builds(Fraction, st.integers(-4, 4), st.integers(1, 3)) if F == QQ
+               else st.integers(0, F.p - 1))
+    n = draw(st.sampled_from([0, 2, 4, 6]))
+
+    def alternating():
+        M = [[F.zero] * n for _ in range(n)]
+        for i, j in itertools.combinations(range(n), 2):
+            M[i][j] = F.element(draw(scalars))
+            M[j][i] = F.neg(M[i][j])
+        return Matrix(F, n, n, M)
+
+    shape = draw(st.sampled_from(["random", "scalar", "planted"]))
+    if shape == "planted":
+        P = Matrix(F, n, n, [[draw(scalars) for _ in range(n)] for _ in range(n)])
+        pool = [draw(scalars), draw(scalars)]
+        D = [[F.zero] * n for _ in range(n)]
+        for b in range(n // 2):
+            d = F.element(draw(st.sampled_from(pool)))
+            D[2 * b][2 * b + 1], D[2 * b + 1][2 * b] = d, F.neg(d)
+        M1 = P.transpose().mul(canonical_alternating(F, n, n)).mul(P)
+        return M1, P.transpose().mul(Matrix(F, n, n, D)).mul(P)
+    M1 = alternating()
+    if shape == "scalar":
+        return M1, M1.scale(draw(scalars))
+    return M1, alternating()
+
+
+@settings(max_examples=250, deadline=None)
+@given(_alternating_pencils())
+def test_even_eigenspaces_match_the_inverse_route(pencil):
+    M1, M2 = pencil
+    try:
+        expected = _inverse_route_eigenspaces(M1, M2)
+    except SingularMatrixError:
+        with pytest.raises(ValueError, match="both matrices must be nonsingular"):
+            check_even_eigenspaces(M1, M2)
+        return
+    rep = check_even_eigenspaces(M1, M2)
+    assert (rep.eigenvalues_in_field, rep.nullities) == expected
+    assert rep.all_even
+
+
 # --- theorem equivalence ----------------------------------------------------------------
 
 def test_equivalence_small_exhaustive():
@@ -500,6 +573,16 @@ def test_equivalence_k1_trivial():
     rep = verify_thm_equivalence(4, 1, PrimeField(3), pairs=3,
                                  scope="exhaustive", seed=1)
     assert rep.mismatches == [] and rep.points_checked > 0
+
+
+@pytest.mark.parametrize("scope", ["exhaustive", "sampled"])
+def test_fault_injection_refuses_k1(scope):
+    # m*C(1, 2) = 0 constraint rows: a k = 1 self-test has nothing to corrupt
+    fs = random_form_space(4, 2, PrimeField(3), Random(5))
+    with pytest.raises(ValueError, match="fault injection needs k >= 2, got k=1"):
+        verify_pair(fs, 1, scope=scope, rng=Random(0), fault=True)
+    with pytest.raises(ValueError, match="fault injection needs k >= 2"):
+        verify_thm_equivalence(4, 1, PrimeField(3), pairs=2, scope=scope, fault=True)
 
 
 def test_equivalence_sampled_scope():
