@@ -28,7 +28,7 @@ from random import Random
 from . import __version__
 from .fields import Field, PrimeField, QQ, field_from_spec
 from .matrices import Matrix, canonical_alternating, skew_normal_form
-from .numerology import VARIANTS, rho2_special, rho_fixed, rho_full
+from .numerology import VARIANTS, _rho, rho2_special
 from .symplectic import (
     BudgetExceeded,
     Subspace,
@@ -140,9 +140,7 @@ def cmd_rho(args) -> int:
                     for m in ms:
                         row = {"r": r, "d": d, "k": k, "g": g}
                         for variant in variants:
-                            value = rho_fixed(r, d, k, g) if variant == "fixed" \
-                                else rho_full(r, d, k, g)
-                            row[f"rho_{variant}"] = value
+                            row[f"rho_{variant}"] = _rho(variant, r, d, k, g)
                         if m is not None:
                             row["m"] = m
                             if r != 2:

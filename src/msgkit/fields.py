@@ -14,11 +14,13 @@ rank) degenerate there.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 
 from ._integers import is_prime
 
 MAX_PRIME = 2**31
+_RATIONAL_STRING = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
 
 
 class FieldMismatchError(ValueError):
@@ -28,9 +30,6 @@ class FieldMismatchError(ValueError):
 class Field:
     """Common interface; see PrimeField and RationalField."""
 
-    def sub(self, a, b):
-        return self.add(a, self.neg(b))
-
     def div(self, a, b):
         return self.mul(a, self.inv(b))
 
@@ -38,7 +37,7 @@ class Field:
         if self != other:
             raise FieldMismatchError(f"mixed fields: {self} vs {other}")
 
-    # subclasses provide: element, zero, one, add, mul, neg, inv, pow,
+    # subclasses provide: element, zero, one, add, sub, mul, neg, inv, pow,
     # random, encode, decode, spec
 
 
@@ -130,6 +129,10 @@ class RationalField(Field):
         if isinstance(x, (int, Fraction)):
             return Fraction(x)
         if isinstance(x, str):
+            # only what encode writes; Fraction alone would also take "2.5" and
+            # "1e100000000", whose integer part has 10^8 digits
+            if not _RATIONAL_STRING.fullmatch(x):
+                raise ValueError(f"rational scalar string must be an integer or 'a/b': {x!r}")
             try:
                 return Fraction(x)
             except ZeroDivisionError:

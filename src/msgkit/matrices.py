@@ -315,59 +315,45 @@ def skew_normal_form(M: Matrix) -> tuple[Matrix, int]:
     """Congruence transform of an alternating matrix to canonical block form.
 
     Returns (P, r) with P invertible, P^T M P = canonical_alternating(n, r),
-    and r = rank(M), which is automatically even.  The algorithm is an
-    iterative symplectic Gram-Schmidt: pick a pair (v, w) with <v,w> != 0,
-    scale w so the pairing is 1, project every remaining vector into the
-    pair's orthogonal complement, repeat; whatever is left pairs to zero
-    with everything and forms the radical block.
+    and r = rank(M), which is automatically even.  The algorithm is
+    symplectic Gram-Schmidt run as elimination on the pairing matrix G of
+    the remaining basis vectors, which starts as M.  The pivot is the first
+    nonzero G[a][b] = c in row-major order (b > a, since G is alternating);
+    v = b_a and w = b_b / c are kept, and every other vector u_i moves to
+    u_i - (G[i][b]/c) v + G[i][a] w, the pair's orthogonal complement.  Its
+    pairings are the Schur complement of the pivot block [[0, c], [-c, 0]]:
+    G'[i][j] = G[i][j] + (G[i][a] G[b][j] - G[i][b] G[a][j]) / c, so no
+    pairing is evaluated from M (Bunch, Math. Comp. 38, 1982).  When G is
+    zero, the vectors left over form the radical block.
     """
     if not M.is_alternating():
         raise ValueError("skew_normal_form needs an alternating matrix")
     F = M.field
     n = M.nrows
-    rows = M.rows
-
-    def pair(x, y):
-        acc = F.zero
-        for i, xi in enumerate(x):
-            if xi:
-                ri = rows[i]
-                for j, yj in enumerate(y):
-                    if yj:
-                        acc = F.add(acc, F.mul(xi, F.mul(ri[j], yj)))
-        return acc
-
-    basis = [tuple(F.one if i == j else F.zero for j in range(n)) for i in range(n)]
-    chosen: list[tuple] = []
+    add, sub, mul = F.add, F.sub, F.mul
+    basis = list(Matrix.identity(F, n).rows)
+    G = M.rows
+    chosen: list = []
     while True:
-        hit = None
-        for a in range(len(basis)):
-            for b in range(a + 1, len(basis)):
-                if pair(basis[a], basis[b]):
-                    hit = (a, b)
-                    break
-            if hit:
-                break
+        hit = next(((a, b) for a, row in enumerate(G) for b, x in enumerate(row) if x), None)
         if hit is None:
             break
         a, b = hit
+        ci = F.inv(G[a][b])
         v = basis[a]
-        c = pair(v, basis[b])
-        ci = F.inv(c)
-        w = tuple(F.mul(ci, x) for x in basis[b])
-        rest = [basis[i] for i in range(len(basis)) if i not in (a, b)]
-        projected = []
-        for u in rest:
-            alpha = F.neg(pair(u, w))
-            beta = pair(u, v)
-            projected.append(tuple(
-                F.add(u[i], F.add(F.mul(alpha, v[i]), F.mul(beta, w[i])))
-                for i in range(n)
-            ))
-        chosen.extend([v, w])
-        basis = projected
-    cols = chosen + basis
-    P = Matrix(F, n, n, cols).transpose()
+        w = [mul(ci, x) for x in basis[b]]
+        Ga, Gb = G[a], G[b]
+        rest = [i for i in range(len(basis)) if i not in (a, b)]
+        moved, G_next = [], []
+        for i in rest:
+            Gi = G[i]
+            ga, t = Gi[a], mul(Gi[b], ci)
+            moved.append([add(sub(x, mul(t, y)), mul(ga, z)) for x, y, z in zip(basis[i], v, w)])
+            s = mul(ga, ci)
+            G_next.append([add(Gi[j], sub(mul(s, Gb[j]), mul(t, Ga[j]))) for j in rest])
+        chosen += [v, w]
+        basis, G = moved, G_next
+    P = Matrix(F, n, n, chosen + basis, _trusted=True).transpose()
     return P, len(chosen)
 
 

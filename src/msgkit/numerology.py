@@ -48,10 +48,13 @@ def _rho(variant: str, r: int, d: int, k: int, g: int) -> int:
 
 
 def rho2_special(d: int, k: int, g: int, m: int, variant: str) -> int:
-    """rho(2, d, k, g) - g + m*C(k,2) for special determinants with h^1 >= m >= 1."""
+    """rho(2, d, k, g) - g + m*C(k,2) for special determinants with h^1 >= m >= 1.
+
+    This is the rank-two Grzegorczyk-Newstead bound gn_bound(2, d, k, g, m).
+    """
     if m < 1:
         raise ValueError(f"need m >= 1, got {m}")
-    return _rho(variant, 2, d, k, g) - g + m * comb(k, 2)
+    return gn_bound(2, d, k, g, m, variant)
 
 
 def bfm_bound(g: int, k: int) -> int:

@@ -3,23 +3,32 @@ import json
 import os
 import subprocess
 import sys
+from random import Random
 
 import pytest
 
-from msgkit import Matrix, PrimeField, QQ, standard_form, verify_thm_equivalence
+from msgkit import (
+    Matrix,
+    PrimeField,
+    QQ,
+    canonical_alternating,
+    random_invertible,
+    standard_form,
+    verify_thm_equivalence,
+)
 from msgkit import cli
-from conftest import golden_compare
+from conftest import golden_compare, random_alternating
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
 
 
-def run_cli(*args, env=None, flags=()):
+def run_cli(*args, env=None, flags=(), timeout=None):
     full_env = dict(os.environ)
     if env:
         full_env.update(env)
     proc = subprocess.run(
         [sys.executable, *flags, "-m", "msgkit", *args],
-        capture_output=True, text=True, env=full_env)
+        capture_output=True, text=True, env=full_env, timeout=timeout)
     return proc.returncode, proc.stdout, proc.stderr
 
 
@@ -150,21 +159,23 @@ _MATRIX = {"field": {"kind": "rational"}, "matrix": [[0, 1], [-1, 0]]}
 
 @pytest.mark.parametrize("subcommand, good", [("check-point", _POINT),
                                               ("normal-form", _MATRIX)])
-@pytest.mark.parametrize("case", ["field_not_object", "zero_denominator", "deep_nesting"])
+@pytest.mark.parametrize("case", ["field_not_object", "zero_denominator", "exponent_scalar",
+                                  "deep_nesting"])
 def test_malformed_input_files_exit_2_without_traceback(tmp_path, subcommand, good, case):
     obj = json.loads(json.dumps(good))
     if case == "field_not_object":
         obj["field"] = "prime"
         text = json.dumps(obj)
-    elif case == "zero_denominator":
+    elif case in ("zero_denominator", "exponent_scalar"):
         grid = obj["forms"][0] if "forms" in obj else obj["matrix"]
-        grid[0][1] = "1/0"
+        grid[0][1] = "1/0" if case == "zero_denominator" else "1e10000000"
         text = json.dumps(obj)
     else:
         text = "[" * 100000 + "]" * 100000
     path = tmp_path / "bad.json"
     path.write_text(text)
-    code, _, err = run_cli(subcommand, "--input", str(path))
+    # a 10^7-digit exponent scalar must be refused, not expanded
+    code, _, err = run_cli(subcommand, "--input", str(path), timeout=10)
     assert code == 2
     assert "error:" in err
     assert "Traceback" not in err
@@ -431,6 +442,29 @@ def test_normal_form_non_alternating_exit2(tmp_path):
     code, _, err = run_cli("normal-form", "--input", str(path))
     assert code == 2
     assert "alternating" in err
+
+
+def _normal_form_inputs():
+    """Four matrices whose `normal-form` output, P included, is pinned by a golden."""
+    F3, F7 = PrimeField(3), PrimeField(7)
+    dense = random_alternating(F7, 6, Random(11))
+    assert dense.rank() == 6 and all(x for i, row in enumerate(dense.rows) for x in row[i + 1:])
+    P = random_invertible(F3, 8, Random(5))
+    rank4 = P.transpose().mul(canonical_alternating(F3, 8, 4)).mul(P)
+    assert rank4.rank() == 4
+    rational = random_alternating(QQ, 6, Random(3))
+    assert any(x.denominator > 1 for row in rational.rows for x in row)
+    return {"dense_f7_6x6": dense, "rank4_f3_8x8": rank4, "fractions_q_6x6": rational,
+            "zero_f5_4x4": Matrix.zeros(PrimeField(5), 4, 4)}
+
+
+@pytest.mark.parametrize("name, M", _normal_form_inputs().items())
+def test_normal_form_golden_bytes(tmp_path, name, M):
+    path = tmp_path / "M.json"
+    path.write_text(json.dumps({"field": M.field.spec(), "matrix": M.encode()}))
+    code, out, _ = run_cli("normal-form", "--input", str(path))
+    assert code == 0
+    golden_compare(f"normal_form_{name}.json", out)
 
 
 def test_output_flag_writes_file(tmp_path):

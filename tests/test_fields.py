@@ -130,3 +130,14 @@ def test_rational_zero_denominator_is_a_value_error():
             parse("1/0")
     with pytest.raises(ValueError, match="zero denominator"):
         Matrix(QQ, 1, 1, [["1/0"]])
+
+
+def test_rational_strings_other_than_integers_and_a_over_b_are_value_errors():
+    # Fraction would take these; "1e10000000" alone builds a 10^7-digit integer
+    for bad in ("1e10000000", "1e5", "2.5", " 3", "-3/-4"):
+        for parse in (QQ.element, QQ.decode):
+            with pytest.raises(ValueError, match="integer or 'a/b'"):
+                parse(bad)
+        with pytest.raises(ValueError, match="integer or 'a/b'"):
+            Matrix(QQ, 1, 1, [[bad]])
+    assert [QQ.element(s) for s in ("+3", "007", "-4/8")] == [3, 7, Fraction(-1, 2)]

@@ -163,6 +163,73 @@ def test_skew_normal_form_rejects_non_alternating():
         skew_normal_form(Matrix.identity(QQ, 2))
 
 
+def _reference_skew_normal_form(M):
+    """Symplectic Gram-Schmidt that evaluates every pairing <x, y> from M."""
+    F, n, rows = M.field, M.nrows, M.rows
+
+    def pair(x, y):
+        acc = F.zero
+        for i, xi in enumerate(x):
+            if xi:
+                for j, yj in enumerate(y):
+                    if yj:
+                        acc = F.add(acc, F.mul(xi, F.mul(rows[i][j], yj)))
+        return acc
+
+    basis = [tuple(F.one if i == j else F.zero for j in range(n)) for i in range(n)]
+    chosen = []
+    while True:
+        hit = next(((a, b) for a in range(len(basis)) for b in range(a + 1, len(basis))
+                    if pair(basis[a], basis[b])), None)
+        if hit is None:
+            break
+        a, b = hit
+        v = basis[a]
+        ci = F.inv(pair(v, basis[b]))
+        w = tuple(F.mul(ci, x) for x in basis[b])
+        projected = []
+        for u in (basis[i] for i in range(len(basis)) if i not in (a, b)):
+            alpha, beta = F.neg(pair(u, w)), pair(u, v)
+            projected.append(tuple(F.add(u[i], F.add(F.mul(alpha, v[i]), F.mul(beta, w[i])))
+                                   for i in range(n)))
+        chosen.extend([v, w])
+        basis = projected
+    return Matrix(F, n, n, chosen + basis).transpose(), len(chosen)
+
+
+@st.composite
+def _alternating_matrices(draw):
+    """An n x n alternating matrix, n <= 9, over F_3, F_5, F_7, F_(2^31 - 1) or Q:
+    dense, sparse (50-95% zero entries), or P^T C P of rank below n."""
+    F = draw(st.sampled_from([PrimeField(3), PrimeField(5), PrimeField(7),
+                              PrimeField(2**31 - 1), QQ]))
+    n = draw(st.integers(0, 9))
+    shape = draw(st.sampled_from(["dense", "sparse", "deficient"]))
+    rng = Random(draw(st.integers(0, 2**32 - 1)))
+    if shape == "deficient":
+        C = canonical_alternating(F, n, 2 * rng.randrange(max(1, (n + 1) // 2)))
+        P = random_invertible(F, n, rng)
+        return P.transpose().mul(C).mul(P)
+    M = random_alternating(F, n, rng)
+    if shape == "dense":
+        return M
+    zero = rng.uniform(0.5, 0.95)
+    rows = [list(r) for r in M.rows]
+    for i in range(n):
+        for j in range(i + 1, n):
+            if rng.random() < zero:
+                rows[i][j] = rows[j][i] = F.zero
+    return Matrix(F, n, n, rows)
+
+
+@settings(max_examples=500, deadline=None)
+@given(_alternating_matrices())
+def test_skew_normal_form_matches_pairing_reference(M):
+    P, r = skew_normal_form(M)
+    assert (P, r) == _reference_skew_normal_form(M)
+    assert P.transpose().mul(M).mul(P) == canonical_alternating(M.field, M.nrows, r)
+
+
 # --- characteristic polynomial ----------------------------------------------------
 
 def test_char_poly_examples():
