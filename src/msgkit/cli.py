@@ -18,7 +18,6 @@ Exit codes: 0 success / verified, 1 verification found mismatches,
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import json
 import os
 import re
@@ -26,7 +25,7 @@ import sys
 from random import Random
 
 from . import __version__
-from .fields import Field, PrimeField, QQ, field_from_spec
+from .fields import Field, PrimeField, QQ, _digit_limit_error, field_from_spec
 from .matrices import Matrix, canonical_alternating, skew_normal_form
 from .numerology import VARIANTS, _rho, rho2_special
 from .symplectic import (
@@ -69,10 +68,17 @@ def _fail(message: str) -> int:
     return 2
 
 
+def _json_int(text: str) -> int:
+    try:
+        return int(text)
+    except ValueError:  # the JSON grammar passed, so only the digit limit is left
+        raise _digit_limit_error("JSON integer", text) from None
+
+
 def _load_json(path: str) -> dict:
     with open(path, "r", encoding="utf-8") as fh:
         try:
-            return json.load(fh)
+            return json.load(fh, parse_int=_json_int)
         except RecursionError:
             raise ValueError(f"malformed JSON: {path} is nested too deeply") from None
 
@@ -218,6 +224,8 @@ def _run_tasks(worker, payloads: list[dict], workers: int) -> list[dict]:
     workers = min(workers, len(payloads), os.cpu_count() or 1)
     if workers <= 1:
         return [worker(p) for p in payloads]
+    import concurrent.futures  # here, so that a serial run never pays its import
+
     with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(worker, payloads, chunksize=-(-len(payloads) // (4 * workers))))
 

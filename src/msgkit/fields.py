@@ -15,12 +15,30 @@ rank) degenerate there.
 from __future__ import annotations
 
 import re
+import sys
 from fractions import Fraction
 
 from ._integers import is_prime
 
 MAX_PRIME = 2**31
 _RATIONAL_STRING = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
+_SHOWN = 40  # characters of a rejected input that an error message repeats
+
+
+def _shown(x) -> str:
+    """repr of a rejected input for an error message; a long one is cut to a
+    prefix and its length, so that no input file can flood stderr."""
+    if isinstance(x, str) and len(x) > _SHOWN:
+        return f"{x[:_SHOWN]!r}... ({len(x)} characters)"
+    text = repr(x)
+    return text if len(text) <= _SHOWN else f"{text[:_SHOWN]}... ({len(text)} characters)"
+
+
+def _digit_limit_error(what: str, text: str) -> ValueError:
+    """The interpreter's refusal to convert a long digit string, restated to
+    name the string (cut short) and the limit."""
+    return ValueError(f"{what} {_shown(text)} exceeds the limit of"
+                      f" {sys.get_int_max_str_digits()} digits per integer")
 
 
 class FieldMismatchError(ValueError):
@@ -63,7 +81,7 @@ class PrimeField(Field):
 
     def element(self, x) -> int:
         if isinstance(x, bool) or not isinstance(x, int):
-            raise TypeError(f"F_{self.p} scalar must be an int, got {x!r}")
+            raise TypeError(f"F_{self.p} scalar must be an int, got {_shown(x)}")
         return x % self.p
 
     def add(self, a: int, b: int) -> int:
@@ -99,7 +117,7 @@ class PrimeField(Field):
 
     def decode(self, obj) -> int:
         if isinstance(obj, bool) or not isinstance(obj, int):
-            raise ValueError(f"F_{self.p} scalar must decode from an int: {obj!r}")
+            raise ValueError(f"F_{self.p} scalar must decode from an int: {_shown(obj)}")
         return obj % self.p
 
     def spec(self) -> dict:
@@ -132,12 +150,15 @@ class RationalField(Field):
             # only what encode writes; Fraction alone would also take "2.5" and
             # "1e100000000", whose integer part has 10^8 digits
             if not _RATIONAL_STRING.fullmatch(x):
-                raise ValueError(f"rational scalar string must be an integer or 'a/b': {x!r}")
+                raise ValueError(
+                    f"rational scalar string must be an integer or 'a/b': {_shown(x)}")
             try:
                 return Fraction(x)
             except ZeroDivisionError:
-                raise ValueError(f"rational scalar has zero denominator: {x!r}") from None
-        raise TypeError(f"rational scalar must be int, Fraction, or 'a/b': {x!r}")
+                raise ValueError(f"rational scalar has zero denominator: {_shown(x)}") from None
+            except ValueError:  # the grammar passed, so only the digit limit is left
+                raise _digit_limit_error("rational scalar", x) from None
+        raise TypeError(f"rational scalar must be int, Fraction, or 'a/b': {_shown(x)}")
 
     def add(self, a: Fraction, b: Fraction) -> Fraction:
         return a + b
@@ -175,7 +196,7 @@ class RationalField(Field):
             raise ValueError("rational scalar cannot decode from bool")
         if isinstance(obj, (int, str)):
             return self.element(obj)
-        raise ValueError(f"rational scalar must be int or 'a/b' string: {obj!r}")
+        raise ValueError(f"rational scalar must be int or 'a/b' string: {_shown(obj)}")
 
     def spec(self) -> dict:
         return {"kind": "rational"}
@@ -196,7 +217,7 @@ QQ = RationalField()
 def field_from_spec(spec: dict) -> Field:
     """Inverse of Field.spec(); accepts {'kind': 'prime', 'p': p} or {'kind': 'rational'}."""
     if not isinstance(spec, dict):
-        raise ValueError(f"field spec must be an object: {spec!r}")
+        raise ValueError(f"field spec must be an object: {_shown(spec)}")
     kind = str(spec.get("kind", "")).lower()
     if kind == "prime":
         if "p" not in spec:
@@ -204,4 +225,4 @@ def field_from_spec(spec: dict) -> Field:
         return PrimeField(spec["p"])
     if kind == "rational":
         return QQ
-    raise ValueError(f"unknown field kind: {spec.get('kind')!r}")
+    raise ValueError(f"unknown field kind: {_shown(spec.get('kind'))}")

@@ -71,11 +71,8 @@ class Matrix:
         return [list(r) for r in self.rows]
 
     def transpose(self) -> "Matrix":
-        return Matrix(
-            self.field, self.ncols, self.nrows,
-            [[self.rows[i][j] for i in range(self.nrows)] for j in range(self.ncols)],
-            _trusted=True,
-        )
+        cols = zip(*self.rows) if self.nrows else [()] * self.ncols
+        return Matrix(self.field, self.ncols, self.nrows, cols, _trusted=True)
 
     def __eq__(self, other) -> bool:
         return (
@@ -98,7 +95,8 @@ class Matrix:
     # -- arithmetic ---------------------------------------------------------
 
     def _check_same_field(self, other: "Matrix") -> None:
-        self.field.require_same(other.field)
+        if other.field is not self.field:
+            self.field.require_same(other.field)
 
     def add(self, other: "Matrix") -> "Matrix":
         self._check_same_field(other)
@@ -213,7 +211,39 @@ class Matrix:
         return Matrix(F, m, n, rows, _trusted=True), r, tuple(pivots)
 
     def rank(self) -> int:
-        return self.rref()[1]
+        """Number of pivots.  Over F_p only the count is read, so this is
+        forward elimination alone: a pivot clears its column in the other
+        rows, every row then drops that leading column, and zero rows drop
+        out; nothing is normalized, back-substituted or built into a Matrix."""
+        F = self.field
+        if not isinstance(F, PrimeField):
+            return self.rref()[1]
+        p = F.p
+        rows = [r for r in self.rows if any(r)]
+        rank = 0
+        while rows:
+            for i, pivot in enumerate(rows):
+                if pivot[0]:
+                    break
+            else:  # a zero leading column holds no pivot
+                rows = [r[1:] for r in rows]
+                continue
+            del rows[i]
+            inv = pow(pivot[0], p - 2, p)
+            tail = pivot[1:]
+            rest = []
+            for r in rows:
+                f = r[0]
+                if f:
+                    f = f * inv % p
+                    r = [(x - f * y) % p for x, y in zip(r[1:], tail)]
+                else:
+                    r = r[1:]
+                if any(r):
+                    rest.append(r)
+            rows = rest
+            rank += 1
+        return rank
 
     def kernel_basis(self) -> "Matrix":
         """Rows form a basis of the right null space (empty matrix if trivial).
@@ -222,6 +252,7 @@ class Matrix:
         others, so the rows are independent by construction.
         """
         F = self.field
+        neg = F.neg
         R, rank, pivots = self.rref()
         pivot_set = set(pivots)
         free = [c for c in range(self.ncols) if c not in pivot_set]
@@ -230,7 +261,7 @@ class Matrix:
             v = [F.zero] * self.ncols
             v[fc] = F.one
             for i, pc in enumerate(pivots):
-                v[pc] = F.neg(R.rows[i][fc])
+                v[pc] = neg(R.rows[i][fc])
             vecs.append(v)
         return Matrix(F, len(vecs), self.ncols, vecs, _trusted=True)
 
@@ -362,9 +393,13 @@ def skew_normal_form(M: Matrix) -> tuple[Matrix, int]:
 # ---------------------------------------------------------------------------
 
 def random_matrix(field: Field, nrows: int, ncols: int, rng) -> Matrix:
-    return Matrix(field, nrows, ncols,
-                  [[field.random(rng) for _ in range(ncols)] for _ in range(nrows)],
-                  _trusted=True)
+    if isinstance(field, PrimeField):
+        # the calls field.random makes, minus its frame: the stream is the same
+        draw, p = rng.randrange, field.p
+        rows = [[draw(p) for _ in range(ncols)] for _ in range(nrows)]
+    else:
+        rows = [[field.random(rng) for _ in range(ncols)] for _ in range(nrows)]
+    return Matrix(field, nrows, ncols, rows, _trusted=True)
 
 
 def random_invertible(field: Field, n: int, rng) -> Matrix:

@@ -167,12 +167,20 @@ def standard_form(n: int, field: Field) -> SymplecticForm:
 
 
 def random_symplectic_form(n: int, field: Field, rng: Random) -> SymplecticForm:
-    """P^T J P for a random invertible P; congruence keeps J symplectic."""
+    """P^T J P for a random invertible P; congruence keeps J symplectic.
+
+    J is block diagonal with blocks [[0, 1], [-1, 0]], so row 2b of J P is
+    row 2b+1 of P and row 2b+1 is minus row 2b: J P is read off P's rows,
+    and the form is the one product P^T (J P).
+    """
     if n < 2 or n % 2:
         raise ValueError(f"symplectic forms need even n >= 2, got {n}")
-    J = canonical_alternating(field, n, n)
     P = random_invertible(field, n, rng)
-    return SymplecticForm(P.transpose().mul(J).mul(P))
+    neg = field.neg
+    JP = []
+    for b in range(0, n, 2):
+        JP += [P.rows[b + 1], [neg(x) for x in P.rows[b]]]
+    return SymplecticForm(P.transpose().mul(Matrix(field, n, n, JP, _trusted=True)))
 
 
 def random_form_space(n: int, m: int, field: Field, rng: Random) -> FormSpace:

@@ -23,7 +23,6 @@ exists over the closure whether or not the base field contains one.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field as dc_field
 from random import Random
 
 from .fields import Field
@@ -232,7 +231,11 @@ class PhiKernelElement:
 
     @classmethod
     def from_flat(cls, field: Field, k: int, m: int, flat) -> "PhiKernelElement":
-        """Unflatten a left-kernel vector laid out in constraint-row order."""
+        """Unflatten a left-kernel vector laid out in constraint-row order.
+
+        `flat` holds canonical scalars of `field`, as a kernel basis row does;
+        the alternating and nonzero checks still run.
+        """
         pairs = _pairs(k)
         mats = []
         for t in range(m):
@@ -241,7 +244,7 @@ class PhiKernelElement:
                 c = flat[t * len(pairs) + idx]
                 rows[i][j] = c
                 rows[j][i] = field.neg(c)
-            mats.append(Matrix(field, k, k, rows))
+            mats.append(Matrix(field, k, k, rows, _trusted=True))
         return cls(mats)
 
     def coefficient(self, i: int, j: int, t: int):
@@ -309,7 +312,7 @@ def decode_kernel_element(
     for j in range(ctx.k):
         rows = [[F.neg(kelem.matrices[t].entry(i, j)) for t in range(ctx.m)]
                 for i in range(ctx.k)]
-        gen = Matrix(F, ctx.k, ctx.m, rows)
+        gen = Matrix(F, ctx.k, ctx.m, rows, _trusted=True)
         generators.append(gen)
         if j_V(ctx, gen) != zero:
             verified = False
@@ -317,11 +320,37 @@ def decode_kernel_element(
 
 
 # ---------------------------------------------------------------------------
+# result records
+# ---------------------------------------------------------------------------
+
+class _Record:
+    """Equality, hash and repr over the fields named in `__slots__`, for the
+    plain result classes below; `dataclasses` would cost every CLI start
+    its import.  A record holding a list is unhashable, as its fields are."""
+
+    __slots__ = ()
+
+    def _fields(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self) -> int:
+        return hash(self._fields())
+
+    def __repr__(self) -> str:
+        body = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__name__}({body})"
+
+
+# ---------------------------------------------------------------------------
 # pencil degeneracy
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class PencilDegeneracy:
+class PencilDegeneracy(_Record):
     """Evidence that some nonzero combination in the pencil is degenerate.
 
     `certificate` is the gcd of the (k-1)-minors of R(lambda): nonconstant
@@ -333,8 +362,11 @@ class PencilDegeneracy:
     it kills; extension-field-only degeneracy leaves the list empty.
     """
 
-    certificate: BinaryForm
-    witnesses: tuple = ()
+    __slots__ = ("certificate", "witnesses")
+
+    def __init__(self, certificate: BinaryForm, witnesses: tuple = ()):
+        self.certificate = certificate
+        self.witnesses = witnesses
 
     @property
     def identically_degenerate(self) -> bool:
@@ -434,17 +466,22 @@ def find_degenerate_pencil(
 # tangent report
 # ---------------------------------------------------------------------------
 
-@dataclass
-class TangentReport:
-    n: int
-    k: int
-    m: int
-    expected_dim: int
-    tangent_dim: int
-    phi_rank: int
-    phi_kernel: list[PhiKernelElement] = dc_field(default_factory=list)
-    degeneracy: PencilDegeneracy | None = None
-    pencil_checked: bool = False
+class TangentReport(_Record):
+    __slots__ = ("n", "k", "m", "expected_dim", "tangent_dim", "phi_rank", "phi_kernel",
+                 "degeneracy", "pencil_checked")
+
+    def __init__(self, n: int, k: int, m: int, expected_dim: int, tangent_dim: int,
+                 phi_rank: int, phi_kernel: list[PhiKernelElement] | None = None,
+                 degeneracy: PencilDegeneracy | None = None, pencil_checked: bool = False):
+        self.n = n
+        self.k = k
+        self.m = m
+        self.expected_dim = expected_dim
+        self.tangent_dim = tangent_dim
+        self.phi_rank = phi_rank
+        self.phi_kernel = [] if phi_kernel is None else phi_kernel
+        self.degeneracy = degeneracy
+        self.pencil_checked = pencil_checked
 
     def excess(self) -> int:
         return self.tangent_dim - self.expected_dim
@@ -506,11 +543,13 @@ def tangent_report(ctx: PointContext, pencil: bool = True) -> TangentReport:
 # even eigenspaces of alternating pencils
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class EigenspaceReport:
-    eigenvalues_in_field: tuple
-    nullities: tuple
-    all_even: bool
+class EigenspaceReport(_Record):
+    __slots__ = ("eigenvalues_in_field", "nullities", "all_even")
+
+    def __init__(self, eigenvalues_in_field: tuple, nullities: tuple, all_even: bool):
+        self.eigenvalues_in_field = eigenvalues_in_field
+        self.nullities = nullities
+        self.all_even = all_even
 
 
 def check_even_eigenspaces(M1: Matrix, M2: Matrix) -> EigenspaceReport:
@@ -548,12 +587,15 @@ def check_even_eigenspaces(M1: Matrix, M2: Matrix) -> EigenspaceReport:
 # exhaustive equivalence verification
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class MismatchRecord:
-    subspace: Subspace
-    tangent_dim: int
-    expected_dim: int
-    degeneracy: PencilDegeneracy | None
+class MismatchRecord(_Record):
+    __slots__ = ("subspace", "tangent_dim", "expected_dim", "degeneracy")
+
+    def __init__(self, subspace: Subspace, tangent_dim: int, expected_dim: int,
+                 degeneracy: PencilDegeneracy | None):
+        self.subspace = subspace
+        self.tangent_dim = tangent_dim
+        self.expected_dim = expected_dim
+        self.degeneracy = degeneracy
 
     def encode(self) -> dict:
         return {
@@ -565,10 +607,12 @@ class MismatchRecord:
         }
 
 
-@dataclass
-class VerifyReport:
-    pair_points: list[int]  # points checked per pair, in pair order
-    mismatches: list  # (pair_index, FormSpace, MismatchRecord)
+class VerifyReport(_Record):
+    __slots__ = ("pair_points", "mismatches")
+
+    def __init__(self, pair_points: list[int], mismatches: list):
+        self.pair_points = pair_points  # points checked per pair, in pair order
+        self.mismatches = mismatches  # (pair_index, FormSpace, MismatchRecord)
 
     @property
     def pairs_checked(self) -> int:
@@ -639,7 +683,7 @@ def verify_pair(
         C = build_constraints(ctx)
         if fault:
             zeroed = [[fs.field.zero] * C.ncols] + [list(r) for r in C.rows[1:]]
-            C = Matrix(fs.field, C.nrows, C.ncols, zeroed)
+            C = Matrix(fs.field, C.nrows, C.ncols, zeroed, _trusted=True)
         tangent = ctx.k * (ctx.n - ctx.k) - C.rank()
         expected = ctx.expected_dim()
         degeneracy = find_degenerate_pencil(ctx)

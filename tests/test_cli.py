@@ -181,6 +181,26 @@ def test_malformed_input_files_exit_2_without_traceback(tmp_path, subcommand, go
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("subcommand, good", [("check-point", _POINT),
+                                              ("normal-form", _MATRIX)])
+@pytest.mark.parametrize("case", ["long_string", "many_digits", "many_digit_literal"])
+def test_oversized_scalars_exit_2_with_a_short_message(tmp_path, subcommand, good, case):
+    # the message names the scalar by a prefix and states the digit limit
+    # in msgkit's words, not the interpreter's advice
+    obj = json.loads(json.dumps(good))
+    grid = obj["forms"][0] if "forms" in obj else obj["matrix"]
+    grid[0][1] = {"long_string": "1" * 200000 + ".5", "many_digits": "1" * 5000}.get(case, "@")
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps(obj).replace('"@"', "1" * 5000))
+    code, _, err = run_cli(subcommand, "--input", str(path), timeout=30)
+    assert code == 2
+    assert err.startswith("error:") and len(err.encode()) < 500
+    assert "set_int_max_str_digits" not in err and "Traceback" not in err
+    assert "1111111111" in err
+    if case != "long_string":
+        assert f"limit of {sys.get_int_max_str_digits()} digits" in err
+
+
 def test_check_point_dependent_subspace_rows_exit_2(tmp_path):
     point = dict(_POINT, subspace=[[1, 0, 0, 0], [2, 0, 0, 0]])
     path = tmp_path / "dependent.json"

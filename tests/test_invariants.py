@@ -4,6 +4,8 @@ import ast
 import glob
 import os
 import re
+import subprocess
+import sys
 
 ROOT = os.path.join(os.path.dirname(__file__), os.pardir)
 SRC = os.path.join(ROOT, "src", "msgkit")
@@ -79,3 +81,16 @@ def test_sampling_seed_constant_is_written_once():
         with open(path, "r", encoding="utf-8") as fh:
             count += len(re.findall(r"0x[aA]5[aA]5[aA]5[aA]5", fh.read()))
     assert count == 1
+
+
+def test_cli_import_loads_neither_the_pool_nor_dataclasses():
+    # every CLI process pays for what `import msgkit.cli` loads: the pool
+    # module is imported where a pool starts, and result records are plain
+    # classes
+    probe = ("import sys, msgkit.cli; "
+             "print(sorted({'concurrent.futures', 'dataclasses'} & set(sys.modules)))")
+    path = os.pathsep.join(filter(None, [os.path.join(ROOT, "src"), os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=path), timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

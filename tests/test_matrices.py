@@ -1,5 +1,6 @@
 import json
 import os
+from fractions import Fraction
 from itertools import permutations
 from random import Random
 
@@ -8,17 +9,20 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from msgkit import (
     Matrix,
+    PointContext,
     PrimeField,
     QQ,
     SingularMatrixError,
     canonical_alternating,
+    decode_kernel_element,
     random_invertible,
     random_matrix,
     skew_normal_form,
     standard_form,
+    tangent_report,
 )
 from msgkit import cli
-from conftest import DATA_DIR, random_alternating
+from conftest import DATA_DIR, degenerate_instance, random_alternating
 
 
 # --- rref / rank --------------------------------------------------------------
@@ -364,6 +368,16 @@ def test_internal_trusted_constructions_are_canonical(guarded_trust, tmp_path, c
     capsys.readouterr()
 
 
+def test_kernel_decoding_constructions_are_canonical(guarded_trust):
+    # decode_kernel_element is library-only: no subcommand reaches it
+    fs, V = degenerate_instance()
+    ctx = PointContext(V, fs)
+    kernel = tangent_report(ctx).phi_kernel
+    assert kernel
+    for kelem in kernel:
+        assert decode_kernel_element(ctx, kelem)[1]
+
+
 # --- unboxed F_p elimination ------------------------------------------------------------
 
 def _reference_rref(F, rows, ncols):
@@ -413,3 +427,44 @@ def test_prime_rref_matches_boxed_reference(guarded_trust, M):
     rows, rank, pivots = _reference_rref(M.field, M.rows, M.ncols)
     R, got_rank, got_pivots = M.rref()
     assert (R.rows, got_rank, got_pivots) == (tuple(map(tuple, rows)), rank, pivots)
+
+
+@st.composite
+def _rank_cases(draw):
+    """An m x n matrix over F_3, F_5, F_7, F_(2^31 - 1) or Q, m <= 8, n <= 10:
+    random, sparse, with zeroed rows or columns, or with rows repeated as
+    multiples of earlier rows."""
+    F = draw(st.sampled_from([PrimeField(3), PrimeField(5), PrimeField(7),
+                              PrimeField(2**31 - 1), QQ]))
+    m, n = draw(st.integers(0, 8)), draw(st.integers(0, 10))
+    if F == QQ:
+        scalar = st.builds(Fraction, st.integers(-4, 4), st.integers(1, 3))
+    else:
+        scalar = st.integers(0, F.p - 1)
+    shape = draw(st.sampled_from(["random", "sparse", "zero_rows", "zero_cols", "repeated"]))
+    if shape == "sparse":
+        scalar = st.one_of(st.just(0), st.just(0), st.just(0), scalar)
+    rows = draw(st.lists(st.lists(scalar, min_size=n, max_size=n), min_size=m, max_size=m))
+    if shape == "zero_rows":
+        dead = draw(st.sets(st.integers(0, max(0, m - 1))))
+        rows = [[0] * n if i in dead else r for i, r in enumerate(rows)]
+    elif shape == "zero_cols":
+        dead = draw(st.sets(st.integers(0, max(0, n - 1))))
+        rows = [[0 if j in dead else x for j, x in enumerate(r)] for r in rows]
+    elif shape == "repeated" and m:
+        for i in range(1, m):
+            if draw(st.booleans()):
+                j, c = draw(st.integers(0, i - 1)), draw(scalar)
+                rows[i] = [c * x for x in rows[j]]
+    return Matrix(F, m, n, rows)
+
+
+@settings(max_examples=600, deadline=None)
+@given(_rank_cases())
+def test_rank_matches_the_rref_pivot_count(M):
+    # row rank is column rank: the transpose is a second oracle, and the
+    # check on its entries covers the empty shapes 0 x n and m x 0
+    T = M.transpose()
+    assert T.shape == (M.ncols, M.nrows)
+    assert all(T.rows[j][i] == x for i, row in enumerate(M.rows) for j, x in enumerate(row))
+    assert M.rank() == M.rref()[1] == T.rank()

@@ -13,6 +13,7 @@ from msgkit import (
     QQ,
     Subspace,
     SymplecticForm,
+    canonical_alternating,
     decode_point,
     default_complement,
     derive_seed,
@@ -75,6 +76,24 @@ def test_random_form_deterministic_and_golden():
     assert a.gram.is_alternating() and a.gram.rank() == 4
     golden_compare("sym_form_n4_p3_seed0.json",
                    json.dumps(a.gram.encode(), sort_keys=True) + "\n")
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.sampled_from([PrimeField(3), PrimeField(5), QQ]), st.sampled_from([2, 4, 6, 8]),
+       st.integers(0, 2**32))
+def test_random_symplectic_form_is_the_triple_product(field, n, seed):
+    # P^T (J P) with J P read off P's rows, against P^T J P with J built;
+    # both consume the generator alike
+    rng, ref = Random(seed), Random(seed)
+    form = random_symplectic_form(n, field, rng)
+    P = random_invertible(field, n, ref)
+    assert form.gram == P.transpose().mul(canonical_alternating(field, n, n)).mul(P)
+    assert rng.getstate() == ref.getstate()
+    # random_matrix draws what field.random draws, in the same order
+    rng, ref = Random(seed), Random(seed)
+    drawn = [[field.random(ref) for _ in range(n + 1)] for _ in range(n)]
+    assert random_matrix(field, n, n + 1, rng).rows == tuple(map(tuple, drawn))
+    assert rng.getstate() == ref.getstate()
 
 
 def test_random_pair_golden_and_n2_rejection():

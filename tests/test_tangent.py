@@ -6,14 +6,19 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from msgkit import (
+    EigenspaceReport,
     FormSpace,
     Matrix,
+    MismatchRecord,
+    PencilDegeneracy,
     PointContext,
     PrimeField,
     QQ,
     SingularMatrixError,
     Subspace,
     SymplecticForm,
+    TangentReport,
+    VerifyReport,
     build_constraints,
     canonical_alternating,
     check_even_eigenspaces,
@@ -55,6 +60,26 @@ def sample_context(n, k, m, field, rng, tries=50):
 
 
 # --- expected dimension ---------------------------------------------------------
+
+def test_result_records_keep_keywords_defaults_and_field_equality():
+    a = TangentReport(n=4, k=2, m=2, expected_dim=2, tangent_dim=2, phi_rank=2)
+    b = TangentReport(4, 2, 2, 2, 2, 2)
+    assert a == b and a != TangentReport(4, 2, 2, 2, 3, 1)
+    assert (a.phi_kernel, a.degeneracy, a.pencil_checked) == ([], None, False)
+    assert a.phi_kernel is not b.phi_kernel
+    cert = BinaryForm(QQ, 0, [QQ.one])
+    d = PencilDegeneracy(cert)
+    assert d.witnesses == () and d == PencilDegeneracy(certificate=cert, witnesses=())
+    assert hash(d) == hash(PencilDegeneracy(cert)) and d != PencilDegeneracy(BinaryForm.zero(QQ))
+    assert EigenspaceReport((1,), (2,), True) == EigenspaceReport(
+        eigenvalues_in_field=(1,), nullities=(2,), all_even=True)
+    V = Subspace(Matrix(QQ, 1, 2, [[1, 0]]))
+    assert MismatchRecord(V, 1, 0, None) == MismatchRecord(
+        subspace=V, tangent_dim=1, expected_dim=0, degeneracy=None)
+    assert VerifyReport([3], []) == VerifyReport(pair_points=[3], mismatches=[])
+    assert VerifyReport([3], []).points_checked == 3
+    assert a != VerifyReport([3], []) and "tangent_dim=2" in repr(a)
+
 
 def test_msg_expected_dim():
     for n in (4, 6, 10):
