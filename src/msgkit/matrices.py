@@ -342,49 +342,63 @@ def canonical_alternating(field: Field, n: int, rank: int) -> Matrix:
     return Matrix(field, n, n, M, _trusted=True)
 
 
+def _skew_schur(F: Field, G: list):
+    """2x2-pivot elimination of an alternating matrix, in place on G: m rows
+    whose entries past column m ride along (Bunch, Math. Comp. 38, 1982).
+    Each step takes the first nonzero G[a][b] = c in row-major order, yields
+    (a, b, 1/c) and leaves the Schur complement of [[0, c], [-c, 0]]: rows and
+    columns a, b dropped, G[i] += (G[i][a] G[b] - G[i][b] G[a]) / c."""
+    add, sub, mul = F.add, F.sub, F.mul
+    while True:
+        m = len(G)
+        hit = next(((a, b) for a, row in enumerate(G) for b, x in enumerate(row[:m]) if x), None)
+        if hit is None:
+            return
+        a, b = hit
+        ci = F.inv(G[a][b])
+        yield a, b, ci
+        Gb, Ga = G.pop(b), G.pop(a)
+        Ga, Gb = (row[:a] + row[a + 1:b] + row[b + 1:] for row in (Ga, Gb))
+        for i, Gi in enumerate(G):
+            s, t = mul(Gi[a], ci), mul(Gi[b], ci)
+            G[i] = [add(x, sub(mul(s, y), mul(t, z)))
+                    for x, y, z in zip(Gi[:a] + Gi[a + 1:b] + Gi[b + 1:], Gb, Ga)]
+
+
+def _skew_rank(F: Field, rows) -> int:
+    return 2 * sum(1 for _ in _skew_schur(F, list(rows)))  # two per pivot
+
+
+def _pfaffian(F: Field, rows):
+    """Pfaffian: the pivots of `_skew_schur`, each signed by (-1)^(a+b-1); it
+    is 0 once a pivot is off the first remaining row, as that row is zero."""
+    pf, G = F.one, list(rows)
+    for a, b, _ in _skew_schur(F, G):
+        if a:
+            return F.zero
+        pf = F.mul(pf, G[a][b] if b % 2 else F.neg(G[a][b]))
+    return F.zero if G else pf
+
+
 def skew_normal_form(M: Matrix) -> tuple[Matrix, int]:
     """Congruence transform of an alternating matrix to canonical block form.
 
     Returns (P, r) with P invertible, P^T M P = canonical_alternating(n, r),
-    and r = rank(M), which is automatically even.  The algorithm is
-    symplectic Gram-Schmidt run as elimination on the pairing matrix G of
-    the remaining basis vectors, which starts as M.  The pivot is the first
-    nonzero G[a][b] = c in row-major order (b > a, since G is alternating);
-    v = b_a and w = b_b / c are kept, and every other vector u_i moves to
-    u_i - (G[i][b]/c) v + G[i][a] w, the pair's orthogonal complement.  Its
-    pairings are the Schur complement of the pivot block [[0, c], [-c, 0]]:
-    G'[i][j] = G[i][j] + (G[i][a] G[b][j] - G[i][b] G[a][j]) / c, so no
-    pairing is evaluated from M (Bunch, Math. Comp. 38, 1982).  When G is
-    zero, the vectors left over form the radical block.
+    and r = rank(M), which is automatically even: symplectic Gram-Schmidt as
+    `_skew_schur` on the pairings G of the remaining basis vectors, each
+    vector riding along in its row.  A pivot G[a][b] = c keeps v = b_a and
+    w = b_b / c and moves every other u_i to u_i - (G[i][b]/c) v + G[i][a] w,
+    on the pair's orthogonal complement, so no pairing is evaluated from M.
+    The vectors left when G is zero form the radical block.
     """
     if not M.is_alternating():
         raise ValueError("skew_normal_form needs an alternating matrix")
-    F = M.field
-    n = M.nrows
-    add, sub, mul = F.add, F.sub, F.mul
-    basis = list(Matrix.identity(F, n).rows)
-    G = M.rows
+    F, n = M.field, M.nrows
+    G = [list(row) + list(e) for row, e in zip(M.rows, Matrix.identity(F, n).rows)]
     chosen: list = []
-    while True:
-        hit = next(((a, b) for a, row in enumerate(G) for b, x in enumerate(row) if x), None)
-        if hit is None:
-            break
-        a, b = hit
-        ci = F.inv(G[a][b])
-        v = basis[a]
-        w = [mul(ci, x) for x in basis[b]]
-        Ga, Gb = G[a], G[b]
-        rest = [i for i in range(len(basis)) if i not in (a, b)]
-        moved, G_next = [], []
-        for i in rest:
-            Gi = G[i]
-            ga, t = Gi[a], mul(Gi[b], ci)
-            moved.append([add(sub(x, mul(t, y)), mul(ga, z)) for x, y, z in zip(basis[i], v, w)])
-            s = mul(ga, ci)
-            G_next.append([add(Gi[j], sub(mul(s, Gb[j]), mul(t, Ga[j]))) for j in rest])
-        chosen += [v, w]
-        basis, G = moved, G_next
-    P = Matrix(F, n, n, chosen + basis, _trusted=True).transpose()
+    for a, b, ci in _skew_schur(F, G):  # the basis vectors are the last n columns
+        chosen += [G[a][-n:], [F.mul(ci, x) for x in G[b][-n:]]]
+    P = Matrix(F, n, n, chosen + [row[-n:] for row in G], _trusted=True).transpose()
     return P, len(chosen)
 
 

@@ -109,6 +109,17 @@ def peval(F: Field, a: list, x):
     return acc
 
 
+def _interpolate(F: Field, ys: list) -> list:
+    """The polynomial of degree < len(ys) through (x, ys[x]), x = 0, 1, ..., in Newton form."""
+    c = list(ys)
+    for k in range(1, len(c)):
+        c[k:] = [F.div(F.sub(y, x), F.element(k)) for x, y in zip(c[k - 1:], c[k:])]
+    poly = []
+    for k in reversed(range(len(c))):  # poly * (x - k) + c[k]
+        poly = padd(F, pmul(F, poly, [F.element(-k), F.one]), [c[k]])
+    return poly
+
+
 def ppowmod(F: Field, base: list, e: int, mod: list) -> list:
     """base^e mod `mod` by square-and-multiply."""
     result = [F.one]
@@ -437,10 +448,11 @@ def pmat_det(F: Field, grid: list) -> list:
         for i in range(k + 1, n):
             for j in range(k + 1, n):
                 num = psub(F, pmul(F, a[k][k], a[i][j]), pmul(F, a[i][k], a[k][j]))
-                quot, rem = pdivmod(F, num, prev)
-                if rem:  # pragma: no cover - Sylvester identity guarantees exactness
-                    raise ArithmeticError("inexact Bareiss division")
-                a[i][j] = quot
+                if k:  # the first step divides by prev = 1
+                    num, rem = pdivmod(F, num, prev)
+                    if rem:  # pragma: no cover - Sylvester identity guarantees exactness
+                        raise ArithmeticError("inexact Bareiss division")
+                a[i][j] = num
             a[i][k] = []
         prev = a[k][k]
     det = a[n - 1][n - 1]

@@ -25,10 +25,10 @@ from __future__ import annotations
 import itertools
 from random import Random
 
-from .fields import Field
-from .matrices import Matrix, random_matrix
-from .polynomials import (BinaryForm, _linear_grid, binary_form_gcd, binary_form_roots,
-                          pmat_det, proots)
+from .fields import QQ, Field, PrimeField
+from .matrices import Matrix, _pfaffian, _skew_rank, random_matrix
+from .polynomials import (BinaryForm, _interpolate, _linear_grid, binary_form_gcd,
+                          binary_form_roots, pmat_det, proots, ptrim)
 from .symplectic import (
     FormSpace,
     Subspace,
@@ -552,15 +552,30 @@ class EigenspaceReport(_Record):
         self.all_even = all_even
 
 
+def _pencil_pfaffian(M1: Matrix, M2: Matrix) -> list:
+    """Pf(x*M1 - M2), of degree <= n/2, interpolated from x = 0, 1, ..., n/2.
+    F_p with p <= n/2 has too few nodes; there it is taken over Q, from upper
+    triangles lifted to Z and negated below (a skew lift), and reduced mod p."""
+    F, d = M1.field, M1.nrows // 2
+    R = QQ if isinstance(F, PrimeField) and F.p <= d else F
+    A1, A2 = (M.rows if R is F else [[QQ.element(x) if i < j else -QQ.element(M.rows[j][i])
+                                      for j, x in enumerate(row)] for i, row in enumerate(M.rows)]
+              for M in (M1, M2))
+    pf = _interpolate(R, [_pfaffian(R, [[R.sub(R.mul(x, u), v) for u, v in zip(r1, r2)]
+                                        for r1, r2 in zip(A1, A2)]) for x in range(d + 1)])
+    return pf if R is F else ptrim([c.numerator % F.p for c in pf])
+
+
 def check_even_eigenspaces(M1: Matrix, M2: Matrix) -> EigenspaceReport:
     """Nullity parity of d*I - M2*M1^{-1} at every base-field eigenvalue d.
 
-    det(x*M1 - M2) = det(M1) * det(x*I - M2*M1^{-1}), so the eigenvalues
-    are its roots; its leading coefficient is det(M1) and, n being even,
-    its constant term is det(M2).  d*I - M2*M1^{-1} = (d*M1 - M2)*M1^{-1}
-    has the nullity of d*M1 - M2, an alternating matrix, so each nullity
-    is (even size) - (even rank): the parity claim this reports on.  No
-    inverse is formed.
+    det(x*M1 - M2) = det(M1) * det(x*I - M2*M1^{-1}) is Pf(x*M1 - M2)^2, so
+    the eigenvalues are the roots of `_pencil_pfaffian` (Bunch 1982; over Q
+    from a skew integer lift when F_p is too small).  Its leading coefficient
+    is Pf(M1) and its constant term (-1)^(n/2) Pf(M2): both matrices are
+    nonsingular when neither is 0.  d*I - M2*M1^{-1} = (d*M1 - M2)*M1^{-1}
+    has the nullity of d*M1 - M2, n minus its skew rank by the same
+    elimination: the parity claim this reports on.  No inverse is formed.
     """
     M1.field.require_same(M2.field)
     if M1.shape != M2.shape or not M1.is_square():
@@ -569,18 +584,14 @@ def check_even_eigenspaces(M1: Matrix, M2: Matrix) -> EigenspaceReport:
         raise ValueError("size must be even")
     if not (M1.is_alternating() and M2.is_alternating()):
         raise ValueError("both matrices must be alternating")
-    n = M1.nrows
-    F = M1.field
-    det = pmat_det(F, _linear_grid(M2.neg().rows, M1.rows))
-    if len(det) != n + 1 or det[0] == 0:
+    n, F = M1.nrows, M1.field
+    pf = _pencil_pfaffian(M1, M2)
+    if len(pf) != n // 2 + 1 or not pf[0]:
         raise ValueError("both matrices must be nonsingular")
-    eigenvalues = proots(F, det)
-    nullities = [n - M1.scale(d).sub(M2).rank() for d in eigenvalues]
-    return EigenspaceReport(
-        eigenvalues_in_field=tuple(eigenvalues),
-        nullities=tuple(nullities),
-        all_even=all(nu % 2 == 0 for nu in nullities),
-    )
+    eigenvalues = proots(F, pf)
+    nullities = [n - _skew_rank(F, M1.scale(d).sub(M2).rows) for d in eigenvalues]
+    return EigenspaceReport(tuple(eigenvalues), tuple(nullities),
+                            all(nu % 2 == 0 for nu in nullities))
 
 
 # ---------------------------------------------------------------------------

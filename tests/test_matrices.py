@@ -22,6 +22,8 @@ from msgkit import (
     tangent_report,
 )
 from msgkit import cli
+from msgkit.matrices import _pfaffian, _skew_rank
+from msgkit.polynomials import pmat_det
 from conftest import DATA_DIR, degenerate_instance, random_alternating
 
 
@@ -232,6 +234,38 @@ def test_skew_normal_form_matches_pairing_reference(M):
     P, r = skew_normal_form(M)
     assert (P, r) == _reference_skew_normal_form(M)
     assert P.transpose().mul(M).mul(P) == canonical_alternating(M.field, M.nrows, r)
+
+
+# --- Pfaffian and skew rank -----------------------------------------------------
+
+def test_pfaffian_small_cases():
+    a, b, c, d, e, f = (Fraction(x) for x in (2, -3, 5, 7, -11, 13))
+    M = Matrix(QQ, 4, 4, [[0, a, b, c], [-a, 0, d, e], [-b, -d, 0, f], [-c, -e, -f, 0]])
+    assert _pfaffian(QQ, M.rows) == a * f - b * e + c * d
+    assert _pfaffian(QQ, canonical_alternating(QQ, 2, 2).rows) == 1
+    assert _pfaffian(QQ, ()) == 1
+    assert _pfaffian(QQ, canonical_alternating(QQ, 4, 2).rows) == 0
+
+
+@pytest.mark.parametrize("F", [PrimeField(3), PrimeField(5), PrimeField(2**31 - 1), QQ],
+                         ids=str)
+def test_pfaffian_of_a_congruence_is_the_determinant(F):
+    # Pf(P^T J P) = det(P) Pf(J) and Pf(J) = 1: this pins the pivot signs
+    rng = Random(61)
+    for n in (2, 4, 6, 8):
+        J = canonical_alternating(F, n, n)
+        for _ in range(6):
+            P = random_matrix(F, n, n, rng)
+            det = pmat_det(F, [[[x] for x in row] for row in P.rows])
+            assert _pfaffian(F, P.transpose().mul(J).mul(P).rows) == (det[0] if det else 0)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_alternating_matrices())
+def test_skew_rank_and_pfaffian_match_the_matrix_rank(M):
+    n, rank = M.nrows, M.rank()
+    assert _skew_rank(M.field, M.rows) == rank
+    assert (_pfaffian(M.field, M.rows) != 0) == (n % 2 == 0 and rank == n)
 
 
 # --- characteristic polynomial ----------------------------------------------------

@@ -6,7 +6,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from msgkit import BinaryForm, PrimeField, QQ, binary_form_gcd, binary_form_roots
+from msgkit import polynomials
 from msgkit.polynomials import (
+    _interpolate,
     _linear_grid,
     pdeg,
     pdivmod,
@@ -277,6 +279,28 @@ def test_pmat_det_vs_permanent_expansion():
             grid = [[[F.random(rng) for _ in range(rng.randrange(0, 3))]
                      for _ in range(n)] for _ in range(n)]
             assert pmat_det(F, grid) == perm_det(F, grid)
+
+
+def test_pmat_det_divides_only_after_the_first_step(monkeypatch):
+    """The first Bareiss step divides by 1, so a 2x2 determinant calls no
+    pdivmod and a 3x3 one calls it once, for the single entry of step two."""
+    calls = []
+    real = polynomials.pdivmod
+    monkeypatch.setattr(polynomials, "pdivmod", lambda *args: calls.append(1) or real(*args))
+    F = PrimeField(7)
+    assert pmat_det(F, _linear_grid([[1, 2], [3, 4]], [[5, 6], [0, 1]])) == [5, 3, 5]
+    assert calls == []
+    A = [[1, 2, 0], [3, 4, 5], [6, 0, 1]]
+    assert pmat_det(F, [[[x] for x in row] for row in A]) == [2]  # det A = 58
+    assert calls == [1]
+
+
+@pytest.mark.parametrize("F", [PrimeField(5), PrimeField(2**31 - 1), QQ], ids=str)
+def test_interpolate_recovers_a_polynomial_from_its_values(F):
+    rng = Random(37)
+    for d in range(0, 5):
+        f = ptrim([F.random(rng) for _ in range(d + 1)])
+        assert _interpolate(F, [peval(F, f, F.element(x)) for x in range(d + 1)]) == f
 
 
 def test_pmat_det_reads_a_shared_linear_grid_without_changing_it():

@@ -39,8 +39,10 @@ from msgkit import (
     verify_pair,
     verify_thm_equivalence,
 )
-from msgkit.polynomials import BinaryForm, pdeg, pgcd, pmat_det, proots
-from msgkit.tangent import PhiKernelElement, _pencil_minor_gcd
+from msgkit import tangent
+from msgkit.matrices import _pfaffian
+from msgkit.polynomials import BinaryForm, _linear_grid, pdeg, peval, pgcd, pmat_det, pmul, proots
+from msgkit.tangent import PhiKernelElement, _pencil_minor_gcd, _pencil_pfaffian
 from conftest import degenerate_instance, random_alternating_nonsingular
 
 
@@ -561,6 +563,79 @@ def test_even_eigenspaces_match_the_inverse_route(pencil):
     rep = check_even_eigenspaces(M1, M2)
     assert (rep.eigenvalues_in_field, rep.nullities) == expected
     assert rep.all_even
+
+
+@st.composite
+def _pfaffian_pencils(draw):
+    """(M1, M2, node) alternating n x n over F_3 (n up to 8, so the lifted path
+    runs at n = 6 and 8), F_5, F_7, F_(2^31 - 1) or Q: random, with M1 or M2
+    of rank below n, planted P^T J P and P^T diag(d_b J) P with the d_b drawn
+    from two values (repeated eigenvalues), or planted with one d_b at an
+    interpolation node x in {0, ..., n/2}, returned as `node`."""
+    F = draw(st.sampled_from([PrimeField(3), PrimeField(5), PrimeField(7),
+                              PrimeField(2**31 - 1), QQ]))
+    n = draw(st.sampled_from([0, 2, 4, 6, 8]))
+    rng = Random(draw(st.integers(0, 2**32 - 1)))
+    shape = draw(st.sampled_from(["random", "singular", "planted", "node"]))
+
+    def scalar():
+        return F.element(Fraction(rng.randint(-4, 4), rng.randint(1, 3)) if F == QQ
+                         else rng.randrange(F.p))
+
+    def alternating(rank):
+        C = canonical_alternating(F, n, rank)
+        P = random_invertible(F, n, rng)
+        return P.transpose().mul(C).mul(P)
+
+    if shape in ("random", "singular"):
+        M1, M2 = alternating(n), alternating(n)
+        if shape == "singular" and n:
+            low = alternating(2 * rng.randrange(n // 2))
+            M1, M2 = (low, M2) if rng.random() < 0.5 else (M1, low)
+        return M1, M2, None
+    P = random_invertible(F, n, rng)
+    pool = [scalar(), scalar()]
+    ds = [rng.choice(pool) for _ in range(n // 2)]
+    node = None
+    if shape == "node" and n:
+        node = rng.randrange(n // 2 + 1)
+        ds[rng.randrange(n // 2)] = F.element(node)
+    D = [[F.zero] * n for _ in range(n)]
+    for b, d in enumerate(ds):
+        D[2 * b][2 * b + 1], D[2 * b + 1][2 * b] = d, F.neg(d)
+    M1 = P.transpose().mul(canonical_alternating(F, n, n)).mul(P)
+    return M1, P.transpose().mul(Matrix(F, n, n, D)).mul(P), node
+
+
+@settings(max_examples=250, deadline=None)
+@given(_pfaffian_pencils())
+@example((random_alternating_nonsingular(PrimeField(3), 6, Random(5)),
+          random_alternating_nonsingular(PrimeField(3), 6, Random(6)), None))
+@example((random_alternating_nonsingular(PrimeField(3), 8, Random(7)),
+          standard_form(8, PrimeField(3)).gram.scale(2), None))
+def test_pencil_pfaffian_squares_to_the_pencil_determinant(pencil):
+    M1, M2, node = pencil
+    F, n = M1.field, M1.nrows
+    pf = _pencil_pfaffian(M1, M2)
+    assert pmul(F, pf, pf) == pmat_det(F, _linear_grid(M2.neg().rows, M1.rows))
+    assert len(pf) <= n // 2 + 1
+    for x in range(n // 2 + 1):
+        value = _pfaffian(F, M1.scale(x).sub(M2).rows)
+        assert value == peval(F, pf, F.element(x))
+        if x == node:
+            assert value == 0
+
+
+def test_even_eigenspaces_read_no_determinant(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("check_even_eigenspaces called pmat_det")
+
+    monkeypatch.setattr(tangent, "pmat_det", refuse)
+    rng = Random(11)
+    for F, n in ((PrimeField(3), 8), (PrimeField(7), 6), (QQ, 6)):
+        M1 = random_alternating_nonsingular(F, n, rng)
+        M2 = random_alternating_nonsingular(F, n, rng)
+        assert check_even_eigenspaces(M1, M2).all_even
 
 
 # --- theorem equivalence ----------------------------------------------------------------
