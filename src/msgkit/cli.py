@@ -31,9 +31,11 @@ from .numerology import VARIANTS, _rho, rho2_special
 from .symplectic import (
     BudgetExceeded,
     Subspace,
+    _require_budget,
     decode_point,
     derive_seed,
     enumeration_budget,
+    gaussian_binomial,
     random_form_space,
     random_isotropic_subspace,
 )
@@ -237,6 +239,9 @@ def cmd_scan(args) -> int:
     if not 1 <= args.k <= args.n // 2:
         raise ValueError(f"need 1 <= k <= n/2, got k={args.k}, n={args.n}")
     expected = msg_expected_dim(args.n, args.k, args.m)
+    _require_budget(args.samples * args.m * args.n ** 2,
+                    f"scanning {args.samples} samples x {args.m} forms x {args.n ** 2} entries",
+                    enumeration_budget())
     payloads = [
         {"field": field.spec(), "n": args.n, "k": args.k, "m": args.m,
          "seed": args.seed, "index": i}
@@ -293,8 +298,16 @@ def cmd_verify(args) -> int:
         raise ValueError("--samples must be >= 1")
     if not 1 <= args.k <= args.n // 2:
         raise ValueError(f"need 1 <= k <= n/2, got k={args.k}, n={args.n}")
-    # read here, not in the workers, so a malformed MSGKIT_BUDGET fails in both scopes
+    # the budget is read and the whole run sized here, before any payload is
+    # built or any pool starts, so a malformed MSGKIT_BUDGET fails in both scopes
     budget = enumeration_budget()
+    if args.scope == "sampled":
+        each, what = args.samples * args.n ** 2, f"entries ({args.samples} samples x n^2)"
+    elif args.k * (args.n - args.k) < budget.bit_length():
+        each, what = gaussian_binomial(args.n, args.k, args.p), "subspaces"
+    else:  # C(n, k)_p >= p^(k(n-k)) > 2^(k(n-k)) > budget: not multiplied out
+        each, what = budget + 1, "or more subspaces"
+    _require_budget(args.pairs * each, f"verifying {args.pairs} pairs x {each} {what}", budget)
     payloads = [
         {"field": field.spec(), "n": args.n, "k": args.k, "seed": args.seed,
          "index": i, "scope": args.scope, "samples": args.samples,

@@ -211,39 +211,10 @@ class Matrix:
         return Matrix(F, m, n, rows, _trusted=True), r, tuple(pivots)
 
     def rank(self) -> int:
-        """Number of pivots.  Over F_p only the count is read, so this is
-        forward elimination alone: a pivot clears its column in the other
-        rows, every row then drops that leading column, and zero rows drop
-        out; nothing is normalized, back-substituted or built into a Matrix."""
-        F = self.field
-        if not isinstance(F, PrimeField):
-            return self.rref()[1]
-        p = F.p
-        rows = [r for r in self.rows if any(r)]
-        rank = 0
-        while rows:
-            for i, pivot in enumerate(rows):
-                if pivot[0]:
-                    break
-            else:  # a zero leading column holds no pivot
-                rows = [r[1:] for r in rows]
-                continue
-            del rows[i]
-            inv = pow(pivot[0], p - 2, p)
-            tail = pivot[1:]
-            rest = []
-            for r in rows:
-                f = r[0]
-                if f:
-                    f = f * inv % p
-                    r = [(x - f * y) % p for x, y in zip(r[1:], tail)]
-                else:
-                    r = r[1:]
-                if any(r):
-                    rest.append(r)
-            rows = rest
-            rank += 1
-        return rank
+        """Number of pivots; over F_p by `_rank_mod_p`."""
+        if isinstance(self.field, PrimeField):
+            return _rank_mod_p(self.field.p, self.rows)
+        return self.rref()[1]
 
     def kernel_basis(self) -> "Matrix":
         """Rows form a basis of the right null space (empty matrix if trivial).
@@ -325,6 +296,37 @@ class Matrix:
                 raise ValueError("cannot infer column count of an empty matrix")
             ncols = len(rows[0])
         return cls(field, len(rows), ncols, rows)
+
+
+def _rank_mod_p(p: int, rows) -> int:
+    """Rank over F_p of rows of plain-int residues, by forward elimination
+    alone: a pivot clears its column in the other rows, every row then drops
+    that leading column, and zero rows drop out."""
+    rows = [r for r in rows if any(r)]
+    rank = 0
+    while rows:
+        for i, pivot in enumerate(rows):
+            if pivot[0]:
+                break
+        else:  # a zero leading column holds no pivot
+            rows = [r[1:] for r in rows]
+            continue
+        del rows[i]
+        inv = pow(pivot[0], p - 2, p)
+        tail = pivot[1:]
+        rest = []
+        for r in rows:
+            f = r[0]
+            if f:
+                f = f * inv % p
+                r = [(x - f * y) % p for x, y in zip(r[1:], tail)]
+            else:
+                r = r[1:]
+            if any(r):
+                rest.append(r)
+        rows = rest
+        rank += 1
+    return rank
 
 
 # ---------------------------------------------------------------------------

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import itertools
 import os
+from operator import mul
 from random import Random
 
 from .fields import Field, PrimeField, field_from_spec
@@ -363,10 +364,14 @@ def _check_enumeration(n: int, k: int, field: Field, budget: int | None) -> None
     if budget is None:
         budget = enumeration_budget()
     total = gaussian_binomial(n, k, field.p)
-    if total > budget:
+    _require_budget(total, f"enumerating {total} subspaces", budget)
+
+
+def _require_budget(size: int, what: str, budget: int) -> None:
+    """Refuse work of `size` units past the budget; `what` describes it."""
+    if size > budget:
         raise BudgetExceeded(
-            f"enumerating {total} subspaces exceeds the budget of {budget}"
-            " (raise MSGKIT_BUDGET to override)")
+            f"{what} exceeds the budget of {budget} (raise MSGKIT_BUDGET to override)")
 
 
 def _free_columns(n: int, pivots: tuple[int, ...]) -> list[list[int]]:
@@ -431,6 +436,44 @@ def _row_solutions(field: PrimeField, pivot: int, cols: list[int], perps: list[l
     return out
 
 
+def _isotropic_points(k: int, F: FormSpace, budget: int | None = None):
+    """`enumerate_isotropic_subspaces` in plain ints: (pivots, RREF rows, pairings)
+    with pairings[t][i] = <row_i, e_c>_t at the non-pivot columns c, R_t for the unit
+    complement.  Each row is checked, apart from the elimination that solved it, against
+    w_t = G_t row^T of the rows above; its pairings are -w_t (G_t is alternating)."""
+    n, field = F.dim, F.field
+    _check_enumeration(n, k, field, budget)
+    p, grams = field.p, [G.rows for G in F.grams()]
+
+    def extend(pivots, free, cols, rows, perps, pairings):
+        i = len(rows)
+        if i == k:
+            yield pivots, rows, pairings
+            return
+        for x in _row_solutions(field, pivots[i], free[i], perps):
+            row = [0] * n
+            row[pivots[i]] = 1
+            for j, v in zip(free[i], x):
+                row[j] = v
+            if any(sum(map(mul, w, row)) % p for w in perps):
+                raise ArithmeticError(f"enumerated row {i + 1} is not isotropic to the rows above")
+            if i + 1 == k:
+                ws = []
+                new = [[-sum(map(mul, G[c], row)) % p for c in cols] for G in grams]
+            else:
+                ws = [[sum(map(mul, G_row, row)) % p for G_row in G] for G in grams]
+                new = [[-w[c] % p for c in cols] for w in ws]
+            yield from extend(pivots, free, cols, rows + [row], perps + ws,
+                              [R + [r] for R, r in zip(pairings, new)])
+
+    def generate():
+        for pivots in itertools.combinations(range(n), k):
+            cols = [j for j in range(n) if j not in pivots]
+            yield from extend(pivots, _free_columns(n, pivots), cols, [], [], [[]] * len(grams))
+
+    return generate()
+
+
 def enumerate_isotropic_subspaces(k: int, F: FormSpace, budget: int | None = None):
     """Every simultaneously isotropic k-subspace, in enumerate_subspaces order.
 
@@ -441,32 +484,9 @@ def enumerate_isotropic_subspaces(k: int, F: FormSpace, budget: int | None = Non
     still counts all C(n, k)_q subspaces and is checked before the first
     yield.
     """
-    n, field = F.dim, F.field
-    _check_enumeration(n, k, field, budget)
-    p = field.p
-    grams = [G.rows for G in F.grams()]
-
-    def extend(pivots, free, rows, perps):
-        i = len(rows)
-        if i == k:
-            yield Subspace(Matrix(field, k, n, rows, _trusted=True), _pivots=pivots)
-            return
-        for x in _row_solutions(field, pivots[i], free[i], perps):
-            row = [0] * n
-            row[pivots[i]] = 1
-            for j, v in zip(free[i], x):
-                row[j] = v
-            # w = G row^T: a later row r is orthogonal to this one iff r . w = 0
-            more = [] if i + 1 == k else [
-                [sum(g * v for g, v in zip(G_row, row) if v) % p for G_row in G]
-                for G in grams]
-            yield from extend(pivots, free, rows + [row], perps + more)
-
-    def generate():
-        for pivots in itertools.combinations(range(n), k):
-            yield from extend(pivots, _free_columns(n, pivots), [], [])
-
-    return generate()
+    field, n = F.field, F.dim
+    return (Subspace(Matrix(field, k, n, rows, _trusted=True), _pivots=pivots)
+            for pivots, rows, _ in _isotropic_points(k, F, budget))
 
 
 # ---------------------------------------------------------------------------

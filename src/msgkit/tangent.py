@@ -26,15 +26,15 @@ import itertools
 from random import Random
 
 from .fields import QQ, Field, PrimeField
-from .matrices import Matrix, _pfaffian, _skew_rank, random_matrix
+from .matrices import Matrix, _pfaffian, _rank_mod_p, _skew_rank, random_matrix
 from .polynomials import (BinaryForm, _interpolate, _linear_grid, binary_form_gcd,
                           binary_form_roots, pmat_det, proots, ptrim)
 from .symplectic import (
     FormSpace,
     Subspace,
     _first_nonzero_pairing,
+    _isotropic_points,
     derive_seed,
-    enumerate_isotropic_subspaces,
     random_independent_pair,
     random_isotropic_subspace,
 )
@@ -186,23 +186,41 @@ def _pairs(k: int) -> list[tuple[int, int]]:
     return [(i, j) for i in range(k) for j in range(i + 1, k)]
 
 
+def _constraint_rows(field: Field, k: int, nk: int, restrictions) -> list[list]:
+    """The rows of `build_constraints` from each form's k restriction rows."""
+    rows = []
+    for R in restrictions:
+        minus = [[field.neg(x) for x in r] for r in R]
+        for (i, j) in _pairs(k):
+            row = [field.zero] * (k * nk)
+            row[j * nk:(j + 1) * nk] = R[i]
+            row[i * nk:(i + 1) * nk] = minus[j]
+            rows.append(row)
+    return rows
+
+
 def build_constraints(ctx: PointContext) -> Matrix:
     """The m*C(k,2) x k(n-k) system whose null space is the tangent space.
 
     Row order: form index outer, pairs (i, j) with i < j lexicographic.
     Column order: the Hom(V, E/V) grid f[i][a] flattened as i*(n-k) + a.
     """
-    field, k, nk = ctx.field, ctx.k, ctx.n - ctx.k
-    rows = []
-    for R in ctx.restrictions:
-        for (i, j) in _pairs(k):
-            row = [field.zero] * (k * nk)
-            Ri, Rj = R.rows[i], R.rows[j]
-            for a in range(nk):
-                row[j * nk + a] = Ri[a]
-                row[i * nk + a] = field.neg(Rj[a])
-            rows.append(row)
-    return Matrix(field, len(rows), k * nk, rows, _trusted=True)
+    rows = _constraint_rows(ctx.field, ctx.k, ctx.n - ctx.k, [R.rows for R in ctx.restrictions])
+    return Matrix(ctx.field, len(rows), ctx.k * (ctx.n - ctx.k), rows, _trusted=True)
+
+
+def _point_core(field: PrimeField, k: int, nk: int, restrictions, fault=False):
+    """(rank of `build_constraints`, pencil known nondegenerate) over F_p from each
+    form's restriction rows as plain ints; `fault` zeroes the first row.  At k = 2
+    the 1x1 minors of u*R_1 + v*R_2 have gcd 1 iff [vec R_1; vec R_2] has rank 2;
+    at k = 1 nothing degenerates; for k >= 3 it is False: the minors decide."""
+    rows = _constraint_rows(field, k, nk, restrictions)
+    if fault:
+        rows[0] = [0] * (k * nk)
+    rank = _rank_mod_p(field.p, rows)
+    if k == 2:
+        return rank, _rank_mod_p(field.p, [R[0] + R[1] for R in restrictions]) == 2
+    return rank, k <= 1
 
 
 # ---------------------------------------------------------------------------
@@ -400,13 +418,6 @@ def _pencil_minor_gcd(R1: Matrix, R2: Matrix) -> BinaryForm:
     if k - 1 == 0:
         # 0x0 minors are the empty determinant 1: rank never drops below 0
         return BinaryForm(F, 0, [F.one])
-    if k == 2:
-        # the 1x1 minors are the linear forms u*R1[i][a] + v*R2[i][a]; their
-        # gcd is 1 iff two of them are not proportional, that is iff
-        # [vec R1; vec R2] has rank 2.  Otherwise read the minors below.
-        flat = [[x for row in R.rows for x in row] for R in (R1, R2)]
-        if Matrix(F, 2, 2 * w, flat, _trusted=True).rank() == 2:
-            return BinaryForm(F, 0, [F.one])
 
     grid = _linear_grid(R2.rows, R1.rows)  # u*R1 + v*R2 at v = 1
 
@@ -671,37 +682,41 @@ def verify_pair(
     if fault and k < 2:
         raise ValueError(f"fault injection needs k >= 2, got k={k}:"
                          " there is no constraint row to corrupt")
+    field, n = fs.field, fs.dim
+    independent = fs.m * (k * (k - 1) // 2)  # constraint rows: the expected dimension's rank
     points = 0
     mismatches = []
+
+    def check(restrictions, context) -> None:
+        # the core settles a point of expected dimension with a nondegenerate
+        # pencil; any other point is rebuilt by `context` for the pencil minors
+        nonlocal points
+        points += 1
+        rank, nondegenerate = _point_core(field, k, n - k, restrictions, fault)
+        if rank == independent and nondegenerate:
+            return
+        ctx = context()
+        tangent, expected = k * (n - k) - rank, ctx.expected_dim()
+        degeneracy = find_degenerate_pencil(ctx)
+        if (tangent == expected) != (degeneracy is None):
+            mismatches.append(MismatchRecord(ctx.subspace, tangent, expected, degeneracy))
+
     if scope == "exhaustive":
-        source = enumerate_isotropic_subspaces(k, fs, budget=budget)
+        for pivots, rows, restrictions in _isotropic_points(k, fs, budget=budget):
+            check(restrictions, lambda: PointContext(
+                Subspace(Matrix(field, k, n, rows, _trusted=True), _pivots=pivots), fs))
     elif scope == "sampled":
         if rng is None:
             raise ValueError("sampled scope needs an rng")
         if samples < 1:
             raise ValueError(f"sampled scope needs samples >= 1, got {samples}")
-        def sampled():
-            for _ in range(samples):
-                V = random_isotropic_subspace(k, fs, rng)
-                if V is not None:
-                    yield V
-        source = sampled()
+        for _ in range(samples):
+            V = random_isotropic_subspace(k, fs, rng)
+            if V is not None:
+                ctx = PointContext(V, fs)
+                check([R.rows for R in ctx.restrictions], lambda: ctx)
     else:
         raise ValueError(f"unknown scope {scope!r}")
-    for V in source:
-        points += 1
-        ctx = PointContext(V, fs)
-        C = build_constraints(ctx)
-        if fault:
-            zeroed = [[fs.field.zero] * C.ncols] + [list(r) for r in C.rows[1:]]
-            C = Matrix(fs.field, C.nrows, C.ncols, zeroed, _trusted=True)
-        tangent = ctx.k * (ctx.n - ctx.k) - C.rank()
-        expected = ctx.expected_dim()
-        degeneracy = find_degenerate_pencil(ctx)
-        if (tangent == expected) != (degeneracy is None):
-            mismatches.append(MismatchRecord(
-                subspace=V, tangent_dim=tangent, expected_dim=expected,
-                degeneracy=degeneracy))
     return points, mismatches
 
 

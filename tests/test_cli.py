@@ -299,6 +299,21 @@ def test_verify_budget_exceeded_exit2_in_pool_workers():
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("workers", ["1", "2"])
+@pytest.mark.parametrize("argv", [
+    ("scan", "--n", "100000", "--k", "1", "--m", "1", "--p", "3", "--samples", "1"),
+    ("verify", "--n", "4", "--k", "2", "--p", "3", "--scope", "sampled", "--samples", "1",
+     "--pairs", "100000000"),
+    ("verify", "--n", "4", "--k", "2", "--p", "3", "--pairs", "100000000"),
+    ("verify", "--n", "100000", "--k", "50000", "--p", "3", "--pairs", "1"),
+], ids=["scan-n", "sampled-pairs", "exhaustive-pairs", "exhaustive-n"])
+def test_oversized_runs_exit_2_before_any_work(argv, workers):
+    # the whole run is sized against the budget before a pencil is drawn
+    code, out, err = run_cli(*argv, "--workers", workers, timeout=10)
+    assert (code, out) == (2, "")
+    assert "budget" in err and "Traceback" not in err
+
+
 def test_verify_fault_injection_golden():
     # pins the point and mismatch order of exhaustive enumeration byte for byte
     code, out, _ = run_cli("verify", "--n", "4", "--k", "2", "--p", "3",

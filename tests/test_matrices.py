@@ -22,7 +22,7 @@ from msgkit import (
     tangent_report,
 )
 from msgkit import cli
-from msgkit.matrices import _pfaffian, _skew_rank
+from msgkit.matrices import _pfaffian, _rank_mod_p, _skew_rank
 from msgkit.polynomials import pmat_det
 from conftest import DATA_DIR, degenerate_instance, random_alternating
 
@@ -502,3 +502,5 @@ def test_rank_matches_the_rref_pivot_count(M):
     assert T.shape == (M.ncols, M.nrows)
     assert all(T.rows[j][i] == x for i, row in enumerate(M.rows) for j, x in enumerate(row))
     assert M.rank() == M.rref()[1] == T.rank()
+    if M.field != QQ:  # the F_p rank that `Matrix.rank` and the verify core share
+        assert _rank_mod_p(M.field.p, M.rows) == M.rref()[1]

@@ -1,4 +1,6 @@
 import json
+import subprocess
+import sys
 from random import Random
 
 import pytest
@@ -13,6 +15,7 @@ from msgkit import (
     QQ,
     Subspace,
     SymplecticForm,
+    build_constraints,
     canonical_alternating,
     decode_point,
     default_complement,
@@ -32,6 +35,8 @@ from msgkit import (
     random_symplectic_form,
     standard_form,
 )
+from msgkit.symplectic import _isotropic_points
+from msgkit.tangent import _point_core
 from conftest import golden_compare
 
 
@@ -341,6 +346,42 @@ ORACLE_GRID = [
 def test_isotropic_enumeration_matches_filter_sequence(n, k, m, p):
     fs = random_form_space(n, m, PrimeField(p), Random(1000 * n + 100 * k + 10 * m + p))
     assert list(enumerate_isotropic_subspaces(k, fs)) == filtered_isotropic_subspaces(k, fs)
+
+
+@pytest.mark.parametrize("n,k,m,p", ORACLE_GRID,
+                         ids=[f"n{n}-k{k}-m{m}-p{p}" for n, k, m, p in ORACLE_GRID])
+def test_point_stream_matches_the_filter_and_the_point_contexts(n, k, m, p):
+    # the plain-int stream verify reads: its points are the filter's, its
+    # restriction rows PointContext's, and the core's rank build_constraints'
+    F = PrimeField(p)
+    fs = random_form_space(n, m, F, Random(1000 * n + 100 * k + 10 * m + p))
+    stream = list(_isotropic_points(k, fs))
+    oracle = filtered_isotropic_subspaces(k, fs)
+    assert [(pivots, rows) for pivots, rows, _ in stream] == [
+        (V.pivots, [list(r) for r in V.basis.rows]) for V in oracle]
+    for (_, _, restrictions), V in zip(stream, oracle):
+        ctx = PointContext(V, fs)
+        assert restrictions == [[list(r) for r in R.rows] for R in ctx.restrictions]
+        assert _point_core(F, k, n - k, restrictions)[0] == build_constraints(ctx).rank()
+
+
+_WRONG_SOLUTIONS = """
+import itertools, random
+from msgkit import symplectic
+# every fill of the free entries, as if the elimination had solved nothing
+symplectic._row_solutions = lambda field, pivot, cols, perps: itertools.product(
+    range(field.p), repeat=len(cols))
+fs = symplectic.random_form_space(4, 2, symplectic.PrimeField(3), random.Random(3))
+list(symplectic._isotropic_points(2, fs))
+"""
+
+
+@pytest.mark.parametrize("flags", [(), ("-O",)], ids=["plain", "optimized"])
+def test_point_stream_checks_isotropy_apart_from_the_elimination(flags):
+    proc = subprocess.run([sys.executable, *flags, "-c", _WRONG_SOLUTIONS],
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 1
+    assert "ArithmeticError: enumerated row 2 is not isotropic" in proc.stderr
 
 
 @pytest.mark.parametrize("n,k,m,p", ORACLE_GRID,

@@ -42,7 +42,8 @@ from msgkit import (
 from msgkit import tangent
 from msgkit.matrices import _pfaffian
 from msgkit.polynomials import BinaryForm, _linear_grid, pdeg, peval, pgcd, pmat_det, pmul, proots
-from msgkit.tangent import PhiKernelElement, _pencil_minor_gcd, _pencil_pfaffian
+from msgkit.symplectic import _isotropic_points
+from msgkit.tangent import PhiKernelElement, _pencil_minor_gcd, _pencil_pfaffian, _point_core
 from conftest import degenerate_instance, random_alternating_nonsingular
 
 
@@ -695,6 +696,96 @@ def test_equivalence_fault_injection_trips():
     rep = verify_thm_equivalence(4, 2, PrimeField(3), pairs=3,
                                  scope="exhaustive", seed=0, fault=True)
     assert rep.mismatches
+
+
+@st.composite
+def _planted_pencils(draw):
+    """(fs, k, lam, W) with a degenerate combination planted at lam.
+
+    In the basis q_0..q_{n-1} (the rows of a random invertible Q), omega_2 is
+    J, so W = span(q_0, q_2) is omega_2-isotropic, and omega' is a random
+    nonsingular alternating block on the other coordinates, so omega' has
+    rank n - 2 and radical W.  Then omega_1 = omega' - lam*omega_2 and the
+    combination omega_1 + lam*omega_2 kills W against everything.  Draws
+    repeat until omega_1 is nonsingular and independent of omega_2, which at
+    lam = 0 never happens.
+    """
+    n, k, p = draw(st.sampled_from([(4, 2, 3), (4, 2, 5), (4, 2, 7), (6, 2, 3), (6, 3, 3)]))
+    F = PrimeField(p)
+    lam = draw(st.integers(1, p - 1))
+    rng = Random(draw(st.integers(0, 2**32)))
+    others = [i for i in range(n) if i not in (0, 2)]
+    while True:
+        Q = random_invertible(F, n, rng)
+        Qi = Q.inverse()
+        block = random_alternating_nonsingular(F, n - 2, rng)
+        radical = [[0] * n for _ in range(n)]
+        for a, i in enumerate(others):
+            for b, j in enumerate(others):
+                radical[i][j] = block.rows[a][b]
+        # the form with Gram matrix A in the basis Q has Gram Q^-1 A Q^-T
+        omega2, omega_r = (Qi.mul(A).mul(Qi.transpose())
+                           for A in (canonical_alternating(F, n, n), Matrix(F, n, n, radical)))
+        try:
+            fs = FormSpace([SymplecticForm(omega_r.sub(omega2.scale(lam))),
+                            SymplecticForm(omega2)])
+        except ValueError:
+            continue
+        return fs, k, lam, Subspace.from_span(Matrix(F, 2, n, [Q.rows[0], Q.rows[2]]))
+
+
+@settings(max_examples=30, deadline=None)
+@given(_planted_pencils())
+def test_planted_degenerate_pencils_agree_with_the_point_context_path(planted):
+    # real pencils almost never reach the degenerate side; here every point
+    # containing W is degenerate, with the witness (1, lam) killing W
+    fs, k, lam, W = planted
+    F, n = fs.field, fs.dim
+    points = degenerate = through_w = 0
+    for pivots, rows, restrictions in _isotropic_points(k, fs):
+        V = Subspace(Matrix(F, k, n, rows))
+        ctx = PointContext(V, fs)
+        rank, nondegenerate = _point_core(F, k, n - k, restrictions)
+        degeneracy = find_degenerate_pencil(ctx)
+        assert (V.pivots, rank) == (pivots, build_constraints(ctx).rank())
+        if k == 2:
+            assert nondegenerate == (degeneracy is None)
+        points += 1
+        degenerate += degeneracy is not None
+        if Subspace.from_span(V.basis.stack(W.basis)) == V:
+            through_w += 1
+            assert ((F.one, lam), W) in degeneracy.witnesses
+    # W itself at k = 2; at k = 3, W plus each of the p + 1 lines of W^perp / W
+    assert through_w == (1 if k == 2 else F.p + 1)
+    assert degenerate >= through_w
+    assert verify_pair(fs, k) == (points, [])
+
+
+@pytest.mark.parametrize("n,k,seed,rebuilt", [(6, 2, 1, 0), (6, 2, 0, 1), (4, 1, 0, 0)])
+def test_settled_points_build_no_point_context_and_no_matrix(monkeypatch, n, k, seed, rebuilt):
+    # the walk itself builds one system per row it solves; the points the core
+    # settles add no Matrix, and only the others are rebuilt as a PointContext
+    fs = tangent._seeded_pencil(n, PrimeField(3), seed, 0)
+    built, contexts = [], []
+    matrix_init, context = Matrix.__init__, tangent.PointContext
+
+    def counting_init(self, *args, **kwargs):
+        built.append(1)
+        matrix_init(self, *args, **kwargs)
+
+    def counting_context(*args):
+        contexts.append(1)
+        return context(*args)
+
+    monkeypatch.setattr(Matrix, "__init__", counting_init)
+    walk = len(list(_isotropic_points(k, fs)))
+    walk_matrices = len(built)
+    monkeypatch.setattr(tangent, "PointContext", counting_context)
+    built.clear()
+    points, mismatches = verify_pair(fs, k)
+    assert (points, mismatches, len(contexts)) == (walk, [], rebuilt)
+    if not rebuilt:
+        assert len(built) == walk_matrices
 
 
 def test_equivalence_explicit_pairs(degenerate_ctx):
