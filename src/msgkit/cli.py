@@ -239,8 +239,9 @@ def cmd_scan(args) -> int:
     if not 1 <= args.k <= args.n // 2:
         raise ValueError(f"need 1 <= k <= n/2, got k={args.k}, n={args.n}")
     expected = msg_expected_dim(args.n, args.k, args.m)
-    _require_budget(args.samples * args.m * args.n ** 2,
-                    f"scanning {args.samples} samples x {args.m} forms x {args.n ** 2} entries",
+    # a drawn form costs O(n^3): the rank test on P, P^T J P and its own rank
+    _require_budget(args.samples * args.m * args.n ** 3,
+                    f"scanning {args.samples} samples x {args.m} forms x n^3 = {args.n ** 3}",
                     enumeration_budget())
     payloads = [
         {"field": field.spec(), "n": args.n, "k": args.k, "m": args.m,
@@ -302,7 +303,7 @@ def cmd_verify(args) -> int:
     # built or any pool starts, so a malformed MSGKIT_BUDGET fails in both scopes
     budget = enumeration_budget()
     if args.scope == "sampled":
-        each, what = args.samples * args.n ** 2, f"entries ({args.samples} samples x n^2)"
+        each, what = args.samples * args.n ** 3, f"steps ({args.samples} samples x n^3)"
     elif args.k * (args.n - args.k) < budget.bit_length():
         each, what = gaussian_binomial(args.n, args.k, args.p), "subspaces"
     else:  # C(n, k)_p >= p^(k(n-k)) > 2^(k(n-k)) > budget: not multiplied out

@@ -19,6 +19,7 @@ import sys
 from fractions import Fraction
 
 from ._integers import is_prime
+from ._record import _Record
 
 MAX_PRIME = 2**31
 _RATIONAL_STRING = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
@@ -45,7 +46,7 @@ class FieldMismatchError(ValueError):
     """Raised when operands belong to different fields."""
 
 
-class Field:
+class Field(_Record):
     """Common interface; see PrimeField and RationalField."""
 
     def div(self, a, b):
@@ -123,12 +124,6 @@ class PrimeField(Field):
     def spec(self) -> dict:
         return {"kind": "prime", "p": self.p}
 
-    def __eq__(self, other) -> bool:
-        return isinstance(other, PrimeField) and other.p == self.p
-
-    def __hash__(self) -> int:
-        return hash(("prime", self.p))
-
     def __repr__(self) -> str:
         return f"F_{self.p}"
 
@@ -200,12 +195,6 @@ class RationalField(Field):
 
     def spec(self) -> dict:
         return {"kind": "rational"}
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, RationalField)
-
-    def __hash__(self) -> int:
-        return hash("rational")
 
     def __repr__(self) -> str:
         return "Q"

@@ -11,6 +11,7 @@ passes ``_trusted=True`` to skip both.
 
 from __future__ import annotations
 
+from ._record import _Record
 from .fields import Field, PrimeField
 from .polynomials import _linear_grid, pmat_det
 
@@ -28,7 +29,7 @@ class SingularMatrixError(ValueError):
     """Raised when inverting a singular matrix."""
 
 
-class Matrix:
+class Matrix(_Record):
     __slots__ = ("field", "nrows", "ncols", "rows")
 
     def __init__(self, field: Field, nrows: int, ncols: int, rows, _trusted: bool = False):
@@ -73,17 +74,6 @@ class Matrix:
     def transpose(self) -> "Matrix":
         cols = zip(*self.rows) if self.nrows else [()] * self.ncols
         return Matrix(self.field, self.ncols, self.nrows, cols, _trusted=True)
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, Matrix)
-            and self.field == other.field
-            and self.shape == other.shape
-            and self.rows == other.rows
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.field, self.nrows, self.ncols, self.rows))
 
     def __repr__(self) -> str:
         body = "; ".join(" ".join(str(x) for x in row) for row in self.rows)

@@ -15,6 +15,7 @@ from fractions import Fraction
 from math import lcm
 
 from ._integers import is_prime
+from ._record import _Record
 from .fields import Field, PrimeField, QQ, RationalField
 
 
@@ -257,7 +258,7 @@ def proots(F: Field, f: list) -> list:
 # binary forms
 # ---------------------------------------------------------------------------
 
-class BinaryForm:
+class BinaryForm(_Record):
     """Homogeneous polynomial in (u, v); coeffs[i] multiplies u^i v^(degree-i).
 
     The zero form is degree 0 with the single coefficient 0.  Setting v=1
@@ -334,17 +335,6 @@ class BinaryForm:
             return False
         _, rem = pdivmod(self.field, other.univariate(), self.univariate())
         return not rem
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, BinaryForm)
-            and self.field == other.field
-            and self.degree == other.degree
-            and self.coeffs == other.coeffs
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.field, self.degree, self.coeffs))
 
     def __repr__(self) -> str:
         if self.is_zero():

@@ -22,6 +22,7 @@ import os
 from operator import mul
 from random import Random
 
+from ._record import _Record
 from .fields import Field, PrimeField, field_from_spec
 from .matrices import Matrix, canonical_alternating, random_invertible
 
@@ -73,7 +74,7 @@ def gaussian_binomial(n: int, k: int, q: int) -> int:
 # forms
 # ---------------------------------------------------------------------------
 
-class SymplecticForm:
+class SymplecticForm(_Record):
     """A nondegenerate alternating bilinear form, held as its Gram matrix."""
 
     __slots__ = ("gram",)
@@ -95,17 +96,11 @@ class SymplecticForm:
     def field(self) -> Field:
         return self.gram.field
 
-    def __eq__(self, other) -> bool:
-        return isinstance(other, SymplecticForm) and self.gram == other.gram
-
-    def __hash__(self) -> int:
-        return hash(self.gram)
-
     def __repr__(self) -> str:
         return f"SymplecticForm({self.gram!r})"
 
 
-class FormSpace:
+class FormSpace(_Record):
     """An ordered list of m symplectic forms with independent Gram matrices."""
 
     __slots__ = ("forms",)
@@ -149,12 +144,6 @@ class FormSpace:
         for c, f in zip(coefficients, self.forms):
             acc = acc.add(f.gram.scale(c))
         return acc
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, FormSpace) and self.forms == other.forms
-
-    def __hash__(self) -> int:
-        return hash(self.forms)
 
     def __repr__(self) -> str:
         return f"FormSpace(n={self.dim}, m={self.m}, {self.field})"
@@ -222,11 +211,11 @@ def random_independent_pair(n: int, field: Field, rng: Random) -> FormSpace:
 # subspaces
 # ---------------------------------------------------------------------------
 
-class Subspace:
+class Subspace(_Record):
     """A k-dimensional subspace of F^n: its canonical RREF `basis` and the
     basis's `pivots`, the increasing pivot column of each row."""
 
-    __slots__ = ("basis", "pivots", "_hash")
+    __slots__ = ("basis", "pivots")
 
     def __init__(self, basis: Matrix, _pivots: tuple[int, ...] | None = None):
         # internal callers pass the pivots of a basis they built in RREF
@@ -237,7 +226,6 @@ class Subspace:
             basis = R
         self.basis = basis
         self.pivots = _pivots
-        self._hash = hash(basis)
 
     @classmethod
     def from_span(cls, rows: Matrix) -> "Subspace":
@@ -257,12 +245,6 @@ class Subspace:
     @property
     def field(self) -> Field:
         return self.basis.field
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, Subspace) and self.basis == other.basis
-
-    def __hash__(self) -> int:
-        return self._hash
 
     def __repr__(self) -> str:
         return f"Subspace(k={self.k}, n={self.n}, {self.field})"
@@ -324,8 +306,6 @@ def random_isotropic_subspace(k: int, F: FormSpace, rng: Random) -> Subspace | N
 
     while True:
         kernel = Matrix(field, len(perp_rows), n, perp_rows, _trusted=True).kernel_basis()
-        if kernel.nrows == 0:
-            return None
         found = None
         for _ in range(_RETRIES):
             coeffs = Matrix(field, 1, kernel.nrows,

@@ -25,6 +25,7 @@ from __future__ import annotations
 import itertools
 from random import Random
 
+from ._record import _Record
 from .fields import QQ, Field, PrimeField
 from .matrices import Matrix, _pfaffian, _rank_mod_p, _skew_rank, random_matrix
 from .polynomials import (BinaryForm, _interpolate, _linear_grid, binary_form_gcd,
@@ -227,7 +228,7 @@ def _point_core(field: PrimeField, k: int, nk: int, restrictions, fault=False):
 # kernel elements
 # ---------------------------------------------------------------------------
 
-class PhiKernelElement:
+class PhiKernelElement(_Record):
     """A relation among the constraint rows, i.e. an element of ker Phi.
 
     Stored as one alternating k x k matrix per form; entry [i][j] with
@@ -280,12 +281,6 @@ class PhiKernelElement:
     def encode(self) -> list:
         return [M.encode() for M in self.matrices]
 
-    def __eq__(self, other) -> bool:
-        return isinstance(other, PhiKernelElement) and self.matrices == other.matrices
-
-    def __hash__(self) -> int:
-        return hash(self.matrices)
-
     def __repr__(self) -> str:
         return f"PhiKernelElement(k={self.k}, m={self.m})"
 
@@ -335,33 +330,6 @@ def decode_kernel_element(
         if j_V(ctx, gen) != zero:
             verified = False
     return generators, verified
-
-
-# ---------------------------------------------------------------------------
-# result records
-# ---------------------------------------------------------------------------
-
-class _Record:
-    """Equality, hash and repr over the fields named in `__slots__`, for the
-    plain result classes below; `dataclasses` would cost every CLI start
-    its import.  A record holding a list is unhashable, as its fields are."""
-
-    __slots__ = ()
-
-    def _fields(self) -> tuple:
-        return tuple(getattr(self, name) for name in self.__slots__)
-
-    def __eq__(self, other) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._fields() == other._fields()
-
-    def __hash__(self) -> int:
-        return hash(self._fields())
-
-    def __repr__(self) -> str:
-        body = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
-        return f"{type(self).__name__}({body})"
 
 
 # ---------------------------------------------------------------------------

@@ -289,7 +289,7 @@ def test_verify_budget_exceeded_exit2():
 
 
 def test_verify_budget_exceeded_exit2_in_pool_workers():
-    # two pairs so the pool really runs; the refusal comes from the workers
+    # two pairs at two workers; the parent refuses the run before any pool starts
     code, out, err = run_cli("verify", "--n", "4", "--k", "2", "--p", "3",
                              "--pairs", "2", "--scope", "exhaustive",
                              "--workers", "2", env={"MSGKIT_BUDGET": "10"})
@@ -306,7 +306,12 @@ def test_verify_budget_exceeded_exit2_in_pool_workers():
      "--pairs", "100000000"),
     ("verify", "--n", "4", "--k", "2", "--p", "3", "--pairs", "100000000"),
     ("verify", "--n", "100000", "--k", "50000", "--p", "3", "--pairs", "1"),
-], ids=["scan-n", "sampled-pairs", "exhaustive-pairs", "exhaustive-n"])
+    # a drawn form costs n^3, so these are over the budget though n^2 is not
+    ("scan", "--n", "1000", "--k", "1", "--m", "1", "--p", "3", "--samples", "1"),
+    ("verify", "--n", "1000", "--k", "1", "--p", "3", "--scope", "sampled", "--samples", "1",
+     "--pairs", "1"),
+], ids=["scan-n", "sampled-pairs", "exhaustive-pairs", "exhaustive-n", "scan-n-cubed",
+        "sampled-n-cubed"])
 def test_oversized_runs_exit_2_before_any_work(argv, workers):
     # the whole run is sized against the budget before a pencil is drawn
     code, out, err = run_cli(*argv, "--workers", workers, timeout=10)

@@ -7,6 +7,8 @@ from hypothesis import example, given, settings, strategies as st
 
 from msgkit import (
     EigenspaceReport,
+    Field,
+    FieldMismatchError,
     FormSpace,
     Matrix,
     MismatchRecord,
@@ -14,6 +16,7 @@ from msgkit import (
     PointContext,
     PrimeField,
     QQ,
+    RationalField,
     SingularMatrixError,
     Subspace,
     SymplecticForm,
@@ -82,6 +85,50 @@ def test_result_records_keep_keywords_defaults_and_field_equality():
     assert VerifyReport([3], []) == VerifyReport(pair_points=[3], mismatches=[])
     assert VerifyReport([3], []).points_checked == 3
     assert a != VerifyReport([3], []) and "tangent_dim=2" in repr(a)
+
+
+def _value_cases():
+    """(two equal values built apart, a different value of the same type or
+    None, an object of another class) for every value type."""
+    F3 = PrimeField(3)
+
+    def M(rows):
+        return Matrix(F3, len(rows), len(rows[0]), rows)
+
+    J = standard_form(4, F3)
+    J2 = SymplecticForm(J.gram.scale(2))
+    K = SymplecticForm(half_standard_gram(F3))
+    A = M([[0, 1], [2, 0]])
+    return {
+        "F_3": (PrimeField(3), PrimeField(3), PrimeField(5), QQ),
+        "Q": (RationalField(), QQ, None, F3),
+        "Matrix": (M([[1, 2], [0, 1]]), M([[1, 2], [0, 1]]), M([[1, 2], [0, 2]]),
+                   [[1, 2], [0, 1]]),
+        "SymplecticForm": (standard_form(4, F3), J, J2, J.gram),
+        "FormSpace": (FormSpace([J, K]), FormSpace([standard_form(4, F3), K]),
+                      FormSpace([K, J]), (J, K)),
+        "Subspace": (Subspace(M([[1, 0, 1, 0], [0, 1, 0, 1]])),
+                     Subspace(M([[1, 1, 1, 1], [0, 2, 0, 2]])),
+                     Subspace(M([[1, 0, 0, 0], [0, 1, 0, 0]])),
+                     M([[1, 0, 1, 0], [0, 1, 0, 1]])),
+        "BinaryForm": (BinaryForm(F3, 2, [1, 0, 1]), BinaryForm(F3, 2, [1, 0, 1]),
+                       BinaryForm(F3, 2, [1, 1, 1]), (1, 0, 1)),
+        "PhiKernelElement": (PhiKernelElement([A]), PhiKernelElement([M([[0, 1], [2, 0]])]),
+                             PhiKernelElement([A.scale(2)]), (A,)),
+    }
+
+
+@pytest.mark.parametrize("name", list(_value_cases()))
+def test_value_types_are_equal_and_hash_equal_by_their_fields(name):
+    a, b, other, foreign = _value_cases()[name]
+    assert a is not b
+    assert a == b and hash(a) == hash(b) and not a != b
+    if other is not None:
+        assert a != other and not a == other
+    assert a != foreign and foreign != a and not a == foreign
+    if isinstance(a, Field):
+        with pytest.raises(FieldMismatchError):
+            a.require_same(foreign)
 
 
 def test_msg_expected_dim():
