@@ -22,10 +22,13 @@ import json
 import os
 import re
 import sys
+from collections import Counter
+from functools import partial
+from math import prod
 from random import Random
 
 from . import __version__
-from .fields import Field, PrimeField, QQ, _digit_limit_error, field_from_spec
+from .fields import Field, PrimeField, QQ, _digit_limit_error, _shown, field_from_spec
 from .matrices import Matrix, canonical_alternating, skew_normal_form
 from .numerology import VARIANTS, _rho, rho2_special
 from .symplectic import (
@@ -39,14 +42,7 @@ from .symplectic import (
     random_form_space,
     random_isotropic_subspace,
 )
-from .tangent import (
-    PointContext,
-    _sampling_rng,
-    _seeded_pencil,
-    msg_expected_dim,
-    tangent_report,
-    verify_pair,
-)
+from .tangent import PointContext, _verify_seeded_pair, msg_expected_dim, tangent_report
 
 _SEED_RULE = "splitmix64(seed, index)"
 
@@ -97,33 +93,39 @@ def _field_from_args(args) -> Field:
 # rho
 # ---------------------------------------------------------------------------
 
-_RANGE_RE = re.compile(r"^(-?\d+)\.\.(-?\d+)$")
+_SPAN_RE = re.compile(r"^([+-]?\d+)(?:\.\.([+-]?\d+))?$")
 _LINEAR_RE = re.compile(r"^([+-]?\d*)g([+-]\d+)?$")
 
 
-def _parse_span(text: str, name: str) -> list[int]:
-    """An integer or an inclusive range 'a..b'."""
-    m = _RANGE_RE.match(text)
-    if m:
-        lo, hi = int(m.group(1)), int(m.group(2))
-        if hi < lo:
-            raise ValueError(f"--{name}: empty range {text!r}")
-        return list(range(lo, hi + 1))
+def _flag_int(text: str, name: str, whole: str) -> int:
     try:
-        return [int(text)]
-    except ValueError:
-        raise ValueError(f"--{name}: expected an integer or 'a..b', got {text!r}") from None
+        return int(text)
+    except ValueError:  # the flag's grammar passed, so only the digit limit is left
+        raise _digit_limit_error(f"--{name}", whole) from None
+
+
+def _parse_span(text: str, name: str) -> range:
+    """An integer or an inclusive range 'a..b'."""
+    m = _SPAN_RE.match(text)
+    if not m:
+        raise ValueError(f"--{name}: expected an integer or 'a..b', got {_shown(text)}")
+    lo = _flag_int(m.group(1), name, text)
+    hi = lo if m.group(2) is None else _flag_int(m.group(2), name, text)
+    if hi < lo:
+        raise ValueError(f"--{name}: empty range {_shown(text)}")
+    return range(lo, hi + 1)
 
 
 def _parse_degree(text: str):
-    """Degree flag: integer, range, or a linear expression in g like '2g-2'."""
+    """Degree flag: an integer or range, or the (coefficient, offset) of a
+    linear expression in g like '2g-2'."""
     m = _LINEAR_RE.match(text.replace(" ", ""))
     if m:
         coef_txt = m.group(1)
-        coef = 1 if coef_txt in ("", "+") else -1 if coef_txt == "-" else int(coef_txt)
-        off = int(m.group(2)) if m.group(2) else 0
-        return ("linear", coef, off)
-    return ("values", _parse_span(text, "d"))
+        coef = 1 if coef_txt in ("", "+") else -1 if coef_txt == "-" else _flag_int(
+            coef_txt, "d", text)
+        return coef, _flag_int(m.group(2), "d", text) if m.group(2) else 0
+    return _parse_span(text, "d")
 
 
 def cmd_rho(args) -> int:
@@ -131,19 +133,19 @@ def cmd_rho(args) -> int:
     ks = _parse_span(args.k, "k")
     gs = _parse_span(args.g, "g")
     ms = _parse_span(args.m, "m") if args.m is not None else [None]
-    dspec = _parse_degree(args.d)
+    ds = _parse_degree(args.d)
     variants = [args.variant] if args.variant else list(VARIANTS)
-    if args.m is not None and any(m is not None and m < 1 for m in ms):
+    if args.m is not None and ms[0] < 1:
         raise ValueError("--m must be >= 1")
+    # the grid is sized before any row is built, with one d per g when d is
+    # linear in g; a range's length may pass ssize_t, so it is not len()
+    size = prod(s.stop - s.start for s in (rs, ks, gs, ms, ds) if isinstance(s, range))
+    _require_budget(size, f"a rho grid of {size} rows", enumeration_budget())
 
     rows = []
     for g in gs:
-        if dspec[0] == "linear":
-            ds = [dspec[1] * g + dspec[2]]
-        else:
-            ds = dspec[1]
         for r in rs:
-            for d in ds:
+            for d in ds if isinstance(ds, range) else [ds[0] * g + ds[1]]:
                 for k in ks:
                     for m in ms:
                         row = {"r": r, "d": d, "k": k, "g": g}
@@ -202,20 +204,18 @@ def cmd_check_point(args) -> int:
 # scan
 # ---------------------------------------------------------------------------
 
-def _scan_sample(payload: dict) -> dict:
-    """One scan sample; pure function of (field, n, k, m, seed, index)."""
-    field = field_from_spec(payload["field"])
-    rng = Random(derive_seed(payload["seed"], payload["index"]))
-    fs = random_form_space(payload["n"], payload["m"], field, rng)
-    V = random_isotropic_subspace(payload["k"], fs, rng)
-    if V is None:
-        return {"exhausted": True}
-    report = tangent_report(PointContext(V, fs), pencil=False)
-    return {"exhausted": False, "excess": report.excess()}
+def _scan_sample(field: Field, n: int, k: int, m: int, seed: int, index: int) -> int | None:
+    """Sample `index` of a seeded scan: the excess dimension of a random
+    point, or None when the sampler stalls."""
+    rng = Random(derive_seed(seed, index))
+    fs = random_form_space(n, m, field, rng)
+    V = random_isotropic_subspace(k, fs, rng)
+    return None if V is None else tangent_report(PointContext(V, fs), pencil=False).excess()
 
 
-def _run_tasks(worker, payloads: list[dict], workers: int) -> list[dict]:
-    """Order-preserving map, optionally across a process pool.
+def _run_tasks(worker, tasks, workers: int) -> list:
+    """`worker` mapped over `tasks` (sample or pair indices) in order,
+    optionally across a process pool.
 
     The pool never outnumbers the tasks or the CPUs: a fork-started pool
     starts all of its processes at once.  Chunks of a quarter of each
@@ -223,13 +223,13 @@ def _run_tasks(worker, payloads: list[dict], workers: int) -> list[dict]:
     """
     if workers < 1:
         raise ValueError("--workers must be >= 1")
-    workers = min(workers, len(payloads), os.cpu_count() or 1)
+    workers = min(workers, len(tasks), os.cpu_count() or 1)
     if workers <= 1:
-        return [worker(p) for p in payloads]
+        return [worker(t) for t in tasks]
     import concurrent.futures  # here, so that a serial run never pays its import
 
     with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(worker, payloads, chunksize=-(-len(payloads) // (4 * workers))))
+        return list(pool.map(worker, tasks, chunksize=-(-len(tasks) // (4 * workers))))
 
 
 def cmd_scan(args) -> int:
@@ -243,22 +243,10 @@ def cmd_scan(args) -> int:
     _require_budget(args.samples * args.m * args.n ** 3,
                     f"scanning {args.samples} samples x {args.m} forms x n^3 = {args.n ** 3}",
                     enumeration_budget())
-    payloads = [
-        {"field": field.spec(), "n": args.n, "k": args.k, "m": args.m,
-         "seed": args.seed, "index": i}
-        for i in range(args.samples)
-    ]
-    results = _run_tasks(_scan_sample, payloads, args.workers)
-    histogram: dict[str, int] = {}
-    exhausted = 0
-    points = 0
-    for res in results:
-        if res["exhausted"]:
-            exhausted += 1
-            continue
-        points += 1
-        key = str(res["excess"])
-        histogram[key] = histogram.get(key, 0) + 1
+    excesses = _run_tasks(partial(_scan_sample, field, args.n, args.k, args.m, args.seed),
+                          range(args.samples), args.workers)
+    histogram = Counter(str(e) for e in excesses if e is not None)
+    points = sum(histogram.values())
     _dump({
         "command": "scan",
         "version": __version__,
@@ -266,9 +254,9 @@ def cmd_scan(args) -> int:
         "input": {"n": args.n, "k": args.k, "m": args.m, "field": field.spec(),
                   "samples": args.samples, "seed": args.seed},
         "points": points,
-        "sampler_exhausted": exhausted,
+        "sampler_exhausted": args.samples - points,
         "expected_dim": expected,
-        "expected_dim_count": histogram.get("0", 0),
+        "expected_dim_count": histogram["0"],
         "excess_dim_histogram": histogram,
         "seeds": {"root": args.seed, "derivation": _SEED_RULE},
     }, args)
@@ -279,16 +267,12 @@ def cmd_scan(args) -> int:
 # verify
 # ---------------------------------------------------------------------------
 
-def _verify_one_pair(payload: dict) -> dict:
-    """Pool worker: pair `index` of the seeded run, as `verify_thm_equivalence` draws it."""
-    seed, index = payload["seed"], payload["index"]
-    fs = _seeded_pencil(payload["n"], field_from_spec(payload["field"]), seed, index)
-    points, mismatches = verify_pair(
-        fs, payload["k"], scope=payload["scope"], rng=_sampling_rng(seed, index),
-        samples=payload["samples"], budget=payload["budget"], fault=payload["fault"])
+def _verify_one_pair(n: int, k: int, field: Field, seed: int, index: int, **options):
+    """Pair `index` of the seeded run, checked as `verify_thm_equivalence`
+    checks it: (points, encoded mismatches)."""
+    fs, points, mismatches = _verify_seeded_pair(n, k, field, seed, index, **options)
     forms = [g.encode() for g in fs.grams()]
-    return {"points": points,
-            "mismatches": [{"forms": forms, **rec.encode()} for rec in mismatches]}
+    return points, [{"forms": forms, **rec.encode()} for rec in mismatches]
 
 
 def cmd_verify(args) -> int:
@@ -299,8 +283,8 @@ def cmd_verify(args) -> int:
         raise ValueError("--samples must be >= 1")
     if not 1 <= args.k <= args.n // 2:
         raise ValueError(f"need 1 <= k <= n/2, got k={args.k}, n={args.n}")
-    # the budget is read and the whole run sized here, before any payload is
-    # built or any pool starts, so a malformed MSGKIT_BUDGET fails in both scopes
+    # the budget is read and the whole run sized here, before any pencil is
+    # drawn or any pool starts, so a malformed MSGKIT_BUDGET fails in both scopes
     budget = enumeration_budget()
     if args.scope == "sampled":
         each, what = args.samples * args.n ** 3, f"steps ({args.samples} samples x n^3)"
@@ -309,22 +293,10 @@ def cmd_verify(args) -> int:
     else:  # C(n, k)_p >= p^(k(n-k)) > 2^(k(n-k)) > budget: not multiplied out
         each, what = budget + 1, "or more subspaces"
     _require_budget(args.pairs * each, f"verifying {args.pairs} pairs x {each} {what}", budget)
-    payloads = [
-        {"field": field.spec(), "n": args.n, "k": args.k, "seed": args.seed,
-         "index": i, "scope": args.scope, "samples": args.samples,
-         "budget": budget, "fault": args.inject_fault}
-        for i in range(args.pairs)
-    ]
-    results = _run_tasks(_verify_one_pair, payloads, args.workers)
-    mismatches = []
-    per_pair = []
-    points_checked = 0
-    for i, res in enumerate(results):
-        points_checked += res["points"]
-        per_pair.append({"pair": i, "points": res["points"],
-                         "mismatches": len(res["mismatches"])})
-        for rec in res["mismatches"]:
-            mismatches.append({"pair": i, **rec})
+    task = partial(_verify_one_pair, args.n, args.k, field, args.seed, scope=args.scope,
+                   samples=args.samples, budget=budget, fault=args.inject_fault)
+    results = _run_tasks(task, range(args.pairs), args.workers)
+    mismatches = [{"pair": i, **rec} for i, (_, recs) in enumerate(results) for rec in recs]
     _dump({
         "command": "verify",
         "version": __version__,
@@ -333,9 +305,10 @@ def cmd_verify(args) -> int:
                   "scope": args.scope, "samples": args.samples,
                   "seed": args.seed, "inject_fault": args.inject_fault},
         "pairs_checked": len(results),
-        "points_checked": points_checked,
+        "points_checked": sum(points for points, _ in results),
         "mismatch_count": len(mismatches),
-        "per_pair": per_pair,
+        "per_pair": [{"pair": i, "points": points, "mismatches": len(recs)}
+                     for i, (points, recs) in enumerate(results)],
         "mismatches": mismatches,
         "seeds": {"root": args.seed, "derivation": _SEED_RULE},
     }, args)

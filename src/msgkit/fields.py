@@ -53,7 +53,7 @@ class Field(_Record):
         return self.mul(a, self.inv(b))
 
     def require_same(self, other: "Field") -> None:
-        if self != other:
+        if other is not self and self != other:
             raise FieldMismatchError(f"mixed fields: {self} vs {other}")
 
     # subclasses provide: element, zero, one, add, sub, mul, neg, inv, pow,

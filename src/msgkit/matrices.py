@@ -84,12 +84,8 @@ class Matrix(_Record):
 
     # -- arithmetic ---------------------------------------------------------
 
-    def _check_same_field(self, other: "Matrix") -> None:
-        if other.field is not self.field:
-            self.field.require_same(other.field)
-
     def add(self, other: "Matrix") -> "Matrix":
-        self._check_same_field(other)
+        self.field.require_same(other.field)
         if self.shape != other.shape:
             raise ValueError(f"shape mismatch: {self.shape} + {other.shape}")
         F = self.field
@@ -112,7 +108,7 @@ class Matrix(_Record):
                       [[F.mul(c, x) for x in row] for row in self.rows], _trusted=True)
 
     def mul(self, other: "Matrix") -> "Matrix":
-        self._check_same_field(other)
+        self.field.require_same(other.field)
         if self.ncols != other.nrows:
             raise ValueError(f"shape mismatch: {self.shape} * {other.shape}")
         F = self.field
@@ -144,14 +140,14 @@ class Matrix(_Record):
     __matmul__ = mul
 
     def stack(self, other: "Matrix") -> "Matrix":
-        self._check_same_field(other)
+        self.field.require_same(other.field)
         if self.ncols != other.ncols:
             raise ValueError("column counts differ")
         return Matrix(self.field, self.nrows + other.nrows, self.ncols,
                       self.rows + other.rows, _trusted=True)
 
     def hstack(self, other: "Matrix") -> "Matrix":
-        self._check_same_field(other)
+        self.field.require_same(other.field)
         if self.nrows != other.nrows:
             raise ValueError("row counts differ")
         return Matrix(self.field, self.nrows, self.ncols + other.ncols,

@@ -618,11 +618,6 @@ def _seeded_pencil(n: int, field: Field, seed: int, index: int) -> FormSpace:
     return random_independent_pair(n, field, Random(derive_seed(seed, index)))
 
 
-def _sampling_rng(seed: int, index: int) -> Random:
-    """The point-sampling stream of pair `index`, apart from its pencil's stream."""
-    return Random(derive_seed(seed, index) ^ 0xA5A5A5A5)
-
-
 def verify_pair(
     fs: FormSpace,
     k: int,
@@ -688,6 +683,17 @@ def verify_pair(
     return points, mismatches
 
 
+def _verify_seeded_pair(n: int, k: int, field: Field, seed: int, index: int,
+                        fs: FormSpace | None = None, **options):
+    """Pair `index` of a seeded run: `verify_pair` over `fs`, or over the pencil
+    drawn from the derived seed (seed, index), with points sampled from a
+    stream apart from the pencil's.  Returns (fs, points, mismatches)."""
+    if fs is None:
+        fs = _seeded_pencil(n, field, seed, index)
+    rng = Random(derive_seed(seed, index) ^ 0xA5A5A5A5)
+    return (fs, *verify_pair(fs, k, rng=rng, **options))
+
+
 def verify_thm_equivalence(
     n: int,
     k: int,
@@ -709,7 +715,7 @@ def verify_thm_equivalence(
     ValueError instead of passing vacuously.
     """
     if isinstance(pairs, int):
-        pair_list = [_seeded_pencil(n, field, seed, i) for i in range(pairs)]
+        pair_list = [None] * pairs  # each drawn as its turn comes
     else:
         pair_list = list(pairs)
         for fs in pair_list:
@@ -718,9 +724,9 @@ def verify_thm_equivalence(
     if not pair_list:
         raise ValueError("verification needs at least one pair")
     report = VerifyReport(pair_points=[], mismatches=[])
-    for idx, fs in enumerate(pair_list):
-        points, mismatches = verify_pair(
-            fs, k, scope=scope, rng=_sampling_rng(seed, idx), samples=samples_per_pair,
+    for idx, given in enumerate(pair_list):
+        fs, points, mismatches = _verify_seeded_pair(
+            n, k, field, seed, idx, given, scope=scope, samples=samples_per_pair,
             budget=budget, fault=fault)
         report.pair_points.append(points)
         report.mismatches.extend((idx, fs, rec) for rec in mismatches)

@@ -92,6 +92,30 @@ def test_rho_bad_range_exits_2():
     assert "expected an integer" in err
 
 
+@pytest.mark.parametrize("k, g, budget", [
+    ("0..1", "2..200", "100"),  # 2 x 199 = 398 rows
+    ("2", "2..100000000000", None),
+    ("2", "0..99999999999999999999999999999", None),  # longer than a C ssize_t counts
+], ids=["398-rows", "1e11-rows", "1e29-rows"])
+def test_rho_grid_over_the_budget_exits_2_before_any_row_is_built(k, g, budget):
+    code, out, err = run_cli("rho", "--r", "2", "--d", "8", "--k", k, "--g", g,
+                             env=budget and {"MSGKIT_BUDGET": budget}, timeout=10)
+    assert (code, out) == (2, "")
+    assert "budget" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("flag, text", [
+    ("--g", "9" * 6000), ("--g", "2.." + "9" * 6000), ("--d", "9" * 6000 + "g-2"),
+    ("--d", "2g-" + "9" * 6000), ("--g", "x" * 6000)],
+    ids=["g-digits", "g-range-digits", "d-coefficient-digits", "d-offset-digits", "g-letters"])
+def test_rho_overlong_flag_exits_2_with_a_short_message(flag, text):
+    argv = {"--r": "2", "--d": "8", "--k": "2", "--g": "5", flag: text}
+    code, out, err = run_cli("rho", *[x for item in argv.items() for x in item])
+    assert (code, out) == (2, "")
+    assert len(err) < 200 and "Traceback" not in err
+    assert ("expected an integer" if text[0] == "x" else "digits per integer") in err
+
+
 # --- check-point -----------------------------------------------------------------
 
 def test_check_point_degenerate_file():
@@ -229,6 +253,24 @@ def test_scan_deterministic_bytes():
     code2, out2, _ = run_cli(*args)
     assert code1 == code2 == 0
     assert out1 == out2
+
+
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_scan_golden_at_one_and_two_workers(workers):
+    # pins the histogram and the stall count: 22 points, 38 stalls
+    code, out, _ = run_cli("scan", "--n", "6", "--k", "3", "--m", "2", "--p", "3",
+                           "--samples", "60", "--seed", "1", "--workers", workers)
+    assert code == 0
+    golden_compare("scan_n6_k3_m2_p3_seed1.json", out)
+
+
+def test_rational_scan_bytes_agree_across_workers():
+    # pool workers compute over an unpickled copy of QQ, not QQ itself
+    args = ("scan", "--n", "4", "--k", "2", "--m", "2", "--field", "rational",
+            "--samples", "30", "--seed", "1")
+    serial, pooled = (run_cli(*args, "--workers", w) for w in ("1", "2"))
+    assert serial == pooled
+    assert serial[0] == 0 and json.loads(serial[1])["points"] > 0
 
 
 def test_scan_m1_zero_excess():

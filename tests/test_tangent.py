@@ -43,6 +43,7 @@ from msgkit import (
     verify_thm_equivalence,
 )
 from msgkit import tangent
+from msgkit._record import _Record
 from msgkit.matrices import _pfaffian
 from msgkit.polynomials import BinaryForm, _linear_grid, pdeg, peval, pgcd, pmat_det, pmul, proots
 from msgkit.symplectic import _isotropic_points
@@ -129,6 +130,18 @@ def test_value_types_are_equal_and_hash_equal_by_their_fields(name):
     if isinstance(a, Field):
         with pytest.raises(FieldMismatchError):
             a.require_same(foreign)
+
+
+@pytest.mark.parametrize("F", [PrimeField(3), QQ], ids=["F_3", "Q"])
+def test_require_same_passes_one_field_without_comparing_it(monkeypatch, F):
+    def no_comparison(self, other):
+        raise AssertionError("compared a field with itself")
+
+    monkeypatch.setattr(_Record, "__eq__", no_comparison)
+    F.require_same(F)
+    A = Matrix(F, 2, 2, [[1, 2], [0, 1]])
+    assert A.add(A).rows == A.scale(2).rows
+    assert A.mul(A).rows == ((1, F.element(4)), (0, 1))
 
 
 def test_msg_expected_dim():
