@@ -1,0 +1,94 @@
+"""F_p kernels on lists of plain-int rows of residues in [0, p), trusted as
+given: `Matrix` calls them for its F_p branches, and the sampler on rows."""
+
+from __future__ import annotations
+
+from operator import mul as _times
+
+
+def draw(rng, p: int, count: int) -> list[int]:
+    """`count` values of `rng.randrange(p)`: its own getrandbits loop, without its frames."""
+    bits, getrandbits, out = p.bit_length(), rng.getrandbits, []
+    for _ in range(count):
+        r = getrandbits(bits)
+        while r >= p:
+            r = getrandbits(bits)
+        out.append(r)
+    return out
+
+
+def mul(p: int, A, B) -> list[list[int]]:
+    """A B, one dot product per entry, reduced once; B has at least one row."""
+    cols = list(zip(*B))
+    return [[sum(map(_times, row, col)) % p for col in cols] for row in A]
+
+
+def rref(p: int, rows) -> tuple[list[list[int]], tuple[int, ...]]:
+    """The nonzero RREF rows and their pivots.  Each row is reduced by the kept RREF of
+    the rows before it, scaled and cleared from it, until every column has a pivot.
+    An RREF depends only on the row space, so this is the one `Matrix.rref` gives."""
+    kept = {}  # pivot column: its row
+    for v in rows:
+        if len(kept) == len(v):
+            break
+        for c, row in kept.items():
+            f = v[c]
+            if f:
+                v = [(x - f * y) % p for x, y in zip(v, row)]
+        for c, x in enumerate(v):
+            if x:
+                break
+        else:
+            continue
+        if x != 1:
+            f = pow(x, p - 2, p)
+            v = [f * y % p for y in v]
+        for pc, row in kept.items():
+            f = row[c]
+            if f:
+                kept[pc] = [(x - f * y) % p for x, y in zip(row, v)]
+        kept[c] = list(v)
+    pivots = sorted(kept)
+    return [kept[c] for c in pivots], tuple(pivots)
+
+
+def kernel(p: int, rows, pivots, n: int) -> list[list[int]]:
+    """The null space basis `Matrix.kernel_basis` reads off RREF `rows` with `pivots`:
+    per free column, a 1 there and minus that column of the rows at the pivots."""
+    out = []
+    for fc in sorted(set(range(n)).difference(pivots)):
+        v = [0] * n
+        v[fc] = 1
+        for row, pc in zip(rows, pivots):
+            v[pc] = -row[fc] % p
+        out.append(v)
+    return out
+
+
+def rank(p: int, rows) -> int:
+    """Rank by forward elimination alone: a pivot clears its column in the other
+    rows, every row then drops that leading column, and zero rows drop out."""
+    rows, count = [r for r in rows if any(r)], 0
+    while rows:
+        for i, pivot in enumerate(rows):
+            if pivot[0]:
+                break
+        else:  # a zero leading column holds no pivot
+            rows = [r[1:] for r in rows]
+            continue
+        del rows[i]
+        inv = pow(pivot[0], p - 2, p)
+        tail = pivot[1:]
+        rest = []
+        for r in rows:
+            f = r[0]
+            if f:
+                f = f * inv % p
+                r = [(x - f * y) % p for x, y in zip(r[1:], tail)]
+            else:
+                r = r[1:]
+            if any(r):
+                rest.append(r)
+        rows = rest
+        count += 1
+    return count

@@ -24,6 +24,7 @@ import re
 import sys
 from collections import Counter
 from functools import partial
+from itertools import chain, product
 from math import prod
 from random import Random
 
@@ -48,17 +49,17 @@ _SEED_RULE = "splitmix64(seed, index)"
 
 
 def _dump(payload: dict, args) -> None:
-    text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
-    _write_text(text, args)
+    _write_lines([json.dumps(payload, indent=2, sort_keys=True) + "\n"], args)
 
 
-def _write_text(text: str, args) -> None:
+def _write_lines(lines, args) -> None:
+    """Write the strings of `lines` to --output or stdout, each as it is made."""
     out = getattr(args, "output", None)
     if out:
         with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+            fh.writelines(lines)
     else:
-        sys.stdout.write(text)
+        sys.stdout.writelines(lines)
 
 
 def _fail(message: str) -> int:
@@ -142,40 +143,37 @@ def cmd_rho(args) -> int:
     size = prod(s.stop - s.start for s in (rs, ks, gs, ms, ds) if isinstance(s, range))
     _require_budget(size, f"a rho grid of {size} rows", enumeration_budget())
 
-    rows = []
-    for g in gs:
-        for r in rs:
-            for d in ds if isinstance(ds, range) else [ds[0] * g + ds[1]]:
-                for k in ks:
-                    for m in ms:
-                        row = {"r": r, "d": d, "k": k, "g": g}
-                        for variant in variants:
-                            row[f"rho_{variant}"] = _rho(variant, r, d, k, g)
-                        if m is not None:
-                            row["m"] = m
-                            if r != 2:
-                                raise ValueError("--m applies to r = 2 only")
-                            for variant in variants:
-                                row[f"rho2_special_{variant}"] = rho2_special(
-                                    d, k, g, m, variant)
-                        rows.append(row)
+    def rows():
+        for g, r in product(gs, rs):
+            for d, k, m in product(ds if isinstance(ds, range) else [ds[0] * g + ds[1]], ks, ms):
+                row = {"r": r, "d": d, "k": k, "g": g}
+                row.update((f"rho_{v}", _rho(v, r, d, k, g)) for v in variants)
+                if m is not None:
+                    row["m"] = m
+                    row.update((f"rho2_special_{v}", rho2_special(d, k, g, m, v))
+                               for v in variants)
+                yield row
 
-    if args.format == "plain" and len(rows) == 1 and len(variants) == 1 and args.m is None:
-        _write_text(f"{rows[0][f'rho_{variants[0]}']}\n", args)
+    # all checks pass before any output: the first row has the least r, k and g
+    table = rows()
+    first = next(table)
+    if args.m is not None and rs != range(2, 3):
+        raise ValueError("--m applies to r = 2 only")
+    if args.format == "plain" and size == 1 and len(variants) == 1 and args.m is None:
+        _write_lines([f"{first[f'rho_{variants[0]}']}\n"], args)
         return 0
     if args.format in ("plain", "csv"):
         sep = "\t" if args.format == "plain" else ","
-        cols = sorted({c for row in rows for c in row})
-        lines = [sep.join(cols)]
-        lines += [sep.join(str(row.get(c, "")) for c in cols) for row in rows]
-        _write_text("\n".join(lines) + "\n", args)
+        cols = sorted(first)
+        lines = (sep.join(str(row[c]) for c in cols) + "\n" for row in chain([first], table))
+        _write_lines(chain([sep.join(cols) + "\n"], lines), args)
         return 0
     _dump({
         "command": "rho",
         "version": __version__,
         "input": {"r": args.r, "d": args.d, "k": args.k, "g": args.g,
                   "m": args.m, "variant": args.variant},
-        "rows": rows,
+        "rows": [first, *table],
     }, args)
     return 0
 

@@ -11,6 +11,8 @@ passes ``_trusted=True`` to skip both.
 
 from __future__ import annotations
 
+from . import _fp
+from ._fp import rank as _rank_mod_p
 from ._record import _Record
 from .fields import Field, PrimeField
 from .polynomials import _linear_grid, pmat_det
@@ -112,28 +114,16 @@ class Matrix(_Record):
         if self.ncols != other.nrows:
             raise ValueError(f"shape mismatch: {self.shape} * {other.shape}")
         F = self.field
-        brows = other.rows
-        if isinstance(F, PrimeField):
-            # unboxed residues: accumulate in plain ints, reduce once per entry
-            p = F.p
-            out = []
-            for arow in self.rows:
-                acc = [0] * other.ncols
-                for k, a in enumerate(arow):
-                    if a:
-                        br = brows[k]
-                        for j in range(other.ncols):
-                            acc[j] += a * br[j]
-                out.append([v % p for v in acc])
-            return Matrix(F, self.nrows, other.ncols, out, _trusted=True)
+        if isinstance(F, PrimeField) and other.nrows:
+            return Matrix(F, self.nrows, other.ncols, _fp.mul(F.p, self.rows, other.rows),
+                          _trusted=True)
         add, mul, zero = F.add, F.mul, F.zero
         out = []
         for arow in self.rows:
             acc = [zero] * other.ncols
-            for k, a in enumerate(arow):
+            for a, brow in zip(arow, other.rows):
                 if a:
-                    br = brows[k]
-                    acc = [add(acc[j], mul(a, br[j])) for j in range(other.ncols)]
+                    acc = [add(x, mul(a, y)) for x, y in zip(acc, brow)]
             out.append(acc)
         return Matrix(F, self.nrows, other.ncols, out, _trusted=True)
 
@@ -158,46 +148,36 @@ class Matrix(_Record):
     def rref(self) -> tuple["Matrix", int, tuple[int, ...]]:
         """Reduced row echelon form, rank, and pivot columns."""
         F = self.field
-        # over F_p, update plain int residues in place of boxed field calls
-        p = F.p if isinstance(F, PrimeField) else None
-        sub, mul, one = F.sub, F.mul, F.one
-        rows = [list(r) for r in self.rows]
         m, n = self.nrows, self.ncols
-        pivots = []
-        r = 0
+        if isinstance(F, PrimeField):
+            rows, pivots = _fp.rref(F.p, self.rows)
+            rows += [[0] * n] * (m - len(rows))
+            return Matrix(F, m, n, rows, _trusted=True), len(pivots), pivots
+        sub, mul = F.sub, F.mul
+        rows, pivots = [list(r) for r in self.rows], []
         for c in range(n):
+            r = len(pivots)
             if r == m:
                 break
-            pr = None
             for i in range(r, m):
                 if rows[i][c]:
-                    pr = i
                     break
-            if pr is None:
+            else:
                 continue
-            rows[r], rows[pr] = rows[pr], rows[r]
-            head = rows[r][c]
-            if head != one:
-                if p:
-                    f = pow(head, p - 2, p)
-                    rows[r] = [f * x % p for x in rows[r]]
-                else:
-                    f = F.inv(head)
-                    rows[r] = [mul(f, x) for x in rows[r]]
-            pivot_row = rows[r]
-            for i in range(m):
-                f = rows[i][c]
+            rows[r], rows[i] = rows[i], rows[r]
+            if rows[r][c] != F.one:
+                f = F.inv(rows[r][c])
+                rows[r] = [mul(f, x) for x in rows[r]]
+            pivot = rows[r]
+            for i, row in enumerate(rows):
+                f = row[c]
                 if f and i != r:
-                    if p:
-                        rows[i] = [(x - f * y) % p for x, y in zip(rows[i], pivot_row)]
-                    else:
-                        rows[i] = [sub(x, mul(f, y)) for x, y in zip(rows[i], pivot_row)]
+                    rows[i] = [sub(x, mul(f, y)) for x, y in zip(row, pivot)]
             pivots.append(c)
-            r += 1
-        return Matrix(F, m, n, rows, _trusted=True), r, tuple(pivots)
+        return Matrix(F, m, n, rows, _trusted=True), len(pivots), tuple(pivots)
 
     def rank(self) -> int:
-        """Number of pivots; over F_p by `_rank_mod_p`."""
+        """Number of pivots; over F_p by `_fp.rank`, imported as `_rank_mod_p`."""
         if isinstance(self.field, PrimeField):
             return _rank_mod_p(self.field.p, self.rows)
         return self.rref()[1]
@@ -208,19 +188,16 @@ class Matrix(_Record):
         Each basis vector carries a 1 at one free column and zeros at the
         others, so the rows are independent by construction.
         """
-        F = self.field
-        neg = F.neg
-        R, rank, pivots = self.rref()
-        pivot_set = set(pivots)
-        free = [c for c in range(self.ncols) if c not in pivot_set]
+        F, n = self.field, self.ncols
+        R, _, pivots = self.rref()
         vecs = []
-        for fc in free:
-            v = [F.zero] * self.ncols
+        for fc in sorted(set(range(n)).difference(pivots)):
+            v = [F.zero] * n
             v[fc] = F.one
-            for i, pc in enumerate(pivots):
-                v[pc] = neg(R.rows[i][fc])
+            for row, pc in zip(R.rows, pivots):
+                v[pc] = F.neg(row[fc])
             vecs.append(v)
-        return Matrix(F, len(vecs), self.ncols, vecs, _trusted=True)
+        return Matrix(F, len(vecs), n, vecs, _trusted=True)
 
     def left_kernel_basis(self) -> "Matrix":
         return self.transpose().kernel_basis()
@@ -282,37 +259,6 @@ class Matrix(_Record):
                 raise ValueError("cannot infer column count of an empty matrix")
             ncols = len(rows[0])
         return cls(field, len(rows), ncols, rows)
-
-
-def _rank_mod_p(p: int, rows) -> int:
-    """Rank over F_p of rows of plain-int residues, by forward elimination
-    alone: a pivot clears its column in the other rows, every row then drops
-    that leading column, and zero rows drop out."""
-    rows = [r for r in rows if any(r)]
-    rank = 0
-    while rows:
-        for i, pivot in enumerate(rows):
-            if pivot[0]:
-                break
-        else:  # a zero leading column holds no pivot
-            rows = [r[1:] for r in rows]
-            continue
-        del rows[i]
-        inv = pow(pivot[0], p - 2, p)
-        tail = pivot[1:]
-        rest = []
-        for r in rows:
-            f = r[0]
-            if f:
-                f = f * inv % p
-                r = [(x - f * y) % p for x, y in zip(r[1:], tail)]
-            else:
-                r = r[1:]
-            if any(r):
-                rest.append(r)
-        rows = rest
-        rank += 1
-    return rank
 
 
 # ---------------------------------------------------------------------------
@@ -396,9 +342,7 @@ def skew_normal_form(M: Matrix) -> tuple[Matrix, int]:
 
 def random_matrix(field: Field, nrows: int, ncols: int, rng) -> Matrix:
     if isinstance(field, PrimeField):
-        # the calls field.random makes, minus its frame: the stream is the same
-        draw, p = rng.randrange, field.p
-        rows = [[draw(p) for _ in range(ncols)] for _ in range(nrows)]
+        rows = [_fp.draw(rng, field.p, ncols) for _ in range(nrows)]
     else:
         rows = [[field.random(rng) for _ in range(ncols)] for _ in range(nrows)]
     return Matrix(field, nrows, ncols, rows, _trusted=True)

@@ -19,9 +19,11 @@ from __future__ import annotations
 
 import itertools
 import os
+from functools import partial
 from operator import mul
 from random import Random
 
+from . import _fp
 from ._record import _Record
 from .fields import Field, PrimeField, field_from_spec
 from .matrices import Matrix, canonical_alternating, random_invertible
@@ -159,18 +161,19 @@ def standard_form(n: int, field: Field) -> SymplecticForm:
 def random_symplectic_form(n: int, field: Field, rng: Random) -> SymplecticForm:
     """P^T J P for a random invertible P; congruence keeps J symplectic.
 
-    J is block diagonal with blocks [[0, 1], [-1, 0]], so row 2b of J P is
-    row 2b+1 of P and row 2b+1 is minus row 2b: J P is read off P's rows,
-    and the form is the one product P^T (J P).
+    J is block diagonal with blocks [[0, 1], [-1, 0]], so entry (i, j) is
+    e_i . o_j - o_i . e_j for e_i, o_i column i of P's even and odd rows; it
+    is summed above the diagonal only and negated into the lower triangle.
     """
     if n < 2 or n % 2:
         raise ValueError(f"symplectic forms need even n >= 2, got {n}")
-    P = random_invertible(field, n, rng)
-    neg = field.neg
-    JP = []
-    for b in range(0, n, 2):
-        JP += [P.rows[b + 1], [neg(x) for x in P.rows[b]]]
-    return SymplecticForm(P.transpose().mul(Matrix(field, n, n, JP, _trusted=True)))
+    P = random_invertible(field, n, rng).rows
+    E, O = list(zip(*P[0::2])), list(zip(*P[1::2]))
+    G = [[field.zero] * n for _ in range(n)]
+    for i, j in itertools.combinations(range(n), 2):
+        G[i][j] = x = field.element(sum(map(mul, E[i], O[j])) - sum(map(mul, O[i], E[j])))
+        G[j][i] = field.neg(x)
+    return SymplecticForm(Matrix(field, n, n, G, _trusted=True))
 
 
 def random_form_space(n: int, m: int, field: Field, rng: Random) -> FormSpace:
@@ -279,55 +282,61 @@ def is_isotropic(V: Subspace, F: FormSpace) -> bool:
     return isotropy_failure(V, F) is None
 
 
+def _row_kernels(field: Field, n: int, rng: Random):
+    """The sampler's draw(count), mul(A, B), rref(rows) -> (nonzero rows, pivots) and
+    kernel(RREF rows, pivots) on lists of rows: `_fp` over F_p, `Matrix` methods over Q."""
+    if isinstance(field, PrimeField):
+        p = field.p
+        return (partial(_fp.draw, rng, p), partial(_fp.mul, p), partial(_fp.rref, p),
+                partial(_fp.kernel, p, n=n))
+
+    def matrix(rows, ncols=n):
+        return Matrix(field, len(rows), ncols, rows, _trusted=True)
+
+    def rref(rows):
+        R, rank, pivots = matrix(rows).rref()
+        return list(R.rows[:rank]), pivots
+
+    return (lambda count: [field.random(rng) for _ in range(count)],
+            lambda A, B: matrix(A, len(B)).mul(matrix(B)).rows,
+            rref, lambda R, pivots: matrix(R).kernel_basis().rows)
+
+
 def random_isotropic_subspace(k: int, F: FormSpace, rng: Random) -> Subspace | None:
     """Greedy extension by random vectors in the intersection of the perps.
 
-    Each step solves for the simultaneous perp of the current span, then
-    draws random kernel combinations; if _RETRIES draws fail to leave the
-    span, a deterministic sweep of the kernel basis settles whether any
-    extension exists at all.  None therefore means a genuine stall (the
-    greedy span admits no further simultaneously-isotropic extension),
-    which can only happen for m >= 2.  The perp system gains the rows v G_t
-    of each accepted v; its kernel basis, read off the RREF, depends only
-    on the row space, and the empty system's kernel is the identity.
+    Each step draws random combinations of the kernel basis of the perp
+    system; if _RETRIES draws fail to leave the span, a deterministic sweep
+    of the kernel basis settles whether any extension exists at all.  None
+    therefore means a genuine stall (the greedy span admits no further
+    simultaneously-isotropic extension), which can only happen for m >= 2.
+    The span and the perp system (v G_t per accepted v) are kept in RREF,
+    which, like the kernel basis read off it, depends only on the row space.
     """
     n = F.dim
     if not 1 <= k <= n // 2:
         raise ValueError(
             f"isotropic dimension must satisfy 1 <= k <= n/2 = {n // 2}, got {k}")
-    field = F.field
-    grams = F.grams()
-    span_rows: list[tuple] = []
-    perp_rows: list[tuple] = []
-
-    def extends(v) -> bool:
-        r = len(span_rows)
-        return not r or Matrix(field, r + 1, n, span_rows + [v], _trusted=True).rank() > r
-
+    draw, matmul, rref, kernel = _row_kernels(F.field, n, rng)
+    grams = [G.rows for G in F.grams()]
+    span, perp, perp_pivots = [], [], ()
     while True:
-        kernel = Matrix(field, len(perp_rows), n, perp_rows, _trusted=True).kernel_basis()
-        found = None
-        for _ in range(_RETRIES):
-            coeffs = Matrix(field, 1, kernel.nrows,
-                            [[field.random(rng) for _ in range(kernel.nrows)]], _trusted=True)
-            v = coeffs.mul(kernel).rows[0]
-            if any(v) and extends(v):
-                found = v
-                break
-        if found is None:
-            # deterministic fallback: some kernel basis vector extends the
-            # span iff any extension exists
-            for krow in kernel.rows:
-                if extends(krow):
-                    found = krow
-                    break
-        if found is None:
+        K = kernel(perp, perp_pivots)
+        if not K:
             return None
-        span_rows.append(found)
-        if len(span_rows) == k:
-            return Subspace.from_span(Matrix(field, k, n, span_rows, _trusted=True))
-        v = Matrix(field, 1, n, [found], _trusted=True)
-        perp_rows += [v.mul(G).rows[0] for G in grams]
+        draws = (matmul([draw(len(K))], K)[0] for _ in range(_RETRIES))
+        # then the deterministic fallback: a kernel basis vector extends the span iff any does
+        for v in itertools.chain(draws, K):
+            if any(v):
+                R, pivots = rref(span + [v])
+                if len(pivots) > len(span):
+                    break
+        else:
+            return None
+        span = R
+        if len(span) == k:
+            return Subspace(Matrix(F.field, k, n, span, _trusted=True), _pivots=pivots)
+        perp, perp_pivots = rref(perp + [matmul([v], G)[0] for G in grams])
 
 
 # ---------------------------------------------------------------------------
@@ -393,16 +402,11 @@ def _row_solutions(field: PrimeField, pivot: int, cols: list[int], perps: list[l
     only on free parameters to its left; counting through the parameters
     in order then lists the solutions in lexicographic order.
     """
-    p = field.p
-    f = len(cols)
-    system = Matrix(field, len(perps), f + 1,
-                    [[w[c] for c in reversed(cols)] + [-w[pivot] % p] for w in perps],
-                    _trusted=True)
-    R, _, pivot_cols = system.rref()
+    p, f = field.p, len(cols)
+    R, pivot_cols = _fp.rref(p, [[w[c] for c in reversed(cols)] + [-w[pivot] % p] for w in perps])
     if f in pivot_cols:
         return ()
-    solved = [(f - 1 - c, R.rows[r][f],
-               [(f - 1 - d, R.rows[r][d]) for d in range(c + 1, f) if R.rows[r][d]])
+    solved = [(f - 1 - c, R[r][f], [(f - 1 - d, R[r][d]) for d in range(c + 1, f) if R[r][d]])
               for r, c in enumerate(pivot_cols)]
     params = sorted(set(range(f)) - {a for a, _, _ in solved})
     out = []

@@ -116,6 +116,26 @@ def test_rho_overlong_flag_exits_2_with_a_short_message(flag, text):
     assert ("expected an integer" if text[0] == "x" else "digits per integer") in err
 
 
+def _rho_csv_peak_rss_kib(rows: int) -> int:
+    """Peak RSS (the child's own ru_maxrss, KiB) of a csv `rho` run of `rows`
+    rows, 4 k values per genus, its table written to a null stdout."""
+    probe = ("import resource, sys; from msgkit.cli import main; "
+             f"code = main(['rho', '--r', '2', '--d', '8', '--k', '0..3', '--g', '2..{rows // 4 + 1}',"
+             " '--format', 'csv']); "
+             "print(code, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss, file=sys.stderr)")
+    proc = subprocess.run([sys.executable, "-c", probe], stdout=subprocess.DEVNULL,
+                          stderr=subprocess.PIPE, text=True, timeout=120)
+    code, peak = map(int, proc.stderr.split())
+    assert code == 0
+    return peak
+
+
+def test_rho_csv_rows_are_written_as_they_are_made():
+    # a table 20 times longer needs no more memory; held in memory until
+    # written, the longer table took about 100 MiB more
+    assert _rho_csv_peak_rss_kib(200_000) - _rho_csv_peak_rss_kib(10_000) < 10 * 1024
+
+
 # --- check-point -----------------------------------------------------------------
 
 def test_check_point_degenerate_file():

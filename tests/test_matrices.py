@@ -5,7 +5,7 @@ from itertools import permutations
 from random import Random
 
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
 from msgkit import (
     Matrix,
@@ -21,7 +21,8 @@ from msgkit import (
     standard_form,
     tangent_report,
 )
-from msgkit import cli
+from msgkit import _fp, cli
+from msgkit.fields import Field
 from msgkit.matrices import _pfaffian, _rank_mod_p, _skew_rank
 from msgkit.polynomials import pmat_det
 from conftest import DATA_DIR, degenerate_instance, random_alternating
@@ -504,3 +505,63 @@ def test_rank_matches_the_rref_pivot_count(M):
     assert M.rank() == M.rref()[1] == T.rank()
     if M.field != QQ:  # the F_p rank that `Matrix.rank` and the verify core share
         assert _rank_mod_p(M.field.p, M.rows) == M.rref()[1]
+
+
+class _FieldCalls(Field):
+    """F_p through field calls alone.  It is no `PrimeField`, so `Matrix`
+    runs its generic elimination and product on it: the oracle for `_fp`."""
+
+    __slots__ = ("p",)
+    zero, one = 0, 1
+
+    def __init__(self, p):
+        self.p = p
+
+    def add(self, a, b):
+        return (a + b) % self.p
+
+    def sub(self, a, b):
+        return (a - b) % self.p
+
+    def mul(self, a, b):
+        return a * b % self.p
+
+    def neg(self, a):
+        return -a % self.p
+
+    def inv(self, a):
+        return pow(a, self.p - 2, self.p)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_rank_cases())
+def test_fp_kernels_match_the_field_call_path(M):
+    assume(M.field != QQ)
+    p, m, n = M.field.p, M.nrows, M.ncols
+    boxed = Matrix(_FieldCalls(p), m, n, M.rows, _trusted=True)
+    R, rank, pivots = boxed.rref()
+    assert _fp.rref(p, M.rows) == ([list(r) for r in R.rows[:rank]], pivots)
+    assert M.rref()[0].rows == R.rows and M.rref()[1:] == (rank, pivots)
+    assert _fp.rank(p, M.rows) == rank
+    kernel = boxed.kernel_basis().rows
+    assert _fp.kernel(p, *_fp.rref(p, M.rows), n) == [list(r) for r in kernel]
+    assert M.kernel_basis().rows == kernel
+    # M M^T, and M^T M, whose right factor has no rows when M has none
+    for A, B in ((M, M.transpose()), (M.transpose(), M)):
+        product = Matrix(boxed.field, A.nrows, A.ncols, A.rows, _trusted=True).mul(
+            Matrix(boxed.field, B.nrows, B.ncols, B.rows, _trusted=True)).rows
+        assert A.mul(B).rows == product
+        if B.nrows:
+            assert _fp.mul(p, A.rows, B.rows) == [list(r) for r in product]
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 2**31 - 1])
+def test_fp_draw_is_the_randrange_stream(p):
+    # the same values, and the same generator state after them, as
+    # rng.randrange(p): the one detail of CPython's random the fast draw
+    # relies on
+    for seed in range(20):
+        ours, ref = Random(seed), Random(seed)
+        for count in (0, 1, 7, 64, 300):
+            assert _fp.draw(ours, p, count) == [ref.randrange(p) for _ in range(count)]
+            assert ours.getstate() == ref.getstate()

@@ -261,6 +261,96 @@ def test_incremental_sampler_matches_the_rebuilding_reference(case):
             assert is_isotropic(V, fs)
 
 
+def _matrix_isotropic_subspace(k, F, rng, retries=64):
+    """The sampler as it was before it kept its systems as plain rows in RREF:
+    it builds a `Matrix` at every step, re-eliminates the whole perp system
+    for its kernel, and tests each draw against the span by a rank."""
+    n = F.dim
+    field = F.field
+    grams = F.grams()
+    span_rows = []
+    perp_rows = []
+
+    def extends(v):
+        r = len(span_rows)
+        return not r or Matrix(field, r + 1, n, span_rows + [v], _trusted=True).rank() > r
+
+    while True:
+        kernel = Matrix(field, len(perp_rows), n, perp_rows, _trusted=True).kernel_basis()
+        found = None
+        for _ in range(retries):
+            coeffs = Matrix(field, 1, kernel.nrows,
+                            [[field.random(rng) for _ in range(kernel.nrows)]], _trusted=True)
+            v = coeffs.mul(kernel).rows[0]
+            if any(v) and extends(v):
+                found = v
+                break
+        if found is None:
+            for krow in kernel.rows:
+                if extends(krow):
+                    found = krow
+                    break
+        if found is None:
+            return None
+        span_rows.append(found)
+        if len(span_rows) == k:
+            return Subspace.from_span(Matrix(field, k, n, span_rows, _trusted=True))
+        v = Matrix(field, 1, n, [found], _trusted=True)
+        perp_rows += [v.mul(G).rows[0] for G in grams]
+
+
+@pytest.mark.parametrize("n,k,m,field", [(8, 3, 2, PrimeField(3)), (6, 3, 2, PrimeField(3)),
+                                         (6, 2, 2, QQ)], ids=["n8-k3-p3", "n6-k3-p3", "n6-k2-Q"])
+def test_row_sampler_matches_the_matrix_sampler(n, k, m, field):
+    # the samples of a seeded scan (seed 1, whose first 60 at n=6, k=3 are
+    # the scan golden's 22 points and 38 stalls): the same Subspace or None,
+    # and the same generator state after it
+    stalls = 0
+    for index in range(200):
+        ours = Random(derive_seed(1, index))
+        fs = random_form_space(n, m, field, ours)
+        theirs = Random()
+        theirs.setstate(ours.getstate())
+        V = random_isotropic_subspace(k, fs, ours)
+        assert V == _matrix_isotropic_subspace(k, fs, theirs)
+        assert ours.getstate() == theirs.getstate()
+        stalls += V is None
+    assert stalls > 0 if (n, k) == (6, 3) else stalls == 0
+
+
+class _ZeroBits(Random):
+    """Every F_p coefficient it draws is 0, so each random combination is
+    the zero vector and only the sampler's kernel-basis sweep can extend."""
+
+    def getrandbits(self, k):
+        return 0
+
+
+@pytest.mark.parametrize("m", [1, 2])
+def test_sampler_sweeps_the_kernel_basis_when_every_draw_fails(m):
+    fs = random_form_space(8, m, PrimeField(3), Random(5))
+    for k in (1, 2, 3, 4):
+        V = random_isotropic_subspace(k, fs, _ZeroBits())
+        assert V == _matrix_isotropic_subspace(k, fs, _ZeroBits())
+        assert m == 2 or (V is not None and V.k == k and is_isotropic(V, fs))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from([PrimeField(3), PrimeField(5), PrimeField(2**31 - 1), QQ]),
+       st.sampled_from([2, 4, 6, 8]), st.integers(0, 2**32))
+def test_gram_by_blocks_is_p_transpose_times_jp(field, n, seed):
+    # the upper-triangle dot products of P's even and odd rows, against the
+    # product P^T (J P) with J P read off P's rows
+    rng, ref = Random(seed), Random(seed)
+    form = random_symplectic_form(n, field, rng)
+    P = random_invertible(field, n, ref)
+    JP = []
+    for b in range(0, n, 2):
+        JP += [P.rows[b + 1], [field.neg(x) for x in P.rows[b]]]
+    assert form.gram == P.transpose().mul(Matrix(field, n, n, JP))
+    assert rng.getstate() == ref.getstate()
+
+
 def test_sampler_m1_never_stalls_many_draws():
     rng = Random(83)
     for field in (PrimeField(3), QQ):
