@@ -168,13 +168,18 @@ def cmd_rho(args) -> int:
         lines = (sep.join(str(row[c]) for c in cols) + "\n" for row in chain([first], table))
         _write_lines(chain([sep.join(cols) + "\n"], lines), args)
         return 0
-    _dump({
+    # json: the bytes of `_dump`, with the rows array written one element at a time
+    head, tail = json.dumps({
         "command": "rho",
         "version": __version__,
         "input": {"r": args.r, "d": args.d, "k": args.k, "g": args.g,
                   "m": args.m, "variant": args.variant},
-        "rows": [first, *table],
-    }, args)
+        "rows": [0],
+    }, indent=2, sort_keys=True).split("\n    0\n")
+    items = (json.dumps(row, indent=2, sort_keys=True).replace("\n", "\n    ")
+             for row in chain([first], table))
+    _write_lines(chain([head, "\n    ", next(items)], (",\n    " + item for item in items),
+                       ["\n" + tail + "\n"]), args)
     return 0
 
 

@@ -210,18 +210,23 @@ def build_constraints(ctx: PointContext) -> Matrix:
     return Matrix(ctx.field, len(rows), ctx.k * (ctx.n - ctx.k), rows, _trusted=True)
 
 
-def _point_core(field: PrimeField, k: int, nk: int, restrictions, fault=False):
-    """(rank of `build_constraints`, pencil known nondegenerate) over F_p from each
-    form's restriction rows as plain ints; `fault` zeroes the first row.  At k = 2
-    the 1x1 minors of u*R_1 + v*R_2 have gcd 1 iff [vec R_1; vec R_2] has rank 2;
-    at k = 1 nothing degenerates; for k >= 3 it is False: the minors decide."""
+def _point_core(field: Field, k: int, nk: int, restrictions, fault=False):
+    """(rank of `build_constraints`, pencil known nondegenerate) from each form's
+    restriction rows, over F_p as plain ints by `_fp.rank` and over any other field
+    by `Matrix.rank`; `fault` zeroes the first row.  At k = 2 the 1x1 minors of
+    u*R_1 + v*R_2 have gcd 1 iff [vec R_1; vec R_2] has rank 2; at k = 1 nothing
+    degenerates; for k >= 3 it is False: the minors decide."""
+    def rank(rows):  # of rows with k * nk columns
+        if isinstance(field, PrimeField):
+            return _rank_mod_p(field.p, rows)
+        return Matrix(field, len(rows), k * nk, rows, _trusted=True).rank()
+
     rows = _constraint_rows(field, k, nk, restrictions)
     if fault:
-        rows[0] = [0] * (k * nk)
-    rank = _rank_mod_p(field.p, rows)
+        rows[0] = [field.zero] * (k * nk)
     if k == 2:
-        return rank, _rank_mod_p(field.p, [R[0] + R[1] for R in restrictions]) == 2
-    return rank, k <= 1
+        return rank(rows), rank([R[0] + R[1] for R in restrictions]) == 2
+    return rank(rows), k <= 1
 
 
 # ---------------------------------------------------------------------------
@@ -383,8 +388,8 @@ def _pencil_minor_gcd(R1: Matrix, R2: Matrix) -> BinaryForm:
     k, w = R1.shape
     if k - 1 > min(k, w):
         return BinaryForm.zero(F)
-    if k - 1 == 0:
-        # 0x0 minors are the empty determinant 1: rank never drops below 0
+    if k <= 1:
+        # the 0x0 minor is the empty determinant 1: rank never drops below 0
         return BinaryForm(F, 0, [F.one])
 
     grid = _linear_grid(R2.rows, R1.rows)  # u*R1 + v*R2 at v = 1
@@ -418,10 +423,13 @@ def find_degenerate_pencil(
     i1, i2 = pair
     if i1 == i2 or not (0 <= i1 < ctx.m and 0 <= i2 < ctx.m):
         raise ValueError(f"invalid form pair {pair} for m = {ctx.m}")
-    if ctx.k <= 1:
-        return None
-    F = ctx.field
-    R1, R2 = ctx.restrictions[i1], ctx.restrictions[i2]
+    return _pencil_degeneracy(ctx.restrictions[i1], ctx.restrictions[i2], ctx.basis)
+
+
+def _pencil_degeneracy(R1: Matrix, R2: Matrix, basis: Matrix) -> PencilDegeneracy | None:
+    """`find_degenerate_pencil` for the restrictions R1, R2 of the pencil's two
+    forms to the rows of `basis`, whose coordinates the witnesses are read in."""
+    F = R1.field
     gcd = _pencil_minor_gcd(R1, R2)
     if gcd.is_constant() and not gcd.is_zero():
         return None
@@ -436,7 +444,7 @@ def find_degenerate_pencil(
         coords = R.left_kernel_basis()
         if coords.nrows < 2:  # pragma: no cover - contradicts the minor gcd
             raise ArithmeticError("pencil witness lost rank two")
-        W = Subspace.from_span(coords.mul(ctx.basis))
+        W = Subspace.from_span(coords.mul(basis))
         witnesses.append(((l1, l2), W))
     return PencilDegeneracy(certificate=gcd, witnesses=tuple(witnesses))
 
@@ -631,9 +639,9 @@ def verify_pair(
 
     Exhaustive scope enumerates all simultaneously isotropic k-subspaces
     (prime fields only, budget applies); sampled scope draws `samples`
-    greedy random points and skips stalls.  At each point the dimension
-    side (expected tangent dimension) must agree with the pencil side (no
-    degenerate combination).
+    greedy random points over any field and skips stalls.  At each point
+    the dimension side (expected tangent dimension) must agree with the
+    pencil side (no degenerate combination).
 
     `fault` zeroes the first constraint row before the rank computation; a
     self-test hook that must produce mismatches if the harness is alive.
@@ -645,42 +653,42 @@ def verify_pair(
     if fault and k < 2:
         raise ValueError(f"fault injection needs k >= 2, got k={k}:"
                          " there is no constraint row to corrupt")
-    field, n = fs.field, fs.dim
-    independent = fs.m * (k * (k - 1) // 2)  # constraint rows: the expected dimension's rank
-    points = 0
-    mismatches = []
-
-    def check(restrictions, context) -> None:
-        # the core settles a point of expected dimension with a nondegenerate
-        # pencil; any other point is rebuilt by `context` for the pencil minors
-        nonlocal points
-        points += 1
-        rank, nondegenerate = _point_core(field, k, n - k, restrictions, fault)
-        if rank == independent and nondegenerate:
-            return
-        ctx = context()
-        tangent, expected = k * (n - k) - rank, ctx.expected_dim()
-        degeneracy = find_degenerate_pencil(ctx)
-        if (tangent == expected) != (degeneracy is None):
-            mismatches.append(MismatchRecord(ctx.subspace, tangent, expected, degeneracy))
-
     if scope == "exhaustive":
-        for pivots, rows, restrictions in _isotropic_points(k, fs, budget=budget):
-            check(restrictions, lambda: PointContext(
-                Subspace(Matrix(field, k, n, rows, _trusted=True), _pivots=pivots), fs))
+        records = _isotropic_points(k, fs, budget=budget)
     elif scope == "sampled":
         if rng is None:
             raise ValueError("sampled scope needs an rng")
         if samples < 1:
             raise ValueError(f"sampled scope needs samples >= 1, got {samples}")
-        for _ in range(samples):
-            V = random_isotropic_subspace(k, fs, rng)
-            if V is not None:
-                ctx = PointContext(V, fs)
-                check([R.rows for R in ctx.restrictions], lambda: ctx)
+        records = _sampled_points(k, fs, rng, samples)
     else:
         raise ValueError(f"unknown scope {scope!r}")
+    field, n = fs.field, fs.dim
+    independent = fs.m * (k * (k - 1) // 2)  # constraint rows: the expected dimension's rank
+    points, mismatches = 0, []
+    for pivots, rows, restrictions in records:
+        # the core settles a point of expected dimension with a nondegenerate
+        # pencil; any other point takes the pencil minors of its restrictions
+        points += 1
+        rank, nondegenerate = _point_core(field, k, n - k, restrictions, fault)
+        if rank == independent and nondegenerate:
+            continue
+        basis = Matrix(field, k, n, rows, _trusted=True)
+        degeneracy = _pencil_degeneracy(
+            *(Matrix(field, k, n - k, R, _trusted=True) for R in restrictions), basis)
+        if (rank == independent) != (degeneracy is None):
+            mismatches.append(MismatchRecord(Subspace(basis, _pivots=pivots), k * (n - k) - rank,
+                                             k * (n - k) - independent, degeneracy))
     return points, mismatches
+
+
+def _sampled_points(k: int, fs: FormSpace, rng: Random, samples: int):
+    """`samples` greedy draws as (pivots, RREF rows, restriction rows) records,
+    stalls skipped; `PointContext` is the one isotropy check of a drawn point."""
+    for _ in range(samples):
+        V = random_isotropic_subspace(k, fs, rng)
+        if V is not None:
+            yield V.pivots, V.basis.rows, [R.rows for R in PointContext(V, fs).restrictions]
 
 
 def _verify_seeded_pair(n: int, k: int, field: Field, seed: int, index: int,

@@ -52,6 +52,11 @@ def test_rho_multi_row_tables_exact_bytes():
         assert code == 0
         expected = [sep.join(header)] + [sep.join(map(str, r)) for r in rows]
         assert out == "\n".join(expected) + "\n"
+    # json is written row by row, in the bytes of the whole payload's dump
+    code, out, _ = run_cli(*grid)
+    assert code == 0
+    assert out == json.dumps(json.loads(out), indent=2, sort_keys=True) + "\n"
+    assert [[row[c] for c in header] for row in json.loads(out)["rows"]] == rows
     code, out, _ = run_cli("rho", "--r", "2", "--d", "8", "--g", "5", "--k", "1..2",
                            "--variant", "full", "--format", "plain")
     assert code == 0
@@ -116,12 +121,12 @@ def test_rho_overlong_flag_exits_2_with_a_short_message(flag, text):
     assert ("expected an integer" if text[0] == "x" else "digits per integer") in err
 
 
-def _rho_csv_peak_rss_kib(rows: int) -> int:
-    """Peak RSS (the child's own ru_maxrss, KiB) of a csv `rho` run of `rows`
-    rows, 4 k values per genus, its table written to a null stdout."""
+def _rho_peak_rss_kib(rows: int, fmt: str) -> int:
+    """Peak RSS (the child's own ru_maxrss, KiB) of a `rho` run of `rows` rows,
+    4 k values per genus, its table written in `fmt` to a null stdout."""
     probe = ("import resource, sys; from msgkit.cli import main; "
              f"code = main(['rho', '--r', '2', '--d', '8', '--k', '0..3', '--g', '2..{rows // 4 + 1}',"
-             " '--format', 'csv']); "
+             f" '--format', '{fmt}']); "
              "print(code, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss, file=sys.stderr)")
     proc = subprocess.run([sys.executable, "-c", probe], stdout=subprocess.DEVNULL,
                           stderr=subprocess.PIPE, text=True, timeout=120)
@@ -133,7 +138,12 @@ def _rho_csv_peak_rss_kib(rows: int) -> int:
 def test_rho_csv_rows_are_written_as_they_are_made():
     # a table 20 times longer needs no more memory; held in memory until
     # written, the longer table took about 100 MiB more
-    assert _rho_csv_peak_rss_kib(200_000) - _rho_csv_peak_rss_kib(10_000) < 10 * 1024
+    assert _rho_peak_rss_kib(200_000, "csv") - _rho_peak_rss_kib(10_000, "csv") < 10 * 1024
+
+
+def test_rho_json_rows_are_written_as_they_are_made():
+    # as for csv; dumped whole, the longer json table took about 330 MiB more
+    assert _rho_peak_rss_kib(200_000, "json") - _rho_peak_rss_kib(10_000, "json") < 10 * 1024
 
 
 # --- check-point -----------------------------------------------------------------

@@ -94,3 +94,21 @@ def test_cli_import_loads_neither_the_pool_nor_dataclasses():
                           env=dict(os.environ, PYTHONPATH=path), timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+def test_library_imports_only_what_it_reads():
+    # an import no code reads is dead weight a refactor left behind; the
+    # package's __init__ re-exports by importing, and __future__ imports are
+    # directives
+    unread = []
+    for path, tree in _parsed("src/msgkit/*.py"):
+        if os.path.basename(path) == "__init__.py":
+            continue
+        read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        unread += [f"{os.path.basename(path)}:{node.lineno} {alias.asname or alias.name}"
+                   for node in ast.walk(tree)
+                   if isinstance(node, (ast.Import, ast.ImportFrom))
+                   and getattr(node, "module", None) != "__future__"
+                   for alias in node.names
+                   if (alias.asname or alias.name).split(".")[0] not in read]
+    assert unread == []

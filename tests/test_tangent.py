@@ -27,6 +27,7 @@ from msgkit import (
     check_even_eigenspaces,
     decode_kernel_element,
     default_complement,
+    derive_seed,
     enumerate_isotropic_subspaces,
     find_degenerate_pencil,
     isotropy_failure,
@@ -821,13 +822,11 @@ def test_planted_degenerate_pencils_agree_with_the_point_context_path(planted):
     assert verify_pair(fs, k) == (points, [])
 
 
-@pytest.mark.parametrize("n,k,seed,rebuilt", [(6, 2, 1, 0), (6, 2, 0, 1), (4, 1, 0, 0)])
-def test_settled_points_build_no_point_context_and_no_matrix(monkeypatch, n, k, seed, rebuilt):
-    # the walk itself builds one system per row it solves; the points the core
-    # settles add no Matrix, and only the others are rebuilt as a PointContext
-    fs = tangent._seeded_pencil(n, PrimeField(3), seed, 0)
-    built, contexts = [], []
-    matrix_init, context = Matrix.__init__, tangent.PointContext
+def _count_verify_builds(monkeypatch):
+    """Lists that grow by one per Matrix, PointContext and `_pencil_degeneracy`
+    call; a pencil call records how many matrices it built itself."""
+    built, contexts, pencils = [], [], []
+    matrix_init, context, pencil = Matrix.__init__, tangent.PointContext, tangent._pencil_degeneracy
 
     def counting_init(self, *args, **kwargs):
         built.append(1)
@@ -837,15 +836,89 @@ def test_settled_points_build_no_point_context_and_no_matrix(monkeypatch, n, k, 
         contexts.append(1)
         return context(*args)
 
+    def counting_pencil(*args):
+        before = len(built)
+        result = pencil(*args)
+        pencils.append(len(built) - before)
+        return result
+
     monkeypatch.setattr(Matrix, "__init__", counting_init)
+    monkeypatch.setattr(tangent, "PointContext", counting_context)
+    monkeypatch.setattr(tangent, "_pencil_degeneracy", counting_pencil)
+    return built, contexts, pencils
+
+
+@pytest.mark.parametrize("n,k,seed,rebuilt", [(6, 2, 1, 0), (6, 2, 0, 1), (4, 1, 0, 0)])
+def test_settled_points_build_no_point_context_and_no_matrix(monkeypatch, n, k, seed, rebuilt):
+    # the walk itself builds one system per row it solves; the points the core
+    # settles add no Matrix, and the others take the pencil minors from their
+    # restriction rows, three matrices each, with no PointContext at any point
+    fs = tangent._seeded_pencil(n, PrimeField(3), seed, 0)
+    built, contexts, pencils = _count_verify_builds(monkeypatch)
     walk = len(list(_isotropic_points(k, fs)))
     walk_matrices = len(built)
-    monkeypatch.setattr(tangent, "PointContext", counting_context)
     built.clear()
     points, mismatches = verify_pair(fs, k)
-    assert (points, mismatches, len(contexts)) == (walk, [], rebuilt)
-    if not rebuilt:
-        assert len(built) == walk_matrices
+    assert (points, mismatches, len(contexts), len(pencils)) == (walk, [], 0, rebuilt)
+    assert len(built) - sum(pencils) == walk_matrices + 3 * rebuilt
+
+
+@pytest.mark.parametrize("n,k", [(6, 2), (8, 3)])
+def test_sampled_points_build_one_point_context_each(monkeypatch, n, k):
+    # the PointContext is a drawn point's one isotropy check; at k = 3 the core
+    # settles no point, so every drawn point takes the pencil minors
+    fs = tangent._seeded_pencil(n, PrimeField(3), 0, 0)
+    rng = Random(5)
+    drawn = sum(random_isotropic_subspace(k, fs, rng) is not None for _ in range(20))
+    _, contexts, pencils = _count_verify_builds(monkeypatch)
+    points, _ = verify_pair(fs, k, scope="sampled", rng=Random(5), samples=20)
+    assert (points, len(contexts)) == (drawn, drawn)
+    if k == 3:
+        assert len(pencils) == drawn
+
+
+def _reference_sampled_verify(n, k, field, pairs, samples, seed, fault):
+    """Sampled verification the long way: a PointContext, a tangent report and
+    the public pencil check at every drawn point of the seeded pencils."""
+    pair_points, mismatches = [], []
+    for i in range(pairs):
+        fs = tangent._seeded_pencil(n, field, seed, i)
+        rng = Random(derive_seed(seed, i) ^ 0xA5A5A5A5)
+        points = 0
+        for _ in range(samples):
+            V = random_isotropic_subspace(k, fs, rng)
+            if V is None:
+                continue
+            points += 1
+            ctx = PointContext(V, fs)
+            report = tangent_report(ctx, pencil=False)
+            dim = report.tangent_dim
+            if fault:  # the first constraint row zeroed
+                C = build_constraints(ctx)
+                dim += report.phi_rank - Matrix(field, C.nrows, C.ncols,
+                                                [[0] * C.ncols, *C.rows[1:]]).rank()
+            degeneracy = find_degenerate_pencil(ctx)
+            if (dim == report.expected_dim) != (degeneracy is None):
+                record = MismatchRecord(V, dim, report.expected_dim, degeneracy)
+                mismatches.append((i, record.encode()))
+        pair_points.append(points)
+    return pair_points, mismatches
+
+
+@pytest.mark.parametrize("fault", [False, True], ids=["plain", "fault"])
+@pytest.mark.parametrize("n,k", [(4, 1), (4, 2), (6, 2)])
+def test_sampled_verify_over_q_matches_the_point_context_loop(n, k, fault):
+    # the per-point core ranks over Q as well as over F_p
+    run = dict(pairs=2, scope="sampled", samples_per_pair=15, seed=4, fault=fault)
+    if fault and k < 2:
+        with pytest.raises(ValueError, match="fault injection needs k >= 2"):
+            verify_thm_equivalence(n, k, QQ, **run)
+        return
+    rep = verify_thm_equivalence(n, k, QQ, **run)
+    got = rep.pair_points, [(i, rec.encode()) for i, _, rec in rep.mismatches]
+    assert got == _reference_sampled_verify(n, k, QQ, 2, 15, 4, fault)
+    if (n, k, fault) == (4, 2, True):
+        assert (rep.pair_points, len(rep.mismatches)) == ([15, 15], 30)
 
 
 def test_equivalence_explicit_pairs(degenerate_ctx):
