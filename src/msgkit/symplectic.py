@@ -194,13 +194,14 @@ def random_form_space(n: int, m: int, field: Field, rng: Random) -> FormSpace:
     guard = 0
     while len(forms) < m:
         candidate = random_symplectic_form(n, field, rng)
-        try:
-            space = FormSpace(forms + [candidate])
-        except ValueError:
-            guard += 1
-            if guard > 256:
-                raise RuntimeError("could not sample independent forms") from None
-            continue
+        if forms or m == 1:  # one form is independent alone: its Gram matrix is nonzero
+            try:
+                space = FormSpace(forms + [candidate])
+            except ValueError:
+                guard += 1
+                if guard > 256:
+                    raise RuntimeError("could not sample independent forms") from None
+                continue
         forms.append(candidate)
     return space
 
@@ -298,7 +299,7 @@ def _row_kernels(field: Field, n: int, rng: Random):
         return list(R.rows[:rank]), pivots
 
     return (lambda count: [field.random(rng) for _ in range(count)],
-            lambda A, B: matrix(A, len(B)).mul(matrix(B)).rows,
+            lambda A, B: matrix(A, len(B)).mul(matrix(B, len(B[0]))).rows,
             rref, lambda R, pivots: matrix(R).kernel_basis().rows)
 
 

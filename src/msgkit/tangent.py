@@ -35,6 +35,7 @@ from .symplectic import (
     Subspace,
     _first_nonzero_pairing,
     _isotropic_points,
+    _row_kernels,
     derive_seed,
     random_independent_pair,
     random_isotropic_subspace,
@@ -210,12 +211,31 @@ def build_constraints(ctx: PointContext) -> Matrix:
     return Matrix(ctx.field, len(rows), ctx.k * (ctx.n - ctx.k), rows, _trusted=True)
 
 
+def _resultant2(a, b):
+    """Res of binary quadratics at formal degree 2: nonzero iff both are nonzero
+    forms with no common root in P^1 over the algebraic closure, (1:0) included."""
+    (a0, a1, a2), (b0, b1, b2) = a, b
+    return (a0 * b2 - a2 * b0) ** 2 - (a0 * b1 - a1 * b0) * (a1 * b2 - a2 * b1)
+
+
+def _coprime_quadratic_minors(field: Field, R1, R2) -> bool:
+    """True when the first nonzero 2x2 minor of u*R1 + v*R2 (three rows each) has a
+    nonzero resultant with a later one, so the minors' gcd is 1; False settles
+    nothing.  Python operators lift F_p exactly to Z; `field` reduces the results."""
+    minors = ((A[a] * B[b] - A[b] * B[a], A[a] * D[b] + C[a] * B[b] - A[b] * D[a] - C[b] * B[a],
+               C[a] * D[b] - C[b] * D[a])
+              for A, B, C, D in ((R1[i], R1[j], R2[i], R2[j]) for i, j in _pairs(3))
+              for a, b in itertools.combinations(range(len(A)), 2))
+    first = next((q for q in minors if any(map(field.element, q))), None)
+    return first is not None and any(field.element(_resultant2(first, q)) for q in minors)
+
+
 def _point_core(field: Field, k: int, nk: int, restrictions, fault=False):
     """(rank of `build_constraints`, pencil known nondegenerate) from each form's
     restriction rows, over F_p as plain ints by `_fp.rank` and over any other field
-    by `Matrix.rank`; `fault` zeroes the first row.  At k = 2 the 1x1 minors of
-    u*R_1 + v*R_2 have gcd 1 iff [vec R_1; vec R_2] has rank 2; at k = 1 nothing
-    degenerates; for k >= 3 it is False: the minors decide."""
+    by `Matrix.rank`; `fault` zeroes the first row.  The pencil is nondegenerate at
+    k = 1, at k = 2 iff [vec R_1; vec R_2] has rank 2 (1x1 minors of gcd 1), and at
+    k = 3 when two 2x2 minors have a nonzero resultant; else False: the minors decide."""
     def rank(rows):  # of rows with k * nk columns
         if isinstance(field, PrimeField):
             return _rank_mod_p(field.p, rows)
@@ -226,6 +246,8 @@ def _point_core(field: Field, k: int, nk: int, restrictions, fault=False):
         rows[0] = [field.zero] * (k * nk)
     if k == 2:
         return rank(rows), rank([R[0] + R[1] for R in restrictions]) == 2
+    if k == 3:
+        return rank(rows), _coprime_quadratic_minors(field, *restrictions)
     return rank(rows), k <= 1
 
 
@@ -683,12 +705,18 @@ def verify_pair(
 
 
 def _sampled_points(k: int, fs: FormSpace, rng: Random, samples: int):
-    """`samples` greedy draws as (pivots, RREF rows, restriction rows) records,
-    stalls skipped; `PointContext` is the one isotropy check of a drawn point."""
+    """`samples` greedy draws as (pivots, RREF rows, restriction rows) records, stalls
+    skipped.  B G_t is formed once per form: (B G_t) B^T = 0 is the isotropy check,
+    and its non-pivot columns are the restrictions to the default complement."""
+    matmul, grams = _row_kernels(fs.field, fs.dim, rng)[1], [G.rows for G in fs.grams()]
     for _ in range(samples):
         V = random_isotropic_subspace(k, fs, rng)
         if V is not None:
-            yield V.pivots, V.basis.rows, [R.rows for R in PointContext(V, fs).restrictions]
+            B, free = V.basis.rows, _non_pivot_columns(V)
+            products = [matmul(B, G) for G in grams]
+            if any(any(row) for BG in products for row in matmul(BG, list(zip(*B)))):
+                raise ArithmeticError("a sampled point is not isotropic")
+            yield V.pivots, B, [[[row[j] for j in free] for row in BG] for BG in products]
 
 
 def _verify_seeded_pair(n: int, k: int, field: Field, seed: int, index: int,

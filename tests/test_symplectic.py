@@ -36,7 +36,7 @@ from msgkit import (
     standard_form,
 )
 from msgkit.symplectic import _isotropic_points
-from msgkit.tangent import _point_core
+from msgkit.tangent import _point_core, find_degenerate_pencil
 from conftest import golden_compare
 
 
@@ -442,7 +442,8 @@ def test_isotropic_enumeration_matches_filter_sequence(n, k, m, p):
                          ids=[f"n{n}-k{k}-m{m}-p{p}" for n, k, m, p in ORACLE_GRID])
 def test_point_stream_matches_the_filter_and_the_point_contexts(n, k, m, p):
     # the plain-int stream verify reads: its points are the filter's, its
-    # restriction rows PointContext's, and the core's rank build_constraints'
+    # restriction rows PointContext's, and the core's rank build_constraints';
+    # a pencil the core settles has no degenerate point
     F = PrimeField(p)
     fs = random_form_space(n, m, F, Random(1000 * n + 100 * k + 10 * m + p))
     stream = list(_isotropic_points(k, fs))
@@ -452,7 +453,10 @@ def test_point_stream_matches_the_filter_and_the_point_contexts(n, k, m, p):
     for (_, _, restrictions), V in zip(stream, oracle):
         ctx = PointContext(V, fs)
         assert restrictions == [[list(r) for r in R.rows] for R in ctx.restrictions]
-        assert _point_core(F, k, n - k, restrictions)[0] == build_constraints(ctx).rank()
+        rank, settled = _point_core(F, k, n - k, restrictions)
+        assert rank == build_constraints(ctx).rank()
+        if m == 2 and settled:
+            assert find_degenerate_pencil(ctx) is None
 
 
 _WRONG_SOLUTIONS = """

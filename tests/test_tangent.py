@@ -1,4 +1,6 @@
 import itertools
+import subprocess
+import sys
 from fractions import Fraction
 from random import Random
 
@@ -46,9 +48,11 @@ from msgkit import (
 from msgkit import tangent
 from msgkit._record import _Record
 from msgkit.matrices import _pfaffian
-from msgkit.polynomials import BinaryForm, _linear_grid, pdeg, peval, pgcd, pmat_det, pmul, proots
+from msgkit.polynomials import (BinaryForm, _linear_grid, binary_form_gcd, pdeg, peval, pgcd,
+                                 pmat_det, pmul, proots)
 from msgkit.symplectic import _isotropic_points
-from msgkit.tangent import PhiKernelElement, _pencil_minor_gcd, _pencil_pfaffian, _point_core
+from msgkit.tangent import (PhiKernelElement, _coprime_quadratic_minors, _pencil_minor_gcd,
+                            _pencil_pfaffian, _point_core, _resultant2, _sampled_points)
 from conftest import degenerate_instance, random_alternating_nonsingular
 
 
@@ -468,14 +472,14 @@ def _eager_minor_gcd(R1, R2):
 
 
 @st.composite
-def _pencils(draw):
-    """(R1, R2) of one k x w shape over F_3, F_5 or Q, random or structured:
-    equal, zero, both through one rank <= k-2 factor (rank-deficient pencil),
-    or R1 alone of rank <= k-2 (v divides every minor)."""
+def _pencils(draw, ks=(1, 4)):
+    """(R1, R2) of one k x w shape, k in the range `ks`, over F_3, F_5 or Q, random
+    or structured: equal, zero, both through one rank <= k-2 factor (rank-deficient
+    pencil), or R1 alone of rank <= k-2 (v divides every minor)."""
     F = draw(st.sampled_from([PrimeField(3), PrimeField(5), QQ]))
     scalars = (st.builds(Fraction, st.integers(-4, 4), st.integers(1, 3)) if F == QQ
                else st.integers(0, F.p - 1))
-    k, w = draw(st.integers(1, 4)), draw(st.integers(0, 4))
+    k, w = draw(st.integers(*ks)), draw(st.integers(0, 4))
 
     def mat(r, c):
         return Matrix(F, r, c, draw(st.lists(st.lists(scalars, min_size=c, max_size=c),
@@ -515,6 +519,66 @@ def test_pencil_minor_gcd_matches_eager_reference(pencil):
         flat = Matrix(R1.field, 2, 2 * R1.ncols,
                       [[x for row in R.rows for x in row] for R in (R1, R2)])
         assert (flat.rank() == 2) == (eager.is_constant() and not eager.is_zero())
+
+
+@st.composite
+def _quadratic_pairs(draw):
+    """(F, a, b): coefficient triples of two binary quadratics over F_3, F_5,
+    F_(2^31 - 1) or Q, random or structured: a zero form, a0 = 0 (u divides the
+    form), or a common linear factor.  Integers range past [0, p), as the minors'
+    integer lifts do, and Q draws fractions."""
+    F = draw(st.sampled_from([PrimeField(3), PrimeField(5), PrimeField(2**31 - 1), QQ]))
+    bound = 4 if F == QQ else 3 * F.p
+    scalars = (st.builds(Fraction, st.integers(-bound, bound), st.integers(1, 3)) if F == QQ
+               else st.integers(-bound, bound))
+
+    def triple():
+        return list(draw(st.tuples(scalars, scalars, scalars)))
+
+    a, b = triple(), triple()
+    shape = draw(st.sampled_from(["random", "zero", "a0_zero", "common_factor"]))
+    if shape == "zero":
+        a = [0, 0, 0]
+    elif shape == "a0_zero":
+        a[0] = 0
+        if draw(st.booleans()):
+            b[0] = 0  # both vanish at u = 0
+    elif shape == "common_factor":
+        (l0, l1), (x0, x1), (y0, y1) = (draw(st.tuples(scalars, scalars)) for _ in range(3))
+        a, b = ([l0 * m0, l0 * m1 + l1 * m0, l1 * m1] for m0, m1 in ((x0, x1), (y0, y1)))
+    return F, a, b
+
+
+def _quadratic(F, q):
+    return BinaryForm(F, 2, q) if any(F.element(c) for c in q) else BinaryForm.zero(F)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_quadratic_pairs())
+@example((PrimeField(3), [0, 0, 0], [0, 0, 0]))
+@example((PrimeField(3), [0, 0, 0], [1, 0, 1]))  # the zero form against u^2 + v^2
+@example((PrimeField(5), [0, 1, 0], [0, 0, 1]))  # uv and u^2: common root at (0:1)
+@example((PrimeField(5), [1, 0, 0], [0, 1, 0]))  # v^2 and uv: common root at (1:0)
+@example((PrimeField(5), [1, 0, 0], [0, 0, 1]))  # v^2 and u^2: coprime
+@example((PrimeField(3), [1, 0, 1], [3, 1, 3]))  # u^2 + v^2 and uv, lifted past p: coprime
+@example((QQ, [Fraction(1, 2), 0, -2], [1, 3, 2]))  # common root u = -1/2
+def test_quadratic_resultant_is_nonzero_exactly_when_the_gcd_is_one(pair):
+    F, a, b = pair
+    gcd = binary_form_gcd([_quadratic(F, a), _quadratic(F, b)])
+    assert bool(F.element(_resultant2(a, b))) == (gcd.is_constant() and not gcd.is_zero())
+
+
+@settings(max_examples=300, deadline=None)
+@given(_pencils(ks=(3, 3)))
+@example((Matrix.identity(PrimeField(3), 3), Matrix.zeros(PrimeField(3), 3, 3)))  # minors u^2
+@example((Matrix(QQ, 3, 2, [[1, 0], [0, 1], [0, 0]]),
+          Matrix(QQ, 3, 2, [[0, 0], [1, 0], [0, 1]])))  # minors u^2, uv, v^2: settled
+def test_resultant_settles_only_pencils_whose_minors_have_gcd_one(pencil):
+    # sufficient, not necessary: a settled pencil has no degenerate point
+    R1, R2 = pencil
+    if _coprime_quadratic_minors(R1.field, R1.rows, R2.rows):
+        gcd = _pencil_minor_gcd(R1, R2)
+        assert gcd.is_constant() and not gcd.is_zero()
 
 
 # --- even eigenspaces ------------------------------------------------------------------
@@ -809,7 +873,9 @@ def test_planted_degenerate_pencils_agree_with_the_point_context_path(planted):
         rank, nondegenerate = _point_core(F, k, n - k, restrictions)
         degeneracy = find_degenerate_pencil(ctx)
         assert (V.pivots, rank) == (pivots, build_constraints(ctx).rank())
-        if k == 2:
+        if nondegenerate:  # at every k the core settles only nondegenerate pencils
+            assert degeneracy is None
+        if k == 2:  # where it also settles all of them
             assert nondegenerate == (degeneracy is None)
         points += 1
         degenerate += degeneracy is not None
@@ -848,11 +914,13 @@ def _count_verify_builds(monkeypatch):
     return built, contexts, pencils
 
 
-@pytest.mark.parametrize("n,k,seed,rebuilt", [(6, 2, 1, 0), (6, 2, 0, 1), (4, 1, 0, 0)])
+@pytest.mark.parametrize("n,k,seed,rebuilt",
+                         [(6, 2, 1, 0), (6, 2, 0, 1), (4, 1, 0, 0), (6, 3, 3, 13)])
 def test_settled_points_build_no_point_context_and_no_matrix(monkeypatch, n, k, seed, rebuilt):
     # the walk itself builds one system per row it solves; the points the core
     # settles add no Matrix, and the others take the pencil minors from their
-    # restriction rows, three matrices each, with no PointContext at any point
+    # restriction rows, three matrices each, with no PointContext at any point;
+    # at (6, 3) 4 of the 13 have excess rank, and the resultant left 9 unsettled
     fs = tangent._seeded_pencil(n, PrimeField(3), seed, 0)
     built, contexts, pencils = _count_verify_builds(monkeypatch)
     walk = len(list(_isotropic_points(k, fs)))
@@ -864,17 +932,41 @@ def test_settled_points_build_no_point_context_and_no_matrix(monkeypatch, n, k, 
 
 
 @pytest.mark.parametrize("n,k", [(6, 2), (8, 3)])
-def test_sampled_points_build_one_point_context_each(monkeypatch, n, k):
-    # the PointContext is a drawn point's one isotropy check; at k = 3 the core
-    # settles no point, so every drawn point takes the pencil minors
+def test_sampled_points_build_no_point_context(monkeypatch, n, k):
+    # a drawn point checks its own isotropy, and its restriction rows are the
+    # PointContext's; at k = 3 the resultant settles most points without the minors
     fs = tangent._seeded_pencil(n, PrimeField(3), 0, 0)
     rng = Random(5)
-    drawn = sum(random_isotropic_subspace(k, fs, rng) is not None for _ in range(20))
+    drawn = [V for V in (random_isotropic_subspace(k, fs, rng) for _ in range(20)) if V]
+    records = list(_sampled_points(k, fs, Random(5), 20))
+    assert [(pivots, rows) for pivots, rows, _ in records] == [(V.pivots, V.basis.rows)
+                                                               for V in drawn]
+    for (_, _, restrictions), V in zip(records, drawn):
+        assert restrictions == [[list(r) for r in R.rows] for R in PointContext(V, fs).restrictions]
     _, contexts, pencils = _count_verify_builds(monkeypatch)
     points, _ = verify_pair(fs, k, scope="sampled", rng=Random(5), samples=20)
-    assert (points, len(contexts)) == (drawn, drawn)
+    assert (points, len(contexts)) == (len(drawn), 0)
     if k == 3:
-        assert len(pencils) == drawn
+        assert len(pencils) < len(drawn)
+
+
+_NON_ISOTROPIC_DRAW = """
+import random
+from msgkit import Matrix, PrimeField, Subspace, tangent
+fs = tangent._seeded_pencil(6, PrimeField(3), 0, 0)
+# span(e_1, ..., e_k) as the draw: the seeded forms do not vanish on it
+tangent.random_isotropic_subspace = lambda k, fs, rng: Subspace(
+    Matrix(fs.field, k, fs.dim, [[int(i == j) for j in range(fs.dim)] for i in range(k)]))
+tangent.verify_pair(fs, 2, scope="sampled", rng=random.Random(0), samples=3)
+"""
+
+
+@pytest.mark.parametrize("flags", [(), ("-O",)], ids=["plain", "optimized"])
+def test_a_non_isotropic_sampled_point_raises_with_and_without_asserts(flags):
+    proc = subprocess.run([sys.executable, *flags, "-c", _NON_ISOTROPIC_DRAW],
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 1
+    assert proc.stderr.endswith("ArithmeticError: a sampled point is not isotropic\n")
 
 
 def _reference_sampled_verify(n, k, field, pairs, samples, seed, fault):
@@ -906,17 +998,19 @@ def _reference_sampled_verify(n, k, field, pairs, samples, seed, fault):
 
 
 @pytest.mark.parametrize("fault", [False, True], ids=["plain", "fault"])
-@pytest.mark.parametrize("n,k", [(4, 1), (4, 2), (6, 2)])
+@pytest.mark.parametrize("n,k", [(4, 1), (4, 2), (6, 2), (8, 3)])
 def test_sampled_verify_over_q_matches_the_point_context_loop(n, k, fault):
-    # the per-point core ranks over Q as well as over F_p
-    run = dict(pairs=2, scope="sampled", samples_per_pair=15, seed=4, fault=fault)
+    # the per-point core ranks over Q as well as over F_p, and at k = 3 takes
+    # the resultants of Fraction minors
+    samples = 4 if k == 3 else 15
+    run = dict(pairs=2, scope="sampled", samples_per_pair=samples, seed=4, fault=fault)
     if fault and k < 2:
         with pytest.raises(ValueError, match="fault injection needs k >= 2"):
             verify_thm_equivalence(n, k, QQ, **run)
         return
     rep = verify_thm_equivalence(n, k, QQ, **run)
     got = rep.pair_points, [(i, rec.encode()) for i, _, rec in rep.mismatches]
-    assert got == _reference_sampled_verify(n, k, QQ, 2, 15, 4, fault)
+    assert got == _reference_sampled_verify(n, k, QQ, 2, samples, 4, fault)
     if (n, k, fault) == (4, 2, True):
         assert (rep.pair_points, len(rep.mismatches)) == ([15, 15], 30)
 
