@@ -1,5 +1,5 @@
 """F_p kernels on lists of plain-int rows of residues in [0, p), trusted as
-given: `Matrix` calls them for its F_p branches, and the sampler on rows."""
+given: `PrimeField` overrides `Field`'s generic row kernels with them."""
 
 from __future__ import annotations
 
@@ -26,7 +26,7 @@ def mul(p: int, A, B) -> list[list[int]]:
 def rref(p: int, rows) -> tuple[list[list[int]], tuple[int, ...]]:
     """The nonzero RREF rows and their pivots.  Each row is reduced by the kept RREF of
     the rows before it, scaled and cleared from it, until every column has a pivot.
-    An RREF depends only on the row space, so this is the one `Matrix.rref` gives."""
+    An RREF depends only on the row space, so this is the one `Field.rref` gives."""
     kept = {}  # pivot column: its row
     for v in rows:
         if len(kept) == len(v):
@@ -50,19 +50,6 @@ def rref(p: int, rows) -> tuple[list[list[int]], tuple[int, ...]]:
         kept[c] = list(v)
     pivots = sorted(kept)
     return [kept[c] for c in pivots], tuple(pivots)
-
-
-def kernel(p: int, rows, pivots, n: int) -> list[list[int]]:
-    """The null space basis `Matrix.kernel_basis` reads off RREF `rows` with `pivots`:
-    per free column, a 1 there and minus that column of the rows at the pivots."""
-    out = []
-    for fc in sorted(set(range(n)).difference(pivots)):
-        v = [0] * n
-        v[fc] = 1
-        for row, pc in zip(rows, pivots):
-            v[pc] = -row[fc] % p
-        out.append(v)
-    return out
 
 
 def rank(p: int, rows) -> int:

@@ -2,8 +2,8 @@
 
 Scalars are plain Python values -- int residues in [0, p) for F_p,
 ``fractions.Fraction`` for Q -- and a ``Field`` object owns
-canonicalization, arithmetic, and JSON encoding.  Keeping scalars
-unboxed makes the dense linear algebra in :mod:`msgkit.matrices` cheap;
+canonicalization, arithmetic, JSON encoding and the row kernels.
+Keeping scalars unboxed makes the dense linear algebra cheap;
 the cost is that the field object must travel alongside the values,
 which every container in this package does.
 
@@ -18,6 +18,7 @@ import re
 import sys
 from fractions import Fraction
 
+from . import _fp
 from ._integers import is_prime
 from ._record import _Record
 
@@ -47,7 +48,13 @@ class FieldMismatchError(ValueError):
 
 
 class Field(_Record):
-    """Common interface; see PrimeField and RationalField."""
+    """Common interface; see PrimeField and RationalField.
+
+    The row kernels (draw, matmul, rref, rank, kernel) take and return lists of
+    canonical scalars.  Their bodies here are generic elimination through the
+    field calls; PrimeField overrides them with the plain-int `_fp` kernels, so
+    this is the one place that picks F_p or generic code.
+    """
 
     def div(self, a, b):
         return self.mul(a, self.inv(b))
@@ -58,6 +65,63 @@ class Field(_Record):
 
     # subclasses provide: element, zero, one, add, sub, mul, neg, inv, pow,
     # random, encode, decode, spec
+
+    def draw(self, rng, count: int) -> list:
+        return [self.random(rng) for _ in range(count)]
+
+    def matmul(self, A, B) -> list[list]:
+        """A B; B has at least one row, which gives the column count."""
+        add, mul, zero = self.add, self.mul, self.zero
+        out = []
+        for arow in A:
+            acc = [zero] * len(B[0])
+            for a, brow in zip(arow, B):
+                if a:
+                    acc = [add(x, mul(a, y)) for x, y in zip(acc, brow)]
+            out.append(acc)
+        return out
+
+    def rref(self, rows) -> tuple[list[list], tuple[int, ...]]:
+        """The nonzero rows of the reduced row echelon form and their pivot columns."""
+        sub, mul = self.sub, self.mul
+        rows, pivots = [list(r) for r in rows], []
+        m = len(rows)
+        for c in range(len(rows[0]) if rows else 0):
+            r = len(pivots)
+            if r == m:
+                break
+            for i in range(r, m):
+                if rows[i][c]:
+                    break
+            else:
+                continue
+            rows[r], rows[i] = rows[i], rows[r]
+            if rows[r][c] != self.one:
+                f = self.inv(rows[r][c])
+                rows[r] = [mul(f, x) for x in rows[r]]
+            pivot = rows[r]
+            for i, row in enumerate(rows):
+                f = row[c]
+                if f and i != r:
+                    rows[i] = [sub(x, mul(f, y)) for x, y in zip(row, pivot)]
+            pivots.append(c)
+        return rows[:len(pivots)], tuple(pivots)
+
+    def rank(self, rows) -> int:
+        return len(self.rref(rows)[1])
+
+    def kernel(self, rows, pivots, n: int) -> list[list]:
+        """The null space basis read off RREF `rows` with `pivots`: per free
+        column, a 1 there and minus that column of the rows at the pivots, so
+        the vectors are independent by construction."""
+        out = []
+        for fc in sorted(set(range(n)).difference(pivots)):
+            v = [self.zero] * n
+            v[fc] = self.one
+            for row, pc in zip(rows, pivots):
+                v[pc] = self.neg(row[fc])
+            out.append(v)
+        return out
 
 
 class PrimeField(Field):
@@ -109,6 +173,18 @@ class PrimeField(Field):
 
     def random(self, rng) -> int:
         return rng.randrange(self.p)
+
+    def draw(self, rng, count: int) -> list[int]:
+        return _fp.draw(rng, self.p, count)
+
+    def matmul(self, A, B) -> list[list[int]]:
+        return _fp.mul(self.p, A, B)
+
+    def rref(self, rows) -> tuple[list[list[int]], tuple[int, ...]]:
+        return _fp.rref(self.p, rows)
+
+    def rank(self, rows) -> int:
+        return _fp.rank(self.p, rows)
 
     def elements(self):
         return range(self.p)

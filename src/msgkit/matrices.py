@@ -11,10 +11,8 @@ passes ``_trusted=True`` to skip both.
 
 from __future__ import annotations
 
-from . import _fp
-from ._fp import rank as _rank_mod_p
 from ._record import _Record
-from .fields import Field, PrimeField
+from .fields import Field
 from .polynomials import _linear_grid, pmat_det
 
 __all__ = [
@@ -114,18 +112,10 @@ class Matrix(_Record):
         if self.ncols != other.nrows:
             raise ValueError(f"shape mismatch: {self.shape} * {other.shape}")
         F = self.field
-        if isinstance(F, PrimeField) and other.nrows:
-            return Matrix(F, self.nrows, other.ncols, _fp.mul(F.p, self.rows, other.rows),
+        if not other.nrows:  # the kernel reads the column count off B's first row
+            return Matrix(F, self.nrows, other.ncols, [[F.zero] * other.ncols] * self.nrows,
                           _trusted=True)
-        add, mul, zero = F.add, F.mul, F.zero
-        out = []
-        for arow in self.rows:
-            acc = [zero] * other.ncols
-            for a, brow in zip(arow, other.rows):
-                if a:
-                    acc = [add(x, mul(a, y)) for x, y in zip(acc, brow)]
-            out.append(acc)
-        return Matrix(F, self.nrows, other.ncols, out, _trusted=True)
+        return Matrix(F, self.nrows, other.ncols, F.matmul(self.rows, other.rows), _trusted=True)
 
     __matmul__ = mul
 
@@ -146,57 +136,22 @@ class Matrix(_Record):
     # -- elimination --------------------------------------------------------
 
     def rref(self) -> tuple["Matrix", int, tuple[int, ...]]:
-        """Reduced row echelon form, rank, and pivot columns."""
+        """Reduced row echelon form, rank, and pivot columns: `Field.rref`'s
+        nonzero rows, padded with zero rows to this shape."""
         F = self.field
-        m, n = self.nrows, self.ncols
-        if isinstance(F, PrimeField):
-            rows, pivots = _fp.rref(F.p, self.rows)
-            rows += [[0] * n] * (m - len(rows))
-            return Matrix(F, m, n, rows, _trusted=True), len(pivots), pivots
-        sub, mul = F.sub, F.mul
-        rows, pivots = [list(r) for r in self.rows], []
-        for c in range(n):
-            r = len(pivots)
-            if r == m:
-                break
-            for i in range(r, m):
-                if rows[i][c]:
-                    break
-            else:
-                continue
-            rows[r], rows[i] = rows[i], rows[r]
-            if rows[r][c] != F.one:
-                f = F.inv(rows[r][c])
-                rows[r] = [mul(f, x) for x in rows[r]]
-            pivot = rows[r]
-            for i, row in enumerate(rows):
-                f = row[c]
-                if f and i != r:
-                    rows[i] = [sub(x, mul(f, y)) for x, y in zip(row, pivot)]
-            pivots.append(c)
-        return Matrix(F, m, n, rows, _trusted=True), len(pivots), tuple(pivots)
+        rows, pivots = F.rref(self.rows)
+        rows += [[F.zero] * self.ncols] * (self.nrows - len(rows))
+        return Matrix(F, self.nrows, self.ncols, rows, _trusted=True), len(pivots), pivots
 
     def rank(self) -> int:
-        """Number of pivots; over F_p by `_fp.rank`, imported as `_rank_mod_p`."""
-        if isinstance(self.field, PrimeField):
-            return _rank_mod_p(self.field.p, self.rows)
-        return self.rref()[1]
+        """Number of pivots, by `Field.rank`: over F_p, `_fp.rank`'s forward elimination."""
+        return self.field.rank(self.rows)
 
     def kernel_basis(self) -> "Matrix":
-        """Rows form a basis of the right null space (empty matrix if trivial).
-
-        Each basis vector carries a 1 at one free column and zeros at the
-        others, so the rows are independent by construction.
-        """
+        """Rows form a basis of the right null space (empty matrix if trivial),
+        read by `Field.kernel` off the RREF."""
         F, n = self.field, self.ncols
-        R, _, pivots = self.rref()
-        vecs = []
-        for fc in sorted(set(range(n)).difference(pivots)):
-            v = [F.zero] * n
-            v[fc] = F.one
-            for row, pc in zip(R.rows, pivots):
-                v[pc] = F.neg(row[fc])
-            vecs.append(v)
+        vecs = F.kernel(*F.rref(self.rows), n)
         return Matrix(F, len(vecs), n, vecs, _trusted=True)
 
     def left_kernel_basis(self) -> "Matrix":
@@ -341,10 +296,7 @@ def skew_normal_form(M: Matrix) -> tuple[Matrix, int]:
 # ---------------------------------------------------------------------------
 
 def random_matrix(field: Field, nrows: int, ncols: int, rng) -> Matrix:
-    if isinstance(field, PrimeField):
-        rows = [_fp.draw(rng, field.p, ncols) for _ in range(nrows)]
-    else:
-        rows = [[field.random(rng) for _ in range(ncols)] for _ in range(nrows)]
+    rows = [field.draw(rng, ncols) for _ in range(nrows)]
     return Matrix(field, nrows, ncols, rows, _trusted=True)
 
 

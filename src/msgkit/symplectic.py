@@ -19,11 +19,9 @@ from __future__ import annotations
 
 import itertools
 import os
-from functools import partial
 from operator import mul
 from random import Random
 
-from . import _fp
 from ._record import _Record
 from .fields import Field, PrimeField, field_from_spec
 from .matrices import Matrix, canonical_alternating, random_invertible
@@ -117,9 +115,7 @@ class FormSpace(_Record):
             field.require_same(f.field)
             if f.dim != n:
                 raise ValueError("forms live on spaces of different dimension")
-        flat = Matrix(field, len(forms), n * n,
-                      [[x for row in f.gram.rows for x in row] for f in forms], _trusted=True)
-        if flat.rank() != len(forms):
+        if field.rank([[x for row in f.gram.rows for x in row] for f in forms]) != len(forms):
             raise ValueError("Gram matrices are linearly dependent")
         self.forms = forms
 
@@ -234,9 +230,8 @@ class Subspace(_Record):
     @classmethod
     def from_span(cls, rows: Matrix) -> "Subspace":
         """Span of arbitrary rows; dependent or zero rows are dropped."""
-        R, rank, pivots = rows.rref()
-        basis = Matrix(rows.field, rank, rows.ncols, R.rows[:rank], _trusted=True)
-        return cls(basis, _pivots=pivots)
+        R, pivots = rows.field.rref(rows.rows)
+        return cls(Matrix(rows.field, len(R), rows.ncols, R, _trusted=True), _pivots=pivots)
 
     @property
     def k(self) -> int:
@@ -283,26 +278,6 @@ def is_isotropic(V: Subspace, F: FormSpace) -> bool:
     return isotropy_failure(V, F) is None
 
 
-def _row_kernels(field: Field, n: int, rng: Random):
-    """The sampler's draw(count), mul(A, B), rref(rows) -> (nonzero rows, pivots) and
-    kernel(RREF rows, pivots) on lists of rows: `_fp` over F_p, `Matrix` methods over Q."""
-    if isinstance(field, PrimeField):
-        p = field.p
-        return (partial(_fp.draw, rng, p), partial(_fp.mul, p), partial(_fp.rref, p),
-                partial(_fp.kernel, p, n=n))
-
-    def matrix(rows, ncols=n):
-        return Matrix(field, len(rows), ncols, rows, _trusted=True)
-
-    def rref(rows):
-        R, rank, pivots = matrix(rows).rref()
-        return list(R.rows[:rank]), pivots
-
-    return (lambda count: [field.random(rng) for _ in range(count)],
-            lambda A, B: matrix(A, len(B)).mul(matrix(B, len(B[0]))).rows,
-            rref, lambda R, pivots: matrix(R).kernel_basis().rows)
-
-
 def random_isotropic_subspace(k: int, F: FormSpace, rng: Random) -> Subspace | None:
     """Greedy extension by random vectors in the intersection of the perps.
 
@@ -318,26 +293,25 @@ def random_isotropic_subspace(k: int, F: FormSpace, rng: Random) -> Subspace | N
     if not 1 <= k <= n // 2:
         raise ValueError(
             f"isotropic dimension must satisfy 1 <= k <= n/2 = {n // 2}, got {k}")
-    draw, matmul, rref, kernel = _row_kernels(F.field, n, rng)
-    grams = [G.rows for G in F.grams()]
+    field, grams = F.field, [G.rows for G in F.grams()]
     span, perp, perp_pivots = [], [], ()
     while True:
-        K = kernel(perp, perp_pivots)
+        K = field.kernel(perp, perp_pivots, n)
         if not K:
             return None
-        draws = (matmul([draw(len(K))], K)[0] for _ in range(_RETRIES))
+        draws = (field.matmul([field.draw(rng, len(K))], K)[0] for _ in range(_RETRIES))
         # then the deterministic fallback: a kernel basis vector extends the span iff any does
         for v in itertools.chain(draws, K):
             if any(v):
-                R, pivots = rref(span + [v])
+                R, pivots = field.rref(span + [v])
                 if len(pivots) > len(span):
                     break
         else:
             return None
         span = R
         if len(span) == k:
-            return Subspace(Matrix(F.field, k, n, span, _trusted=True), _pivots=pivots)
-        perp, perp_pivots = rref(perp + [matmul([v], G)[0] for G in grams])
+            return Subspace(Matrix(field, k, n, span, _trusted=True), _pivots=pivots)
+        perp, perp_pivots = field.rref(perp + [field.matmul([v], G)[0] for G in grams])
 
 
 # ---------------------------------------------------------------------------
@@ -404,7 +378,7 @@ def _row_solutions(field: PrimeField, pivot: int, cols: list[int], perps: list[l
     in order then lists the solutions in lexicographic order.
     """
     p, f = field.p, len(cols)
-    R, pivot_cols = _fp.rref(p, [[w[c] for c in reversed(cols)] + [-w[pivot] % p] for w in perps])
+    R, pivot_cols = field.rref([[w[c] for c in reversed(cols)] + [-w[pivot] % p] for w in perps])
     if f in pivot_cols:
         return ()
     solved = [(f - 1 - c, R[r][f], [(f - 1 - d, R[r][d]) for d in range(c + 1, f) if R[r][d]])
@@ -504,6 +478,8 @@ def decode_point(obj: dict) -> tuple[FormSpace, Matrix]:
     n = obj["n"]
     if not isinstance(n, int) or n < 2:
         raise ValueError("point file 'n' must be an integer >= 2")
+    if not isinstance(obj["forms"], list):
+        raise ValueError("point file 'forms' must be an array of Gram matrices")
     forms = [SymplecticForm(Matrix.decode(field, g, ncols=n)) for g in obj["forms"]]
     for f in forms:
         if f.dim != n:

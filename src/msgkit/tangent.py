@@ -27,7 +27,7 @@ from random import Random
 
 from ._record import _Record
 from .fields import QQ, Field, PrimeField
-from .matrices import Matrix, _pfaffian, _rank_mod_p, _skew_rank, random_matrix
+from .matrices import Matrix, _pfaffian, _skew_rank, random_matrix
 from .polynomials import (BinaryForm, _interpolate, _linear_grid, binary_form_gcd,
                           binary_form_roots, pmat_det, proots, ptrim)
 from .symplectic import (
@@ -35,7 +35,6 @@ from .symplectic import (
     Subspace,
     _first_nonzero_pairing,
     _isotropic_points,
-    _row_kernels,
     derive_seed,
     random_independent_pair,
     random_isotropic_subspace,
@@ -232,23 +231,18 @@ def _coprime_quadratic_minors(field: Field, R1, R2) -> bool:
 
 def _point_core(field: Field, k: int, nk: int, restrictions, fault=False):
     """(rank of `build_constraints`, pencil known nondegenerate) from each form's
-    restriction rows, over F_p as plain ints by `_fp.rank` and over any other field
-    by `Matrix.rank`; `fault` zeroes the first row.  The pencil is nondegenerate at
-    k = 1, at k = 2 iff [vec R_1; vec R_2] has rank 2 (1x1 minors of gcd 1), and at
-    k = 3 when two 2x2 minors have a nonzero resultant; else False: the minors decide."""
-    def rank(rows):  # of rows with k * nk columns
-        if isinstance(field, PrimeField):
-            return _rank_mod_p(field.p, rows)
-        return Matrix(field, len(rows), k * nk, rows, _trusted=True).rank()
-
+    restriction rows, ranked by `field.rank` (over F_p, `_fp.rank` on plain ints);
+    `fault` zeroes the first row.  The pencil is nondegenerate at k = 1, at k = 2
+    iff [vec R_1; vec R_2] has rank 2 (1x1 minors of gcd 1), and at k = 3 when two
+    2x2 minors have a nonzero resultant; else False: the minors decide."""
     rows = _constraint_rows(field, k, nk, restrictions)
     if fault:
         rows[0] = [field.zero] * (k * nk)
     if k == 2:
-        return rank(rows), rank([R[0] + R[1] for R in restrictions]) == 2
+        return field.rank(rows), field.rank([R[0] + R[1] for R in restrictions]) == 2
     if k == 3:
-        return rank(rows), _coprime_quadratic_minors(field, *restrictions)
-    return rank(rows), k <= 1
+        return field.rank(rows), _coprime_quadratic_minors(field, *restrictions)
+    return field.rank(rows), k <= 1
 
 
 # ---------------------------------------------------------------------------
@@ -708,7 +702,7 @@ def _sampled_points(k: int, fs: FormSpace, rng: Random, samples: int):
     """`samples` greedy draws as (pivots, RREF rows, restriction rows) records, stalls
     skipped.  B G_t is formed once per form: (B G_t) B^T = 0 is the isotropy check,
     and its non-pivot columns are the restrictions to the default complement."""
-    matmul, grams = _row_kernels(fs.field, fs.dim, rng)[1], [G.rows for G in fs.grams()]
+    matmul, grams = fs.field.matmul, [G.rows for G in fs.grams()]
     for _ in range(samples):
         V = random_isotropic_subspace(k, fs, rng)
         if V is not None:

@@ -214,14 +214,18 @@ _MATRIX = {"field": {"kind": "rational"}, "matrix": [[0, 1], [-1, 0]]}
 @pytest.mark.parametrize("subcommand, good", [("check-point", _POINT),
                                               ("normal-form", _MATRIX)])
 @pytest.mark.parametrize("case", ["field_not_object", "zero_denominator", "exponent_scalar",
-                                  "deep_nesting"])
+                                  "deep_nesting", "grid_not_array"])
 def test_malformed_input_files_exit_2_without_traceback(tmp_path, subcommand, good, case):
     obj = json.loads(json.dumps(good))
+    key = "forms" if "forms" in obj else "matrix"
     if case == "field_not_object":
         obj["field"] = "prime"
         text = json.dumps(obj)
+    elif case == "grid_not_array":
+        obj[key] = 5
+        text = json.dumps(obj)
     elif case in ("zero_denominator", "exponent_scalar"):
-        grid = obj["forms"][0] if "forms" in obj else obj["matrix"]
+        grid = obj["forms"][0] if key == "forms" else obj["matrix"]
         grid[0][1] = "1/0" if case == "zero_denominator" else "1e10000000"
         text = json.dumps(obj)
     else:
@@ -233,6 +237,8 @@ def test_malformed_input_files_exit_2_without_traceback(tmp_path, subcommand, go
     assert code == 2
     assert "error:" in err
     assert "Traceback" not in err
+    if case == "grid_not_array":  # the message names the key, not Python's iteration
+        assert key in err and "not iterable" not in err
 
 
 @pytest.mark.parametrize("subcommand, good", [("check-point", _POINT),

@@ -112,3 +112,21 @@ def test_library_imports_only_what_it_reads():
                    for alias in node.names
                    if (alias.asname or alias.name).split(".")[0] not in read]
     assert unread == []
+
+
+def test_only_the_fields_module_imports_the_fp_kernels():
+    # PrimeField's row kernels are the one place that picks F_p code over
+    # generic elimination; a second importer of `_fp` is a second such place
+    importers = set()
+    for path, tree in _parsed("src/msgkit/*.py"):
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom):
+                base = ".".join(filter(None, ["msgkit" if node.level else "", node.module]))
+                names = [base] + [f"{base}.{alias.name}" for alias in node.names]
+            elif isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            else:
+                continue
+            if "msgkit._fp" in names:
+                importers.add(os.path.basename(path))
+    assert sorted(importers) == ["fields.py"]
