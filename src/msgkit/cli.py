@@ -36,10 +36,10 @@ from .symplectic import (
     BudgetExceeded,
     Subspace,
     _require_budget,
+    _subspace_count,
     decode_point,
     derive_seed,
     enumeration_budget,
-    gaussian_binomial,
     random_form_space,
     random_isotropic_subspace,
 )
@@ -242,7 +242,7 @@ def cmd_scan(args) -> int:
     if not 1 <= args.k <= args.n // 2:
         raise ValueError(f"need 1 <= k <= n/2, got k={args.k}, n={args.n}")
     expected = msg_expected_dim(args.n, args.k, args.m)
-    # a drawn form costs O(n^3): the rank test on P, P^T J P and its own rank
+    # a drawn form costs O(n^3): P^T J P and its one rank, the nondegeneracy check
     _require_budget(args.samples * args.m * args.n ** 3,
                     f"scanning {args.samples} samples x {args.m} forms x n^3 = {args.n ** 3}",
                     enumeration_budget())
@@ -291,10 +291,8 @@ def cmd_verify(args) -> int:
     budget = enumeration_budget()
     if args.scope == "sampled":
         each, what = args.samples * args.n ** 3, f"steps ({args.samples} samples x n^3)"
-    elif args.k * (args.n - args.k) < budget.bit_length():
-        each, what = gaussian_binomial(args.n, args.k, args.p), "subspaces"
-    else:  # C(n, k)_p >= p^(k(n-k)) > 2^(k(n-k)) > budget: not multiplied out
-        each, what = budget + 1, "or more subspaces"
+    else:
+        each, what = _subspace_count(args.n, args.k, args.p, budget)
     _require_budget(args.pairs * each, f"verifying {args.pairs} pairs x {each} {what}", budget)
     task = partial(_verify_one_pair, args.n, args.k, field, args.seed, scope=args.scope,
                    samples=args.samples, budget=budget, fault=args.inject_fault)

@@ -26,7 +26,9 @@ __all__ = [
 
 
 class SingularMatrixError(ValueError):
-    """Raised when inverting a singular matrix."""
+    """A square matrix that must be nonsingular is not: raised by `Matrix.inverse`,
+    and by `SymplecticForm` for a degenerate Gram matrix, the one refusal that
+    `random_symplectic_form` redraws on."""
 
 
 class Matrix(_Record):
@@ -126,13 +128,6 @@ class Matrix(_Record):
         return Matrix(self.field, self.nrows + other.nrows, self.ncols,
                       self.rows + other.rows, _trusted=True)
 
-    def hstack(self, other: "Matrix") -> "Matrix":
-        self.field.require_same(other.field)
-        if self.nrows != other.nrows:
-            raise ValueError("row counts differ")
-        return Matrix(self.field, self.nrows, self.ncols + other.ncols,
-                      [r1 + r2 for r1, r2 in zip(self.rows, other.rows)], _trusted=True)
-
     # -- elimination --------------------------------------------------------
 
     def rref(self) -> tuple["Matrix", int, tuple[int, ...]]:
@@ -158,14 +153,14 @@ class Matrix(_Record):
         return self.transpose().kernel_basis()
 
     def inverse(self) -> "Matrix":
+        """The right half of the RREF of [A | I]: A is invertible iff its pivots are 0..n-1."""
         if not self.is_square():
             raise ValueError("inverse of a non-square matrix")
-        n = self.nrows
-        aug = self.hstack(Matrix.identity(self.field, n))
-        R, rank, _ = aug.rref()
-        if rank < n or any(R.rows[i][i] != self.field.one for i in range(n)):
+        F, n = self.field, self.nrows
+        rows, pivots = F.rref([r + e for r, e in zip(self.rows, Matrix.identity(F, n).rows)])
+        if pivots != tuple(range(n)):
             raise SingularMatrixError("matrix is singular")
-        return Matrix(self.field, n, n, [row[n:] for row in R.rows], _trusted=True)
+        return Matrix(F, n, n, [row[n:] for row in rows], _trusted=True)
 
     # -- structure tests and invariants --------------------------------------
 

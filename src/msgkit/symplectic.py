@@ -19,12 +19,13 @@ from __future__ import annotations
 
 import itertools
 import os
+from contextlib import suppress
 from operator import mul
 from random import Random
 
 from ._record import _Record
 from .fields import Field, PrimeField, field_from_spec
-from .matrices import Matrix, canonical_alternating, random_invertible
+from .matrices import Matrix, SingularMatrixError, canonical_alternating, random_matrix
 
 DEFAULT_BUDGET = 10**7
 _RETRIES = 64  # random draws per sampler step before the kernel sweep
@@ -85,7 +86,7 @@ class SymplecticForm(_Record):
         if not gram.is_alternating():
             raise ValueError("Gram matrix must be alternating")
         if gram.rank() != gram.nrows:
-            raise ValueError("symplectic form must be nondegenerate")
+            raise SingularMatrixError("symplectic form must be nondegenerate")
         self.gram = gram
 
     @property
@@ -155,7 +156,8 @@ def standard_form(n: int, field: Field) -> SymplecticForm:
 
 
 def random_symplectic_form(n: int, field: Field, rng: Random) -> SymplecticForm:
-    """P^T J P for a random invertible P; congruence keeps J symplectic.
+    """P^T J P for a random P, redrawn when `SymplecticForm`'s one rank refuses it:
+    det(P^T J P) = det(P)^2, so exactly the invertible P are kept.
 
     J is block diagonal with blocks [[0, 1], [-1, 0]], so entry (i, j) is
     e_i . o_j - o_i . e_j for e_i, o_i column i of P's even and odd rows; it
@@ -163,13 +165,15 @@ def random_symplectic_form(n: int, field: Field, rng: Random) -> SymplecticForm:
     """
     if n < 2 or n % 2:
         raise ValueError(f"symplectic forms need even n >= 2, got {n}")
-    P = random_invertible(field, n, rng).rows
-    E, O = list(zip(*P[0::2])), list(zip(*P[1::2]))
-    G = [[field.zero] * n for _ in range(n)]
-    for i, j in itertools.combinations(range(n), 2):
-        G[i][j] = x = field.element(sum(map(mul, E[i], O[j])) - sum(map(mul, O[i], E[j])))
-        G[j][i] = field.neg(x)
-    return SymplecticForm(Matrix(field, n, n, G, _trusted=True))
+    while True:
+        P = random_matrix(field, n, n, rng).rows
+        E, O = list(zip(*P[0::2])), list(zip(*P[1::2]))
+        G = [[field.zero] * n for _ in range(n)]
+        for i, j in itertools.combinations(range(n), 2):
+            G[i][j] = x = field.element(sum(map(mul, E[i], O[j])) - sum(map(mul, O[i], E[j])))
+            G[j][i] = field.neg(x)
+        with suppress(SingularMatrixError):  # any other refusal is a bug, raised, not redrawn
+            return SymplecticForm(Matrix(field, n, n, G, _trusted=True))
 
 
 def random_form_space(n: int, m: int, field: Field, rng: Random) -> FormSpace:
@@ -186,8 +190,7 @@ def random_form_space(n: int, m: int, field: Field, rng: Random) -> FormSpace:
     if m > n * (n - 1) // 2:
         raise ValueError(
             f"no {m} independent alternating forms exist in dimension {n}")
-    forms = []
-    guard = 0
+    forms, guard = [], 0
     while len(forms) < m:
         candidate = random_symplectic_form(n, field, rng)
         if forms or m == 1:  # one form is independent alone: its Gram matrix is nonzero
@@ -249,16 +252,16 @@ class Subspace(_Record):
         return f"Subspace(k={self.k}, n={self.n}, {self.field})"
 
 
-def _first_nonzero_pairing(B: Matrix, products):
-    """First (t, i, j, value) with (B G_t B^T)[i][j] != 0, or None; `products`
-    yields B G_t in form order and is read only up to the first failing form."""
-    Bt = B.transpose()
-    for t, BG in enumerate(products):
-        for i, row in enumerate(BG.mul(Bt).rows):
-            for j, val in enumerate(row):
-                if val:
-                    return (t, i, j, val)
-    return None
+def _point_products(field: Field, B, grams):
+    """(the rows of B G_t per Gram matrix G_t, the first (t, i, j, value) with
+    (B G_t B^T)[i][j] != 0 or None): the one isotropy scan of given and sampled
+    points.  B and each G_t are lists of canonical rows; B may have none (k = 0)."""
+    products = [field.matmul(B, G) for G in grams]
+    Bt = list(zip(*B))
+    failure = next(((t, i, j, x) for t, BG in enumerate(products)
+                    for i, row in enumerate(field.matmul(BG, Bt)) for j, x in enumerate(row)
+                    if x), None)
+    return products, failure
 
 
 def isotropy_failure(V: Subspace, F: FormSpace):
@@ -269,8 +272,8 @@ def isotropy_failure(V: Subspace, F: FormSpace):
     """
     if V.n != F.dim:
         raise ValueError(f"dimension mismatch: subspace in n={V.n}, forms on n={F.dim}")
-    B = V.basis
-    return _first_nonzero_pairing(B, (B.mul(G) for G in F.grams()))
+    V.field.require_same(F.field)
+    return _point_products(V.field, V.basis.rows, [G.rows for G in F.grams()])[1]
 
 
 def is_isotropic(V: Subspace, F: FormSpace) -> bool:
@@ -327,8 +330,16 @@ def _check_enumeration(n: int, k: int, field: Field, budget: int | None) -> None
         raise ValueError(f"need 0 <= k <= n, got k={k}, n={n}")
     if budget is None:
         budget = enumeration_budget()
-    total = gaussian_binomial(n, k, field.p)
-    _require_budget(total, f"enumerating {total} subspaces", budget)
+    total, what = _subspace_count(n, k, field.p, budget)
+    _require_budget(total, f"enumerating {total} {what}", budget)
+
+
+def _subspace_count(n: int, k: int, q: int, budget: int) -> tuple[int, str]:
+    """(C(n, k)_q, "subspaces"), or, not multiplied out, (budget + 1, "or more subspaces")
+    when k(n-k) >= budget.bit_length(), as then C(n, k)_q >= q^(k(n-k)) > budget."""
+    if k * (n - k) < budget.bit_length():
+        return gaussian_binomial(n, k, q), "subspaces"
+    return budget + 1, "or more subspaces"
 
 
 def _require_budget(size: int, what: str, budget: int) -> None:
@@ -480,11 +491,8 @@ def decode_point(obj: dict) -> tuple[FormSpace, Matrix]:
         raise ValueError("point file 'n' must be an integer >= 2")
     if not isinstance(obj["forms"], list):
         raise ValueError("point file 'forms' must be an array of Gram matrices")
-    forms = [SymplecticForm(Matrix.decode(field, g, ncols=n)) for g in obj["forms"]]
-    for f in forms:
-        if f.dim != n:
-            raise ValueError("form dimension disagrees with 'n'")
-    fs = FormSpace(forms)
+    # n columns, and square, so every form has dimension n
+    fs = FormSpace(SymplecticForm(Matrix.decode(field, g, ncols=n)) for g in obj["forms"])
     basis = Matrix.decode(field, obj["subspace"], ncols=n)
     if basis.rank() != basis.nrows:
         raise ValueError("subspace basis rows are linearly dependent")

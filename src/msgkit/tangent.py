@@ -33,8 +33,8 @@ from .polynomials import (BinaryForm, _interpolate, _linear_grid, binary_form_gc
 from .symplectic import (
     FormSpace,
     Subspace,
-    _first_nonzero_pairing,
     _isotropic_points,
+    _point_products,
     derive_seed,
     random_independent_pair,
     random_isotropic_subspace,
@@ -76,15 +76,17 @@ def _non_pivot_columns(V: Subspace) -> list[int]:
     return [j for j in range(V.n) if j not in pivot_set]
 
 
+def _unit_restrictions(V: Subspace, products) -> list:
+    """Each form's B G_t at the non-pivot columns of V: R_t for `default_complement`."""
+    free = _non_pivot_columns(V)
+    return [[[row[j] for j in free] for row in BG] for BG in products]
+
+
 def default_complement(V: Subspace) -> Matrix:
     """Identity rows at the non-pivot columns of the RREF basis."""
-    field = V.field
-    rows = []
-    for j in _non_pivot_columns(V):
-        row = [field.zero] * V.n
-        row[j] = field.one
-        rows.append(row)
-    return Matrix(field, V.n - V.k, V.n, rows, _trusted=True)
+    F = V.field
+    return Matrix(F, V.n - V.k, V.n, [[F.one if c == j else F.zero for c in range(V.n)]
+                                      for j in _non_pivot_columns(V)], _trusted=True)
 
 
 def random_complement(V: Subspace, rng: Random) -> Matrix:
@@ -104,11 +106,11 @@ class PointContext:
     reported dimensions are provably independent of both choices; kernel
     coordinates are not, which is why the choices are recorded here.
     `restrictions` holds R_t = B G_t C^T, one per form.  B G_t is computed
-    once per form and shared: the isotropy check reads (B G_t) B^T from it,
-    and with the default complement, a selector of the non-pivot columns,
-    R_t is just those columns of B G_t.  Only a complement the caller
-    passes is rank-checked against the basis: the default one holds the
-    unit rows at the non-pivot columns, which complete any basis of V.
+    once per form and shared: `_point_products` scans (B G_t) B^T for the
+    isotropy check, and with the default complement, a selector of the
+    non-pivot columns, R_t is just those columns of B G_t.  Only a complement
+    the caller passes is rank-checked against the basis: the default one holds
+    the unit rows at the non-pivot columns, which complete any basis of V.
     """
 
     __slots__ = ("subspace", "forms", "basis", "complement", "restrictions")
@@ -123,10 +125,10 @@ class PointContext:
         if subspace.n != forms.dim:
             raise ValueError(
                 f"subspace lives in n={subspace.n} but forms act on n={forms.dim}")
-        subspace.field.require_same(forms.field)
-        grams = forms.grams()
-        products = [subspace.basis.mul(G) for G in grams]
-        failure = _first_nonzero_pairing(subspace.basis, products)
+        field = subspace.field
+        field.require_same(forms.field)
+        grams = [G.rows for G in forms.grams()]
+        products, failure = _point_products(field, subspace.basis.rows, grams)
         if failure is not None:
             t, i, j, val = failure
             raise ValueError(
@@ -138,26 +140,23 @@ class PointContext:
                 raise ValueError("working basis has the wrong shape")
             if Subspace.from_span(basis) != subspace:
                 raise ValueError("working basis does not span the subspace")
-            products = [basis.mul(G) for G in grams]
+            products = [field.matmul(basis.rows, G) for G in grams]
         if complement is None:
             complement = default_complement(subspace)
-            free = _non_pivot_columns(subspace)
-            restrictions = tuple(
-                Matrix(BG.field, BG.nrows, len(free),
-                       [[row[j] for j in free] for row in BG.rows], _trusted=True)
-                for BG in products)
+            restrictions = _unit_restrictions(subspace, products)
         else:
             if complement.shape != (subspace.n - subspace.k, subspace.n):
                 raise ValueError("complement has the wrong shape")
             if basis.stack(complement).rank() != subspace.n:
                 raise ValueError("basis plus complement do not span the ambient space")
-            ct = complement.transpose()
-            restrictions = tuple(BG.mul(ct) for BG in products)
+            ct = complement.transpose().rows
+            restrictions = [field.matmul(BG, ct) for BG in products]
         self.subspace = subspace
         self.forms = forms
         self.basis = basis
         self.complement = complement
-        self.restrictions = restrictions
+        self.restrictions = tuple(Matrix(field, subspace.k, subspace.n - subspace.k, R,
+                                         _trusted=True) for R in restrictions)
 
     @property
     def n(self) -> int:
@@ -700,17 +699,16 @@ def verify_pair(
 
 def _sampled_points(k: int, fs: FormSpace, rng: Random, samples: int):
     """`samples` greedy draws as (pivots, RREF rows, restriction rows) records, stalls
-    skipped.  B G_t is formed once per form: (B G_t) B^T = 0 is the isotropy check,
-    and its non-pivot columns are the restrictions to the default complement."""
-    matmul, grams = fs.field.matmul, [G.rows for G in fs.grams()]
+    skipped.  B G_t is formed once per form by `_point_products`, whose isotropy scan
+    must find nothing, and its non-pivot columns are the default complement's R_t."""
+    field, grams = fs.field, [G.rows for G in fs.grams()]
     for _ in range(samples):
         V = random_isotropic_subspace(k, fs, rng)
         if V is not None:
-            B, free = V.basis.rows, _non_pivot_columns(V)
-            products = [matmul(B, G) for G in grams]
-            if any(any(row) for BG in products for row in matmul(BG, list(zip(*B)))):
+            products, failure = _point_products(field, V.basis.rows, grams)
+            if failure is not None:
                 raise ArithmeticError("a sampled point is not isotropic")
-            yield V.pivots, B, [[[row[j] for j in free] for row in BG] for BG in products]
+            yield V.pivots, V.basis.rows, _unit_restrictions(V, products)
 
 
 def _verify_seeded_pair(n: int, k: int, field: Field, seed: int, index: int,

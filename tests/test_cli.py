@@ -182,6 +182,22 @@ def test_check_point_smooth_lagrangian(tmp_path):
     assert report["degenerate"] is None  # pencil check needs m = 2
 
 
+def test_check_point_empty_subspace_and_degenerate_form(tmp_path):
+    # k = 0 passes the one isotropy scan with no rows; a degenerate Gram
+    # matrix is refused by the form's own rank, with exit 2 and its message
+    point = json.load(open(os.path.join(DATA, "degenerate_n4k2.json")))
+    path = tmp_path / "point.json"
+    path.write_text(json.dumps({**point, "subspace": []}))
+    code, out, err = run_cli("check-point", "--input", str(path))
+    assert (code, err) == (0, "")
+    assert json.loads(out)["report"] == {
+        "degeneracy": None, "degenerate": False, "expected_dim": 0, "k": 0, "m": 2, "n": 4,
+        "phi_kernel": [], "phi_rank": 0, "tangent_dim": 0}
+    path.write_text(json.dumps({**point, "forms": [[[0] * 4] * 4]}))
+    assert run_cli("check-point", "--input", str(path)) == (
+        2, "", "error: symplectic form must be nondegenerate\n")
+
+
 def test_check_point_non_isotropic_diagnostic(tmp_path):
     J = standard_form(4, QQ)
     point = {

@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+import time
 from random import Random
 
 import pytest
@@ -13,6 +14,7 @@ from msgkit import (
     PointContext,
     PrimeField,
     QQ,
+    SingularMatrixError,
     Subspace,
     SymplecticForm,
     build_constraints,
@@ -35,7 +37,8 @@ from msgkit import (
     random_symplectic_form,
     standard_form,
 )
-from msgkit.symplectic import _isotropic_points
+from msgkit import symplectic
+from msgkit.symplectic import _isotropic_points, _subspace_count
 from msgkit.tangent import _point_core, find_degenerate_pencil
 from conftest import golden_compare
 
@@ -62,6 +65,68 @@ def test_symplectic_form_invariants_enforced():
         SymplecticForm(Matrix.zeros(F, 2, 2))          # degenerate
     with pytest.raises(ValueError):
         SymplecticForm(Matrix.zeros(F, 3, 3))          # odd size forces degeneracy
+
+
+def test_form_refusals_tell_a_degenerate_gram_from_a_non_alternating_one():
+    # a degenerate Gram matrix is the one refusal a form draw redraws on
+    F = PrimeField(5)
+    for gram in (Matrix.zeros(F, 4, 4), canonical_alternating(F, 4, 2), Matrix.zeros(F, 3, 3)):
+        with pytest.raises(SingularMatrixError, match="^symplectic form must be nondegenerate$"):
+            SymplecticForm(gram)
+    for gram in (Matrix.identity(F, 2), Matrix(F, 2, 2, [[0, 1], [1, 0]]), Matrix.zeros(F, 2, 4)):
+        with pytest.raises(ValueError, match="^Gram matrix must be") as info:
+            SymplecticForm(gram)
+        assert not isinstance(info.value, SingularMatrixError)
+
+
+_NON_ALTERNATING_DRAW = """
+import random
+from msgkit import Matrix, PrimeField, symplectic
+Matrix.is_alternating = lambda self: False  # as if the Gram matrix were summed wrong
+symplectic.random_symplectic_form(4, PrimeField(3), random.Random(0))
+"""
+
+
+def test_a_form_draw_raises_a_non_alternating_gram_instead_of_redrawing():
+    # only SingularMatrixError is redrawn: a redraw on any ValueError would loop here
+    # until the timeout
+    proc = subprocess.run([sys.executable, "-c", _NON_ALTERNATING_DRAW],
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 1
+    assert proc.stderr.endswith("ValueError: Gram matrix must be alternating\n")
+
+
+@pytest.mark.parametrize("field", [PrimeField(3), QQ], ids=str)
+def test_a_form_draw_ranks_each_p_once(monkeypatch, field):
+    # the form's own rank is the only one: a singular P (about 41% of the 2x2
+    # matrices over F_3) gives a degenerate form and a redraw
+    ranks, draws = [], []
+    rank, draw = type(field).rank, symplectic.random_matrix
+    monkeypatch.setattr(type(field), "rank", lambda self, rows: ranks.append(1) or rank(self, rows))
+    monkeypatch.setattr(symplectic, "random_matrix", lambda *args: draws.append(1) or draw(*args))
+    for seed in range(40):
+        random_symplectic_form(2, field, Random(seed))
+    assert len(ranks) == len(draws) >= 40
+    if field is not QQ:
+        assert len(draws) > 50
+
+
+def test_random_form_space_redraws_a_dependent_form_and_gives_up(monkeypatch):
+    # stubbed draws: a repeated form is dependent and redrawn, and draws that
+    # never stop repeating end in RuntimeError on the 257th refusal
+    F = PrimeField(5)
+    A, B = standard_form(4, F), random_symplectic_form(4, F, Random(1))
+    queue, draws = [A, A, A, B], []
+    monkeypatch.setattr(symplectic, "random_symplectic_form",
+                        lambda n, field, rng: draws.append(1) or queue.pop(0))
+    assert random_form_space(4, 2, F, Random(0)).forms == (A, B)
+    assert len(draws) == 4
+    draws.clear()
+    monkeypatch.setattr(symplectic, "random_symplectic_form",
+                        lambda n, field, rng: draws.append(1) or A)
+    with pytest.raises(RuntimeError, match="could not sample independent forms"):
+        random_form_space(4, 2, F, Random(0))
+    assert len(draws) == 1 + 257
 
 
 def test_form_space_independence_enforced():
@@ -402,6 +467,35 @@ def test_enumeration_budget():
         enumerate_subspaces(4, 2, F3, budget=100)
     with pytest.raises(ValueError):
         enumerate_subspaces(4, 2, QQ)
+
+
+@pytest.mark.parametrize("n,k", [(2000, 1000), (4000, 2000)])
+def test_enumeration_past_the_budget_is_refused_without_counting(n, k):
+    # C(n, k)_3 >= 3^(k(n-k)) is past the budget once k(n-k) reaches the
+    # budget's bit length, so it is not multiplied out; its digits would pass
+    # the interpreter's limit for printing an int
+    start = time.perf_counter()
+    with pytest.raises(BudgetExceeded, match="^enumerating 10000001 or more subspaces exceeds"
+                                             " the budget of 10000000 "):
+        enumerate_subspaces(n, k, PrimeField(3), budget=10**7)
+    assert time.perf_counter() - start < 1
+    with pytest.raises(BudgetExceeded, match="^enumerating 130 subspaces exceeds the budget of 129 "):
+        enumerate_subspaces(4, 2, PrimeField(3), budget=129)
+    assert len(list(enumerate_subspaces(4, 2, PrimeField(3), budget=130))) == 130
+
+
+def test_subspace_count_is_exact_or_past_the_budget():
+    for q in (3, 5):
+        for n in range(10):
+            for k in range(n + 1):
+                exact = gaussian_binomial(n, k, q)
+                for budget in (1, 2, 7, 129, 130, 10**4, 10**7):
+                    count, what = _subspace_count(n, k, q, budget)
+                    if what == "subspaces":
+                        assert count == exact
+                    else:
+                        assert (count, what) == (budget + 1, "or more subspaces")
+                        assert exact > budget
 
 
 def test_isotropic_enumeration_budget_and_validation():

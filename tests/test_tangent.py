@@ -45,14 +45,15 @@ from msgkit import (
     verify_pair,
     verify_thm_equivalence,
 )
-from msgkit import tangent
+from msgkit import symplectic, tangent
 from msgkit._record import _Record
 from msgkit.matrices import _pfaffian
 from msgkit.polynomials import (BinaryForm, _linear_grid, binary_form_gcd, pdeg, peval, pgcd,
                                  pmat_det, pmul, proots)
 from msgkit.symplectic import _isotropic_points
-from msgkit.tangent import (PhiKernelElement, _coprime_quadratic_minors, _pencil_minor_gcd,
-                            _pencil_pfaffian, _point_core, _resultant2, _sampled_points)
+from msgkit.tangent import (PhiKernelElement, _coprime_quadratic_minors, _pencil_degeneracy,
+                            _pencil_minor_gcd, _pencil_pfaffian, _point_core, _resultant2,
+                            _sampled_points)
 from conftest import degenerate_instance, random_alternating_nonsingular
 
 
@@ -335,6 +336,18 @@ def test_decode_rejects_mismatched_element(degenerate_ctx):
         decode_kernel_element(degenerate_ctx, alien)
 
 
+def test_decode_flags_an_element_outside_the_kernel():
+    # span(e1, e2) for [[0, I], [-I, 0]]: the one constraint row is nonzero, so
+    # ker Phi is 0 and a nonzero element's generators leave ker j_V
+    F = QQ
+    fs = FormSpace([SymplecticForm(half_standard_gram(F))])
+    ctx = PointContext(Subspace(Matrix(F, 2, 4, [[1, 0, 0, 0], [0, 1, 0, 0]])), fs)
+    assert tangent_report(ctx).phi_kernel == []
+    gens, ok = decode_kernel_element(ctx, PhiKernelElement.from_flat(F, 2, 1, [F.one]))
+    assert not ok
+    assert [g.rows for g in gens] == [((0,), (1,)), ((-1,), (0,))]
+
+
 def test_kernel_element_must_be_nonzero():
     F = QQ
     with pytest.raises(ValueError):
@@ -378,6 +391,18 @@ def test_pencil_k1_none():
     fs = random_form_space(4, 2, F, rng)
     V = random_isotropic_subspace(1, fs, rng)
     assert find_degenerate_pencil(PointContext(V, fs)) is None
+
+
+@pytest.mark.parametrize("F", [PrimeField(5), QQ], ids=str)
+def test_zero_restrictions_degenerate_at_every_pencil_point(F):
+    # every (k-1)-minor vanishes: the zero certificate, and the two basis
+    # points of the pencil as witnesses, each killing the whole subspace
+    basis = Matrix(F, 2, 4, [[1, 0, 2, 0], [0, 1, 0, 3]])
+    zero = Matrix.zeros(F, 2, 2)
+    degeneracy = _pencil_degeneracy(zero, zero, basis)
+    assert degeneracy.identically_degenerate and degeneracy.certificate.is_zero()
+    assert degeneracy.witnesses == (((F.one, F.zero), Subspace(basis)),
+                                    ((F.zero, F.one), Subspace(basis)))
 
 
 def test_pencil_requires_m2(degenerate_ctx):
@@ -948,6 +973,31 @@ def test_sampled_points_build_no_point_context(monkeypatch, n, k):
     assert (points, len(contexts)) == (len(drawn), 0)
     if k == 3:
         assert len(pencils) < len(drawn)
+
+
+@pytest.mark.parametrize("F", [PrimeField(3), QQ], ids=str)
+def test_given_and_sampled_points_share_one_isotropy_scan(monkeypatch, F):
+    # isotropy_failure, PointContext and each sampled record scan (B G_t) B^T
+    # once, by `_point_products`; k = 0 passes it with no rows
+    calls = []
+    scan = symplectic._point_products
+
+    def counting(*args):
+        calls.append(1)
+        return scan(*args)
+
+    monkeypatch.setattr(symplectic, "_point_products", counting)
+    monkeypatch.setattr(tangent, "_point_products", counting)
+    fs = tangent._seeded_pencil(6, F, 0, 0)
+    V = random_isotropic_subspace(2, fs, Random(1))
+    assert isotropy_failure(V, fs) is None and len(calls) == 1
+    PointContext(V, fs)
+    assert len(calls) == 2
+    records = list(_sampled_points(2, fs, Random(5), 10))
+    assert len(calls) == 2 + len(records) >= 8
+    empty = Subspace(Matrix(F, 0, 6, []))
+    assert isotropy_failure(empty, fs) is None
+    assert [R.shape for R in PointContext(empty, fs).restrictions] == [(0, 6), (0, 6)]
 
 
 _NON_ISOTROPIC_DRAW = """
