@@ -25,7 +25,7 @@ import sys
 from collections import Counter
 from functools import partial
 from itertools import chain, product
-from math import prod
+from math import comb, prod
 from random import Random
 
 from . import __version__
@@ -190,6 +190,13 @@ def cmd_rho(args) -> int:
 def cmd_check_point(args) -> int:
     obj = _load_json(args.input)
     fs, basis = decode_point(obj)
+    # sized before any work: the R x C constraint system, R = m C(k,2) and C = k(n-k),
+    # and at m = 2 the k C(n-k, k-1) pencil minors of size k-1
+    n, k, m = fs.dim, basis.nrows, fs.m
+    R, C = m * (k * (k - 1) // 2), k * (n - k)
+    minors = k * comb(n - k, k - 1) * (k - 1) ** 3 if m == 2 and k >= 2 else 0
+    _require_budget(R * C * min(R, C) + minors, f"checking a point with n={n}, k={k}, m={m}",
+                    enumeration_budget())
     V = Subspace.from_span(basis)
     ctx = PointContext(V, fs, basis=basis)
     report = tangent_report(ctx)

@@ -149,9 +149,6 @@ class Matrix(_Record):
         vecs = F.kernel(*F.rref(self.rows), n)
         return Matrix(F, len(vecs), n, vecs, _trusted=True)
 
-    def left_kernel_basis(self) -> "Matrix":
-        return self.transpose().kernel_basis()
-
     def inverse(self) -> "Matrix":
         """The right half of the RREF of [A | I]: A is invertible iff its pivots are 0..n-1."""
         if not self.is_square():

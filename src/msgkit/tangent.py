@@ -18,6 +18,7 @@ algebraic closure through the gcd of the (k-1)-minors of the
 lambda-linear restriction matrix: rank(R(lambda)) <= k-2 exactly where
 all those minors vanish, and a nonconstant gcd certifies such a lambda
 exists over the closure whether or not the base field contains one.
+At k <= 3 cheaper settle tests run first, in `_pencil_degeneracy`.
 """
 
 from __future__ import annotations
@@ -228,22 +229,6 @@ def _coprime_quadratic_minors(field: Field, R1, R2) -> bool:
     return first is not None and any(field.element(_resultant2(first, q)) for q in minors)
 
 
-def _point_core(field: Field, k: int, nk: int, restrictions, fault=False):
-    """(rank of `build_constraints`, pencil known nondegenerate) from each form's
-    restriction rows, ranked by `field.rank` (over F_p, `_fp.rank` on plain ints);
-    `fault` zeroes the first row.  The pencil is nondegenerate at k = 1, at k = 2
-    iff [vec R_1; vec R_2] has rank 2 (1x1 minors of gcd 1), and at k = 3 when two
-    2x2 minors have a nonzero resultant; else False: the minors decide."""
-    rows = _constraint_rows(field, k, nk, restrictions)
-    if fault:
-        rows[0] = [field.zero] * (k * nk)
-    if k == 2:
-        return field.rank(rows), field.rank([R[0] + R[1] for R in restrictions]) == 2
-    if k == 3:
-        return field.rank(rows), _coprime_quadratic_minors(field, *restrictions)
-    return field.rank(rows), k <= 1
-
-
 # ---------------------------------------------------------------------------
 # kernel elements
 # ---------------------------------------------------------------------------
@@ -393,21 +378,21 @@ class PencilDegeneracy(_Record):
         }
 
 
-def _pencil_minor_gcd(R1: Matrix, R2: Matrix) -> BinaryForm:
-    """Gcd of the (k-1)x(k-1) minors of u*R1 + v*R2 as binary forms.
+def _pencil_minor_gcd(F: Field, R1, R2) -> BinaryForm:
+    """Gcd of the (k-1)x(k-1) minors of u*R1 + v*R2 as binary forms, from the k
+    canonical rows of each restriction.
 
     Zero form when the minors all vanish identically or do not exist
     (fewer than k-1 columns): rank <= k-2 at every pencil point.
     """
-    F = R1.field
-    k, w = R1.shape
+    k, w = len(R1), len(R1[0]) if R1 else 0
     if k - 1 > min(k, w):
         return BinaryForm.zero(F)
     if k <= 1:
         # the 0x0 minor is the empty determinant 1: rank never drops below 0
         return BinaryForm(F, 0, [F.one])
 
-    grid = _linear_grid(R2.rows, R1.rows)  # u*R1 + v*R2 at v = 1
+    grid = _linear_grid(R2, R1)  # u*R1 + v*R2 at v = 1
 
     def minors():  # lazy: the gcd stops reading once it is 1 with no v-factor
         for rows in itertools.combinations(range(k), k - 1):
@@ -438,14 +423,20 @@ def find_degenerate_pencil(
     i1, i2 = pair
     if i1 == i2 or not (0 <= i1 < ctx.m and 0 <= i2 < ctx.m):
         raise ValueError(f"invalid form pair {pair} for m = {ctx.m}")
-    return _pencil_degeneracy(ctx.restrictions[i1], ctx.restrictions[i2], ctx.basis)
+    return _pencil_degeneracy(ctx.field, ctx.restrictions[i1].rows,
+                              ctx.restrictions[i2].rows, ctx.basis.rows)
 
 
-def _pencil_degeneracy(R1: Matrix, R2: Matrix, basis: Matrix) -> PencilDegeneracy | None:
-    """`find_degenerate_pencil` for the restrictions R1, R2 of the pencil's two
-    forms to the rows of `basis`, whose coordinates the witnesses are read in."""
-    F = R1.field
-    gcd = _pencil_minor_gcd(R1, R2)
+def _pencil_degeneracy(F: Field, R1, R2, basis) -> PencilDegeneracy | None:
+    """`find_degenerate_pencil` on the canonical rows R1, R2 of the two forms'
+    restrictions to the rows of `basis`, which the witnesses are read in.  None at
+    once at k <= 1, at k = 2 iff [vec R1; vec R2] has rank 2 (1x1 minors of gcd 1),
+    and at k = 3 when two 2x2 minors have a nonzero resultant; else the minors decide."""
+    k = len(R1)
+    if k <= 1 or (k == 2 and F.rank([R1[0] + R1[1], R2[0] + R2[1]]) == 2) or (
+            k == 3 and _coprime_quadratic_minors(F, R1, R2)):
+        return None
+    gcd = _pencil_minor_gcd(F, R1, R2)
     if gcd.is_constant() and not gcd.is_zero():
         return None
     if gcd.is_zero():
@@ -455,11 +446,13 @@ def _pencil_degeneracy(R1: Matrix, R2: Matrix, basis: Matrix) -> PencilDegenerac
         points = binary_form_roots(gcd)
     witnesses = []
     for (l1, l2) in points:
-        R = R1.scale(l1).add(R2.scale(l2))
-        coords = R.left_kernel_basis()
-        if coords.nrows < 2:  # pragma: no cover - contradicts the minor gcd
+        R = [[F.add(F.mul(l1, x), F.mul(l2, y)) for x, y in zip(r1, r2)]
+             for r1, r2 in zip(R1, R2)]
+        coords = F.kernel(*F.rref(list(zip(*R))), k)  # the left kernel of R
+        if len(coords) < 2:  # pragma: no cover - contradicts the minor gcd
             raise ArithmeticError("pencil witness lost rank two")
-        W = Subspace.from_span(coords.mul(basis))
+        W = Subspace.from_span(Matrix(F, len(coords), len(basis[0]), F.matmul(coords, basis),
+                                      _trusted=True))
         witnesses.append(((l1, l2), W))
     return PencilDegeneracy(certificate=gcd, witnesses=tuple(witnesses))
 
@@ -509,18 +502,13 @@ def tangent_report(ctx: PointContext, pencil: bool = True) -> TangentReport:
     degeneracy check runs as well (unless `pencil` is False) and its
     witnesses are attached.
     """
-    C = build_constraints(ctx)
-    rank = C.rank()
-    kernel_rows = C.left_kernel_basis()
-    kernel = [
-        PhiKernelElement.from_flat(ctx.field, ctx.k, ctx.m, row)
-        for row in kernel_rows.rows
-    ]
-    degeneracy = None
-    checked = False
-    if pencil and ctx.m == 2:
-        degeneracy = find_degenerate_pencil(ctx)
-        checked = True
+    F = ctx.field
+    rows = _constraint_rows(F, ctx.k, ctx.n - ctx.k, [R.rows for R in ctx.restrictions])
+    rank = F.rank(rows)
+    kernel = [PhiKernelElement.from_flat(F, ctx.k, ctx.m, row)  # the left kernel
+              for row in F.kernel(*F.rref(list(zip(*rows))), len(rows))]
+    checked = pencil and ctx.m == 2
+    degeneracy = find_degenerate_pencil(ctx) if checked else None
     report = TangentReport(
         n=ctx.n,
         k=ctx.k,
@@ -682,17 +670,16 @@ def verify_pair(
     independent = fs.m * (k * (k - 1) // 2)  # constraint rows: the expected dimension's rank
     points, mismatches = 0, []
     for pivots, rows, restrictions in records:
-        # the core settles a point of expected dimension with a nondegenerate
-        # pencil; any other point takes the pencil minors of its restrictions
+        # the rank and the pencil decision are taken apart: `fault` corrupts the rank
         points += 1
-        rank, nondegenerate = _point_core(field, k, n - k, restrictions, fault)
-        if rank == independent and nondegenerate:
-            continue
-        basis = Matrix(field, k, n, rows, _trusted=True)
-        degeneracy = _pencil_degeneracy(
-            *(Matrix(field, k, n - k, R, _trusted=True) for R in restrictions), basis)
+        constraints = _constraint_rows(field, k, n - k, restrictions)
+        if fault:
+            constraints[0] = [field.zero] * (k * (n - k))
+        rank = field.rank(constraints)
+        degeneracy = _pencil_degeneracy(field, *restrictions, rows)
         if (rank == independent) != (degeneracy is None):
-            mismatches.append(MismatchRecord(Subspace(basis, _pivots=pivots), k * (n - k) - rank,
+            V = Subspace(Matrix(field, k, n, rows, _trusted=True), _pivots=pivots)
+            mismatches.append(MismatchRecord(V, k * (n - k) - rank,
                                              k * (n - k) - independent, degeneracy))
     return points, mismatches
 

@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from random import Random
 
 import pytest
@@ -284,6 +285,43 @@ def test_check_point_dependent_subspace_rows_exit_2(tmp_path):
     code, out, err = run_cli("check-point", "--input", str(path))
     assert (code, out) == (2, "")
     assert err == "error: subspace basis rows are linearly dependent\n"
+
+
+def _pencil_point(n, k, scales, p=101):
+    """A point over F_p: J, a second form pairing e_2b with e_2b+1 by scales[b], and
+    V = span(e_0, e_2, ..., e_2k-2), isotropic for both.  The combination
+    second - c*J kills e_2b against everything where scales[b] = c, so a scale
+    repeated within the first k makes the pencil degenerate."""
+    forms = []
+    for c in ([1] * (n // 2), scales):
+        G = [[0] * n for _ in range(n)]
+        for b in range(n // 2):
+            G[2 * b][2 * b + 1], G[2 * b + 1][2 * b] = c[b] % p, -c[b] % p
+        forms.append(G)
+    return {"field": {"kind": "prime", "p": p}, "n": n, "forms": forms,
+            "subspace": [[int(j == 2 * i) for j in range(n)] for i in range(k)]}
+
+
+def test_check_point_past_the_budget_exits_2_before_the_rank(tmp_path):
+    # a 870 x 900 constraint system at n=60, k=30, and at n=40, k=5 a degenerate
+    # pencil whose 261800 minors never reach gcd 1; both are refused at once, by
+    # n, k and m, while n=28, k=14 (6.9e6 steps) still answers
+    budget = {"MSGKIT_BUDGET": "10000000"}
+    for n, k, scales in [(60, 30, range(1, 31)), (40, 5, [1, 1, *range(2, 20)])]:
+        path = tmp_path / f"n{n}_k{k}.json"
+        path.write_text(json.dumps(_pencil_point(n, k, list(scales))))
+        start = time.perf_counter()
+        code, out, err = run_cli("check-point", "--input", str(path), env=budget, timeout=60)
+        assert time.perf_counter() - start < 2
+        assert (code, out) == (2, "")
+        assert err == (f"error: checking a point with n={n}, k={k}, m=2 exceeds the budget"
+                       " of 10000000 (raise MSGKIT_BUDGET to override)\n")
+    path = tmp_path / "n28_k14.json"
+    path.write_text(json.dumps(_pencil_point(28, 14, list(range(1, 15)))))
+    code, out, err = run_cli("check-point", "--input", str(path), env=budget, timeout=60)
+    assert (code, err) == (0, "")
+    report = json.loads(out)["report"]
+    assert (report["tangent_dim"], report["degenerate"]) == (report["expected_dim"], False)
 
 
 # --- scan --------------------------------------------------------------------------

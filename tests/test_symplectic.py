@@ -39,7 +39,7 @@ from msgkit import (
 )
 from msgkit import symplectic
 from msgkit.symplectic import _isotropic_points, _subspace_count
-from msgkit.tangent import _point_core, find_degenerate_pencil
+from msgkit.tangent import _constraint_rows, _pencil_degeneracy, _pencil_minor_gcd
 from conftest import golden_compare
 
 
@@ -536,8 +536,9 @@ def test_isotropic_enumeration_matches_filter_sequence(n, k, m, p):
                          ids=[f"n{n}-k{k}-m{m}-p{p}" for n, k, m, p in ORACLE_GRID])
 def test_point_stream_matches_the_filter_and_the_point_contexts(n, k, m, p):
     # the plain-int stream verify reads: its points are the filter's, its
-    # restriction rows PointContext's, and the core's rank build_constraints';
-    # a pencil the core settles has no degenerate point
+    # restriction rows PointContext's, and verify's rank of their constraint rows
+    # build_constraints'; a pencil `_pencil_degeneracy` finds nondegenerate has
+    # minors of gcd 1
     F = PrimeField(p)
     fs = random_form_space(n, m, F, Random(1000 * n + 100 * k + 10 * m + p))
     stream = list(_isotropic_points(k, fs))
@@ -547,10 +548,10 @@ def test_point_stream_matches_the_filter_and_the_point_contexts(n, k, m, p):
     for (_, _, restrictions), V in zip(stream, oracle):
         ctx = PointContext(V, fs)
         assert restrictions == [[list(r) for r in R.rows] for R in ctx.restrictions]
-        rank, settled = _point_core(F, k, n - k, restrictions)
-        assert rank == build_constraints(ctx).rank()
-        if m == 2 and settled:
-            assert find_degenerate_pencil(ctx) is None
+        assert F.rank(_constraint_rows(F, k, n - k, restrictions)) == build_constraints(ctx).rank()
+        if m == 2 and _pencil_degeneracy(F, *restrictions, V.basis.rows) is None:
+            gcd = _pencil_minor_gcd(F, *restrictions)
+            assert gcd.is_constant() and not gcd.is_zero()
 
 
 _WRONG_SOLUTIONS = """

@@ -51,9 +51,9 @@ from msgkit.matrices import _pfaffian
 from msgkit.polynomials import (BinaryForm, _linear_grid, binary_form_gcd, pdeg, peval, pgcd,
                                  pmat_det, pmul, proots)
 from msgkit.symplectic import _isotropic_points
-from msgkit.tangent import (PhiKernelElement, _coprime_quadratic_minors, _pencil_degeneracy,
-                            _pencil_minor_gcd, _pencil_pfaffian, _point_core, _resultant2,
-                            _sampled_points)
+from msgkit.tangent import (PhiKernelElement, _constraint_rows, _coprime_quadratic_minors,
+                            _pencil_degeneracy, _pencil_minor_gcd, _pencil_pfaffian,
+                            _resultant2, _sampled_points)
 from conftest import degenerate_instance, random_alternating_nonsingular
 
 
@@ -398,8 +398,8 @@ def test_zero_restrictions_degenerate_at_every_pencil_point(F):
     # every (k-1)-minor vanishes: the zero certificate, and the two basis
     # points of the pencil as witnesses, each killing the whole subspace
     basis = Matrix(F, 2, 4, [[1, 0, 2, 0], [0, 1, 0, 3]])
-    zero = Matrix.zeros(F, 2, 2)
-    degeneracy = _pencil_degeneracy(zero, zero, basis)
+    zero = Matrix.zeros(F, 2, 2).rows
+    degeneracy = _pencil_degeneracy(F, zero, zero, basis.rows)
     assert degeneracy.identically_degenerate and degeneracy.certificate.is_zero()
     assert degeneracy.witnesses == (((F.one, F.zero), Subspace(basis)),
                                     ((F.zero, F.one), Subspace(basis)))
@@ -466,14 +466,14 @@ def test_pencil_witnesses_checked(degenerate_ctx):
 def test_pencil_minor_gcd_degenerate_fabrications():
     F = QQ
     # all minors vanish identically: rank <= k-2 everywhere
-    R0 = Matrix.zeros(F, 3, 3)
-    assert _pencil_minor_gcd(R0, R0).is_zero()
+    R0 = Matrix.zeros(F, 3, 3).rows
+    assert _pencil_minor_gcd(F, R0, R0).is_zero()
     # too few columns for (k-1)-minors
-    assert _pencil_minor_gcd(Matrix.zeros(F, 4, 2), Matrix.zeros(F, 4, 2)).is_zero()
+    assert _pencil_minor_gcd(F, *[Matrix.zeros(F, 4, 2).rows] * 2).is_zero()
     # generic full-rank pencil: constant gcd
-    R1 = Matrix.identity(F, 2)
-    R2 = Matrix(F, 2, 2, [[1, 1], [0, 1]])
-    g = _pencil_minor_gcd(R1, R2)
+    R1 = Matrix.identity(F, 2).rows
+    R2 = Matrix(F, 2, 2, [[1, 1], [0, 1]]).rows
+    g = _pencil_minor_gcd(F, R1, R2)
     assert g.is_constant() and not g.is_zero()
 
 
@@ -538,12 +538,28 @@ def _pencils(draw, ks=(1, 4)):
 def test_pencil_minor_gcd_matches_eager_reference(pencil):
     R1, R2 = pencil
     eager = _eager_minor_gcd(R1, R2)
-    assert _pencil_minor_gcd(R1, R2) == eager
+    assert _pencil_minor_gcd(R1.field, R1.rows, R2.rows) == eager
     if R1.nrows == 2:
         # k = 2: no degenerate pencil point iff [vec R1; vec R2] has rank 2
         flat = Matrix(R1.field, 2, 2 * R1.ncols,
                       [[x for row in R.rows for x in row] for R in (R1, R2)])
         assert (flat.rank() == 2) == (eager.is_constant() and not eager.is_zero())
+
+
+@settings(max_examples=300, deadline=None)
+@given(_pencils())
+@example((Matrix.identity(QQ, 1), Matrix.zeros(QQ, 1, 1)))  # k = 1
+@example((Matrix.zeros(PrimeField(3), 3, 2), Matrix.zeros(PrimeField(3), 3, 2)))  # zero
+@example((Matrix.zeros(QQ, 3, 1), Matrix(QQ, 3, 1, [[1], [0], [2]])))  # k - 1 > w at k = 3
+@example((Matrix.zeros(QQ, 4, 2),
+          Matrix(QQ, 4, 2, [[1, 0], [0, 1], [1, 1], [0, 0]])))  # k - 1 > w at k = 4
+def test_pencil_decision_is_none_exactly_at_minors_of_gcd_one(pencil):
+    # the settle tests at k <= 3 and the minors behind them make one decision
+    R1, R2 = pencil
+    F = R1.field
+    eager = _eager_minor_gcd(R1, R2)
+    degeneracy = _pencil_degeneracy(F, R1.rows, R2.rows, Matrix.identity(F, R1.nrows).rows)
+    assert (degeneracy is None) == (eager.is_constant() and not eager.is_zero())
 
 
 @st.composite
@@ -602,7 +618,7 @@ def test_resultant_settles_only_pencils_whose_minors_have_gcd_one(pencil):
     # sufficient, not necessary: a settled pencil has no degenerate point
     R1, R2 = pencil
     if _coprime_quadratic_minors(R1.field, R1.rows, R2.rows):
-        gcd = _pencil_minor_gcd(R1, R2)
+        gcd = _pencil_minor_gcd(R1.field, R1.rows, R2.rows)
         assert gcd.is_constant() and not gcd.is_zero()
 
 
@@ -895,13 +911,13 @@ def test_planted_degenerate_pencils_agree_with_the_point_context_path(planted):
     for pivots, rows, restrictions in _isotropic_points(k, fs):
         V = Subspace(Matrix(F, k, n, rows))
         ctx = PointContext(V, fs)
-        rank, nondegenerate = _point_core(F, k, n - k, restrictions)
+        rank = F.rank(_constraint_rows(F, k, n - k, restrictions))
         degeneracy = find_degenerate_pencil(ctx)
         assert (V.pivots, rank) == (pivots, build_constraints(ctx).rank())
-        if nondegenerate:  # at every k the core settles only nondegenerate pencils
-            assert degeneracy is None
-        if k == 2:  # where it also settles all of them
-            assert nondegenerate == (degeneracy is None)
+        # verify's rows give the context's answer, None exactly at minors of gcd 1
+        assert _pencil_degeneracy(F, *restrictions, rows) == degeneracy
+        gcd = _pencil_minor_gcd(F, *restrictions)
+        assert (degeneracy is None) == (gcd.is_constant() and not gcd.is_zero())
         points += 1
         degenerate += degeneracy is not None
         if Subspace.from_span(V.basis.stack(W.basis)) == V:
@@ -914,10 +930,11 @@ def test_planted_degenerate_pencils_agree_with_the_point_context_path(planted):
 
 
 def _count_verify_builds(monkeypatch):
-    """Lists that grow by one per Matrix, PointContext and `_pencil_degeneracy`
-    call; a pencil call records how many matrices it built itself."""
-    built, contexts, pencils = [], [], []
-    matrix_init, context, pencil = Matrix.__init__, tangent.PointContext, tangent._pencil_degeneracy
+    """Lists that grow by one per Matrix, PointContext and `_pencil_minor_gcd` call,
+    and by the matrices each `_pencil_degeneracy` call built itself."""
+    built, contexts, minors, pencils = [], [], [], []
+    matrix_init, context = Matrix.__init__, tangent.PointContext
+    minor_gcd, pencil = tangent._pencil_minor_gcd, tangent._pencil_degeneracy
 
     def counting_init(self, *args, **kwargs):
         built.append(1)
@@ -927,6 +944,10 @@ def _count_verify_builds(monkeypatch):
         contexts.append(1)
         return context(*args)
 
+    def counting_minors(*args):
+        minors.append(1)
+        return minor_gcd(*args)
+
     def counting_pencil(*args):
         before = len(built)
         result = pencil(*args)
@@ -935,25 +956,27 @@ def _count_verify_builds(monkeypatch):
 
     monkeypatch.setattr(Matrix, "__init__", counting_init)
     monkeypatch.setattr(tangent, "PointContext", counting_context)
+    monkeypatch.setattr(tangent, "_pencil_minor_gcd", counting_minors)
     monkeypatch.setattr(tangent, "_pencil_degeneracy", counting_pencil)
-    return built, contexts, pencils
+    return built, contexts, minors, pencils
 
 
-@pytest.mark.parametrize("n,k,seed,rebuilt",
+@pytest.mark.parametrize("n,k,seed,unsettled",
                          [(6, 2, 1, 0), (6, 2, 0, 1), (4, 1, 0, 0), (6, 3, 3, 13)])
-def test_settled_points_build_no_point_context_and_no_matrix(monkeypatch, n, k, seed, rebuilt):
-    # the walk itself builds one system per row it solves; the points the core
-    # settles add no Matrix, and the others take the pencil minors from their
-    # restriction rows, three matrices each, with no PointContext at any point;
-    # at (6, 3) 4 of the 13 have excess rank, and the resultant left 9 unsettled
+def test_settled_points_build_no_point_context_and_no_matrix(monkeypatch, n, k, seed, unsettled):
+    # the walk itself builds one system per row it solves; every point's pencil
+    # is decided on its plain restriction rows, and only the pencils the settle
+    # tests leave open take the minors; no point builds a PointContext, and no
+    # Matrix is built outside the witnesses of a degenerate pencil; at (6, 3)
+    # 4 of the 13 have excess rank, and the resultant left 9 unsettled
     fs = tangent._seeded_pencil(n, PrimeField(3), seed, 0)
-    built, contexts, pencils = _count_verify_builds(monkeypatch)
+    built, contexts, minors, pencils = _count_verify_builds(monkeypatch)
     walk = len(list(_isotropic_points(k, fs)))
     walk_matrices = len(built)
     built.clear()
     points, mismatches = verify_pair(fs, k)
-    assert (points, mismatches, len(contexts), len(pencils)) == (walk, [], 0, rebuilt)
-    assert len(built) - sum(pencils) == walk_matrices + 3 * rebuilt
+    assert (points, mismatches, len(contexts), len(minors)) == (walk, [], 0, unsettled)
+    assert (len(pencils), len(built) - sum(pencils)) == (walk, walk_matrices)
 
 
 @pytest.mark.parametrize("n,k", [(6, 2), (8, 3)])
@@ -968,11 +991,11 @@ def test_sampled_points_build_no_point_context(monkeypatch, n, k):
                                                                for V in drawn]
     for (_, _, restrictions), V in zip(records, drawn):
         assert restrictions == [[list(r) for r in R.rows] for R in PointContext(V, fs).restrictions]
-    _, contexts, pencils = _count_verify_builds(monkeypatch)
+    _, contexts, minors, _ = _count_verify_builds(monkeypatch)
     points, _ = verify_pair(fs, k, scope="sampled", rng=Random(5), samples=20)
     assert (points, len(contexts)) == (len(drawn), 0)
     if k == 3:
-        assert len(pencils) < len(drawn)
+        assert len(minors) < len(drawn)
 
 
 @pytest.mark.parametrize("F", [PrimeField(3), QQ], ids=str)
