@@ -374,7 +374,7 @@ def enumerate_subspaces(n: int, k: int, field: Field, budget: int | None = None)
                     rows[i][p] = one
                 for (i, j), v in zip(free, values):
                     rows[i][j] = v
-                yield Subspace(Matrix(field, k, n, rows), _pivots=pivots)
+                yield Subspace(Matrix(field, k, n, rows, _trusted=True), _pivots=pivots)
 
     return generate()
 

@@ -106,9 +106,10 @@ class PointContext:
     and `complement` completes it to a basis of the ambient space.  All
     reported dimensions are provably independent of both choices; kernel
     coordinates are not, which is why the choices are recorded here.
-    `restrictions` holds R_t = B G_t C^T, one per form.  B G_t is computed
-    once per form and shared: `_point_products` scans (B G_t) B^T for the
-    isotropy check, and with the default complement, a selector of the
+    `restrictions` holds R_t = B G_t C^T, one per form, for the working basis
+    B.  B G_t is computed once per form and shared: `_point_products` scans
+    (B G_t) B^T for the isotropy check, so a failure names a pairing of the
+    working basis, and with the default complement, a selector of the
     non-pivot columns, R_t is just those columns of B G_t.  Only a complement
     the caller passes is rank-checked against the basis: the default one holds
     the unit rows at the non-pivot columns, which complete any basis of V.
@@ -128,12 +129,6 @@ class PointContext:
                 f"subspace lives in n={subspace.n} but forms act on n={forms.dim}")
         field = subspace.field
         field.require_same(forms.field)
-        grams = [G.rows for G in forms.grams()]
-        products, failure = _point_products(field, subspace.basis.rows, grams)
-        if failure is not None:
-            t, i, j, val = failure
-            raise ValueError(
-                f"subspace is not isotropic for form {t}: <v_{i + 1}, v_{j + 1}> = {val}")
         if basis is None:
             basis = subspace.basis
         else:
@@ -141,7 +136,11 @@ class PointContext:
                 raise ValueError("working basis has the wrong shape")
             if Subspace.from_span(basis) != subspace:
                 raise ValueError("working basis does not span the subspace")
-            products = [field.matmul(basis.rows, G) for G in grams]
+        products, failure = _point_products(field, basis.rows, [G.rows for G in forms.grams()])
+        if failure is not None:
+            t, i, j, val = failure
+            raise ValueError(
+                f"subspace is not isotropic for form {t}: <v_{i + 1}, v_{j + 1}> = {val}")
         if complement is None:
             complement = default_complement(subspace)
             restrictions = _unit_restrictions(subspace, products)
@@ -504,12 +503,15 @@ def tangent_report(ctx: PointContext, pencil: bool = True) -> TangentReport:
     """
     F = ctx.field
     rows = _constraint_rows(F, ctx.k, ctx.n - ctx.k, [R.rows for R in ctx.restrictions])
-    rank = F.rank(rows)
-    kernel = [PhiKernelElement.from_flat(F, ctx.k, ctx.m, row)  # the left kernel
-              for row in F.kernel(*F.rref(list(zip(*rows))), len(rows))]
+    # one RREF of the transpose: its pivots count rank A^T = rank A, and its kernel
+    # is the left kernel of A, so the kernel has m*C(k,2) - rank elements
+    echelon, pivots = F.rref(list(zip(*rows)))
+    rank = len(pivots)
+    kernel = [PhiKernelElement.from_flat(F, ctx.k, ctx.m, row)
+              for row in F.kernel(echelon, pivots, len(rows))]
     checked = pencil and ctx.m == 2
     degeneracy = find_degenerate_pencil(ctx) if checked else None
-    report = TangentReport(
+    return TangentReport(
         n=ctx.n,
         k=ctx.k,
         m=ctx.m,
@@ -520,13 +522,6 @@ def tangent_report(ctx: PointContext, pencil: bool = True) -> TangentReport:
         degeneracy=degeneracy,
         pencil_checked=checked,
     )
-    if report.tangent_dim < report.expected_dim:
-        raise ArithmeticError(
-            f"tangent dimension {report.tangent_dim} is below the expected"
-            f" {report.expected_dim}")
-    if len(report.phi_kernel) != ctx.m * (ctx.k * (ctx.k - 1) // 2) - rank:
-        raise ArithmeticError("kernel size disagrees with the constraint rank")
-    return report
 
 
 # ---------------------------------------------------------------------------

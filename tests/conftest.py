@@ -62,6 +62,44 @@ def degenerate_instance():
     return fs, V
 
 
+def chart_differential_rank(V, fs):
+    """An independent tangent oracle: the rank of the differential at V of
+    X -> (B(X) G_t B(X)^T)_{i<j}, one upper triangle per form, in the affine
+    chart where B(X) is V's RREF basis with X added at its non-pivot columns.
+
+    The column for the unit direction E at row i and non-pivot column c is
+    the upper triangle of E G_t B^T + B G_t E^T, written out entrywise: its
+    (a, b) entry is [a = i] (G_t B^T)[c][b] + [b = i] (B G_t)[a][c].  The
+    tangent space is the kernel of this map, so its rank is the constraint
+    rank; nothing here reads msgkit's constraint rows or restrictions.
+    """
+    F, n, k, B = V.field, V.n, V.k, V.basis.rows
+    grams = [G.rows for G in fs.grams()]
+
+    def dot(u, w):
+        acc = F.zero
+        for x, y in zip(u, w):
+            acc = F.add(acc, F.mul(x, y))
+        return acc
+
+    columns = []
+    for i in range(k):
+        for c in (c for c in range(n) if c not in V.pivots):
+            column = []
+            for G in grams:
+                Gcol = [G[l][c] for l in range(n)]
+                for a in range(k):
+                    for b in range(a + 1, k):
+                        x = dot(G[c], B[b]) if a == i else F.zero
+                        y = dot(B[a], Gcol) if b == i else F.zero
+                        column.append(F.add(x, y))
+            columns.append(column)
+    rows = len(grams) * (k * (k - 1) // 2)
+    if not columns or not rows:
+        return 0
+    return Matrix(F, len(columns), rows, columns).rank()
+
+
 @pytest.fixture
 def degenerate_ctx():
     fs, V = degenerate_instance()

@@ -214,6 +214,18 @@ def test_check_point_non_isotropic_diagnostic(tmp_path):
     assert "not isotropic" in err and "form 0" in err and "v_1" in err
 
 
+def test_check_point_names_the_pairing_of_the_file_rows(tmp_path):
+    # the rows are not in RREF: the failure is <v_1, v_2> = <e2, e1> = -1 of the
+    # file's own rows, not <e1, e2> = 1 of the canonical basis
+    point = {"field": {"kind": "rational"}, "n": 4,
+             "forms": [standard_form(4, QQ).gram.encode()],
+             "subspace": [[0, 1, 0, 0], [1, 0, 0, 0]]}
+    path = tmp_path / "swapped.json"
+    path.write_text(json.dumps(point))
+    assert run_cli("check-point", "--input", str(path)) == (
+        2, "", "error: subspace is not isotropic for form 0: <v_1, v_2> = -1\n")
+
+
 def test_check_point_malformed_json(tmp_path):
     path = tmp_path / "broken.json"
     path.write_text("{not json")

@@ -15,6 +15,8 @@ from msgkit import (
     SingularMatrixError,
     canonical_alternating,
     decode_kernel_element,
+    enumerate_subspaces,
+    gaussian_binomial,
     random_invertible,
     random_matrix,
     skew_normal_form,
@@ -401,6 +403,13 @@ def test_internal_trusted_constructions_are_canonical(guarded_trust, tmp_path, c
     for argv, code in runs:
         assert cli.main(argv) == code, (argv, capsys.readouterr().err)
     capsys.readouterr()
+
+
+def test_subspace_enumeration_constructions_are_canonical(guarded_trust):
+    # library-only too: the reference walk behind the isotropic enumeration
+    for n, k, p in ((4, 2, 3), (4, 1, 5), (3, 3, 3), (3, 0, 3)):
+        F = PrimeField(p)
+        assert len(list(enumerate_subspaces(n, k, F))) == gaussian_binomial(n, k, p)
 
 
 def test_kernel_decoding_constructions_are_canonical(guarded_trust):

@@ -36,11 +36,12 @@ from msgkit import (
     random_matrix,
     random_symplectic_form,
     standard_form,
+    tangent_report,
 )
 from msgkit import symplectic
 from msgkit.symplectic import _isotropic_points, _subspace_count
 from msgkit.tangent import _constraint_rows, _pencil_degeneracy, _pencil_minor_gcd
-from conftest import golden_compare
+from conftest import chart_differential_rank, golden_compare
 
 
 # --- construction and validation ------------------------------------------------
@@ -537,8 +538,9 @@ def test_isotropic_enumeration_matches_filter_sequence(n, k, m, p):
 def test_point_stream_matches_the_filter_and_the_point_contexts(n, k, m, p):
     # the plain-int stream verify reads: its points are the filter's, its
     # restriction rows PointContext's, and verify's rank of their constraint rows
-    # build_constraints'; a pencil `_pencil_degeneracy` finds nondegenerate has
-    # minors of gcd 1
+    # build_constraints', tangent_report's and, at m >= 2, the chart differential's,
+    # which shares no code with them; a pencil `_pencil_degeneracy` finds
+    # nondegenerate has minors of gcd 1
     F = PrimeField(p)
     fs = random_form_space(n, m, F, Random(1000 * n + 100 * k + 10 * m + p))
     stream = list(_isotropic_points(k, fs))
@@ -548,7 +550,10 @@ def test_point_stream_matches_the_filter_and_the_point_contexts(n, k, m, p):
     for (_, _, restrictions), V in zip(stream, oracle):
         ctx = PointContext(V, fs)
         assert restrictions == [[list(r) for r in R.rows] for R in ctx.restrictions]
-        assert F.rank(_constraint_rows(F, k, n - k, restrictions)) == build_constraints(ctx).rank()
+        rank = F.rank(_constraint_rows(F, k, n - k, restrictions))
+        assert rank == build_constraints(ctx).rank() == tangent_report(ctx, pencil=False).phi_rank
+        if m >= 2:
+            assert chart_differential_rank(V, fs) == rank
         if m == 2 and _pencil_degeneracy(F, *restrictions, V.basis.rows) is None:
             gcd = _pencil_minor_gcd(F, *restrictions)
             assert gcd.is_constant() and not gcd.is_zero()

@@ -54,7 +54,7 @@ from msgkit.symplectic import _isotropic_points
 from msgkit.tangent import (PhiKernelElement, _constraint_rows, _coprime_quadratic_minors,
                             _pencil_degeneracy, _pencil_minor_gcd, _pencil_pfaffian,
                             _resultant2, _sampled_points)
-from conftest import degenerate_instance, random_alternating_nonsingular
+from conftest import chart_differential_rank, degenerate_instance, random_alternating_nonsingular
 
 
 def half_standard_gram(field):
@@ -208,6 +208,24 @@ def test_rank_independent_of_basis():
             rep = tangent_report(alt, pencil=False)
             assert rep.tangent_dim == base.tangent_dim
             assert rep.phi_rank == base.phi_rank
+
+
+@pytest.mark.parametrize("F", [PrimeField(3), QQ], ids=str)
+def test_tangent_report_takes_one_elimination(monkeypatch, F):
+    # the rank is the pivot count of the RREF the left kernel is read from
+    ctx = sample_context(6, 2, 2, F, Random(149))
+    calls = {"rank": 0, "rref": 0}
+    for name in calls:
+        method = getattr(type(F), name)
+
+        def counting(self, *args, name=name, method=method):
+            calls[name] += 1
+            return method(self, *args)
+
+        monkeypatch.setattr(type(F), name, counting)
+    report = tangent_report(ctx, pencil=False)
+    assert calls == {"rank": 0, "rref": 1}
+    assert report.phi_rank == build_constraints(ctx).rank()
 
 
 def test_point_context_validation():
@@ -451,6 +469,48 @@ def test_pencil_scaling_invariance():
         a = tangent_report(ctx, pencil=False)
         b = tangent_report(scaled, pencil=False)
         assert a.tangent_dim == b.tangent_dim
+
+
+def _congruent_forms(fs, g):
+    """The forms G_t -> g G_t g^T.  With subspaces moved by V -> V g^-1 (row
+    vectors), (v g^-1)(g G_t g^T)(w g^-1)^T = v G_t w^T keeps every pairing."""
+    return FormSpace([SymplecticForm(g.mul(G).mul(g.transpose())) for G in fs.grams()])
+
+
+@pytest.mark.parametrize("F", [PrimeField(3), PrimeField(5), QQ], ids=str)
+def test_tangent_report_is_invariant_under_congruence(F):
+    # every dimension, the pencil decision and the witness lambdas stay; each
+    # witness subspace W moves to W g^-1 with the point
+    rng = Random(157)
+    # the recorded degenerate instance has integer entries and Pfaffians +-1, so it
+    # is one over every field: degenerate at lambda = (1, -1), with witness V
+    fs, V = degenerate_instance()
+    points = [(FormSpace([SymplecticForm(Matrix(F, 4, 4, [[int(x) for x in r] for r in G.rows]))
+                          for G in fs.grams()]),
+               Subspace(Matrix(F, 2, 4, [[int(x) for x in r] for r in V.basis.rows])))] * 4
+    points += [(ctx.forms, ctx.subspace) for ctx in (sample_context(6, 2, 2, F, rng),
+                                                      sample_context(4, 2, 2, F, rng))]
+    if F != QQ:
+        points += [(ctx.forms, ctx.subspace)
+                   for ctx in (sample_context(6, 3, 2, F, rng) for _ in range(3))]
+    witnessed = 0
+    for fs, V in points:
+        g = random_invertible(F, fs.dim, rng)
+        g_inv = g.inverse()
+        a = tangent_report(PointContext(V, fs))
+        b = tangent_report(PointContext(Subspace.from_span(V.basis.mul(g_inv)),
+                                        _congruent_forms(fs, g)))
+        assert (b.tangent_dim, b.phi_rank, len(b.phi_kernel)) == \
+            (a.tangent_dim, a.phi_rank, len(a.phi_kernel))
+        assert (b.degeneracy is None) == (a.degeneracy is None)
+        if a.degeneracy is None:
+            continue
+        assert [lam for lam, _ in b.degeneracy.witnesses] == \
+            [lam for lam, _ in a.degeneracy.witnesses]
+        for (_, W), (_, W2) in zip(a.degeneracy.witnesses, b.degeneracy.witnesses):
+            assert W2 == Subspace.from_span(W.basis.mul(g_inv))
+            witnessed += 1
+    assert witnessed
 
 
 def test_pencil_witnesses_checked(degenerate_ctx):
@@ -908,12 +968,16 @@ def test_planted_degenerate_pencils_agree_with_the_point_context_path(planted):
     fs, k, lam, W = planted
     F, n = fs.field, fs.dim
     points = degenerate = through_w = 0
+    ranks = set()
     for pivots, rows, restrictions in _isotropic_points(k, fs):
         V = Subspace(Matrix(F, k, n, rows))
         ctx = PointContext(V, fs)
         rank = F.rank(_constraint_rows(F, k, n - k, restrictions))
         degeneracy = find_degenerate_pencil(ctx)
         assert (V.pivots, rank) == (pivots, build_constraints(ctx).rank())
+        # the chart differential, a second tangent formulation, and tangent_report agree
+        assert chart_differential_rank(V, fs) == rank == tangent_report(ctx, pencil=False).phi_rank
+        ranks.add(rank)
         # verify's rows give the context's answer, None exactly at minors of gcd 1
         assert _pencil_degeneracy(F, *restrictions, rows) == degeneracy
         gcd = _pencil_minor_gcd(F, *restrictions)
@@ -926,6 +990,7 @@ def test_planted_degenerate_pencils_agree_with_the_point_context_path(planted):
     # W itself at k = 2; at k = 3, W plus each of the p + 1 lines of W^perp / W
     assert through_w == (1 if k == 2 else F.p + 1)
     assert degenerate >= through_w
+    assert len(ranks) >= 2  # the oracle saw the full rank and a drop below it
     assert verify_pair(fs, k) == (points, [])
 
 
@@ -1021,6 +1086,30 @@ def test_given_and_sampled_points_share_one_isotropy_scan(monkeypatch, F):
     empty = Subspace(Matrix(F, 0, 6, []))
     assert isotropy_failure(empty, fs) is None
     assert [R.shape for R in PointContext(empty, fs).restrictions] == [(0, 6), (0, 6)]
+
+
+@pytest.mark.parametrize("F", [PrimeField(3), QQ], ids=str)
+def test_a_working_basis_forms_each_product_once(monkeypatch, F):
+    # B G_t is formed once per form, for the working basis B, and shared by the
+    # isotropy scan and the restrictions, with the default or a given complement
+    rng = Random(151)
+    ctx = sample_context(6, 2, 2, F, rng)
+    V, fs, n = ctx.subspace, ctx.forms, ctx.n
+    B = random_invertible(F, 2, rng).mul(V.basis)
+    C = random_complement(V, rng)
+    left = []  # the left factor of each product by an n x n Gram matrix
+    matmul = type(F).matmul
+
+    def counting(self, A, X):
+        if len(X) == n and len(X[0]) == n:
+            left.append(tuple(map(tuple, A)))
+        return matmul(self, A, X)
+
+    monkeypatch.setattr(type(F), "matmul", counting)
+    for basis, complement in ((None, None), (B, None), (B, C)):
+        del left[:]
+        ctx = PointContext(V, fs, complement=complement, basis=basis)
+        assert left == [ctx.basis.rows] * fs.m
 
 
 _NON_ISOTROPIC_DRAW = """
