@@ -12,7 +12,7 @@ are deliberately left out of the echo: summaries must be byte-identical
 across worker counts.
 
 Exit codes: 0 success / verified, 1 verification found mismatches,
-2 invalid input or budget exceeded.
+2 invalid input, budget exceeded, or a sampled verify that checked no point.
 """
 
 from __future__ import annotations
@@ -43,7 +43,8 @@ from .symplectic import (
     random_form_space,
     random_isotropic_subspace,
 )
-from .tangent import PointContext, _verify_seeded_pair, msg_expected_dim, tangent_report
+from .tangent import (PointContext, _require_sampled_points, _verify_seeded_pair,
+                      msg_expected_dim, tangent_report)
 
 _SEED_RULE = "splitmix64(seed, index)"
 
@@ -249,7 +250,7 @@ def cmd_scan(args) -> int:
     if not 1 <= args.k <= args.n // 2:
         raise ValueError(f"need 1 <= k <= n/2, got k={args.k}, n={args.n}")
     expected = msg_expected_dim(args.n, args.k, args.m)
-    # a drawn form costs O(n^3): P^T J P and its one rank, the nondegeneracy check
+    # a drawn form costs O(n^3): the one rank of each drawn P, then P^T J P
     _require_budget(args.samples * args.m * args.n ** 3,
                     f"scanning {args.samples} samples x {args.m} forms x n^3 = {args.n ** 3}",
                     enumeration_budget())
@@ -304,6 +305,7 @@ def cmd_verify(args) -> int:
     task = partial(_verify_one_pair, args.n, args.k, field, args.seed, scope=args.scope,
                    samples=args.samples, budget=budget, fault=args.inject_fault)
     results = _run_tasks(task, range(args.pairs), args.workers)
+    _require_sampled_points(args.scope, [points for points, _ in results], args.samples)
     mismatches = [{"pair": i, **rec} for i, (_, recs) in enumerate(results) for rec in recs]
     _dump({
         "command": "verify",

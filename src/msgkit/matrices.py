@@ -27,8 +27,7 @@ __all__ = [
 
 class SingularMatrixError(ValueError):
     """A square matrix that must be nonsingular is not: raised by `Matrix.inverse`,
-    and by `SymplecticForm` for a degenerate Gram matrix, the one refusal that
-    `random_symplectic_form` redraws on."""
+    and by `SymplecticForm` for a degenerate Gram matrix."""
 
 
 class Matrix(_Record):

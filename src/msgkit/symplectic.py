@@ -19,13 +19,12 @@ from __future__ import annotations
 
 import itertools
 import os
-from contextlib import suppress
 from operator import mul
 from random import Random
 
 from ._record import _Record
 from .fields import Field, PrimeField, field_from_spec
-from .matrices import Matrix, SingularMatrixError, canonical_alternating, random_matrix
+from .matrices import Matrix, SingularMatrixError, canonical_alternating, random_invertible
 
 DEFAULT_BUDGET = 10**7
 _RETRIES = 64  # random draws per sampler step before the kernel sweep
@@ -88,6 +87,22 @@ class SymplecticForm(_Record):
         if gram.rank() != gram.nrows:
             raise SingularMatrixError("symplectic form must be nondegenerate")
         self.gram = gram
+
+    @classmethod
+    def _from_invertible(cls, P: Matrix) -> "SymplecticForm":
+        """P^T J P for an invertible P, unchecked: alternating, and nondegenerate as
+        det(P^T J P) = det(P)^2.  J has blocks [[0, 1], [-1, 0]], so entry (i, j) is
+        e_i . o_j - o_i . e_j for e_i, o_i column i of P's even and odd rows; it is
+        summed above the diagonal only and negated into the lower triangle."""
+        field, n = P.field, P.nrows
+        E, O = list(zip(*P.rows[0::2])), list(zip(*P.rows[1::2]))
+        G = [[field.zero] * n for _ in range(n)]
+        for i, j in itertools.combinations(range(n), 2):
+            G[i][j] = x = field.element(sum(map(mul, E[i], O[j])) - sum(map(mul, O[i], E[j])))
+            G[j][i] = field.neg(x)
+        form = cls.__new__(cls)
+        form.gram = Matrix(field, n, n, G, _trusted=True)
+        return form
 
     @property
     def dim(self) -> int:
@@ -156,24 +171,10 @@ def standard_form(n: int, field: Field) -> SymplecticForm:
 
 
 def random_symplectic_form(n: int, field: Field, rng: Random) -> SymplecticForm:
-    """P^T J P for a random P, redrawn when `SymplecticForm`'s one rank refuses it:
-    det(P^T J P) = det(P)^2, so exactly the invertible P are kept.
-
-    J is block diagonal with blocks [[0, 1], [-1, 0]], so entry (i, j) is
-    e_i . o_j - o_i . e_j for e_i, o_i column i of P's even and odd rows; it
-    is summed above the diagonal only and negated into the lower triangle.
-    """
+    """P^T J P for P = `random_invertible(field, n, rng)`, whose rank is all a draw checks."""
     if n < 2 or n % 2:
         raise ValueError(f"symplectic forms need even n >= 2, got {n}")
-    while True:
-        P = random_matrix(field, n, n, rng).rows
-        E, O = list(zip(*P[0::2])), list(zip(*P[1::2]))
-        G = [[field.zero] * n for _ in range(n)]
-        for i, j in itertools.combinations(range(n), 2):
-            G[i][j] = x = field.element(sum(map(mul, E[i], O[j])) - sum(map(mul, O[i], E[j])))
-            G[j][i] = field.neg(x)
-        with suppress(SingularMatrixError):  # any other refusal is a bug, raised, not redrawn
-            return SymplecticForm(Matrix(field, n, n, G, _trusted=True))
+    return SymplecticForm._from_invertible(random_invertible(field, n, rng))
 
 
 def random_form_space(n: int, m: int, field: Field, rng: Random) -> FormSpace:
@@ -300,8 +301,6 @@ def random_isotropic_subspace(k: int, F: FormSpace, rng: Random) -> Subspace | N
     span, perp, perp_pivots = [], [], ()
     while True:
         K = field.kernel(perp, perp_pivots, n)
-        if not K:
-            return None
         draws = (field.matmul([field.draw(rng, len(K))], K)[0] for _ in range(_RETRIES))
         # then the deterministic fallback: a kernel basis vector extends the span iff any does
         for v in itertools.chain(draws, K):

@@ -264,8 +264,7 @@ class PhiKernelElement(_Record):
         for t in range(m):
             rows = [[field.zero] * k for _ in range(k)]
             for idx, (i, j) in enumerate(pairs):
-                c = flat[t * len(pairs) + idx]
-                rows[i][j] = c
+                rows[i][j] = c = flat[t * len(pairs) + idx]
                 rows[j][i] = field.neg(c)
             mats.append(Matrix(field, k, k, rows, _trusted=True))
         return cls(mats)
@@ -302,10 +301,9 @@ def j_V(ctx: PointContext, elem: Matrix) -> tuple:
     F = ctx.field
     out = [F.zero] * (ctx.n - ctx.k)
     for t, R in enumerate(ctx.restrictions):
-        for i in range(ctx.k):
+        for i, Ri in enumerate(R.rows):
             c = elem.entry(i, t)
             if c:
-                Ri = R.rows[i]
                 out = [F.add(x, F.mul(c, y)) for x, y in zip(out, Ri)]
     return tuple(out)
 
@@ -324,16 +322,10 @@ def decode_kernel_element(
         raise ValueError("kernel element shape does not match the context")
     F = ctx.field
     zero = tuple(F.zero for _ in range(ctx.n - ctx.k))
-    generators = []
-    verified = True
-    for j in range(ctx.k):
-        rows = [[F.neg(kelem.matrices[t].entry(i, j)) for t in range(ctx.m)]
-                for i in range(ctx.k)]
-        gen = Matrix(F, ctx.k, ctx.m, rows, _trusted=True)
-        generators.append(gen)
-        if j_V(ctx, gen) != zero:
-            verified = False
-    return generators, verified
+    generators = [Matrix(F, ctx.k, ctx.m, [[F.neg(M.entry(i, j)) for M in kelem.matrices]
+                                           for i in range(ctx.k)], _trusted=True)
+                  for j in range(ctx.k)]
+    return generators, all(j_V(ctx, gen) == zero for gen in generators)
 
 
 # ---------------------------------------------------------------------------
@@ -693,6 +685,13 @@ def _sampled_points(k: int, fs: FormSpace, rng: Random, samples: int):
             yield V.pivots, V.basis.rows, _unit_restrictions(V, products)
 
 
+def _require_sampled_points(scope: str, pair_points: list[int], samples: int) -> None:
+    """Refuse a sampled run that checked no point: its verdict would be vacuous."""
+    if scope == "sampled" and not any(pair_points):
+        raise ValueError(f"sampled verify checked no point: all {samples} greedy draws of"
+                         f" each of the {len(pair_points)} pairs stalled")
+
+
 def _verify_seeded_pair(n: int, k: int, field: Field, seed: int, index: int,
                         fs: FormSpace | None = None, **options):
     """Pair `index` of a seeded run: `verify_pair` over `fs`, or over the pencil
@@ -721,8 +720,8 @@ def verify_thm_equivalence(
     `pairs` is either an iterable of FormSpace pencils or an integer count
     of random independent pairs; pair i is drawn from the derived seed
     (seed, i), so partitioned parallel runs reproduce the same pencils.
-    An empty run, or sampled scope with `samples_per_pair` < 1, raises
-    ValueError instead of passing vacuously.
+    Runs that would pass vacuously raise ValueError: no pairs, sampled scope
+    with `samples_per_pair` < 1, or a sampled run whose every greedy draw stalls.
     """
     if isinstance(pairs, int):
         pair_list = [None] * pairs  # each drawn as its turn comes
@@ -740,4 +739,5 @@ def verify_thm_equivalence(
             budget=budget, fault=fault)
         report.pair_points.append(points)
         report.mismatches.extend((idx, fs, rec) for rec in mismatches)
+    _require_sampled_points(scope, report.pair_points, samples_per_pair)
     return report

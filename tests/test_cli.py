@@ -492,6 +492,18 @@ def test_verify_fault_injection_at_k1_exits_2(workers):
                    " there is no constraint row to corrupt\n")
 
 
+@pytest.mark.parametrize("workers, flags", [("1", ()), ("2", ()), ("1", ("-O",))])
+def test_sampled_verify_that_checks_no_point_exits_2(workers, flags):
+    # at n=6, k=3 over F_101 every greedy draw stalls, so even the fault self-test
+    # would pass on no point at all; the run is refused before any output, also under -O
+    code, out, err = run_cli("verify", "--scope", "sampled", "--n", "6", "--k", "3", "--p",
+                             "101", "--pairs", "2", "--samples", "5", "--seed", "0",
+                             "--inject-fault", "--workers", workers, flags=flags)
+    assert (code, out) == (2, "")
+    assert err == ("error: sampled verify checked no point: all 5 greedy draws of each"
+                   " of the 2 pairs stalled\n")
+
+
 def test_verify_rejects_bad_shape():
     code, _, _ = run_cli("verify", "--n", "4", "--k", "3", "--p", "3", "--pairs", "1")
     assert code == 2

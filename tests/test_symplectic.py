@@ -38,7 +38,7 @@ from msgkit import (
     standard_form,
     tangent_report,
 )
-from msgkit import symplectic
+from msgkit import matrices, symplectic
 from msgkit.symplectic import _isotropic_points, _subspace_count
 from msgkit.tangent import _constraint_rows, _pencil_degeneracy, _pencil_minor_gcd
 from conftest import chart_differential_rank, golden_compare
@@ -69,7 +69,7 @@ def test_symplectic_form_invariants_enforced():
 
 
 def test_form_refusals_tell_a_degenerate_gram_from_a_non_alternating_one():
-    # a degenerate Gram matrix is the one refusal a form draw redraws on
+    # the public constructor tells a degenerate Gram matrix from a non-alternating one
     F = PrimeField(5)
     for gram in (Matrix.zeros(F, 4, 4), canonical_alternating(F, 4, 2), Matrix.zeros(F, 3, 3)):
         with pytest.raises(SingularMatrixError, match="^symplectic form must be nondegenerate$"):
@@ -80,34 +80,20 @@ def test_form_refusals_tell_a_degenerate_gram_from_a_non_alternating_one():
         assert not isinstance(info.value, SingularMatrixError)
 
 
-_NON_ALTERNATING_DRAW = """
-import random
-from msgkit import Matrix, PrimeField, symplectic
-Matrix.is_alternating = lambda self: False  # as if the Gram matrix were summed wrong
-symplectic.random_symplectic_form(4, PrimeField(3), random.Random(0))
-"""
-
-
-def test_a_form_draw_raises_a_non_alternating_gram_instead_of_redrawing():
-    # only SingularMatrixError is redrawn: a redraw on any ValueError would loop here
-    # until the timeout
-    proc = subprocess.run([sys.executable, "-c", _NON_ALTERNATING_DRAW],
-                          capture_output=True, text=True, timeout=60)
-    assert proc.returncode == 1
-    assert proc.stderr.endswith("ValueError: Gram matrix must be alternating\n")
-
-
 @pytest.mark.parametrize("field", [PrimeField(3), QQ], ids=str)
 def test_a_form_draw_ranks_each_p_once(monkeypatch, field):
-    # the form's own rank is the only one: a singular P (about 41% of the 2x2
-    # matrices over F_3) gives a degenerate form and a redraw
-    ranks, draws = [], []
-    rank, draw = type(field).rank, symplectic.random_matrix
+    # P's rank in random_invertible is the only check: a singular P (about 41% of
+    # the 2x2 matrices over F_3) is redrawn there, and P^T J P is never re-checked
+    ranks, draws, alternating = [], [], []
+    rank, draw, is_alternating = type(field).rank, matrices.random_matrix, Matrix.is_alternating
     monkeypatch.setattr(type(field), "rank", lambda self, rows: ranks.append(1) or rank(self, rows))
-    monkeypatch.setattr(symplectic, "random_matrix", lambda *args: draws.append(1) or draw(*args))
+    monkeypatch.setattr(matrices, "random_matrix", lambda *args: draws.append(1) or draw(*args))
+    monkeypatch.setattr(Matrix, "is_alternating",
+                        lambda self: alternating.append(1) or is_alternating(self))
     for seed in range(40):
         random_symplectic_form(2, field, Random(seed))
     assert len(ranks) == len(draws) >= 40
+    assert alternating == []
     if field is not QQ:
         assert len(draws) > 50
 
@@ -561,7 +547,7 @@ def test_point_stream_matches_the_filter_and_the_point_contexts(n, k, m, p):
 
 _WRONG_SOLUTIONS = """
 import itertools, random
-from msgkit import symplectic
+from msgkit import matrices, symplectic
 # every fill of the free entries, as if the elimination had solved nothing
 symplectic._row_solutions = lambda field, pivot, cols, perps: itertools.product(
     range(field.p), repeat=len(cols))

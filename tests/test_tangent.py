@@ -477,13 +477,10 @@ def _congruent_forms(fs, g):
     return FormSpace([SymplecticForm(g.mul(G).mul(g.transpose())) for G in fs.grams()])
 
 
-@pytest.mark.parametrize("F", [PrimeField(3), PrimeField(5), QQ], ids=str)
-def test_tangent_report_is_invariant_under_congruence(F):
-    # every dimension, the pencil decision and the witness lambdas stay; each
-    # witness subspace W moves to W g^-1 with the point
-    rng = Random(157)
-    # the recorded degenerate instance has integer entries and Pfaffians +-1, so it
-    # is one over every field: degenerate at lambda = (1, -1), with witness V
+def _invariance_points(F, rng):
+    """(pencil, point) pairs for the invariance tests: the recorded degenerate instance,
+    which has integer entries and Pfaffians +-1, so it is one over every field
+    (degenerate at lambda = (1, -1), with witness V), four times, then sampled points."""
     fs, V = degenerate_instance()
     points = [(FormSpace([SymplecticForm(Matrix(F, 4, 4, [[int(x) for x in r] for r in G.rows]))
                           for G in fs.grams()]),
@@ -493,6 +490,15 @@ def test_tangent_report_is_invariant_under_congruence(F):
     if F != QQ:
         points += [(ctx.forms, ctx.subspace)
                    for ctx in (sample_context(6, 3, 2, F, rng) for _ in range(3))]
+    return points
+
+
+@pytest.mark.parametrize("F", [PrimeField(3), PrimeField(5), QQ], ids=str)
+def test_tangent_report_is_invariant_under_congruence(F):
+    # every dimension, the pencil decision and the witness lambdas stay; each
+    # witness subspace W moves to W g^-1 with the point
+    rng = Random(157)
+    points = _invariance_points(F, rng)
     witnessed = 0
     for fs, V in points:
         g = random_invertible(F, fs.dim, rng)
@@ -510,6 +516,44 @@ def test_tangent_report_is_invariant_under_congruence(F):
         for (_, W), (_, W2) in zip(a.degeneracy.witnesses, b.degeneracy.witnesses):
             assert W2 == Subspace.from_span(W.basis.mul(g_inv))
             witnessed += 1
+    assert witnessed
+
+
+def _projective(F, lam):
+    """lam scaled so its first nonzero coordinate is 1, as witnesses are reported."""
+    l1, l2 = lam
+    return (F.one, F.div(l2, l1)) if l1 else (F.zero, F.one)
+
+
+@pytest.mark.parametrize("F", [PrimeField(3), PrimeField(5), QQ], ids=str)
+def test_tangent_report_is_invariant_under_reparametrising_the_pencil(F):
+    # w1' = a w1 + b w2 and w2' = c w1 + d w2 for an invertible M = [[a, b], [c, d]]:
+    # l1' w1' + l2' w2' = (a l1' + c l2') w1 + (b l1' + d l2') w2, so each witness
+    # lambda' maps to lambda ~ (a l1' + c l2', b l1' + d l2') and keeps its W
+    rng = Random(157)
+    witnessed = 0
+    for fs, V in _invariance_points(F, rng):
+        while True:
+            a, b, c, d = M = F.draw(rng, 4)
+            if F.sub(F.mul(a, d), F.mul(b, c)):
+                try:
+                    moved = FormSpace([SymplecticForm(fs.combination(M[:2])),
+                                       SymplecticForm(fs.combination(M[2:]))])
+                    break
+                except SingularMatrixError:  # one of the new forms is degenerate
+                    pass
+        r, r2 = tangent_report(PointContext(V, fs)), tangent_report(PointContext(V, moved))
+        assert (r2.tangent_dim, r2.phi_rank, len(r2.phi_kernel)) == \
+            (r.tangent_dim, r.phi_rank, len(r.phi_kernel))
+        assert (r2.degeneracy is None) == (r.degeneracy is None)
+        if r.degeneracy is None:
+            continue
+        assert not r.degeneracy.identically_degenerate
+        mapped = {_projective(F, (F.add(F.mul(a, l1), F.mul(c, l2)),
+                                  F.add(F.mul(b, l1), F.mul(d, l2)))): W
+                  for (l1, l2), W in r2.degeneracy.witnesses}
+        assert mapped == dict(r.degeneracy.witnesses)
+        witnessed += len(mapped)
     assert witnessed
 
 
@@ -894,6 +938,15 @@ def test_equivalence_rejects_nonpositive_samples_in_sampled_scope(samples):
     with pytest.raises(ValueError, match="samples >= 1"):
         verify_thm_equivalence(4, 2, PrimeField(3), pairs=2, scope="sampled",
                                samples_per_pair=samples)
+
+
+@pytest.mark.parametrize("fault", [False, True])
+def test_equivalence_rejects_a_sampled_run_that_checks_no_point(fault):
+    # every greedy draw stalls at n=6, k=3 over F_101: the run would pass on no point
+    with pytest.raises(ValueError, match="^sampled verify checked no point: all 5 greedy"
+                                         " draws of each of the 2 pairs stalled$"):
+        verify_thm_equivalence(6, 3, PrimeField(101), pairs=2, scope="sampled",
+                               samples_per_pair=5, fault=fault)
 
 
 def test_equivalence_k1_trivial():
