@@ -41,10 +41,9 @@ from .symplectic import (
     derive_seed,
     enumeration_budget,
     random_form_space,
-    random_isotropic_subspace,
 )
-from .tangent import (PointContext, _require_sampled_points, _verify_seeded_pair,
-                      msg_expected_dim, tangent_report)
+from .tangent import (PointContext, _constraint_rows, _require_sampled_points, _sampled_points,
+                      _verify_seeded_pair, msg_expected_dim, tangent_report)
 
 _SEED_RULE = "splitmix64(seed, index)"
 
@@ -216,12 +215,13 @@ def cmd_check_point(args) -> int:
 # ---------------------------------------------------------------------------
 
 def _scan_sample(field: Field, n: int, k: int, m: int, seed: int, index: int) -> int | None:
-    """Sample `index` of a seeded scan: the excess dimension of a random
-    point, or None when the sampler stalls."""
+    """Sample `index` of a seeded scan: the excess dimension of a random point,
+    m C(k,2) minus its constraint rank, or None when the sampler stalls.  The
+    point is the one record `_sampled_points` yields, as in sampled verify."""
     rng = Random(derive_seed(seed, index))
-    fs = random_form_space(n, m, field, rng)
-    V = random_isotropic_subspace(k, fs, rng)
-    return None if V is None else tangent_report(PointContext(V, fs), pencil=False).excess()
+    for _, _, restrictions in _sampled_points(k, random_form_space(n, m, field, rng), rng, 1):
+        return m * (k * (k - 1) // 2) - field.rank(_constraint_rows(field, k, n - k, restrictions))
+    return None
 
 
 def _run_tasks(worker, tasks, workers: int) -> list:
@@ -339,6 +339,8 @@ def cmd_normal_form(args) -> int:
         raise ValueError("matrix must be square")
     if not M.is_alternating():
         raise ValueError("matrix is not alternating (skew with zero diagonal)")
+    n = M.nrows  # the Schur steps and the re-verification each cost O(n^3)
+    _require_budget(n ** 3, f"a normal form of n={n} (n^3 = {n ** 3})", enumeration_budget())
     P, rank = skew_normal_form(M)
     product = P.transpose().mul(M).mul(P)
     if product != canonical_alternating(field, M.nrows, rank):

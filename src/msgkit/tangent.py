@@ -454,11 +454,11 @@ def _pencil_degeneracy(F: Field, R1, R2, basis) -> PencilDegeneracy | None:
 
 class TangentReport(_Record):
     __slots__ = ("n", "k", "m", "expected_dim", "tangent_dim", "phi_rank", "phi_kernel",
-                 "degeneracy", "pencil_checked")
+                 "degeneracy")
 
     def __init__(self, n: int, k: int, m: int, expected_dim: int, tangent_dim: int,
                  phi_rank: int, phi_kernel: list[PhiKernelElement] | None = None,
-                 degeneracy: PencilDegeneracy | None = None, pencil_checked: bool = False):
+                 degeneracy: PencilDegeneracy | None = None):
         self.n = n
         self.k = k
         self.m = m
@@ -467,7 +467,6 @@ class TangentReport(_Record):
         self.phi_rank = phi_rank
         self.phi_kernel = [] if phi_kernel is None else phi_kernel
         self.degeneracy = degeneracy
-        self.pencil_checked = pencil_checked
 
     def excess(self) -> int:
         return self.tangent_dim - self.expected_dim
@@ -481,17 +480,16 @@ class TangentReport(_Record):
             "tangent_dim": self.tangent_dim,
             "phi_rank": self.phi_rank,
             "phi_kernel": [e.encode() for e in self.phi_kernel],
-            "degenerate": (self.degeneracy is not None) if self.pencil_checked else None,
+            "degenerate": (self.degeneracy is not None) if self.m == 2 else None,
             "degeneracy": self.degeneracy.encode() if self.degeneracy else None,
         }
 
 
-def tangent_report(ctx: PointContext, pencil: bool = True) -> TangentReport:
+def tangent_report(ctx: PointContext) -> TangentReport:
     """Dimension of the tangent space at [V], with kernel and pencil evidence.
 
     tangent_dim = k(n-k) - rank(constraints) always; for m = 2 the pencil
-    degeneracy check runs as well (unless `pencil` is False) and its
-    witnesses are attached.
+    degeneracy check runs as well and its witnesses are attached.
     """
     F = ctx.field
     rows = _constraint_rows(F, ctx.k, ctx.n - ctx.k, [R.rows for R in ctx.restrictions])
@@ -501,8 +499,7 @@ def tangent_report(ctx: PointContext, pencil: bool = True) -> TangentReport:
     rank = len(pivots)
     kernel = [PhiKernelElement.from_flat(F, ctx.k, ctx.m, row)
               for row in F.kernel(echelon, pivots, len(rows))]
-    checked = pencil and ctx.m == 2
-    degeneracy = find_degenerate_pencil(ctx) if checked else None
+    degeneracy = find_degenerate_pencil(ctx) if ctx.m == 2 else None
     return TangentReport(
         n=ctx.n,
         k=ctx.k,
@@ -512,7 +509,6 @@ def tangent_report(ctx: PointContext, pencil: bool = True) -> TangentReport:
         phi_rank=rank,
         phi_kernel=kernel,
         degeneracy=degeneracy,
-        pencil_checked=checked,
     )
 
 
@@ -730,6 +726,7 @@ def verify_thm_equivalence(
         for fs in pair_list:
             if fs.dim != n:
                 raise ValueError("form space dimension disagrees with n")
+            field.require_same(fs.field)
     if not pair_list:
         raise ValueError("verification needs at least one pair")
     report = VerifyReport(pair_points=[], mismatches=[])

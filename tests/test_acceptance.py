@@ -165,7 +165,7 @@ def test_criterion_08_decoder_soundness():
                 fs = random_independent_pair(4, field, Random(derive_seed(seed, i)))
                 for V in enumerate_isotropic_subspaces(2, fs):
                     ctx = PointContext(V, fs)
-                    rep = tangent_report(ctx, pencil=False)
+                    rep = tangent_report(ctx)
                     for kelem in rep.phi_kernel:
                         elements_seen += 1
                         _, ok = decode_kernel_element(ctx, kelem)
@@ -204,16 +204,16 @@ def test_criterion_09_representation_independence():
                 continue
             points += 1
             ctx = PointContext(V, fs)
-            base = tangent_report(ctx, pencil=False)
+            base = tangent_report(ctx)
             for _ in range(10):
                 alt = PointContext(V, fs, complement=random_complement(V, rng))
-                rep = tangent_report(alt, pencil=False)
+                rep = tangent_report(alt)
                 assert rep.tangent_dim == base.tangent_dim
                 assert rep.phi_rank == base.phi_rank
             for _ in range(10):
                 U = random_invertible(field, k, rng)
                 alt = PointContext(V, fs, basis=U.mul(ctx.basis))
-                rep = tangent_report(alt, pencil=False)
+                rep = tangent_report(alt)
                 assert rep.tangent_dim == base.tangent_dim
                 assert rep.phi_rank == base.phi_rank
 

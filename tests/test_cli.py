@@ -4,17 +4,23 @@ import os
 import subprocess
 import sys
 import time
+from itertools import product
 from random import Random
 
 import pytest
 
 from msgkit import (
     Matrix,
+    PointContext,
     PrimeField,
     QQ,
     canonical_alternating,
+    derive_seed,
+    random_form_space,
     random_invertible,
+    random_isotropic_subspace,
     standard_form,
+    tangent_report,
     verify_thm_equivalence,
 )
 from msgkit import cli
@@ -366,6 +372,34 @@ def test_scan_golden_at_one_and_two_workers(workers):
     golden_compare("scan_n6_k3_m2_p3_seed1.json", out)
 
 
+@pytest.mark.parametrize("m", [1, 2, 3])
+@pytest.mark.parametrize("field", [PrimeField(3), PrimeField(5), QQ], ids=str)
+def test_scan_sample_is_the_excess_of_the_tangent_report(field, m):
+    # the oracle is the point's full report, drawn from the same derived stream;
+    # at n=6, k=3 every field stalls for m >= 2, and m = 1 never stalls
+    seed, outcomes = 5, []
+    for (n, k), i in product([(4, 2), (6, 2), (6, 3)], range(8)):
+        rng = Random(derive_seed(seed, i))
+        fs = random_form_space(n, m, field, rng)
+        V = random_isotropic_subspace(k, fs, rng)
+        expected = None if V is None else tangent_report(PointContext(V, fs)).excess()
+        assert cli._scan_sample(field, n, k, m, seed, i) == expected
+        outcomes.append(expected)
+    assert any(e is not None for e in outcomes)
+    assert (None in outcomes) == (m >= 2)
+
+
+def test_scan_builds_no_point_context_or_report(monkeypatch, capsys):
+    def refuse(*args, **kwargs):
+        raise AssertionError("scan reached the point-context path")
+
+    monkeypatch.setattr(cli, "PointContext", refuse)
+    monkeypatch.setattr(cli, "tangent_report", refuse)
+    assert cli.main(["scan", "--n", "6", "--k", "3", "--m", "2", "--p", "3",
+                     "--samples", "60", "--seed", "1", "--workers", "1"]) == 0
+    golden_compare("scan_n6_k3_m2_p3_seed1.json", capsys.readouterr().out)
+
+
 def test_rational_scan_bytes_agree_across_workers():
     # pool workers compute over an unpickled copy of QQ, not QQ itself
     args = ("scan", "--n", "4", "--k", "2", "--m", "2", "--field", "rational",
@@ -629,6 +663,19 @@ def test_normal_form_zero_matrix(tmp_path):
     code, out, _ = run_cli("normal-form", "--input", str(path))
     assert code == 0
     assert json.loads(out)["rank"] == 0
+
+
+def test_normal_form_is_sized_as_n_cubed_before_the_schur_steps(tmp_path):
+    path = tmp_path / "J.json"
+    path.write_text(json.dumps({"field": {"kind": "prime", "p": 7},
+                                "matrix": standard_form(4, PrimeField(7)).gram.encode()}))
+    code, out, err = run_cli("normal-form", "--input", str(path), env={"MSGKIT_BUDGET": "63"})
+    assert (code, out) == (2, "")
+    assert err == ("error: a normal form of n=4 (n^3 = 64) exceeds the budget of 63"
+                   " (raise MSGKIT_BUDGET to override)\n")
+    code, out, err = run_cli("normal-form", "--input", str(path), env={"MSGKIT_BUDGET": "64"})
+    assert (code, err) == (0, "")
+    assert json.loads(out)["rank"] == 4
 
 
 def test_normal_form_non_alternating_exit2(tmp_path):

@@ -537,7 +537,7 @@ def test_point_stream_matches_the_filter_and_the_point_contexts(n, k, m, p):
         ctx = PointContext(V, fs)
         assert restrictions == [[list(r) for r in R.rows] for R in ctx.restrictions]
         rank = F.rank(_constraint_rows(F, k, n - k, restrictions))
-        assert rank == build_constraints(ctx).rank() == tangent_report(ctx, pencil=False).phi_rank
+        assert rank == build_constraints(ctx).rank() == tangent_report(ctx).phi_rank
         if m >= 2:
             assert chart_differential_rank(V, fs) == rank
         if m == 2 and _pencil_degeneracy(F, *restrictions, V.basis.rows) is None:

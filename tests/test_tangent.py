@@ -37,6 +37,7 @@ from msgkit import (
     msg_expected_dim,
     random_complement,
     random_form_space,
+    random_independent_pair,
     random_invertible,
     random_isotropic_subspace,
     random_matrix,
@@ -78,7 +79,7 @@ def test_result_records_keep_keywords_defaults_and_field_equality():
     a = TangentReport(n=4, k=2, m=2, expected_dim=2, tangent_dim=2, phi_rank=2)
     b = TangentReport(4, 2, 2, 2, 2, 2)
     assert a == b and a != TangentReport(4, 2, 2, 2, 3, 1)
-    assert (a.phi_kernel, a.degeneracy, a.pencil_checked) == ([], None, False)
+    assert (a.phi_kernel, a.degeneracy) == ([], None)
     assert a.phi_kernel is not b.phi_kernel
     cert = BinaryForm(QQ, 0, [QQ.one])
     d = PencilDegeneracy(cert)
@@ -201,19 +202,20 @@ def test_rank_independent_of_basis():
     F = PrimeField(7)
     for _ in range(5):
         ctx = sample_context(6, 3, 2, F, rng)
-        base = tangent_report(ctx, pencil=False)
+        base = tangent_report(ctx)
         for _ in range(10):
             U = random_invertible(F, ctx.k, rng)
             alt = PointContext(ctx.subspace, ctx.forms, basis=U.mul(ctx.basis))
-            rep = tangent_report(alt, pencil=False)
+            rep = tangent_report(alt)
             assert rep.tangent_dim == base.tangent_dim
             assert rep.phi_rank == base.phi_rank
 
 
 @pytest.mark.parametrize("F", [PrimeField(3), QQ], ids=str)
 def test_tangent_report_takes_one_elimination(monkeypatch, F):
-    # the rank is the pivot count of the RREF the left kernel is read from
-    ctx = sample_context(6, 2, 2, F, Random(149))
+    # the rank is the pivot count of the RREF the left kernel is read from; at
+    # m = 3 no pencil is checked, so that RREF is the report's one elimination
+    ctx = sample_context(6, 2, 3, F, Random(149))
     calls = {"rank": 0, "rref": 0}
     for name in calls:
         method = getattr(type(F), name)
@@ -223,7 +225,7 @@ def test_tangent_report_takes_one_elimination(monkeypatch, F):
             return method(self, *args)
 
         monkeypatch.setattr(type(F), name, counting)
-    report = tangent_report(ctx, pencil=False)
+    report = tangent_report(ctx)
     assert calls == {"rank": 0, "rref": 1}
     assert report.phi_rank == build_constraints(ctx).rank()
 
@@ -375,7 +377,7 @@ def test_kernel_element_must_be_nonzero():
 def _check_kernel_soundness(ctx):
     """Left-kernel coefficients annihilate the constraint rows exactly, and
     decoded generators always land in ker j_V.  Returns #elements checked."""
-    rep = tangent_report(ctx, pencil=False)
+    rep = tangent_report(ctx)
     C = build_constraints(ctx)
     for kelem in rep.phi_kernel:
         flat = []
@@ -447,10 +449,9 @@ def test_pencil_matches_tangent_dim_generic():
     hits = {True: 0, False: 0}
     for _ in range(60):
         ctx = sample_context(4, 2, 2, F, rng)
-        rep = tangent_report(ctx, pencil=False)
-        degeneracy = find_degenerate_pencil(ctx)
-        assert (rep.tangent_dim == rep.expected_dim) == (degeneracy is None)
-        hits[degeneracy is None] += 1
+        rep = tangent_report(ctx)
+        assert (rep.tangent_dim == rep.expected_dim) == (rep.degeneracy is None)
+        hits[rep.degeneracy is None] += 1
     assert hits[True] > 0  # generic points are non-degenerate
 
 
@@ -463,11 +464,9 @@ def test_pencil_scaling_invariance():
             SymplecticForm(ctx.forms.grams()[0].scale(3)),
             ctx.forms.forms[1],
         ])
-        scaled = PointContext(ctx.subspace, scaled_forms)
-        assert (find_degenerate_pencil(ctx) is None) == \
-            (find_degenerate_pencil(scaled) is None)
-        a = tangent_report(ctx, pencil=False)
-        b = tangent_report(scaled, pencil=False)
+        a = tangent_report(ctx)
+        b = tangent_report(PointContext(ctx.subspace, scaled_forms))
+        assert (a.degeneracy is None) == (b.degeneracy is None)
         assert a.tangent_dim == b.tangent_dim
 
 
@@ -1026,10 +1025,11 @@ def test_planted_degenerate_pencils_agree_with_the_point_context_path(planted):
         V = Subspace(Matrix(F, k, n, rows))
         ctx = PointContext(V, fs)
         rank = F.rank(_constraint_rows(F, k, n - k, restrictions))
-        degeneracy = find_degenerate_pencil(ctx)
+        report = tangent_report(ctx)
+        degeneracy = report.degeneracy
         assert (V.pivots, rank) == (pivots, build_constraints(ctx).rank())
         # the chart differential, a second tangent formulation, and tangent_report agree
-        assert chart_differential_rank(V, fs) == rank == tangent_report(ctx, pencil=False).phi_rank
+        assert chart_differential_rank(V, fs) == rank == report.phi_rank
         ranks.add(rank)
         # verify's rows give the context's answer, None exactly at minors of gcd 1
         assert _pencil_degeneracy(F, *restrictions, rows) == degeneracy
@@ -1185,8 +1185,8 @@ def test_a_non_isotropic_sampled_point_raises_with_and_without_asserts(flags):
 
 
 def _reference_sampled_verify(n, k, field, pairs, samples, seed, fault):
-    """Sampled verification the long way: a PointContext, a tangent report and
-    the public pencil check at every drawn point of the seeded pencils."""
+    """Sampled verification the long way: a PointContext and a tangent report,
+    pencil check included, at every drawn point of the seeded pencils."""
     pair_points, mismatches = [], []
     for i in range(pairs):
         fs = tangent._seeded_pencil(n, field, seed, i)
@@ -1198,15 +1198,14 @@ def _reference_sampled_verify(n, k, field, pairs, samples, seed, fault):
                 continue
             points += 1
             ctx = PointContext(V, fs)
-            report = tangent_report(ctx, pencil=False)
+            report = tangent_report(ctx)
             dim = report.tangent_dim
             if fault:  # the first constraint row zeroed
                 C = build_constraints(ctx)
                 dim += report.phi_rank - Matrix(field, C.nrows, C.ncols,
                                                 [[0] * C.ncols, *C.rows[1:]]).rank()
-            degeneracy = find_degenerate_pencil(ctx)
-            if (dim == report.expected_dim) != (degeneracy is None):
-                record = MismatchRecord(V, dim, report.expected_dim, degeneracy)
+            if (dim == report.expected_dim) != (report.degeneracy is None):
+                record = MismatchRecord(V, dim, report.expected_dim, report.degeneracy)
                 mismatches.append((i, record.encode()))
         pair_points.append(points)
     return pair_points, mismatches
@@ -1228,6 +1227,13 @@ def test_sampled_verify_over_q_matches_the_point_context_loop(n, k, fault):
     assert got == _reference_sampled_verify(n, k, QQ, 2, samples, 4, fault)
     if (n, k, fault) == (4, 2, True):
         assert (rep.pair_points, len(rep.mismatches)) == ([15, 15], 30)
+
+
+def test_equivalence_refuses_a_given_pencil_over_another_field():
+    # a pencil over F_5 checked "over F_3" would report F_5 points as F_3 ones
+    fs = random_independent_pair(4, PrimeField(5), Random(7))
+    with pytest.raises(FieldMismatchError, match="mixed fields"):
+        verify_thm_equivalence(4, 2, PrimeField(3), pairs=[fs])
 
 
 def test_equivalence_explicit_pairs(degenerate_ctx):
