@@ -278,14 +278,6 @@ def cmd_scan(args) -> int:
 # verify
 # ---------------------------------------------------------------------------
 
-def _verify_one_pair(n: int, k: int, field: Field, seed: int, index: int, **options):
-    """Pair `index` of the seeded run, checked as `verify_thm_equivalence`
-    checks it: (points, encoded mismatches)."""
-    fs, points, mismatches = _verify_seeded_pair(n, k, field, seed, index, **options)
-    forms = [g.encode() for g in fs.grams()]
-    return points, [{"forms": forms, **rec.encode()} for rec in mismatches]
-
-
 def cmd_verify(args) -> int:
     field = PrimeField(args.p)
     if args.pairs < 1:
@@ -302,11 +294,12 @@ def cmd_verify(args) -> int:
     else:
         each, what = _subspace_count(args.n, args.k, args.p, budget)
     _require_budget(args.pairs * each, f"verifying {args.pairs} pairs x {each} {what}", budget)
-    task = partial(_verify_one_pair, args.n, args.k, field, args.seed, scope=args.scope,
-                   samples=args.samples, budget=budget, fault=args.inject_fault)
+    task = partial(_verify_seeded_pair, args.n, args.k, field, args.seed, scope=args.scope,
+                   samples=args.samples, fault=args.inject_fault)
     results = _run_tasks(task, range(args.pairs), args.workers)
-    _require_sampled_points(args.scope, [points for points, _ in results], args.samples)
-    mismatches = [{"pair": i, **rec} for i, (_, recs) in enumerate(results) for rec in recs]
+    _require_sampled_points(args.scope, [points for _, points, _ in results], args.samples)
+    mismatches = [{"pair": i, "forms": [g.encode() for g in fs.grams()], **rec.encode()}
+                  for i, (fs, _, recs) in enumerate(results) for rec in recs]
     _dump({
         "command": "verify",
         "version": __version__,
@@ -315,10 +308,10 @@ def cmd_verify(args) -> int:
                   "scope": args.scope, "samples": args.samples,
                   "seed": args.seed, "inject_fault": args.inject_fault},
         "pairs_checked": len(results),
-        "points_checked": sum(points for points, _ in results),
+        "points_checked": sum(points for _, points, _ in results),
         "mismatch_count": len(mismatches),
         "per_pair": [{"pair": i, "points": points, "mismatches": len(recs)}
-                     for i, (points, recs) in enumerate(results)],
+                     for i, (_, points, recs) in enumerate(results)],
         "mismatches": mismatches,
         "seeds": {"root": args.seed, "derivation": _SEED_RULE},
     }, args)

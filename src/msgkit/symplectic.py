@@ -320,15 +320,14 @@ def random_isotropic_subspace(k: int, F: FormSpace, rng: Random) -> Subspace | N
 # exhaustive enumeration
 # ---------------------------------------------------------------------------
 
-def _check_enumeration(n: int, k: int, field: Field, budget: int | None) -> None:
+def _check_enumeration(n: int, k: int, field: Field) -> None:
     """Refuse an enumeration over a non-prime field, with k outside [0, n], or
-    whose C(n, k)_q subspaces exceed the budget (MSGKIT_BUDGET by default)."""
+    whose C(n, k)_q subspaces exceed `enumeration_budget()`, read at the call."""
     if not isinstance(field, PrimeField):
         raise ValueError("exhaustive enumeration needs a finite prime field")
     if not 0 <= k <= n:
         raise ValueError(f"need 0 <= k <= n, got k={k}, n={n}")
-    if budget is None:
-        budget = enumeration_budget()
+    budget = enumeration_budget()
     total, what = _subspace_count(n, k, field.p, budget)
     _require_budget(total, f"enumerating {total} {what}", budget)
 
@@ -354,12 +353,12 @@ def _free_columns(n: int, pivots: tuple[int, ...]) -> list[list[int]]:
     return [[j for j in range(pc + 1, n) if j not in pivot_set] for pc in pivots]
 
 
-def enumerate_subspaces(n: int, k: int, field: Field, budget: int | None = None):
+def enumerate_subspaces(n: int, k: int, field: Field):
     """All k-subspaces of F_q^n, each exactly once, in pivot-pattern order.
 
     Returns a generator; the budget check happens before the first yield.
     """
-    _check_enumeration(n, k, field, budget)
+    _check_enumeration(n, k, field)
 
     def generate():
         elements = list(field.elements())
@@ -405,13 +404,13 @@ def _row_solutions(field: PrimeField, pivot: int, cols: list[int], perps: list[l
     return out
 
 
-def _isotropic_points(k: int, F: FormSpace, budget: int | None = None):
+def _isotropic_points(k: int, F: FormSpace):
     """`enumerate_isotropic_subspaces` in plain ints: (pivots, RREF rows, pairings)
     with pairings[t][i] = <row_i, e_c>_t at the non-pivot columns c, R_t for the unit
     complement.  Each row is checked, apart from the elimination that solved it, against
     w_t = G_t row^T of the rows above; its pairings are -w_t (G_t is alternating)."""
     n, field = F.dim, F.field
-    _check_enumeration(n, k, field, budget)
+    _check_enumeration(n, k, field)
     p, grams = field.p, [G.rows for G in F.grams()]
 
     def extend(pivots, free, cols, rows, perps, pairings):
@@ -443,7 +442,7 @@ def _isotropic_points(k: int, F: FormSpace, budget: int | None = None):
     return generate()
 
 
-def enumerate_isotropic_subspaces(k: int, F: FormSpace, budget: int | None = None):
+def enumerate_isotropic_subspaces(k: int, F: FormSpace):
     """Every simultaneously isotropic k-subspace, in enumerate_subspaces order.
 
     Walks the same echelon pivot patterns, but fills row i only with the
@@ -455,7 +454,7 @@ def enumerate_isotropic_subspaces(k: int, F: FormSpace, budget: int | None = Non
     """
     field, n = F.field, F.dim
     return (Subspace(Matrix(field, k, n, rows, _trusted=True), _pivots=pivots)
-            for pivots, rows, _ in _isotropic_points(k, F, budget))
+            for pivots, rows, _ in _isotropic_points(k, F))
 
 
 # ---------------------------------------------------------------------------

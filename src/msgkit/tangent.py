@@ -394,28 +394,17 @@ def _pencil_minor_gcd(F: Field, R1, R2) -> BinaryForm:
     return binary_form_gcd(minors())
 
 
-def find_degenerate_pencil(
-    ctx: PointContext, pair: tuple[int, int] | None = None
-) -> PencilDegeneracy | None:
-    """Decide whether the pencil of two forms contains a degenerate combination.
-
-    For m = 2 the pencil is the whole form space; for larger m an explicit
-    `pair` of form indices selects a 2-dimensional sub-pencil.  Returns None
-    exactly when no nonzero combination, over the algebraic closure, kills
-    some 2-dimensional subspace of V against E/V.  The zero combination is
-    excluded: pencil points are projective.
+def find_degenerate_pencil(ctx: PointContext) -> PencilDegeneracy | None:
+    """Decide whether the pencil of the two forms (m = 2) contains a degenerate
+    combination; for a sub-pencil of a larger form space, pass the point with
+    the two-form FormSpace.  Returns None exactly when no nonzero combination,
+    over the algebraic closure, kills some 2-dimensional subspace of V against
+    E/V.  The zero combination is excluded: pencil points are projective.
     """
-    if pair is None:
-        if ctx.m != 2:
-            raise ValueError(
-                f"pencil degeneracy needs m = 2 (got m = {ctx.m});"
-                " pass `pair` to select a sub-pencil")
-        pair = (0, 1)
-    i1, i2 = pair
-    if i1 == i2 or not (0 <= i1 < ctx.m and 0 <= i2 < ctx.m):
-        raise ValueError(f"invalid form pair {pair} for m = {ctx.m}")
-    return _pencil_degeneracy(ctx.field, ctx.restrictions[i1].rows,
-                              ctx.restrictions[i2].rows, ctx.basis.rows)
+    if ctx.m != 2:
+        raise ValueError(f"pencil degeneracy needs m = 2 (got m = {ctx.m});"
+                         " for a sub-pencil, pass the point with a two-form FormSpace")
+    return _pencil_degeneracy(ctx.field, *(R.rows for R in ctx.restrictions), ctx.basis.rows)
 
 
 def _pencil_degeneracy(F: Field, R1, R2, basis) -> PencilDegeneracy | None:
@@ -618,16 +607,15 @@ def verify_pair(
     scope: str = "exhaustive",
     rng: Random | None = None,
     samples: int = 100,
-    budget: int | None = None,
     fault: bool = False,
 ) -> tuple[int, list[MismatchRecord]]:
     """Check the equivalence over every point for one pencil of forms.
 
     Exhaustive scope enumerates all simultaneously isotropic k-subspaces
-    (prime fields only, budget applies); sampled scope draws `samples`
-    greedy random points over any field and skips stalls.  At each point
-    the dimension side (expected tangent dimension) must agree with the
-    pencil side (no degenerate combination).
+    (prime fields only; the budget, MSGKIT_BUDGET read at the call, applies);
+    sampled scope draws `samples` greedy random points over any field and
+    skips stalls.  At each point the dimension side (expected tangent
+    dimension) must agree with the pencil side (no degenerate combination).
 
     `fault` zeroes the first constraint row before the rank computation; a
     self-test hook that must produce mismatches if the harness is alive.
@@ -640,7 +628,7 @@ def verify_pair(
         raise ValueError(f"fault injection needs k >= 2, got k={k}:"
                          " there is no constraint row to corrupt")
     if scope == "exhaustive":
-        records = _isotropic_points(k, fs, budget=budget)
+        records = _isotropic_points(k, fs)
     elif scope == "sampled":
         if rng is None:
             raise ValueError("sampled scope needs an rng")
@@ -707,7 +695,6 @@ def verify_thm_equivalence(
     scope: str = "exhaustive",
     seed: int = 0,
     samples_per_pair: int = 100,
-    budget: int | None = None,
     fault: bool = False,
 ) -> VerifyReport:
     """Brute-force the equivalence 'expected tangent dimension iff no
@@ -732,8 +719,7 @@ def verify_thm_equivalence(
     report = VerifyReport(pair_points=[], mismatches=[])
     for idx, given in enumerate(pair_list):
         fs, points, mismatches = _verify_seeded_pair(
-            n, k, field, seed, idx, given, scope=scope, samples=samples_per_pair,
-            budget=budget, fault=fault)
+            n, k, field, seed, idx, given, scope=scope, samples=samples_per_pair, fault=fault)
         report.pair_points.append(points)
         report.mismatches.extend((idx, fs, rec) for rec in mismatches)
     _require_sampled_points(scope, report.pair_points, samples_per_pair)

@@ -130,3 +130,24 @@ def test_only_the_fields_module_imports_the_fp_kernels():
             if "msgkit._fp" in names:
                 importers.add(os.path.basename(path))
     assert sorted(importers) == ["fields.py"]
+
+
+def test_only_the_budget_reads_the_environment():
+    # MSGKIT_BUDGET is read where it is enforced, at the call: no function
+    # takes a budget argument, so a second reader of the environment would be
+    # a second place that decides it
+    reads = []
+
+    def visit(node, path, function):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            function = node.name
+        if ((isinstance(node, ast.Attribute) and node.attr in ("environ", "getenv"))
+                or (isinstance(node, ast.Name) and node.id in ("environ", "getenv"))
+                or (isinstance(node, ast.alias) and node.name in ("environ", "getenv"))):
+            reads.append((os.path.basename(path), function))
+        for child in ast.iter_child_nodes(node):
+            visit(child, path, function)
+
+    for path, tree in _parsed("src/msgkit/*.py"):
+        visit(tree, path, None)
+    assert reads == [("symplectic.py", "enumeration_budget")]

@@ -448,27 +448,31 @@ def test_isotropic_enumeration_filter_contract():
     assert all(is_isotropic(V, fs) for V in iso)
 
 
-def test_enumeration_budget():
+def test_enumeration_budget(monkeypatch):
     F3 = PrimeField(3)
+    monkeypatch.setenv("MSGKIT_BUDGET", "100")
     with pytest.raises(BudgetExceeded):
-        enumerate_subspaces(4, 2, F3, budget=100)
+        enumerate_subspaces(4, 2, F3)
     with pytest.raises(ValueError):
         enumerate_subspaces(4, 2, QQ)
 
 
 @pytest.mark.parametrize("n,k", [(2000, 1000), (4000, 2000)])
-def test_enumeration_past_the_budget_is_refused_without_counting(n, k):
+def test_enumeration_past_the_budget_is_refused_without_counting(n, k, monkeypatch):
     # C(n, k)_3 >= 3^(k(n-k)) is past the budget once k(n-k) reaches the
     # budget's bit length, so it is not multiplied out; its digits would pass
     # the interpreter's limit for printing an int
+    monkeypatch.setenv("MSGKIT_BUDGET", str(10**7))
     start = time.perf_counter()
     with pytest.raises(BudgetExceeded, match="^enumerating 10000001 or more subspaces exceeds"
                                              " the budget of 10000000 "):
-        enumerate_subspaces(n, k, PrimeField(3), budget=10**7)
+        enumerate_subspaces(n, k, PrimeField(3))
     assert time.perf_counter() - start < 1
+    monkeypatch.setenv("MSGKIT_BUDGET", "129")
     with pytest.raises(BudgetExceeded, match="^enumerating 130 subspaces exceeds the budget of 129 "):
-        enumerate_subspaces(4, 2, PrimeField(3), budget=129)
-    assert len(list(enumerate_subspaces(4, 2, PrimeField(3), budget=130))) == 130
+        enumerate_subspaces(4, 2, PrimeField(3))
+    monkeypatch.setenv("MSGKIT_BUDGET", "130")
+    assert len(list(enumerate_subspaces(4, 2, PrimeField(3)))) == 130
 
 
 def test_subspace_count_is_exact_or_past_the_budget():
@@ -485,12 +489,14 @@ def test_subspace_count_is_exact_or_past_the_budget():
                         assert exact > budget
 
 
-def test_isotropic_enumeration_budget_and_validation():
+def test_isotropic_enumeration_budget_and_validation(monkeypatch):
     fs = FormSpace([standard_form(4, PrimeField(3))])
     # the budget counts all C(4,2)_3 = 130 subspaces, not the 40 isotropic ones
+    monkeypatch.setenv("MSGKIT_BUDGET", "129")
     with pytest.raises(BudgetExceeded):
-        enumerate_isotropic_subspaces(2, fs, budget=129)
-    assert len(list(enumerate_isotropic_subspaces(2, fs, budget=130))) == 40
+        enumerate_isotropic_subspaces(2, fs)
+    monkeypatch.setenv("MSGKIT_BUDGET", "130")
+    assert len(list(enumerate_isotropic_subspaces(2, fs))) == 40
     with pytest.raises(ValueError):
         enumerate_isotropic_subspaces(5, fs)
     with pytest.raises(ValueError):

@@ -1,4 +1,5 @@
 import itertools
+import pickle
 import subprocess
 import sys
 from fractions import Fraction
@@ -8,6 +9,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from msgkit import (
+    BudgetExceeded,
     EigenspaceReport,
     Field,
     FieldMismatchError,
@@ -54,7 +56,7 @@ from msgkit.polynomials import (BinaryForm, _linear_grid, binary_form_gcd, pdeg,
 from msgkit.symplectic import _isotropic_points
 from msgkit.tangent import (PhiKernelElement, _constraint_rows, _coprime_quadratic_minors,
                             _pencil_degeneracy, _pencil_minor_gcd, _pencil_pfaffian,
-                            _resultant2, _sampled_points)
+                            _resultant2, _sampled_points, _verify_seeded_pair)
 from conftest import chart_differential_rank, degenerate_instance, random_alternating_nonsingular
 
 
@@ -425,21 +427,19 @@ def test_zero_restrictions_degenerate_at_every_pencil_point(F):
                                     ((F.zero, F.one), Subspace(basis)))
 
 
-def test_pencil_requires_m2(degenerate_ctx):
+def test_pencil_requires_m2():
     rng = Random(131)
     F = PrimeField(5)
     fs = random_form_space(6, 3, F, rng)
     V = random_isotropic_subspace(2, fs, rng)
     ctx = PointContext(V, fs)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="needs m = 2"):
         find_degenerate_pencil(ctx)
-    # explicit sub-pencil selection is allowed for m > 2
-    result = find_degenerate_pencil(ctx, pair=(0, 2))
-    assert result is None or result.witnesses is not None
-    with pytest.raises(ValueError):
-        find_degenerate_pencil(ctx, pair=(0, 3))
-    with pytest.raises(ValueError):
-        find_degenerate_pencil(degenerate_ctx, pair=(1, 1))
+    # a sub-pencil is the point taken with the two-form FormSpace
+    f0, _, f2 = fs.forms
+    R0, _, R2 = ctx.restrictions
+    assert find_degenerate_pencil(PointContext(V, FormSpace([f0, f2]))) == _pencil_degeneracy(
+        F, R0.rows, R2.rows, ctx.basis.rows)
 
 
 def test_pencil_matches_tangent_dim_generic():
@@ -946,6 +946,27 @@ def test_equivalence_rejects_a_sampled_run_that_checks_no_point(fault):
                                          " draws of each of the 2 pairs stalled$"):
         verify_thm_equivalence(6, 3, PrimeField(101), pairs=2, scope="sampled",
                                samples_per_pair=5, fault=fault)
+
+
+def test_equivalence_reads_the_budget_at_the_call(monkeypatch):
+    # the exhaustive walk is sized as all C(4,2)_3 = 130 subspaces
+    monkeypatch.setenv("MSGKIT_BUDGET", "129")
+    with pytest.raises(BudgetExceeded, match="^enumerating 130 subspaces exceeds the budget of 129 "):
+        verify_thm_equivalence(4, 2, PrimeField(3), pairs=1)
+    monkeypatch.setenv("MSGKIT_BUDGET", "130")
+    assert verify_thm_equivalence(4, 2, PrimeField(3), pairs=1).points_checked > 0
+
+
+def test_pool_results_survive_a_pickle_round_trip(degenerate_ctx):
+    # forked verify workers return FormSpace and MismatchRecord values
+    result = _verify_seeded_pair(4, 2, PrimeField(3), 2, 1, scope="exhaustive", fault=True)
+    assert result[2]
+    assert pickle.loads(pickle.dumps(result)) == result
+    fs, V = _invariance_points(PrimeField(3), Random(0))[0]
+    for ctx in (PointContext(V, fs), degenerate_ctx):
+        degeneracy = find_degenerate_pencil(ctx)  # a BinaryForm and Subspace witnesses
+        assert degeneracy is not None
+        assert pickle.loads(pickle.dumps(degeneracy)) == degeneracy
 
 
 def test_equivalence_k1_trivial():
