@@ -425,13 +425,9 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except BudgetExceeded as exc:
-        return _fail(str(exc))
-    except json.JSONDecodeError as exc:
+    except json.JSONDecodeError as exc:  # a ValueError, so it comes first
         return _fail(f"malformed JSON: {exc}")
-    except (ValueError, KeyError, TypeError) as exc:
-        return _fail(str(exc))
-    except OSError as exc:
+    except (BudgetExceeded, ValueError, KeyError, TypeError, OSError) as exc:
         return _fail(str(exc))
 
 

@@ -129,20 +129,15 @@ class PrimeField(Field):
 
     __slots__ = ("p",)
 
+    zero = 0
+    one = 1
+
     def __init__(self, p: int):
         if not isinstance(p, int) or p < 3 or p % 2 == 0 or p >= MAX_PRIME:
             raise ValueError(f"modulus must be an odd prime in [3, 2^31): {p}")
         if not is_prime(p):
             raise ValueError(f"modulus is not prime: {p}")
         self.p = p
-
-    @property
-    def zero(self) -> int:
-        return 0
-
-    @property
-    def one(self) -> int:
-        return 1
 
     def element(self, x) -> int:
         if isinstance(x, bool) or not isinstance(x, int):

@@ -106,13 +106,12 @@ class PointContext:
     and `complement` completes it to a basis of the ambient space.  All
     reported dimensions are provably independent of both choices; kernel
     coordinates are not, which is why the choices are recorded here.
-    `restrictions` holds R_t = B G_t C^T, one per form, for the working basis
+    `restrictions` holds R_t = (B G_t) C^T, one per form, for the working basis
     B.  B G_t is computed once per form and shared: `_point_products` scans
     (B G_t) B^T for the isotropy check, so a failure names a pairing of the
-    working basis, and with the default complement, a selector of the
-    non-pivot columns, R_t is just those columns of B G_t.  Only a complement
-    the caller passes is rank-checked against the basis: the default one holds
-    the unit rows at the non-pivot columns, which complete any basis of V.
+    working basis.  Only a complement the caller passes is rank-checked
+    against the basis: the default one holds the unit rows at the non-pivot
+    columns, which complete any basis of V.
     """
 
     __slots__ = ("subspace", "forms", "basis", "complement", "restrictions")
@@ -143,14 +142,12 @@ class PointContext:
                 f"subspace is not isotropic for form {t}: <v_{i + 1}, v_{j + 1}> = {val}")
         if complement is None:
             complement = default_complement(subspace)
-            restrictions = _unit_restrictions(subspace, products)
-        else:
-            if complement.shape != (subspace.n - subspace.k, subspace.n):
-                raise ValueError("complement has the wrong shape")
-            if basis.stack(complement).rank() != subspace.n:
-                raise ValueError("basis plus complement do not span the ambient space")
-            ct = complement.transpose().rows
-            restrictions = [field.matmul(BG, ct) for BG in products]
+        elif complement.shape != (subspace.n - subspace.k, subspace.n):
+            raise ValueError("complement has the wrong shape")
+        elif basis.stack(complement).rank() != subspace.n:
+            raise ValueError("basis plus complement do not span the ambient space")
+        ct = complement.transpose().rows
+        restrictions = [field.matmul(BG, ct) for BG in products]
         self.subspace = subspace
         self.forms = forms
         self.basis = basis
@@ -611,6 +608,8 @@ def verify_pair(
 ) -> tuple[int, list[MismatchRecord]]:
     """Check the equivalence over every point for one pencil of forms.
 
+    k outside 1..n/2 is refused, as the sampler refuses it: the check would be
+    vacuous there (k = 0 has just the zero subspace, k > n/2 has no point).
     Exhaustive scope enumerates all simultaneously isotropic k-subspaces
     (prime fields only; the budget, MSGKIT_BUDGET read at the call, applies);
     sampled scope draws `samples` greedy random points over any field and
@@ -627,6 +626,9 @@ def verify_pair(
     if fault and k < 2:
         raise ValueError(f"fault injection needs k >= 2, got k={k}:"
                          " there is no constraint row to corrupt")
+    field, n = fs.field, fs.dim
+    if not 1 <= k <= n // 2:
+        raise ValueError(f"isotropic dimension must satisfy 1 <= k <= n/2 = {n // 2}, got {k}")
     if scope == "exhaustive":
         records = _isotropic_points(k, fs)
     elif scope == "sampled":
@@ -637,7 +639,6 @@ def verify_pair(
         records = _sampled_points(k, fs, rng, samples)
     else:
         raise ValueError(f"unknown scope {scope!r}")
-    field, n = fs.field, fs.dim
     independent = fs.m * (k * (k - 1) // 2)  # constraint rows: the expected dimension's rank
     points, mismatches = 0, []
     for pivots, rows, restrictions in records:
@@ -676,13 +677,11 @@ def _require_sampled_points(scope: str, pair_points: list[int], samples: int) ->
                          f" each of the {len(pair_points)} pairs stalled")
 
 
-def _verify_seeded_pair(n: int, k: int, field: Field, seed: int, index: int,
-                        fs: FormSpace | None = None, **options):
-    """Pair `index` of a seeded run: `verify_pair` over `fs`, or over the pencil
-    drawn from the derived seed (seed, index), with points sampled from a
-    stream apart from the pencil's.  Returns (fs, points, mismatches)."""
-    if fs is None:
-        fs = _seeded_pencil(n, field, seed, index)
+def _verify_seeded_pair(n: int, k: int, field: Field, seed: int, index: int, **options):
+    """Pair `index` of a seeded run: `verify_pair` over the pencil drawn from the
+    derived seed (seed, index), with points sampled from a stream apart from the
+    pencil's.  Returns (fs, points, mismatches)."""
+    fs = _seeded_pencil(n, field, seed, index)
     rng = Random(derive_seed(seed, index) ^ 0xA5A5A5A5)
     return (fs, *verify_pair(fs, k, rng=rng, **options))
 
@@ -691,7 +690,7 @@ def verify_thm_equivalence(
     n: int,
     k: int,
     field: Field,
-    pairs,
+    pairs: int,
     scope: str = "exhaustive",
     seed: int = 0,
     samples_per_pair: int = 100,
@@ -700,26 +699,19 @@ def verify_thm_equivalence(
     """Brute-force the equivalence 'expected tangent dimension iff no
     degenerate pencil combination' over many pencils.
 
-    `pairs` is either an iterable of FormSpace pencils or an integer count
-    of random independent pairs; pair i is drawn from the derived seed
-    (seed, i), so partitioned parallel runs reproduce the same pencils.
-    Runs that would pass vacuously raise ValueError: no pairs, sampled scope
-    with `samples_per_pair` < 1, or a sampled run whose every greedy draw stalls.
+    `pairs` is the count of random independent pencils; pair i is drawn from
+    the derived seed (seed, i), so partitioned parallel runs reproduce the
+    same pencils.  A given pencil is checked by `verify_pair(fs, k, ...)`.
+    Runs that would pass vacuously raise ValueError: no pairs, k outside
+    1..n/2, sampled scope with `samples_per_pair` < 1, or a sampled run whose
+    every greedy draw stalls.
     """
-    if isinstance(pairs, int):
-        pair_list = [None] * pairs  # each drawn as its turn comes
-    else:
-        pair_list = list(pairs)
-        for fs in pair_list:
-            if fs.dim != n:
-                raise ValueError("form space dimension disagrees with n")
-            field.require_same(fs.field)
-    if not pair_list:
+    if pairs < 1:
         raise ValueError("verification needs at least one pair")
     report = VerifyReport(pair_points=[], mismatches=[])
-    for idx, given in enumerate(pair_list):
+    for idx in range(pairs):
         fs, points, mismatches = _verify_seeded_pair(
-            n, k, field, seed, idx, given, scope=scope, samples=samples_per_pair, fault=fault)
+            n, k, field, seed, idx, scope=scope, samples=samples_per_pair, fault=fault)
         report.pair_points.append(points)
         report.mismatches.extend((idx, fs, rec) for rec in mismatches)
     _require_sampled_points(scope, report.pair_points, samples_per_pair)

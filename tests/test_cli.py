@@ -240,6 +240,28 @@ def test_check_point_malformed_json(tmp_path):
     assert "JSON" in err or "json" in err
 
 
+@pytest.mark.parametrize("case", ["missing_file", "malformed_json", "budget", "bad_flag"])
+def test_refusals_print_one_error_line_and_exit_2(tmp_path, monkeypatch, capsys, case):
+    # main's two except clauses: JSONDecodeError, a ValueError, first; then the rest
+    missing, broken = tmp_path / "missing.json", tmp_path / "broken.json"
+    broken.write_text("{")
+    verify = ["verify", "--n", "4", "--k", "2", "--p", "3"]
+    argv, message = {
+        "missing_file": (["check-point", "--input", str(missing)],
+                         f"[Errno 2] No such file or directory: '{missing}'"),
+        "malformed_json": (["check-point", "--input", str(broken)],
+                           "malformed JSON: Expecting property name enclosed in double quotes:"
+                           " line 1 column 2 (char 1)"),
+        "budget": ([*verify, "--pairs", "1"], "verifying 1 pairs x 130 subspaces exceeds the"
+                                              " budget of 129 (raise MSGKIT_BUDGET to override)"),
+        "bad_flag": ([*verify, "--pairs", "0"], "--pairs must be >= 1"),
+    }[case]
+    if case == "budget":
+        monkeypatch.setenv("MSGKIT_BUDGET", "129")
+    assert cli.main(argv) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
 _POINT = {"field": {"kind": "rational"}, "n": 4,
           "forms": [[[0, 0, 1, 0], [0, 0, 0, 1], [-1, 0, 0, 0], [0, -1, 0, 0]]],
           "subspace": [[1, 0, 0, 0], [0, 1, 0, 0]]}

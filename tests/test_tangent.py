@@ -1,4 +1,6 @@
 import itertools
+import json
+import os
 import pickle
 import subprocess
 import sys
@@ -57,7 +59,8 @@ from msgkit.symplectic import _isotropic_points
 from msgkit.tangent import (PhiKernelElement, _constraint_rows, _coprime_quadratic_minors,
                             _pencil_degeneracy, _pencil_minor_gcd, _pencil_pfaffian,
                             _resultant2, _sampled_points, _verify_seeded_pair)
-from conftest import chart_differential_rank, degenerate_instance, random_alternating_nonsingular
+from conftest import (DATA_DIR, chart_differential_rank, degenerate_instance,
+                      random_alternating_nonsingular)
 
 
 def half_standard_gram(field):
@@ -556,6 +559,60 @@ def test_tangent_report_is_invariant_under_reparametrising_the_pencil(F):
     assert witnessed
 
 
+def _unit_point(F, grams, k):
+    """span(e_1..e_k) under the integer Gram matrices read over F, or None when a
+    reduced form is degenerate or the reduced forms are dependent."""
+    n = len(grams[0])
+    try:
+        fs = FormSpace([SymplecticForm(Matrix(F, n, n, G)) for G in grams])
+    except ValueError:  # SingularMatrixError, or linearly dependent Gram matrices
+        return None
+    return PointContext(Subspace(Matrix(F, k, n, [[int(i == j) for j in range(n)]
+                                                  for i in range(k)])), fs)
+
+
+def _integer_points(rng):
+    """(Gram matrices, k) with integer alternating forms that vanish on
+    span(e_1..e_k) and are nondegenerate and independent over Q: the recorded
+    degenerate instance, a planted one whose restrictions diag(1, 1) and
+    diag(1, 4) agree mod 3 only, and three random ones per (n, k, m)."""
+    with open(os.path.join(DATA_DIR, "degenerate_n4k2.json"), encoding="utf-8") as fh:
+        recorded = json.load(fh)
+    planted = [[[0, 0, 1, 0], [0, 0, 0, 1], [-1, 0, 0, 0], [0, -1, 0, 0]],
+               [[0, 0, 1, 0], [0, 0, 0, 4], [-1, 0, 0, 1], [0, -4, -1, 0]]]
+    points = [(recorded["forms"], len(recorded["subspace"])), (planted, 2)]
+    for n, k, m in [(4, 2, 1), (4, 2, 2), (6, 2, 1), (6, 2, 2), (6, 3, 1), (6, 3, 2),
+                    (8, 2, 2), (8, 3, 1), (8, 3, 2), (8, 4, 1), (8, 4, 2)] * 3:
+        while True:
+            grams = [[[0] * n for _ in range(n)] for _ in range(m)]
+            for G in grams:
+                for i in range(n):
+                    for j in range(max(i + 1, k), n):  # the k x k block on V stays 0
+                        G[i][j] = rng.randint(-4, 4)
+                        G[j][i] = -G[i][j]
+            if _unit_point(QQ, grams, k) is not None:
+                points.append((grams, k))
+                break
+    return points
+
+
+def test_rank_mod_p_is_at_most_the_rank_over_q():
+    # the constraint matrix of an integer point has integer entries, so its rank
+    # mod p is at most its rank over Q, and equal unless p divides every maximal
+    # nonzero minor: the planted point drops at p = 3, no point drops at 2^31 - 1
+    checks, drops = 0, 0
+    for grams, k in _integer_points(Random(163)):
+        rank = tangent_report(_unit_point(QQ, grams, k)).phi_rank
+        for p in (3, 5, 7):
+            ctx = _unit_point(PrimeField(p), grams, k)
+            if ctx is not None:
+                reduced = tangent_report(ctx).phi_rank
+                assert reduced <= rank
+                checks, drops = checks + 1, drops + (reduced < rank)
+        assert tangent_report(_unit_point(PrimeField(2 ** 31 - 1), grams, k)).phi_rank == rank
+    assert drops >= 1 and checks >= 35
+
+
 def test_pencil_witnesses_checked(degenerate_ctx):
     deg = find_degenerate_pencil(degenerate_ctx)
     for (l1, l2), W in deg.witnesses:
@@ -926,10 +983,32 @@ def test_equivalence_report_keeps_points_per_pair():
         4, 2, PrimeField(3), pairs=2, scope="exhaustive", seed=0).pair_points
 
 
-@pytest.mark.parametrize("pairs", [0, -2, []])
+@pytest.mark.parametrize("pairs", [0, -2])
 def test_equivalence_rejects_no_pairs(pairs):
     with pytest.raises(ValueError, match="at least one pair"):
         verify_thm_equivalence(4, 2, PrimeField(3), pairs=pairs)
+
+
+def test_equivalence_takes_a_pencil_count_only():
+    # a given pencil is checked by verify_pair(fs, k); a list of them is no count
+    fs = random_independent_pair(4, PrimeField(3), Random(7))
+    with pytest.raises(TypeError):
+        verify_thm_equivalence(4, 2, PrimeField(3), pairs=[fs])
+
+
+@pytest.mark.parametrize("fault", [False, True], ids=["plain", "fault"])
+@pytest.mark.parametrize("scope", ["exhaustive", "sampled"])
+@pytest.mark.parametrize("k", [0, 3])
+def test_verify_refuses_k_outside_one_to_half_n(k, scope, fault):
+    # at n = 4, k = 0 has just the zero subspace and k = 3 no point at all: a
+    # (faulted) run there would pass on a vacuous check
+    fs = random_form_space(4, 2, PrimeField(3), Random(5))
+    message = ("^fault injection needs k >= 2, got k=0:" if fault and k == 0 else
+               f"^isotropic dimension must satisfy 1 <= k <= n/2 = 2, got {k}$")
+    with pytest.raises(ValueError, match=message):
+        verify_pair(fs, k, scope=scope, rng=Random(0), fault=fault)
+    with pytest.raises(ValueError, match=message):
+        verify_thm_equivalence(4, k, PrimeField(3), pairs=2, scope=scope, fault=fault)
 
 
 @pytest.mark.parametrize("samples", [0, -3])
@@ -1248,20 +1327,3 @@ def test_sampled_verify_over_q_matches_the_point_context_loop(n, k, fault):
     assert got == _reference_sampled_verify(n, k, QQ, 2, samples, 4, fault)
     if (n, k, fault) == (4, 2, True):
         assert (rep.pair_points, len(rep.mismatches)) == ([15, 15], 30)
-
-
-def test_equivalence_refuses_a_given_pencil_over_another_field():
-    # a pencil over F_5 checked "over F_3" would report F_5 points as F_3 ones
-    fs = random_independent_pair(4, PrimeField(5), Random(7))
-    with pytest.raises(FieldMismatchError, match="mixed fields"):
-        verify_thm_equivalence(4, 2, PrimeField(3), pairs=[fs])
-
-
-def test_equivalence_explicit_pairs(degenerate_ctx):
-    # feeding the degenerate pencil directly: the degenerate point matches
-    # (excess dimension and a witness), so no mismatch is reported
-    rng = Random(151)
-    F3 = PrimeField(3)
-    fs = random_form_space(4, 2, F3, rng)
-    rep = verify_thm_equivalence(4, 2, F3, pairs=[fs], scope="exhaustive")
-    assert rep.pairs_checked == 1 and rep.mismatches == []
