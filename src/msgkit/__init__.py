@@ -31,7 +31,7 @@ from .numerology import (
     rho_full,
     stable_locus_inequality,
 )
-from .polynomials import BinaryForm, binary_form_gcd, binary_form_roots
+from .polynomials import BinaryForm, binary_form_roots
 from .symplectic import (
     BudgetExceeded,
     FormSpace,
@@ -67,7 +67,6 @@ from .tangent import (
     find_degenerate_pencil,
     j_V,
     msg_expected_dim,
-    random_complement,
     tangent_report,
     verify_pair,
     verify_thm_equivalence,

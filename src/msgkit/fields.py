@@ -63,8 +63,8 @@ class Field(_Record):
         if other is not self and self != other:
             raise FieldMismatchError(f"mixed fields: {self} vs {other}")
 
-    # subclasses provide: element, zero, one, add, sub, mul, neg, inv, pow,
-    # random, encode, decode, spec
+    # subclasses provide: element, zero, one, add, sub, mul, neg, inv, random,
+    # encode, decode, spec
 
     def draw(self, rng, count: int) -> list:
         return [self.random(rng) for _ in range(count)]
@@ -161,11 +161,6 @@ class PrimeField(Field):
             raise ZeroDivisionError(f"inverse of 0 in F_{self.p}")
         return pow(a, self.p - 2, self.p)
 
-    def pow(self, a: int, e: int) -> int:
-        if e < 0:
-            a, e = self.inv(a), -e
-        return pow(a, e, self.p)
-
     def random(self, rng) -> int:
         return rng.randrange(self.p)
 
@@ -242,11 +237,6 @@ class RationalField(Field):
         if a == 0:
             raise ZeroDivisionError("inverse of 0 in Q")
         return 1 / a
-
-    def pow(self, a: Fraction, e: int) -> Fraction:
-        if e < 0 and a == 0:
-            raise ZeroDivisionError("inverse of 0 in Q")
-        return Fraction(a) ** e
 
     def random(self, rng) -> Fraction:
         # small numerators/denominators keep downstream coefficient growth sane

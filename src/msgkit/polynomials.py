@@ -2,11 +2,12 @@
 
 Univariate polynomials are plain coefficient lists, ``c[i]`` = coefficient
 of x^i, with no trailing zeros (the zero polynomial is ``[]``); every
-function takes the ground field explicitly.  Binary forms (homogeneous in
-two variables) are the carrier for pencil-minor polynomials: their gcd and
-its roots decide degeneracy over the algebraic closure without ever
-constructing an extension field, because a nonconstant binary form always
-has projective roots over the closure.
+function takes the ground field explicitly.  A binary form (homogeneous in
+two variables) carries the gcd of a pencil's minors, which
+`tangent._pencil_minor_gcd` computes from the univariate minors and their
+least degree deficit; its roots decide degeneracy over the algebraic closure
+without ever constructing an extension field, because a nonconstant binary
+form always has projective roots over the closure.
 """
 
 from __future__ import annotations
@@ -309,33 +310,6 @@ class BinaryForm(_Record):
             raise ValueError("zero form has no v-multiplicity")
         return self.degree - pdeg(self.univariate())
 
-    def evaluate(self, u, v):
-        F = self.field
-        acc = F.zero
-        for i, c in enumerate(self.coeffs):
-            term = F.mul(c, F.mul(F.pow(u, i), F.pow(v, self.degree - i)))
-            acc = F.add(acc, term)
-        return acc
-
-    def __mul__(self, other: "BinaryForm") -> "BinaryForm":
-        self.field.require_same(other.field)
-        if self.is_zero() or other.is_zero():
-            return BinaryForm.zero(self.field)
-        prod = pmul(self.field, list(self.coeffs), list(other.coeffs))
-        prod += [self.field.zero] * (self.degree + other.degree + 1 - len(prod))
-        return BinaryForm(self.field, self.degree + other.degree, prod)
-
-    def divides(self, other: "BinaryForm") -> bool:
-        """Exact divisibility of binary forms; the zero form divides only itself."""
-        if self.is_zero():
-            return other.is_zero()
-        if other.is_zero():
-            return True
-        if self.v_multiplicity() > other.v_multiplicity():
-            return False
-        _, rem = pdivmod(self.field, other.univariate(), self.univariate())
-        return not rem
-
     def __repr__(self) -> str:
         if self.is_zero():
             return "BinaryForm(0)"
@@ -347,33 +321,6 @@ class BinaryForm(_Record):
             mono = "".join(filter(None, [f"u^{i}" if i else "", f"v^{j}" if j else ""]))
             terms.append(f"{c}*{mono}" if mono else f"{c}")
         return "BinaryForm(" + " + ".join(terms) + ")"
-
-
-def binary_form_gcd(forms) -> BinaryForm:
-    """Gcd of binary forms, monic in the dehomogenized variable.
-
-    Zero inputs are absorbed (gcd(0, f) = f); the result is the zero form
-    exactly when every input is zero.  The v-power dividing all inputs is
-    tracked through the degree deficit, so common roots at infinity are
-    kept.  `forms` may be any iterable; it is read only until the gcd is
-    1 and v divides no form read so far, which no further form can change.
-    """
-    field, g, v_mult = None, [], None
-    for f in forms:
-        if field is None:
-            field = f.field
-        field.require_same(f.field)
-        if not f.is_zero():
-            v = f.v_multiplicity()
-            v_mult = v if v_mult is None else min(v_mult, v)
-            g = pgcd(field, g, f.univariate())
-            if pdeg(g) == 0 and v_mult == 0:
-                break
-    if field is None:
-        raise ValueError("gcd of an empty set of forms")
-    if v_mult is None:
-        return BinaryForm.zero(field)
-    return BinaryForm.from_univariate(field, g, pdeg(g) + v_mult)
 
 
 def binary_form_roots(form: BinaryForm) -> list:

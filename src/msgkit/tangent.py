@@ -23,14 +23,14 @@ At k <= 3 cheaper settle tests run first, in `_pencil_degeneracy`.
 
 from __future__ import annotations
 
-import itertools
+from itertools import combinations
 from random import Random
 
 from ._record import _Record
 from .fields import QQ, Field, PrimeField
-from .matrices import Matrix, _pfaffian, _skew_rank, random_matrix
-from .polynomials import (BinaryForm, _interpolate, _linear_grid, binary_form_gcd,
-                          binary_form_roots, pmat_det, proots, ptrim)
+from .matrices import Matrix, _pfaffian, _skew_rank
+from .polynomials import (BinaryForm, _interpolate, _linear_grid, binary_form_roots, pdeg,
+                          pgcd, pmat_det, proots, ptrim)
 from .symplectic import (
     FormSpace,
     Subspace,
@@ -51,7 +51,6 @@ __all__ = [
     "VerifyReport",
     "msg_expected_dim",
     "default_complement",
-    "random_complement",
     "build_constraints",
     "tangent_report",
     "j_V",
@@ -88,14 +87,6 @@ def default_complement(V: Subspace) -> Matrix:
     F = V.field
     return Matrix(F, V.n - V.k, V.n, [[F.one if c == j else F.zero for c in range(V.n)]
                                       for j in _non_pivot_columns(V)], _trusted=True)
-
-
-def random_complement(V: Subspace, rng: Random) -> Matrix:
-    """A random complement; rejection-sampled until the stacked basis is invertible."""
-    while True:
-        C = random_matrix(V.field, V.n - V.k, V.n, rng)
-        if V.basis.stack(C).rank() == V.n:
-            return C
 
 
 class PointContext:
@@ -179,16 +170,12 @@ class PointContext:
 # constraint assembly
 # ---------------------------------------------------------------------------
 
-def _pairs(k: int) -> list[tuple[int, int]]:
-    return [(i, j) for i in range(k) for j in range(i + 1, k)]
-
-
 def _constraint_rows(field: Field, k: int, nk: int, restrictions) -> list[list]:
     """The rows of `build_constraints` from each form's k restriction rows."""
     rows = []
     for R in restrictions:
         minus = [[field.neg(x) for x in r] for r in R]
-        for (i, j) in _pairs(k):
+        for (i, j) in combinations(range(k), 2):
             row = [field.zero] * (k * nk)
             row[j * nk:(j + 1) * nk] = R[i]
             row[i * nk:(i + 1) * nk] = minus[j]
@@ -219,8 +206,9 @@ def _coprime_quadratic_minors(field: Field, R1, R2) -> bool:
     nothing.  Python operators lift F_p exactly to Z; `field` reduces the results."""
     minors = ((A[a] * B[b] - A[b] * B[a], A[a] * D[b] + C[a] * B[b] - A[b] * D[a] - C[b] * B[a],
                C[a] * D[b] - C[b] * D[a])
-              for A, B, C, D in ((R1[i], R1[j], R2[i], R2[j]) for i, j in _pairs(3))
-              for a, b in itertools.combinations(range(len(A)), 2))
+              for A, B, C, D in ((R1[i], R1[j], R2[i], R2[j])
+                                 for i, j in combinations(range(3), 2))
+              for a, b in combinations(range(len(A)), 2))
     first = next((q for q in minors if any(map(field.element, q))), None)
     return first is not None and any(field.element(_resultant2(first, q)) for q in minors)
 
@@ -256,7 +244,7 @@ class PhiKernelElement(_Record):
         `flat` holds canonical scalars of `field`, as a kernel basis row does;
         the alternating and nonzero checks still run.
         """
-        pairs = _pairs(k)
+        pairs = list(combinations(range(k), 2))
         mats = []
         for t in range(m):
             rows = [[field.zero] * k for _ in range(k)]
@@ -370,25 +358,28 @@ def _pencil_minor_gcd(F: Field, R1, R2) -> BinaryForm:
     """Gcd of the (k-1)x(k-1) minors of u*R1 + v*R2 as binary forms, from the k
     canonical rows of each restriction.
 
-    Zero form when the minors all vanish identically or do not exist
-    (fewer than k-1 columns): rank <= k-2 at every pencil point.
+    Each minor is a univariate at v = 1 of formal degree k-1; its degree deficit
+    is the multiplicity of v, so the gcd is the univariate gcd g homogenized with
+    the least deficit v.  Reading stops once g = 1 and v = 0, which no further
+    minor can change.  Zero form when the minors all vanish identically or do
+    not exist (fewer than k-1 columns): rank <= k-2 at every pencil point; at
+    k <= 1 the one minor is the 0x0 one, the empty determinant 1.
     """
     k, w = len(R1), len(R1[0]) if R1 else 0
-    if k - 1 > min(k, w):
-        return BinaryForm.zero(F)
-    if k <= 1:
-        # the 0x0 minor is the empty determinant 1: rank never drops below 0
-        return BinaryForm(F, 0, [F.one])
-
+    d = max(k - 1, 0)
     grid = _linear_grid(R2, R1)  # u*R1 + v*R2 at v = 1
-
-    def minors():  # lazy: the gcd stops reading once it is 1 with no v-factor
-        for rows in itertools.combinations(range(k), k - 1):
-            for cols in itertools.combinations(range(w), k - 1):
-                minor = [[grid[i][a] for a in cols] for i in rows]
-                yield BinaryForm.from_univariate(F, pmat_det(F, minor), k - 1)
-
-    return binary_form_gcd(minors())
+    g, v = [], d + 1  # v exceeds every deficit until a nonzero minor is read
+    for rows in combinations(range(k), d):
+        for cols in combinations(range(w), d):
+            minor = pmat_det(F, [[grid[i][a] for a in cols] for i in rows])
+            if minor:
+                g = pgcd(F, g, minor)
+                v = min(v, d - pdeg(minor))
+                if pdeg(g) == 0 and v == 0:
+                    return BinaryForm(F, 0, [F.one])
+    if not g:
+        return BinaryForm.zero(F)
+    return BinaryForm.from_univariate(F, g, pdeg(g) + v)
 
 
 def find_degenerate_pencil(ctx: PointContext) -> PencilDegeneracy | None:

@@ -1,4 +1,5 @@
 import os
+from itertools import product
 
 import pytest
 
@@ -9,6 +10,7 @@ from msgkit import (
     QQ,
     Subspace,
     SymplecticForm,
+    random_matrix,
 )
 
 GOLDEN_DIR = os.path.join(os.path.dirname(__file__), "golden")
@@ -47,6 +49,14 @@ def random_alternating_nonsingular(field, n, rng):
         M = random_alternating(field, n, rng)
         if M.rank() == n:
             return M
+
+
+def random_complement(V, rng):
+    """A random complement of V; rejection-sampled until the stacked basis is invertible."""
+    while True:
+        C = random_matrix(V.field, V.n - V.k, V.n, rng)
+        if V.basis.stack(C).rank() == V.n:
+            return C
 
 
 def degenerate_instance():
@@ -98,6 +108,28 @@ def chart_differential_rank(V, fs):
     if not columns or not rows:
         return 0
     return Matrix(F, len(columns), rows, columns).rank()
+
+
+def isotropic_plane_count(fs):
+    """The number of 2-planes isotropic for every form of `fs` over F_q, q odd, in
+    closed form from the q^m ranks of the combinations G_a = sum_t a_t G_t.
+
+    By orthogonality of the additive characters, the ordered pairs (v, w) with
+    v^T G_t w = 0 for all t number S = q^(n-m) sum_a q^(n - rank G_a).  The
+    q^n + (q^n - 1) q dependent pairs are all isotropic, and each 2-plane has
+    (q^2 - 1)(q^2 - q) ordered bases.  Nothing here walks a subspace.
+    """
+    F, n, m = fs.field, fs.dim, fs.m
+    q, grams = F.p, [G.rows for G in fs.grams()]
+    S = 0
+    for a in product(range(q), repeat=m):
+        G = [[sum(c * Gt[i][j] for c, Gt in zip(a, grams)) % q for j in range(n)]
+             for i in range(n)]
+        S += q ** (n - Matrix(F, n, n, G).rank())
+    count, rest = divmod(q ** (n - m) * S - q ** n - (q ** n - 1) * q,
+                         (q * q - 1) * (q * q - q))
+    assert rest == 0
+    return count
 
 
 @pytest.fixture

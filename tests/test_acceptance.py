@@ -27,7 +27,6 @@ from msgkit import (
     derive_seed,
     enumerate_isotropic_subspaces,
     msg_expected_dim,
-    random_complement,
     random_form_space,
     random_independent_pair,
     random_invertible,
@@ -38,7 +37,9 @@ from msgkit import (
     standard_form,
     tangent_report,
 )
-from conftest import degenerate_instance, random_alternating, random_alternating_nonsingular
+from msgkit.tangent import _seeded_pencil
+from conftest import (degenerate_instance, isotropic_plane_count, random_alternating,
+                      random_alternating_nonsingular, random_complement)
 
 
 @contextmanager
@@ -91,6 +92,14 @@ def test_criterion_03_single_form_smoothness_exhaustive():
             assert count > 0
 
 
+def assert_points_are_the_k2_closed_form(payload, field):
+    """Each pencil's exhaustive point count is its closed-form 2-plane count."""
+    n, seed = payload["input"]["n"], payload["input"]["seed"]
+    assert [row["points"] for row in payload["per_pair"]] == [
+        isotropic_plane_count(_seeded_pencil(n, field, seed, row["pair"]))
+        for row in payload["per_pair"]]
+
+
 def test_criterion_04_theorem_equivalence_cli():
     with criterion(4, "equivalence verification, exhaustive p=3 and p=5", 600.0):
         code, out = run_cli("verify", "--n", "4", "--k", "2", "--p", "3",
@@ -100,6 +109,7 @@ def test_criterion_04_theorem_equivalence_cli():
         assert payload["mismatch_count"] == 0
         assert payload["pairs_checked"] == 100
         assert payload["points_checked"] > 0
+        assert_points_are_the_k2_closed_form(payload, PrimeField(3))
 
         code, out = run_cli("verify", "--n", "4", "--k", "2", "--p", "5",
                             "--pairs", "25", "--scope", "exhaustive", "--seed", "0")
@@ -107,6 +117,7 @@ def test_criterion_04_theorem_equivalence_cli():
         payload = json.loads(out)
         assert payload["mismatch_count"] == 0
         assert payload["pairs_checked"] == 25
+        assert_points_are_the_k2_closed_form(payload, PrimeField(5))
 
 
 def test_criterion_05_recorded_degenerate_point():

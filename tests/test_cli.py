@@ -538,6 +538,19 @@ def test_verify_fault_self_test_survives_python_O():
     assert code == 1 and json.loads(out)["mismatch_count"] > 0
 
 
+@pytest.mark.parametrize("fault", [False, True])
+def test_sampled_verify_at_k4_agrees_across_workers(fault):
+    # k = 4 is where the pencil minors are 3x3 and pmat_det divides exactly
+    argv = ("verify", "--scope", "sampled", "--n", "10", "--k", "4", "--p", "3",
+            "--pairs", "2", "--samples", "50", "--seed", "0") + (("--inject-fault",) * fault)
+    serial, pooled = (run_cli(*argv, "--workers", w) for w in ("1", "2"))
+    assert pooled == serial
+    code, out, _ = serial
+    payload = json.loads(out)
+    assert payload["points_checked"] == 100
+    assert (code, payload["mismatch_count"]) == ((1, 100) if fault else (0, 0))
+
+
 @pytest.mark.parametrize("workers", ["1", "2"])
 def test_verify_fault_injection_at_k1_exits_2(workers):
     # at k = 1 there is no constraint row to corrupt, so the self-test cannot trip

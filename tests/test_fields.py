@@ -65,16 +65,6 @@ def test_field_axioms_randomized():
                 assert F.mul(F.div(a, b), b) == a
 
 
-def test_fermat_little_theorem():
-    rng = Random(5)
-    for p in (3, 7, 31, 1009):
-        F = PrimeField(p)
-        for _ in range(50):
-            a = F.random(rng)
-            if a:
-                assert F.pow(a, p - 1) == 1
-
-
 def test_rational_no_overflow():
     # arbitrary precision: 100-fold products stay exact
     x = Fraction(10**30 + 1, 10**15 + 3)

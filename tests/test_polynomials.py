@@ -5,8 +5,8 @@ from random import Random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from msgkit import BinaryForm, PrimeField, QQ, binary_form_gcd, binary_form_roots
-from msgkit import polynomials
+from msgkit import BinaryForm, PrimeField, QQ, binary_form_roots
+from msgkit import polynomials, tangent
 from msgkit.polynomials import (
     _interpolate,
     _linear_grid,
@@ -21,6 +21,7 @@ from msgkit.polynomials import (
     ptrim,
 )
 from msgkit._integers import is_prime
+from msgkit.tangent import _pencil_minor_gcd
 
 
 def test_divmod_reconstructs():
@@ -156,66 +157,56 @@ def v_form(field):
     return BinaryForm(field, 1, [1, 0])
 
 
+def minor_gcd(R1, R2):
+    """The certificate of the pencil u*R1 + v*R2 over Q: the gcd of its (k-1)-minors."""
+    return _pencil_minor_gcd(QQ, R1, R2)
+
+
 def test_binary_gcd_shared_factor():
-    # {uv, u^2} -> u
-    uv = BinaryForm(QQ, 2, [0, 1, 0])
-    u2 = BinaryForm(QQ, 2, [0, 0, 1])
-    assert binary_form_gcd([uv, u2]) == u_form(QQ)
+    # diag(u, u, v) has the minors u^2, uv, uv -> u
+    assert minor_gcd([[1, 0, 0], [0, 1, 0], [0, 0, 0]],
+                     [[0, 0, 0], [0, 0, 0], [0, 0, 1]]) == u_form(QQ)
 
 
 def test_binary_gcd_coprime():
-    g = binary_form_gcd([u_form(QQ), v_form(QQ)])
+    # the 1-minors of the column (u, v)
+    g = minor_gcd([[1], [0]], [[0], [1]])
     assert g.is_constant() and not g.is_zero()
 
 
 def test_binary_gcd_difference_of_squares():
-    # {u^2 - v^2, u - v} -> u - v
-    a = BinaryForm(QQ, 2, [-1, 0, 1])
-    b = BinaryForm(QQ, 1, [-1, 1])
-    assert binary_form_gcd([a, b]) == b
+    # diag(u + v, u - v, u - v) has the minors u^2 - v^2 (twice) and (u - v)^2 -> u - v
+    assert minor_gcd([[1, 0, 0], [0, 1, 0], [0, 0, 1]],
+                     [[1, 0, 0], [0, -1, 0], [0, 0, -1]]) == BinaryForm(QQ, 1, [-1, 1])
 
 
 def test_binary_gcd_zero_handling():
-    z = BinaryForm.zero(QQ)
-    assert binary_form_gcd([z, z]).is_zero()
-    assert binary_form_gcd([z, u_form(QQ)]) == u_form(QQ)
-    with pytest.raises(ValueError):
-        binary_form_gcd([])
+    assert minor_gcd([[0, 0, 0]] * 3, [[0, 0, 0]] * 3).is_zero()
+    assert minor_gcd([[], []], [[], []]).is_zero()  # no 1-minors at all
+    # the first minor is zero and is absorbed: gcd(0, u) = u
+    assert minor_gcd([[0, 1], [0, 0]], [[0, 0], [0, 0]]) == u_form(QQ)
 
 
-def test_binary_gcd_reads_a_generator_lazily():
-    def forms():
-        yield BinaryForm.zero(QQ)  # absorbed
-        yield v_form(QQ)  # gcd is already 1, but v still divides every form read
-        yield u_form(QQ)  # gcd 1 and no common v: no later form can change that
-        raise AssertionError("read past the first coprime prefix")
+def test_binary_gcd_stops_reading_minors_early(monkeypatch):
+    reads = []
 
-    assert binary_form_gcd(forms()) == BinaryForm(QQ, 0, [1])
-    # a common v-factor survives a constant gcd of the dehomogenizations
-    uv = BinaryForm(QQ, 2, [0, 1, 0])
-    assert binary_form_gcd(iter([v_form(QQ), uv])) == v_form(QQ)
-    assert binary_form_gcd(iter([BinaryForm.zero(QQ)])).is_zero()
-    with pytest.raises(ValueError):
-        binary_form_gcd(iter([]))
+    def counting_det(F, grid):
+        reads.append(grid)
+        return pmat_det(F, grid)
 
-
-def test_binary_gcd_divides_inputs_randomized():
-    rng = Random(17)
-    F = PrimeField(11)
-    for _ in range(60):
-        gdeg = rng.randrange(0, 3)
-        g = BinaryForm.from_univariate(
-            F, [F.random(rng) for _ in range(gdeg)] + [1], gdeg + rng.randrange(0, 2))
-        forms = []
-        for _ in range(rng.randrange(1, 4)):
-            cdeg = rng.randrange(0, 3)
-            cof = BinaryForm.from_univariate(
-                F, [F.random(rng) for _ in range(cdeg)] + [1], cdeg + rng.randrange(0, 2))
-            forms.append(g * cof)
-        d = binary_form_gcd(forms)
-        assert g.divides(d)
-        for f in forms:
-            assert d.divides(f)
+    monkeypatch.setattr(tangent, "pmat_det", counting_det)
+    # rows (u, v), (v, u), (v, 0): the first two minors u^2 - v^2 and -v^2 are
+    # coprime and one has no v-factor, so no later minor can change the gcd
+    assert minor_gcd([[1, 0], [0, 1], [0, 0]], [[0, 1], [1, 0], [1, 0]]) == BinaryForm(QQ, 0, [1])
+    assert len(reads) == 2
+    # rows (v, 0), (0, u), (u, v): uv and v^2 are coprime at v = 1, but v divides
+    # both, so the third minor -u^2 is read
+    reads.clear()
+    assert minor_gcd([[0, 0], [0, 1], [1, 0]], [[1, 0], [0, 0], [0, 1]]) == BinaryForm(QQ, 0, [1])
+    assert len(reads) == 3
+    # rows (v, 0), (0, u), (0, v): the minors uv, v^2 and 0 keep their common
+    # root at infinity
+    assert minor_gcd([[0, 0], [0, 1], [0, 0]], [[1, 0], [0, 0], [0, 1]]) == v_form(QQ)
 
 
 def test_binary_roots_normalization():
@@ -228,6 +219,14 @@ def test_binary_roots_normalization():
     assert binary_form_roots(u_form(QQ)) == [(Fraction(0), Fraction(1))]
 
 
+def _evaluate(form, u, v):
+    F = form.field
+    acc = F.zero
+    for i, c in enumerate(form.coeffs):
+        acc = F.add(acc, F.mul(c, F.element(u ** i * v ** (form.degree - i))))
+    return acc
+
+
 def test_binary_roots_evaluate_to_zero():
     rng = Random(19)
     F = PrimeField(7)
@@ -236,7 +235,7 @@ def test_binary_roots_evaluate_to_zero():
         uni = [F.random(rng) for _ in range(deg)] + [1]
         form = BinaryForm.from_univariate(F, uni, deg + rng.randrange(0, 2))
         for (l1, l2) in binary_form_roots(form):
-            assert form.evaluate(l1, l2) == 0
+            assert _evaluate(form, l1, l2) == 0
             assert (l1, l2) != (0, 0)
 
 

@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 import time
@@ -28,7 +29,6 @@ from msgkit import (
     gaussian_binomial,
     is_isotropic,
     isotropy_failure,
-    random_complement,
     random_form_space,
     random_independent_pair,
     random_invertible,
@@ -40,8 +40,10 @@ from msgkit import (
 )
 from msgkit import matrices, symplectic
 from msgkit.symplectic import _isotropic_points, _subspace_count
-from msgkit.tangent import _constraint_rows, _pencil_degeneracy, _pencil_minor_gcd
-from conftest import chart_differential_rank, golden_compare
+from msgkit.tangent import (_constraint_rows, _pencil_degeneracy, _pencil_minor_gcd,
+                            _seeded_pencil)
+from conftest import (GOLDEN_DIR, chart_differential_rank, golden_compare, isotropic_plane_count,
+                      random_complement)
 
 
 # --- construction and validation ------------------------------------------------
@@ -628,6 +630,21 @@ def test_isotropic_enumeration_m1_closed_form(n, k, q):
         den *= q ** (i + 1) - 1
     fs = FormSpace([random_symplectic_form(n, PrimeField(q), Random(10 * n + k + q))])
     assert sum(1 for _ in enumerate_isotropic_subspaces(k, fs)) == num // den
+
+
+@pytest.mark.parametrize("n,m,q", [
+    (4, 1, 3), (6, 1, 3), (4, 2, 3), (6, 2, 3), (6, 3, 3), (4, 1, 5), (4, 2, 5), (4, 3, 5),
+    (4, 1, 7), (4, 2, 7), (4, 3, 7)])
+def test_isotropic_walk_matches_the_k2_closed_form(n, m, q):
+    fs = random_form_space(n, m, PrimeField(q), Random(100 * n + 10 * m + q))
+    assert sum(1 for _ in _isotropic_points(2, fs)) == isotropic_plane_count(fs)
+
+
+def test_verify_golden_per_pair_points_match_the_k2_closed_form():
+    with open(os.path.join(GOLDEN_DIR, "verify_n4_k2_p3_pairs3_seed2_fault.json")) as fh:
+        payload = json.load(fh)
+    assert [row["points"] for row in payload["per_pair"]] == [
+        isotropic_plane_count(_seeded_pencil(4, PrimeField(3), 2, i)) for i in range(3)]
 
 
 # --- support bits --------------------------------------------------------------------

@@ -39,7 +39,6 @@ from msgkit import (
     isotropy_failure,
     j_V,
     msg_expected_dim,
-    random_complement,
     random_form_space,
     random_independent_pair,
     random_invertible,
@@ -53,14 +52,14 @@ from msgkit import (
 from msgkit import symplectic, tangent
 from msgkit._record import _Record
 from msgkit.matrices import _pfaffian
-from msgkit.polynomials import (BinaryForm, _linear_grid, binary_form_gcd, pdeg, peval, pgcd,
-                                 pmat_det, pmul, proots)
+from msgkit.polynomials import (BinaryForm, _linear_grid, pdeg, pdivmod, peval, pgcd, pmat_det,
+                                 pmul, proots, ptrim)
 from msgkit.symplectic import _isotropic_points
 from msgkit.tangent import (PhiKernelElement, _constraint_rows, _coprime_quadratic_minors,
                             _pencil_degeneracy, _pencil_minor_gcd, _pencil_pfaffian,
                             _resultant2, _sampled_points, _verify_seeded_pair)
 from conftest import (DATA_DIR, chart_differential_rank, degenerate_instance,
-                      random_alternating_nonsingular)
+                      random_alternating_nonsingular, random_complement)
 
 
 def half_standard_gram(field):
@@ -630,6 +629,8 @@ def test_pencil_minor_gcd_degenerate_fabrications():
     assert _pencil_minor_gcd(F, R0, R0).is_zero()
     # too few columns for (k-1)-minors
     assert _pencil_minor_gcd(F, *[Matrix.zeros(F, 4, 2).rows] * 2).is_zero()
+    # k = 0: the one minor is the empty determinant 1
+    assert _pencil_minor_gcd(F, [], []) == BinaryForm(F, 0, [F.one])
     # generic full-rank pencil: constant gcd
     R1 = Matrix.identity(F, 2).rows
     R2 = Matrix(F, 2, 2, [[1, 1], [0, 1]]).rows
@@ -637,23 +638,32 @@ def test_pencil_minor_gcd_degenerate_fabrications():
     assert g.is_constant() and not g.is_zero()
 
 
-def _eager_minor_gcd(R1, R2):
-    """Reference: every (k-1)-minor of u*R1 + v*R2, gcd over all of them and
-    the least v-multiplicity, with no early exit; no minors give zero."""
+def _minors(R1, R2):
+    """Every (k-1)-minor of u*R1 + v*R2 as a univariate at v = 1, zeros included."""
     F = R1.field
     k, w = R1.shape
+    return [pmat_det(F, [[[R2.entry(i, a), R1.entry(i, a)] for a in cols] for i in rows])
+            for rows in itertools.combinations(range(k), k - 1)
+            for cols in itertools.combinations(range(w), k - 1)]
+
+
+def _reference_gcd(F, minors, degree):
+    """Gcd of binary forms of formal degree `degree`, given at v = 1: the gcd of the
+    nonzero univariates and the least degree deficit, with no early exit; zero form
+    when every one is zero."""
     g, v_mult = [], None
-    for rows in itertools.combinations(range(k), k - 1):
-        for cols in itertools.combinations(range(w), k - 1):
-            det = pmat_det(F, [[[R2.entry(i, a), R1.entry(i, a)] for a in cols]
-                               for i in rows])
-            if det:
-                g = pgcd(F, g, det)
-                v = k - 1 - pdeg(det)
-                v_mult = v if v_mult is None else min(v_mult, v)
+    for det in filter(None, minors):
+        g = pgcd(F, g, det)
+        v = degree - pdeg(det)
+        v_mult = v if v_mult is None else min(v_mult, v)
     if v_mult is None:
         return BinaryForm.zero(F)
     return BinaryForm.from_univariate(F, g, pdeg(g) + v_mult)
+
+
+def _eager_minor_gcd(R1, R2):
+    """Reference: the gcd of every (k-1)-minor of u*R1 + v*R2; no minors give zero."""
+    return _reference_gcd(R1.field, _minors(R1, R2), R1.nrows - 1)
 
 
 @st.composite
@@ -708,6 +718,48 @@ def test_pencil_minor_gcd_matches_eager_reference(pencil):
 
 @settings(max_examples=300, deadline=None)
 @given(_pencils())
+def test_pencil_minor_gcd_divides_every_minor_with_coprime_quotients(pencil):
+    R1, R2 = pencil
+    F, k = R1.field, R1.nrows
+    cert = _pencil_minor_gcd(F, R1.rows, R2.rows)
+    minors = [det for det in _minors(R1, R2) if det]
+    if not minors:
+        assert cert.is_zero()
+        return
+    g, v = cert.univariate(), cert.v_multiplicity()
+    quotient_gcd, least_deficit = [], k
+    for det in minors:
+        q, r = pdivmod(F, det, g)
+        assert r == [] and v <= k - 1 - pdeg(det)
+        quotient_gcd = pgcd(F, quotient_gcd, q)
+        least_deficit = min(least_deficit, k - 1 - pdeg(det) - v)
+    # the quotients, as forms of degree k - 1 - deg(cert), share no factor
+    assert quotient_gcd == [F.one] and least_deficit == 0
+
+
+def test_pencil_minor_gcd_builds_one_form_per_call(monkeypatch):
+    built = []
+    init = BinaryForm.__init__
+
+    def counting_init(self, *args):
+        built.append(args)
+        init(self, *args)
+
+    monkeypatch.setattr(BinaryForm, "__init__", counting_init)
+    F = PrimeField(5)
+    rng = Random(26)
+    pencils = [(Matrix.zeros(F, 3, 3), Matrix.zeros(F, 3, 3)),  # every minor zero
+               (Matrix.identity(F, 3), Matrix.identity(F, 3)),  # gcd (u + v)^2
+               (Matrix.identity(F, 1), Matrix.zeros(F, 1, 1))]  # k = 1
+    pencils += [(random_matrix(F, k, 5, rng), random_matrix(F, k, 5, rng)) for k in (2, 3, 4)]
+    for R1, R2 in pencils:
+        built.clear()
+        _pencil_minor_gcd(F, R1.rows, R2.rows)
+        assert len(built) == 1
+
+
+@settings(max_examples=300, deadline=None)
+@given(_pencils())
 @example((Matrix.identity(QQ, 1), Matrix.zeros(QQ, 1, 1)))  # k = 1
 @example((Matrix.zeros(PrimeField(3), 3, 2), Matrix.zeros(PrimeField(3), 3, 2)))  # zero
 @example((Matrix.zeros(QQ, 3, 1), Matrix(QQ, 3, 1, [[1], [0], [2]])))  # k - 1 > w at k = 3
@@ -750,10 +802,6 @@ def _quadratic_pairs(draw):
     return F, a, b
 
 
-def _quadratic(F, q):
-    return BinaryForm(F, 2, q) if any(F.element(c) for c in q) else BinaryForm.zero(F)
-
-
 @settings(max_examples=400, deadline=None)
 @given(_quadratic_pairs())
 @example((PrimeField(3), [0, 0, 0], [0, 0, 0]))
@@ -765,7 +813,7 @@ def _quadratic(F, q):
 @example((QQ, [Fraction(1, 2), 0, -2], [1, 3, 2]))  # common root u = -1/2
 def test_quadratic_resultant_is_nonzero_exactly_when_the_gcd_is_one(pair):
     F, a, b = pair
-    gcd = binary_form_gcd([_quadratic(F, a), _quadratic(F, b)])
+    gcd = _reference_gcd(F, [ptrim([F.element(c) for c in q]) for q in (a, b)], 2)
     assert bool(F.element(_resultant2(a, b))) == (gcd.is_constant() and not gcd.is_zero())
 
 
