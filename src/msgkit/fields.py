@@ -17,6 +17,7 @@ from __future__ import annotations
 import re
 import sys
 from fractions import Fraction
+from math import lcm
 
 from . import _fp
 from ._integers import is_prime
@@ -53,7 +54,8 @@ class Field(_Record):
     The row kernels (draw, matmul, rref, rank, kernel) take and return lists of
     canonical scalars.  Their bodies here are generic elimination through the
     field calls; PrimeField overrides them with the plain-int `_fp` kernels, so
-    this is the one place that picks F_p or generic code.
+    this is the one place that picks F_p or generic code.  `lift` and `quotients`
+    take alternating rows to ints for `matrices._skew_schur` and back.
     """
 
     def div(self, a, b):
@@ -64,7 +66,7 @@ class Field(_Record):
             raise FieldMismatchError(f"mixed fields: {self} vs {other}")
 
     # subclasses provide: element, zero, one, add, sub, mul, neg, inv, random,
-    # encode, decode, spec
+    # lift, quotients, encode, decode, spec
 
     def draw(self, rng, count: int) -> list:
         return [self.random(rng) for _ in range(count)]
@@ -176,6 +178,16 @@ class PrimeField(Field):
     def rank(self, rows) -> int:
         return _fp.rank(self.p, rows)
 
+    def lift(self, *matrices) -> tuple:
+        """p, scales 1, and each matrix's upper triangle as residues, negated below."""
+        p, n = self.p, len(matrices[0])
+        return (p, [1] * n, *([[x % p if i < j else -(-x % p) for j, x in enumerate(r)]
+                              for i, r in enumerate(M)] for M in matrices))
+
+    def quotients(self, xs, num: int, den: int) -> list[int]:
+        f = num * pow(den, -1, self.p) % self.p
+        return [x * f % self.p for x in xs]
+
     def elements(self):
         return range(self.p)
 
@@ -237,6 +249,15 @@ class RationalField(Field):
         if a == 0:
             raise ZeroDivisionError("inverse of 0 in Q")
         return 1 / a
+
+    def lift(self, *matrices) -> tuple:
+        """0 (over Z), scales d_i = lcm of the denominators in row i of every matrix, D M D."""
+        D = [lcm(*(x.denominator for M in matrices for x in M[i])) for i in range(len(matrices[0]))]
+        return (0, D, *([[x.numerator * (di // x.denominator) * dj for x, dj in zip(row, D)]
+                         for row, di in zip(M, D)] for M in matrices))
+
+    def quotients(self, xs, num: int, den: int) -> list[Fraction]:
+        return [Fraction(x * num, den) for x in xs]
 
     def random(self, rng) -> Fraction:
         # small numerators/denominators keep downstream coefficient growth sane

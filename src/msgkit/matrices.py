@@ -11,6 +11,8 @@ passes ``_trusted=True`` to skip both.
 
 from __future__ import annotations
 
+from math import prod
+
 from ._record import _Record
 from .fields import Field
 from .polynomials import _linear_grid, pmat_det
@@ -93,9 +95,6 @@ class Matrix(_Record):
         return Matrix(F, self.nrows, self.ncols,
                       [[F.add(a, b) for a, b in zip(r1, r2)]
                        for r1, r2 in zip(self.rows, other.rows)], _trusted=True)
-
-    def sub(self, other: "Matrix") -> "Matrix":
-        return self.add(other.neg())
 
     def neg(self) -> "Matrix":
         F = self.field
@@ -222,42 +221,46 @@ def canonical_alternating(field: Field, n: int, rank: int) -> Matrix:
     return Matrix(field, n, n, M, _trusted=True)
 
 
-def _skew_schur(F: Field, G: list):
-    """2x2-pivot elimination of an alternating matrix, in place on G: m rows
-    whose entries past column m ride along (Bunch, Math. Comp. 38, 1982).
-    Each step takes the first nonzero G[a][b] = c in row-major order, yields
-    (a, b, 1/c) and leaves the Schur complement of [[0, c], [-c, 0]]: rows and
-    columns a, b dropped, G[i] += (G[i][a] G[b] - G[i][b] G[a]) / c."""
-    add, sub, mul = F.add, F.sub, F.mul
+def _skew_schur(p: int, G: list):
+    """Fraction-free 2x2-pivot elimination of an alternating int matrix mod p (over
+    Z if p = 0), in place on G: m rows whose entries past column m ride along
+    (Bunch, Math. Comp. 38, 1982; Bareiss, Math. Comp. 22, 1968).  Each step takes
+    the first nonzero g = G[a][b] in row-major order, yields (a, b, d, g), d the pivot
+    before (1 at first), drops rows and columns a, b and sets G[i][j] to
+    (g G[i][j] + G[i][a] G[b][j] - G[i][b] G[a][j]) / d, exact over Z as this is a
+    Pfaffian of [[A, X], [-X^T, 0]] (X the ride-along) on the pivots and {i, j}, and
+    by d^-1 mod p.  G is the field's Schur complement times g: the same zero pattern."""
+    d = 1
     while True:
         m = len(G)
-        hit = next(((a, b) for a, row in enumerate(G) for b, x in enumerate(row[:m]) if x), None)
+        hit = next(((a, b, x) for a, row in enumerate(G) for b, x in enumerate(row[:m]) if x), None)
         if hit is None:
             return
-        a, b = hit
-        ci = F.inv(G[a][b])
-        yield a, b, ci
+        a, b, g = hit
+        yield a, b, d, g
         Gb, Ga = G.pop(b), G.pop(a)
         Ga, Gb = (row[:a] + row[a + 1:b] + row[b + 1:] for row in (Ga, Gb))
+        f = pow(d, -1, p) if p else None
         for i, Gi in enumerate(G):
-            s, t = mul(Gi[a], ci), mul(Gi[b], ci)
-            G[i] = [add(x, sub(mul(s, y), mul(t, z)))
-                    for x, y, z in zip(Gi[:a] + Gi[a + 1:b] + Gi[b + 1:], Gb, Ga)]
+            s, t, rest = Gi[a], Gi[b], Gi[:a] + Gi[a + 1:b] + Gi[b + 1:]
+            G[i] = ([(g * x + s * y - t * z) * f % p for x, y, z in zip(rest, Gb, Ga)] if p
+                    else [(g * x + s * y - t * z) // d for x, y, z in zip(rest, Gb, Ga)])
+        d = g
 
 
 def _skew_rank(F: Field, rows) -> int:
-    return 2 * sum(1 for _ in _skew_schur(F, list(rows)))  # two per pivot
+    p, _, G = F.lift(rows)
+    return 2 * sum(1 for _ in _skew_schur(p, G))  # two per pivot
 
 
 def _pfaffian(F: Field, rows):
-    """Pfaffian: the pivots of `_skew_schur`, each signed by (-1)^(a+b-1); it
-    is 0 once a pivot is off the first remaining row, as that row is zero."""
-    pf, G = F.one, list(rows)
-    for a, b, _ in _skew_schur(F, G):
-        if a:
-            return F.zero
-        pf = F.mul(pf, G[a][b] if b % 2 else F.neg(G[a][b]))
-    return F.zero if G else pf
+    """Pf(M) = Pf(D M D) / prod(D) on the field's lift: the last pivot of `_skew_schur`,
+    signed by (-1)^(a+b-1) at each step, or 0 if rows are left (a zero row stays)."""
+    p, D, G = F.lift(rows)
+    sign = pf = 1
+    for a, b, _, pf in _skew_schur(p, G):
+        sign = sign if (a + b) % 2 else -sign
+    return F.zero if G else F.quotients([sign * pf], 1, prod(D))[0]
 
 
 def skew_normal_form(M: Matrix) -> tuple[Matrix, int]:
@@ -265,20 +268,24 @@ def skew_normal_form(M: Matrix) -> tuple[Matrix, int]:
 
     Returns (P, r) with P invertible, P^T M P = canonical_alternating(n, r),
     and r = rank(M), which is automatically even: symplectic Gram-Schmidt as
-    `_skew_schur` on the pairings G of the remaining basis vectors, each
-    vector riding along in its row.  A pivot G[a][b] = c keeps v = b_a and
-    w = b_b / c and moves every other u_i to u_i - (G[i][b]/c) v + G[i][a] w,
-    on the pair's orthogonal complement, so no pairing is evaluated from M.
-    The vectors left when G is zero form the radical block.
+    `_skew_schur` on the field's lift D M D, the pairings of the d_i e_i, each
+    vector riding along in its row.  A pivot g at rows a, b after pivot d keeps
+    v = G[a] / (d d_a) and w = G[b] d_a / g, which are u_a and u_b / <u_a, u_b>
+    over the field; every other u_i moves onto their orthogonal complement, so
+    no pairing is evaluated from M.  The G[i] / (g d_i) left form the radical.
     """
     if not M.is_alternating():
         raise ValueError("skew_normal_form needs an alternating matrix")
     F, n = M.field, M.nrows
-    G = [list(row) + list(e) for row, e in zip(M.rows, Matrix.identity(F, n).rows)]
-    chosen: list = []
-    for a, b, ci in _skew_schur(F, G):  # the basis vectors are the last n columns
-        chosen += [G[a][-n:], [F.mul(ci, x) for x in G[b][-n:]]]
-    P = Matrix(F, n, n, chosen + [row[-n:] for row in G], _trusted=True).transpose()
+    p, D, G = F.lift(M.rows)
+    G = [row + [di if j == i else 0 for j in range(n)] for i, (row, di) in enumerate(zip(G, D))]
+    chosen, g = [], 1
+    for a, b, d, g in _skew_schur(p, G):  # the vectors are the last n columns
+        del D[b]  # D keeps the scales of the rows left in G
+        da = D.pop(a)
+        chosen += [F.quotients(G[a][-n:], 1, d * da), F.quotients(G[b][-n:], da, g)]
+    radical = [F.quotients(row[-n:], 1, g * di) for row, di in zip(G, D)]
+    P = Matrix(F, n, n, chosen + radical, _trusted=True).transpose()
     return P, len(chosen)
 
 

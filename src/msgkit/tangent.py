@@ -24,10 +24,11 @@ At k <= 3 cheaper settle tests run first, in `_pencil_degeneracy`.
 from __future__ import annotations
 
 from itertools import combinations
+from math import prod
 from random import Random
 
 from ._record import _Record
-from .fields import QQ, Field, PrimeField
+from .fields import QQ, Field
 from .matrices import Matrix, _pfaffian, _skew_rank
 from .polynomials import (BinaryForm, _interpolate, _linear_grid, binary_form_roots, pdeg,
                           pgcd, pmat_det, proots, ptrim)
@@ -502,30 +503,30 @@ class EigenspaceReport(_Record):
         self.all_even = all_even
 
 
-def _pencil_pfaffian(M1: Matrix, M2: Matrix) -> list:
-    """Pf(x*M1 - M2), of degree <= n/2, interpolated from x = 0, 1, ..., n/2.
-    F_p with p <= n/2 has too few nodes; there it is taken over Q, from upper
-    triangles lifted to Z and negated below (a skew lift), and reduced mod p."""
-    F, d = M1.field, M1.nrows // 2
-    R = QQ if isinstance(F, PrimeField) and F.p <= d else F
-    A1, A2 = (M.rows if R is F else [[QQ.element(x) if i < j else -QQ.element(M.rows[j][i])
-                                      for j, x in enumerate(row)] for i, row in enumerate(M.rows)]
-              for M in (M1, M2))
-    pf = _interpolate(R, [_pfaffian(R, [[R.sub(R.mul(x, u), v) for u, v in zip(r1, r2)]
-                                        for r1, r2 in zip(A1, A2)]) for x in range(d + 1)])
-    return pf if R is F else ptrim([c.numerator % F.p for c in pf])
+def _pencil_pfaffian(M1: Matrix, M2: Matrix) -> tuple:
+    """Pf(x*M1 - M2), of degree <= n/2, interpolated from x = 0, 1, ..., n/2, and the
+    rows A1, A2 of the field's lift of M1 and M2 on one D: Pf(x*M1 - M2) is
+    Pf(x*A1 - A2) / prod(D).  F_p with p <= n/2 has too few nodes; there the
+    Pfaffians of its skew lift are taken over Q, and the result reduced mod p."""
+    F, n = M1.field, M1.nrows
+    p, D, A1, A2 = F.lift(M1.rows, M2.rows)
+    R = QQ if 0 < p <= n // 2 else F
+    pf = _interpolate(R, R.quotients([_pfaffian(R, [[x * u - v for u, v in zip(r1, r2)]
+                                                    for r1, r2 in zip(A1, A2)])
+                                      for x in range(n // 2 + 1)], 1, prod(D)))
+    return (pf if R is F else ptrim([c.numerator % p for c in pf])), A1, A2
 
 
 def check_even_eigenspaces(M1: Matrix, M2: Matrix) -> EigenspaceReport:
     """Nullity parity of d*I - M2*M1^{-1} at every base-field eigenvalue d.
 
     det(x*M1 - M2) = det(M1) * det(x*I - M2*M1^{-1}) is Pf(x*M1 - M2)^2, so
-    the eigenvalues are the roots of `_pencil_pfaffian` (Bunch 1982; over Q
-    from a skew integer lift when F_p is too small).  Its leading coefficient
-    is Pf(M1) and its constant term (-1)^(n/2) Pf(M2): both matrices are
-    nonsingular when neither is 0.  d*I - M2*M1^{-1} = (d*M1 - M2)*M1^{-1}
-    has the nullity of d*M1 - M2, n minus its skew rank by the same
-    elimination: the parity claim this reports on.  No inverse is formed.
+    the eigenvalues are the roots of `_pencil_pfaffian` (Bunch 1982, on integer
+    lifts).  Its leading coefficient is Pf(M1) and its constant term
+    (-1)^(n/2) Pf(M2): both matrices are nonsingular when neither is 0.
+    d*I - M2*M1^{-1} = (d*M1 - M2)*M1^{-1} has the nullity of d*M1 - M2, n minus
+    the skew rank of u*A1 - v*A2 on that lift, d = u/v (u = d, v = 1 for an int
+    residue): the parity claim this reports on.  No inverse is formed.
     """
     M1.field.require_same(M2.field)
     if M1.shape != M2.shape or not M1.is_square():
@@ -535,11 +536,12 @@ def check_even_eigenspaces(M1: Matrix, M2: Matrix) -> EigenspaceReport:
     if not (M1.is_alternating() and M2.is_alternating()):
         raise ValueError("both matrices must be alternating")
     n, F = M1.nrows, M1.field
-    pf = _pencil_pfaffian(M1, M2)
+    pf, A1, A2 = _pencil_pfaffian(M1, M2)
     if len(pf) != n // 2 + 1 or not pf[0]:
         raise ValueError("both matrices must be nonsingular")
     eigenvalues = proots(F, pf)
-    nullities = [n - _skew_rank(F, M1.scale(d).sub(M2).rows) for d in eigenvalues]
+    nullities = [n - _skew_rank(F, [[d.numerator * x - d.denominator * y for x, y in zip(r1, r2)]
+                                    for r1, r2 in zip(A1, A2)]) for d in eigenvalues]
     return EigenspaceReport(tuple(eigenvalues), tuple(nullities),
                             all(nu % 2 == 0 for nu in nullities))
 

@@ -1,4 +1,5 @@
 import os
+from fractions import Fraction
 from itertools import product
 
 import pytest
@@ -7,13 +8,16 @@ from msgkit import (
     FormSpace,
     Matrix,
     PointContext,
+    PrimeField,
     QQ,
     Subspace,
     SymplecticForm,
     random_matrix,
 )
+from msgkit.polynomials import _interpolate, proots, ptrim
 
 GOLDEN_DIR = os.path.join(os.path.dirname(__file__), "golden")
+PRIMES = [q for q in range(2, 1000) if all(q % r for r in range(2, int(q ** 0.5) + 1))]
 DATA_DIR = os.path.join(os.path.dirname(__file__), "data")
 
 
@@ -42,6 +46,18 @@ def random_alternating(field, n, rng):
             rows[i][j] = v
             rows[j][i] = field.neg(v)
     return Matrix(field, n, n, rows)
+
+
+def distinct_denominator_alternating(n, rng, numerators=9):
+    """An n x n alternating matrix over Q whose C(n, 2) upper entries are nonzero,
+    each over its own prime denominator from PRIMES."""
+    rows = [[Fraction(0)] * n for _ in range(n)]
+    dens = iter(rng.sample(PRIMES, n * (n - 1) // 2))
+    for i in range(n):
+        for j in range(i + 1, n):
+            rows[i][j] = Fraction(rng.choice((-1, 1)) * rng.randint(1, numerators), next(dens))
+            rows[j][i] = -rows[i][j]
+    return Matrix(QQ, n, n, rows)
 
 
 def random_alternating_nonsingular(field, n, rng):
@@ -130,6 +146,85 @@ def isotropic_plane_count(fs):
                          (q * q - 1) * (q * q - q))
     assert rest == 0
     return count
+
+
+def reference_skew_schur(F, G):
+    """The 2x2-pivot elimination of an alternating matrix through the field's own
+    operations (Fractions over Q), kept as the oracle of the fraction-free
+    `matrices._skew_schur`: in place on G, m rows whose entries past column m
+    ride along.  Each step takes the first nonzero G[a][b] = c in row-major
+    order, yields (a, b, 1/c) and leaves the Schur complement of
+    [[0, c], [-c, 0]]: rows and columns a, b dropped,
+    G[i] += (G[i][a] G[b] - G[i][b] G[a]) / c."""
+    add, sub, mul = F.add, F.sub, F.mul
+    while True:
+        m = len(G)
+        hit = next(((a, b) for a, row in enumerate(G) for b, x in enumerate(row[:m]) if x), None)
+        if hit is None:
+            return
+        a, b = hit
+        ci = F.inv(G[a][b])
+        yield a, b, ci
+        Gb, Ga = G.pop(b), G.pop(a)
+        Ga, Gb = (row[:a] + row[a + 1:b] + row[b + 1:] for row in (Ga, Gb))
+        for i, Gi in enumerate(G):
+            s, t = mul(Gi[a], ci), mul(Gi[b], ci)
+            G[i] = [add(x, sub(mul(s, y), mul(t, z)))
+                    for x, y, z in zip(Gi[:a] + Gi[a + 1:b] + Gi[b + 1:], Gb, Ga)]
+
+
+def reference_skew_rank(F, rows):
+    return 2 * sum(1 for _ in reference_skew_schur(F, list(rows)))
+
+
+def reference_pfaffian(F, rows):
+    """The product of the pivots, each signed by (-1)^(a+b-1); 0 once a pivot is
+    off the first remaining row, as that row is zero."""
+    pf, G = F.one, list(rows)
+    for a, b, _ in reference_skew_schur(F, G):
+        if a:
+            return F.zero
+        pf = F.mul(pf, G[a][b] if b % 2 else F.neg(G[a][b]))
+    return F.zero if G else pf
+
+
+def reference_skew_normal_form(M):
+    """(P, rank): a pivot G[a][b] = c keeps v = u_a and w = u_b / c, the basis
+    vectors riding along in the last n columns; the vectors left form the radical."""
+    F, n = M.field, M.nrows
+    G = [list(row) + list(e) for row, e in zip(M.rows, Matrix.identity(F, n).rows)]
+    chosen = []
+    for a, b, ci in reference_skew_schur(F, G):
+        chosen += [G[a][-n:], [F.mul(ci, x) for x in G[b][-n:]]]
+    P = Matrix(F, n, n, chosen + [row[-n:] for row in G]).transpose()
+    return P, len(chosen)
+
+
+def reference_pencil_pfaffian(M1, M2):
+    """Pf(x*M1 - M2) interpolated from x = 0..n/2 over the field, or over Q from
+    the skew lift of the upper triangles when F_p has too few nodes."""
+    F, d = M1.field, M1.nrows // 2
+    R = QQ if isinstance(F, PrimeField) and F.p <= d else F
+    A1, A2 = (M.rows if R is F else [[QQ.element(x) if i < j else -QQ.element(M.rows[j][i])
+                                      for j, x in enumerate(row)] for i, row in enumerate(M.rows)]
+              for M in (M1, M2))
+    pf = _interpolate(R, [reference_pfaffian(R, [[R.sub(R.mul(x, u), v) for u, v in zip(r1, r2)]
+                                                 for r1, r2 in zip(A1, A2)])
+                          for x in range(d + 1)])
+    return pf if R is F else ptrim([c.numerator % F.p for c in pf])
+
+
+def reference_eigenspaces(M1, M2):
+    """(eigenvalues, nullities) of the pencil by the reference Pfaffian and skew
+    rank of d*M1 - M2, formed in the field; None if M1 or M2 is singular."""
+    F, n = M1.field, M1.nrows
+    pf = reference_pencil_pfaffian(M1, M2)
+    if len(pf) != n // 2 + 1 or not pf[0]:
+        return None
+    eigenvalues = proots(F, pf)
+    return tuple(eigenvalues), tuple(
+        n - reference_skew_rank(F, [[F.sub(F.mul(d, x), y) for x, y in zip(r1, r2)]
+                                    for r1, r2 in zip(M1.rows, M2.rows)]) for d in eigenvalues)
 
 
 @pytest.fixture

@@ -24,7 +24,8 @@ from msgkit import (
     verify_thm_equivalence,
 )
 from msgkit import cli
-from conftest import golden_compare, random_alternating
+from conftest import (distinct_denominator_alternating, golden_compare, random_alternating,
+                      reference_skew_normal_form)
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
 
@@ -711,6 +712,25 @@ def test_normal_form_is_sized_as_n_cubed_before_the_schur_steps(tmp_path):
     code, out, err = run_cli("normal-form", "--input", str(path), env={"MSGKIT_BUDGET": "64"})
     assert (code, err) == (0, "")
     assert json.loads(out)["rank"] == 4
+
+
+def test_normal_form_of_66_distinct_prime_denominators(tmp_path):
+    # a 12 x 12 matrix whose 66 upper entries each have their own prime
+    # denominator: every row of the lift has its own scale, and the bytes of P
+    # are those of the elimination over Q; the n^3 budget still bounds the run
+    M = distinct_denominator_alternating(12, Random(12), numerators=99)
+    path = tmp_path / "M.json"
+    path.write_text(json.dumps({"field": QQ.spec(), "matrix": M.encode()}))
+    code, out, err = run_cli("normal-form", "--input", str(path))
+    assert (code, err) == (0, "")
+    P, rank = reference_skew_normal_form(M)
+    data = json.loads(out)
+    assert (data["P"], data["rank"]) == (P.encode(), rank)
+    assert data["canonical"] == canonical_alternating(QQ, 12, rank).encode()
+    code, out, err = run_cli("normal-form", "--input", str(path), env={"MSGKIT_BUDGET": "1727"})
+    assert (code, out) == (2, "")
+    assert err == ("error: a normal form of n=12 (n^3 = 1728) exceeds the budget of 1727"
+                   " (raise MSGKIT_BUDGET to override)\n")
 
 
 def test_normal_form_non_alternating_exit2(tmp_path):

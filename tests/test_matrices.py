@@ -27,7 +27,9 @@ from msgkit import _fp, cli
 from msgkit.fields import Field
 from msgkit.matrices import _pfaffian, _skew_rank
 from msgkit.polynomials import pmat_det
-from conftest import DATA_DIR, degenerate_instance, random_alternating
+from conftest import (DATA_DIR, PRIMES, degenerate_instance, distinct_denominator_alternating,
+                      random_alternating, reference_pfaffian, reference_skew_normal_form,
+                      reference_skew_rank)
 
 
 # --- rref / rank --------------------------------------------------------------
@@ -269,6 +271,59 @@ def test_skew_rank_and_pfaffian_match_the_matrix_rank(M):
     n, rank = M.nrows, M.rank()
     assert _skew_rank(M.field, M.rows) == rank
     assert (_pfaffian(M.field, M.rows) != 0) == (n % 2 == 0 and rank == n)
+
+
+@st.composite
+def _elimination_inputs(draw):
+    """An n x n alternating matrix, n <= 10 and odd n too, over Q or F_p for p in
+    3, 5, 7, 2^31 - 1, shaped for every branch of the fraction-free elimination:
+    dense, over Q with a distinct prime denominator on every upper entry; a zero
+    first row and column, so a pivot is off row 0; a perfect matching of pairs in
+    shuffled order plus a few more entries, so pivots are not adjacent; or
+    P^T C P of rank below n, over Q with distinct prime denominators in P."""
+    F = draw(st.sampled_from([QQ, PrimeField(3), PrimeField(5), PrimeField(7),
+                              PrimeField(2**31 - 1)]))
+    n = draw(st.integers(0, 10))
+    shape = draw(st.sampled_from(["dense", "zero-row", "nonadjacent", "deficient"]))
+    rng = Random(draw(st.integers(0, 2**32 - 1)))
+    if shape == "deficient":
+        C = canonical_alternating(F, n, 2 * rng.randrange(max(1, (n + 1) // 2)))
+        while True:
+            if F == QQ:
+                dens = iter(rng.sample(PRIMES, n * n))
+                P = Matrix(F, n, n, [[Fraction(rng.randint(-5, 5), next(dens)) for _ in range(n)]
+                                     for _ in range(n)])
+            else:
+                P = random_matrix(F, n, n, rng)
+            if P.rank() == n:
+                return P.transpose().mul(C).mul(P)
+    M = (distinct_denominator_alternating(n, rng) if F == QQ else random_alternating(F, n, rng))
+    keep = {(i, j) for i in range(n) for j in range(i + 1, n)}
+    if shape == "zero-row":
+        keep = {(i, j) for i, j in keep if i}
+    elif shape == "nonadjacent":
+        order = rng.sample(range(n), n)
+        keep = ({tuple(sorted(order[k:k + 2])) for k in range(0, n - 1, 2)}
+                | {e for e in keep if rng.random() < 0.15})
+    rows = [[x if (min(i, j), max(i, j)) in keep else F.zero for j, x in enumerate(row)]
+            for i, row in enumerate(M.rows)]
+    return Matrix(F, n, n, rows)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_elimination_inputs())
+def test_fraction_free_elimination_matches_the_field_reference(M):
+    # the integer elimination on the field's lift gives exactly what the
+    # elimination by the field's own operations gives, in the field's scalars
+    F, rows, scalar = M.field, M.rows, type(M.field.zero)
+    pf = _pfaffian(F, rows)
+    assert type(pf) is scalar and pf == reference_pfaffian(F, rows)
+    assert _skew_rank(F, rows) == reference_skew_rank(F, rows)
+    P, r = skew_normal_form(M)
+    assert (P, r) == reference_skew_normal_form(M)
+    assert all(type(x) is scalar for row in P.rows for x in row)
+    det = pmat_det(F, [[[x] for x in row] for row in rows])
+    assert F.mul(pf, pf) == (det[0] if det else F.zero)
 
 
 # --- characteristic polynomial ----------------------------------------------------

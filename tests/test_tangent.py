@@ -58,8 +58,9 @@ from msgkit.symplectic import _isotropic_points
 from msgkit.tangent import (PhiKernelElement, _constraint_rows, _coprime_quadratic_minors,
                             _pencil_degeneracy, _pencil_minor_gcd, _pencil_pfaffian,
                             _resultant2, _sampled_points, _verify_seeded_pair)
-from conftest import (DATA_DIR, chart_differential_rank, degenerate_instance,
-                      random_alternating_nonsingular, random_complement)
+from conftest import (DATA_DIR, PRIMES, chart_differential_rank, degenerate_instance,
+                      random_alternating, random_alternating_nonsingular, random_complement,
+                      reference_eigenspaces, reference_pencil_pfaffian)
 
 
 def half_standard_gram(field):
@@ -887,7 +888,7 @@ def _inverse_route_eigenspaces(M1, M2):
     if M2.rank() != n:
         raise SingularMatrixError("M2 is singular")
     eigenvalues = proots(F, N.char_poly())
-    nullities = [n - Matrix.identity(F, n).scale(d).sub(N).rank() for d in eigenvalues]
+    nullities = [n - Matrix.identity(F, n).scale(d).add(N.neg()).rank() for d in eigenvalues]
     return tuple(eigenvalues), tuple(nullities)
 
 
@@ -991,11 +992,11 @@ def _pfaffian_pencils(draw):
 def test_pencil_pfaffian_squares_to_the_pencil_determinant(pencil):
     M1, M2, node = pencil
     F, n = M1.field, M1.nrows
-    pf = _pencil_pfaffian(M1, M2)
+    pf, _, _ = _pencil_pfaffian(M1, M2)
     assert pmul(F, pf, pf) == pmat_det(F, _linear_grid(M2.neg().rows, M1.rows))
     assert len(pf) <= n // 2 + 1
     for x in range(n // 2 + 1):
-        value = _pfaffian(F, M1.scale(x).sub(M2).rows)
+        value = _pfaffian(F, M1.scale(x).add(M2.neg()).rows)
         assert value == peval(F, pf, F.element(x))
         if x == node:
             assert value == 0
@@ -1011,6 +1012,68 @@ def test_even_eigenspaces_read_no_determinant(monkeypatch):
         M1 = random_alternating_nonsingular(F, n, rng)
         M2 = random_alternating_nonsingular(F, n, rng)
         assert check_even_eigenspaces(M1, M2).all_even
+
+
+def _planted_pencil(F, P, ds):
+    """P^T J P and P^T diag(d_b J) P: M2 M1^{-1} is similar to diag(d_b I_2)."""
+    n = P.nrows
+    D = [[F.zero] * n for _ in range(n)]
+    for b, d in enumerate(ds):
+        D[2 * b][2 * b + 1], D[2 * b + 1][2 * b] = d, F.neg(d)
+    Pt = P.transpose()
+    return Pt.mul(canonical_alternating(F, n, n)).mul(P), Pt.mul(Matrix(F, n, n, D)).mul(P)
+
+
+@pytest.mark.parametrize("p, n", [(3, 6), (3, 8), (5, 10)])
+def test_small_p_skew_lift_matches_the_field_reference(p, n):
+    # p <= n/2 leaves too few interpolation nodes: the Pfaffians of the skew lift
+    # are taken over Z and reduced mod p, which must be what the reference's
+    # Fraction Pfaffians of the same lift give, and the nullities, ranked mod p
+    # on that lift, those of d*M1 - M2 formed in F_p
+    F, rng = PrimeField(p), Random(100 * p + n)
+    for trial in range(12):
+        if trial % 3 == 0:
+            M1, M2 = random_alternating(F, n, rng), random_alternating(F, n, rng)
+        else:
+            pool = [rng.randrange(p), rng.randrange(p)]
+            M1, M2 = _planted_pencil(F, random_invertible(F, n, rng),
+                                     [rng.choice(pool) for _ in range(n // 2)])
+        pf, _, _ = _pencil_pfaffian(M1, M2)
+        assert pf == reference_pencil_pfaffian(M1, M2)
+        expected = reference_eigenspaces(M1, M2)
+        if expected is None:
+            with pytest.raises(ValueError, match="both matrices must be nonsingular"):
+                check_even_eigenspaces(M1, M2)
+            continue
+        rep = check_even_eigenspaces(M1, M2)
+        assert (rep.eigenvalues_in_field, rep.nullities) == expected
+
+
+@pytest.mark.parametrize("n", [4, 6, 8])
+def test_planted_rational_pencils_with_distinct_prime_denominators(n):
+    # every entry of P and every planted eigenvalue has its own prime
+    # denominator, so the row scales of the lift differ row by row
+    rng = Random(n)
+    for _ in range(3):
+        primes = iter(rng.sample(PRIMES[2:], n * n + n))
+        while True:
+            P = Matrix(QQ, n, n, [[Fraction(rng.randint(-5, 5), next(primes)) for _ in range(n)]
+                                  for _ in range(n)])
+            if P.rank() == n:
+                break
+            primes = iter(rng.sample(PRIMES[2:], n * n + n))
+        pool = [Fraction(rng.choice((-1, 1)) * next(primes), next(primes))
+                for _ in range(n // 4 + 1)]
+        ds = [rng.choice(pool) for _ in range(n // 2)]
+        M1, M2 = _planted_pencil(QQ, P, ds)
+        rep = check_even_eigenspaces(M1, M2)
+        eigenvalues = tuple(sorted(set(ds)))
+        assert rep.eigenvalues_in_field == eigenvalues
+        assert rep.nullities == tuple(2 * ds.count(d) for d in eigenvalues)
+        assert rep.all_even
+        assert (rep.eigenvalues_in_field, rep.nullities) == reference_eigenspaces(M1, M2)
+        pf, _, _ = _pencil_pfaffian(M1, M2)
+        assert pf == reference_pencil_pfaffian(M1, M2)
 
 
 # --- theorem equivalence ----------------------------------------------------------------
@@ -1153,7 +1216,7 @@ def _planted_pencils(draw):
         omega2, omega_r = (Qi.mul(A).mul(Qi.transpose())
                            for A in (canonical_alternating(F, n, n), Matrix(F, n, n, radical)))
         try:
-            fs = FormSpace([SymplecticForm(omega_r.sub(omega2.scale(lam))),
+            fs = FormSpace([SymplecticForm(omega_r.add(omega2.scale(lam).neg())),
                             SymplecticForm(omega2)])
         except ValueError:
             continue
