@@ -11,8 +11,6 @@ passes ``_trusted=True`` to skip both.
 
 from __future__ import annotations
 
-from math import prod
-
 from ._record import _Record
 from .fields import Field
 from .polynomials import _linear_grid, pmat_det
@@ -253,14 +251,14 @@ def _skew_rank(F: Field, rows) -> int:
     return 2 * sum(1 for _ in _skew_schur(p, G))  # two per pivot
 
 
-def _pfaffian(F: Field, rows):
-    """Pf(M) = Pf(D M D) / prod(D) on the field's lift: the last pivot of `_skew_schur`,
-    signed by (-1)^(a+b-1) at each step, or 0 if rows are left (a zero row stays)."""
-    p, D, G = F.lift(rows)
+def _pfaffian(G: list) -> int:
+    """Pf of an alternating int matrix G, which it consumes: the last pivot of
+    `_skew_schur` over Z, signed by (-1)^(a+b-1) at each step, or 0 if rows are
+    left (a zero row stays).  On a field's lift D M D it is Pf(M) * prod(D)."""
     sign = pf = 1
-    for a, b, _, pf in _skew_schur(p, G):
+    for a, b, _, pf in _skew_schur(0, G):
         sign = sign if (a + b) % 2 else -sign
-    return F.zero if G else F.quotients([sign * pf], 1, prod(D))[0]
+    return 0 if G else sign * pf
 
 
 def skew_normal_form(M: Matrix) -> tuple[Matrix, int]:

@@ -13,11 +13,11 @@ form always has projective roots over the closure.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
 from ._integers import is_prime
 from ._record import _Record
-from .fields import Field, PrimeField, QQ, RationalField
+from .fields import Field, PrimeField, RationalField
 
 
 # ---------------------------------------------------------------------------
@@ -104,24 +104,6 @@ def pgcd(F: Field, a: list, b: list) -> list:
     return pmonic(F, a)
 
 
-def peval(F: Field, a: list, x):
-    acc = F.zero
-    for c in reversed(a):
-        acc = F.add(F.mul(acc, x), c)
-    return acc
-
-
-def _interpolate(F: Field, ys: list) -> list:
-    """The polynomial of degree < len(ys) through (x, ys[x]), x = 0, 1, ..., in Newton form."""
-    c = list(ys)
-    for k in range(1, len(c)):
-        c[k:] = [F.div(F.sub(y, x), F.element(k)) for x, y in zip(c[k - 1:], c[k:])]
-    poly = []
-    for k in reversed(range(len(c))):  # poly * (x - k) + c[k]
-        poly = padd(F, pmul(F, poly, [F.element(-k), F.one]), [c[k]])
-    return poly
-
-
 def ppowmod(F: Field, base: list, e: int, mod: list) -> list:
     """base^e mod `mod` by square-and-multiply."""
     result = [F.one]
@@ -134,33 +116,9 @@ def ppowmod(F: Field, base: list, e: int, mod: list) -> list:
     return result
 
 
-def pderiv(F: Field, a: list) -> list:
-    return ptrim([F.mul(F.element(i), a[i]) for i in range(1, len(a))])
-
-
-def pradical_char0(F: Field, a: list) -> list:
-    """Product of the distinct irreducible factors of a, characteristic 0 only.
-
-    a / gcd(a, a') strips multiplicities exactly in char 0; over F_p it can
-    drop factors whose multiplicity is divisible by p, so the prime-field
-    root finder never uses this (gcd with x^p - x already isolates distinct
-    roots there).
-    """
-    a = pmonic(F, a)
-    if pdeg(a) <= 1:
-        return a
-    g = pgcd(F, a, pderiv(F, a))
-    if pdeg(g) == 0:
-        return a
-    return pmonic(F, pdivmod(F, a, g)[0])
-
-
 # ---------------------------------------------------------------------------
 # root extraction over the base field
 # ---------------------------------------------------------------------------
-
-_FIRST_LIFT_PRIME = 10007  # rational roots are lifted from F_q, q >= this
-
 
 def _prime_roots(F: PrimeField, f: list) -> list:
     """Distinct roots of f in F_p (equal-degree splitting into linears)."""
@@ -200,46 +158,90 @@ def _prime_roots(F: PrimeField, f: list) -> list:
     return sorted(roots)
 
 
-def _rational_roots(f: list) -> list:
-    """Distinct rational roots of a squarefree f over Q, by q-adic lifting.
+def _zprimitive(a: list) -> list:
+    """An integer polynomial divided by its content, the gcd of its coefficients."""
+    c = gcd(*a)
+    return [x // c for x in a]
 
-    Clear denominators to integers c_0..c_d with c_0 != 0.  A root a/b in
-    lowest terms has a | c_0 and b | c_d, so c_d*a/b is an integer of
-    absolute value at most |c_0*c_d|.  Modulo a prime q dividing neither
-    c_d nor the discriminant it reduces to a simple root of f mod q, which
-    Newton's iteration lifts uniquely to a modulus M > 2|c_0*c_d|; there
-    the symmetric residue of c_d*r is c_d*a/b itself.  Lifts that come
-    from no rational root fail the exact evaluation.
+
+def _zpseudo_divmod(a: list, b: list) -> tuple[list, list]:
+    """(q, r) with lc(b)^e * a = q*b + r over Z and deg r < deg b, e = deg a - deg b + 1."""
+    q, r = [0] * max(0, len(a) - len(b) + 1), list(a)
+    for s in reversed(range(len(q))):
+        c = r.pop()  # the top term of lc(b)*r - c*x^s*b cancels
+        q = [b[-1] * x for x in q]
+        q[s] += c
+        r = [b[-1] * x for x in r]
+        for j, y in enumerate(b[:-1]):
+            r[s + j] -= c * y
+    return q, ptrim(r)
+
+
+def _zradical(f: list) -> list:
+    """f / gcd(f, f') made primitive, for a nonzero integer f: the gcd g by the
+    primitive PRS (Collins, J. ACM 14, 1967), the quotient of f by g exact over Z."""
+    g, b = f, _zprimitive([i * c for i, c in enumerate(f)][1:])
+    while b:
+        g, b = b, _zprimitive(_zpseudo_divmod(g, b)[1])
+    q, r = _zpseudo_divmod(f, g)
+    if r:
+        raise ArithmeticError("inexact integer polynomial division")
+    return _zprimitive(q)
+
+
+def _rational_roots(f: list) -> list:
+    """Distinct rational roots of a nonzero f over Q, by q-adic lifting on integers
+    (Loos, SIAM J. Comput. 12, 1983).
+
+    Denominators are cleared once; a factor x^j gives the root 0, and `_zradical`
+    turns the rest into a squarefree h with integer coefficients c_0..c_d, c_0 != 0.
+    A root a/b in lowest terms has a | c_0 and b | c_d, so c_d*a/b is an integer of
+    absolute value at most |c_0*c_d|.  The lift prime q is the first odd prime with
+    q not dividing c_d at which every root of h mod q, found by evaluating h and h'
+    at 0..q-1, is simple.  The rational roots reduce to some of these, and Newton's
+    iteration lifts each uniquely to a modulus M > 2|c_0*c_d|, where the symmetric
+    residue of c_d*r is c_d*a/b itself; a candidate a/b counts when
+    sum c_i a^i b^(d-i) = 0.  The search ends: h is squarefree, so disc(h) != 0, and
+    a skipped odd prime divides c_d*disc(h).  At most log2|c_d*disc(h)| primes are
+    skipped, and a prime q costs q*(d+1) evaluations.
     """
-    roots = []
-    if f[0] == 0:
-        roots.append(Fraction(0))
-        f = f[1:]
     scale = lcm(*[c.denominator for c in f])
-    ints = [int(c * scale) for c in f]
-    q = _FIRST_LIFT_PRIME
+    h = [c.numerator * (scale // c.denominator) for c in f]
+    roots = [Fraction(0)] if h[0] == 0 else []
+    while h[0] == 0:
+        h = h[1:]
+    h = _zradical(h)
+    if len(h) == 1:
+        return roots
+
+    def at(r, m):  # h(r) and h'(r) mod m by one Horner pass
+        hr = dhr = 0
+        for c in reversed(h):
+            dhr = (dhr * r + hr) % m
+            hr = (hr * r + c) % m
+        return hr, dhr
+
+    q = 1
     while True:
-        if is_prime(q) and ints[-1] % q:
-            Fq = PrimeField(q)
-            fq = [c % q for c in ints]
-            if pdeg(pgcd(Fq, fq, pderiv(Fq, fq))) == 0:
-                break
         q += 2
-    bound = 2 * abs(ints[0] * ints[-1])
-    for r in _prime_roots(Fq, fq):
+        if is_prime(q) and h[-1] % q:
+            residues = [(r, d) for r in range(q) for v, d in [at(r, q)] if not v]
+            if all(d for _, d in residues):
+                break
+    bound = 2 * abs(h[0] * h[-1])
+    for r, _ in residues:
         m = q
         while m <= bound:
             m *= m
-            fr = dfr = 0
-            for c in reversed(ints):  # f(r) and f'(r) by one Horner pass
-                dfr = (dfr * r + fr) % m
-                fr = (fr * r + c) % m
-            r = (r - fr * pow(dfr, -1, m)) % m
-        s = ints[-1] * r % m
-        if 2 * s > m:
-            s -= m
-        cand = Fraction(s, ints[-1])
-        if peval(QQ, f, cand) == 0:
+            hr, dhr = at(r, m)
+            r = (r - hr * pow(dhr, -1, m)) % m
+        s = h[-1] * r % m
+        cand = Fraction(s - m if 2 * s > m else s, h[-1])
+        a, b = cand.numerator, cand.denominator
+        value, bk = 0, 1
+        for c in reversed(h):  # sum c_i a^i b^(d-i), homogeneous Horner
+            value, bk = value * a + c * bk, bk * b
+        if value == 0:
             roots.append(cand)
     return sorted(roots)
 
@@ -251,7 +253,7 @@ def proots(F: Field, f: list) -> list:
     if isinstance(F, PrimeField):
         return _prime_roots(F, f)
     if isinstance(F, RationalField):
-        return _rational_roots(pradical_char0(F, f))
+        return _rational_roots(f)
     raise TypeError(f"unsupported field {F!r}")
 
 

@@ -28,10 +28,10 @@ from math import prod
 from random import Random
 
 from ._record import _Record
-from .fields import QQ, Field
+from .fields import Field
 from .matrices import Matrix, _pfaffian, _skew_rank
-from .polynomials import (BinaryForm, _interpolate, _linear_grid, binary_form_roots, pdeg,
-                          pgcd, pmat_det, proots, ptrim)
+from .polynomials import (BinaryForm, _linear_grid, binary_form_roots, pdeg, pgcd, pmat_det,
+                          proots, ptrim)
 from .symplectic import (
     FormSpace,
     Subspace,
@@ -504,17 +504,21 @@ class EigenspaceReport(_Record):
 
 
 def _pencil_pfaffian(M1: Matrix, M2: Matrix) -> tuple:
-    """Pf(x*M1 - M2), of degree <= n/2, interpolated from x = 0, 1, ..., n/2, and the
-    rows A1, A2 of the field's lift of M1 and M2 on one D: Pf(x*M1 - M2) is
-    Pf(x*A1 - A2) / prod(D).  F_p with p <= n/2 has too few nodes; there the
-    Pfaffians of its skew lift are taken over Q, and the result reduced mod p."""
+    """Pf(x*M1 - M2), of degree <= n/2, and the rows A1, A2 of the field's lift of M1
+    and M2 on one D: Pf(x*M1 - M2) is Pf(x*A1 - A2) / prod(D).  The integer polynomial
+    Pf(x*A1 - A2) is interpolated over Z from x = 0, 1, ..., n/2 in Newton form, whose
+    coefficients Delta^k Pf(0) / k! are integers, and mapped into the field once."""
     F, n = M1.field, M1.nrows
-    p, D, A1, A2 = F.lift(M1.rows, M2.rows)
-    R = QQ if 0 < p <= n // 2 else F
-    pf = _interpolate(R, R.quotients([_pfaffian(R, [[x * u - v for u, v in zip(r1, r2)]
-                                                    for r1, r2 in zip(A1, A2)])
-                                      for x in range(n // 2 + 1)], 1, prod(D)))
-    return (pf if R is F else ptrim([c.numerator % p for c in pf])), A1, A2
+    _, D, A1, A2 = F.lift(M1.rows, M2.rows)
+    c = [_pfaffian([[x * u - v for u, v in zip(r1, r2)] for r1, r2 in zip(A1, A2)])
+         for x in range(n // 2 + 1)]
+    for k in range(1, len(c)):  # divided differences, exact over Z
+        c[k:] = [(y - x) // k for x, y in zip(c[k - 1:], c[k:])]
+    pf = []
+    for k in reversed(range(len(c))):  # pf * (x - k) + c[k]
+        pf = [a - k * b for a, b in zip([0] + pf, pf + [0])]
+        pf[0] += c[k]
+    return ptrim(F.quotients(pf, 1, prod(D))), A1, A2
 
 
 def check_even_eigenspaces(M1: Matrix, M2: Matrix) -> EigenspaceReport:

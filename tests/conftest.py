@@ -1,6 +1,7 @@
 import os
 from fractions import Fraction
 from itertools import product
+from math import lcm, prod
 
 import pytest
 
@@ -14,7 +15,10 @@ from msgkit import (
     SymplecticForm,
     random_matrix,
 )
-from msgkit.polynomials import _interpolate, proots, ptrim
+from msgkit._integers import is_prime
+from msgkit.matrices import _pfaffian
+from msgkit.polynomials import (_prime_roots, padd, pdeg, pdivmod, pgcd, pmonic, pmul, proots,
+                                ptrim)
 
 GOLDEN_DIR = os.path.join(os.path.dirname(__file__), "golden")
 PRIMES = [q for q in range(2, 1000) if all(q % r for r in range(2, int(q ** 0.5) + 1))]
@@ -200,6 +204,36 @@ def reference_skew_normal_form(M):
     return P, len(chosen)
 
 
+def peval(F, a, x):
+    acc = F.zero
+    for c in reversed(a):
+        acc = F.add(F.mul(acc, x), c)
+    return acc
+
+
+def pderiv(F, a):
+    return ptrim([F.mul(F.element(i), a[i]) for i in range(1, len(a))])
+
+
+def _interpolate(F, ys):
+    """The polynomial of degree < len(ys) through (x, ys[x]), x = 0, 1, ..., in Newton
+    form, by the field's own operations."""
+    c = list(ys)
+    for k in range(1, len(c)):
+        c[k:] = [F.div(F.sub(y, x), F.element(k)) for x, y in zip(c[k - 1:], c[k:])]
+    poly = []
+    for k in reversed(range(len(c))):  # poly * (x - k) + c[k]
+        poly = padd(F, pmul(F, poly, [F.element(-k), F.one]), [c[k]])
+    return poly
+
+
+def pfaffian(F, rows):
+    """Pf(M) in the field's scalars: the library's integer Pfaffian of the field's
+    lift D M D, divided by prod(D) in the field."""
+    _, D, G = F.lift(rows)
+    return F.quotients([_pfaffian(G)], 1, prod(D))[0]
+
+
 def reference_pencil_pfaffian(M1, M2):
     """Pf(x*M1 - M2) interpolated from x = 0..n/2 over the field, or over Q from
     the skew lift of the upper triangles when F_p has too few nodes."""
@@ -214,14 +248,70 @@ def reference_pencil_pfaffian(M1, M2):
     return pf if R is F else ptrim([c.numerator % F.p for c in pf])
 
 
+def reference_lifted_pencil_pfaffian(M1, M2):
+    """Pf(x*M1 - M2) from the Pfaffians of x*A1 - A2 on the field's lift, mapped into
+    the field (into Q when F_p has too few nodes) and interpolated there by
+    `_interpolate`: the oracle of `_pencil_pfaffian`'s interpolation over Z."""
+    F, n = M1.field, M1.nrows
+    p, D, A1, A2 = F.lift(M1.rows, M2.rows)
+    R = QQ if 0 < p <= n // 2 else F
+    pf = _interpolate(R, R.quotients([_pfaffian([[x * u - v for u, v in zip(r1, r2)]
+                                                 for r1, r2 in zip(A1, A2)])
+                                      for x in range(n // 2 + 1)], 1, prod(D)))
+    return pf if R is F else ptrim([c.numerator % p for c in pf])
+
+
+def reference_rational_roots(f):
+    """Sorted distinct rational roots of a nonzero f over Q, the oracle of `proots`
+    over Q, which runs on integers: the radical f / gcd(f, f') by Euclid in
+    Fractions, Cantor-Zassenhaus over F_q for the first usable prime q >= 10007,
+    Newton lifting, and an evaluation of each candidate in Fractions."""
+    f = pmonic(QQ, f)
+    if pdeg(f) > 1:
+        g = pgcd(QQ, f, pderiv(QQ, f))
+        if pdeg(g) > 0:
+            f = pmonic(QQ, pdivmod(QQ, f, g)[0])
+    roots = []
+    if f[0] == 0:
+        roots.append(Fraction(0))
+        f = f[1:]
+    scale = lcm(*[c.denominator for c in f])
+    ints = [int(c * scale) for c in f]
+    q = 10007
+    while True:
+        if is_prime(q) and ints[-1] % q:
+            Fq = PrimeField(q)
+            fq = [c % q for c in ints]
+            if pdeg(pgcd(Fq, fq, pderiv(Fq, fq))) == 0:
+                break
+        q += 2
+    bound = 2 * abs(ints[0] * ints[-1])
+    for r in _prime_roots(Fq, fq):
+        m = q
+        while m <= bound:
+            m *= m
+            fr = dfr = 0
+            for c in reversed(ints):
+                dfr = (dfr * r + fr) % m
+                fr = (fr * r + c) % m
+            r = (r - fr * pow(dfr, -1, m)) % m
+        s = ints[-1] * r % m
+        if 2 * s > m:
+            s -= m
+        cand = Fraction(s, ints[-1])
+        if peval(QQ, f, cand) == 0:
+            roots.append(cand)
+    return sorted(roots)
+
+
 def reference_eigenspaces(M1, M2):
-    """(eigenvalues, nullities) of the pencil by the reference Pfaffian and skew
-    rank of d*M1 - M2, formed in the field; None if M1 or M2 is singular."""
+    """(eigenvalues, nullities) of the pencil by the reference Pfaffian, roots and
+    skew rank of d*M1 - M2, formed in the field; None if M1 or M2 is singular."""
     F, n = M1.field, M1.nrows
     pf = reference_pencil_pfaffian(M1, M2)
     if len(pf) != n // 2 + 1 or not pf[0]:
         return None
-    eigenvalues = proots(F, pf)
+    eigenvalues = reference_rational_roots(pf) if F == QQ else proots(F, pf)
     return tuple(eigenvalues), tuple(
         n - reference_skew_rank(F, [[F.sub(F.mul(d, x), y) for x, y in zip(r1, r2)]
                                     for r1, r2 in zip(M1.rows, M2.rows)]) for d in eigenvalues)

@@ -171,6 +171,16 @@ def test_check_point_degenerate_file():
     assert witnesses[0]["subspace"] == [[1, 0, 0, 0], [0, 1, 0, 0]]
 
 
+@pytest.mark.parametrize("flags", [(), ("-O",)], ids=["plain", "O"])
+def test_check_point_rational_quadratic_certificate_golden(flags):
+    # n = 8, k = 4 over Q: the minors' gcd (u - 2/3 v)(u + 5v) has degree 2 and two
+    # rational roots, and 3 divides the leading coefficient of its cleared form
+    code, out, err = run_cli("check-point", "--input", os.path.join(DATA, "degenerate_n8k4.json"),
+                             flags=flags)
+    assert (code, err) == (0, "")
+    golden_compare("check_point_degenerate_n8k4.json", out)
+
+
 def test_check_point_smooth_lagrangian(tmp_path):
     # m=1 point at expected dimension with an empty kernel
     J = standard_form(4, QQ)

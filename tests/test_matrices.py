@@ -25,11 +25,11 @@ from msgkit import (
 )
 from msgkit import _fp, cli
 from msgkit.fields import Field
-from msgkit.matrices import _pfaffian, _skew_rank
+from msgkit.matrices import _skew_rank
 from msgkit.polynomials import pmat_det
 from conftest import (DATA_DIR, PRIMES, degenerate_instance, distinct_denominator_alternating,
-                      random_alternating, reference_pfaffian, reference_skew_normal_form,
-                      reference_skew_rank)
+                      pfaffian, random_alternating, reference_pfaffian,
+                      reference_skew_normal_form, reference_skew_rank)
 
 
 # --- rref / rank --------------------------------------------------------------
@@ -246,10 +246,10 @@ def test_skew_normal_form_matches_pairing_reference(M):
 def test_pfaffian_small_cases():
     a, b, c, d, e, f = (Fraction(x) for x in (2, -3, 5, 7, -11, 13))
     M = Matrix(QQ, 4, 4, [[0, a, b, c], [-a, 0, d, e], [-b, -d, 0, f], [-c, -e, -f, 0]])
-    assert _pfaffian(QQ, M.rows) == a * f - b * e + c * d
-    assert _pfaffian(QQ, canonical_alternating(QQ, 2, 2).rows) == 1
-    assert _pfaffian(QQ, ()) == 1
-    assert _pfaffian(QQ, canonical_alternating(QQ, 4, 2).rows) == 0
+    assert pfaffian(QQ, M.rows) == a * f - b * e + c * d
+    assert pfaffian(QQ, canonical_alternating(QQ, 2, 2).rows) == 1
+    assert pfaffian(QQ, ()) == 1
+    assert pfaffian(QQ, canonical_alternating(QQ, 4, 2).rows) == 0
 
 
 @pytest.mark.parametrize("F", [PrimeField(3), PrimeField(5), PrimeField(2**31 - 1), QQ],
@@ -262,7 +262,7 @@ def test_pfaffian_of_a_congruence_is_the_determinant(F):
         for _ in range(6):
             P = random_matrix(F, n, n, rng)
             det = pmat_det(F, [[[x] for x in row] for row in P.rows])
-            assert _pfaffian(F, P.transpose().mul(J).mul(P).rows) == (det[0] if det else 0)
+            assert pfaffian(F, P.transpose().mul(J).mul(P).rows) == (det[0] if det else 0)
 
 
 @settings(max_examples=300, deadline=None)
@@ -270,7 +270,7 @@ def test_pfaffian_of_a_congruence_is_the_determinant(F):
 def test_skew_rank_and_pfaffian_match_the_matrix_rank(M):
     n, rank = M.nrows, M.rank()
     assert _skew_rank(M.field, M.rows) == rank
-    assert (_pfaffian(M.field, M.rows) != 0) == (n % 2 == 0 and rank == n)
+    assert (pfaffian(M.field, M.rows) != 0) == (n % 2 == 0 and rank == n)
 
 
 @st.composite
@@ -316,7 +316,7 @@ def test_fraction_free_elimination_matches_the_field_reference(M):
     # the integer elimination on the field's lift gives exactly what the
     # elimination by the field's own operations gives, in the field's scalars
     F, rows, scalar = M.field, M.rows, type(M.field.zero)
-    pf = _pfaffian(F, rows)
+    pf = pfaffian(F, rows)
     assert type(pf) is scalar and pf == reference_pfaffian(F, rows)
     assert _skew_rank(F, rows) == reference_skew_rank(F, rows)
     P, r = skew_normal_form(M)

@@ -1,5 +1,6 @@
 import time
 from fractions import Fraction
+from math import prod
 from random import Random
 
 import pytest
@@ -8,11 +9,9 @@ from hypothesis import given, settings, strategies as st
 from msgkit import BinaryForm, PrimeField, QQ, binary_form_roots
 from msgkit import polynomials, tangent
 from msgkit.polynomials import (
-    _interpolate,
     _linear_grid,
     pdeg,
     pdivmod,
-    peval,
     pgcd,
     pmat_det,
     pmul,
@@ -21,7 +20,9 @@ from msgkit.polynomials import (
     ptrim,
 )
 from msgkit._integers import is_prime
+from msgkit.polynomials import _zradical
 from msgkit.tangent import _pencil_minor_gcd
+from conftest import PRIMES, _interpolate, peval, reference_rational_roots
 
 
 def test_divmod_reconstructs():
@@ -139,6 +140,81 @@ def test_rational_roots_skip_unusable_lift_primes():
     assert proots(QQ, f) == [Fraction(1, 10007), Fraction(2)]
     # (x - 1)(x - 10008) = (x - 1)^2 mod 10007: squarefree over Q but not mod 10007
     assert proots(QQ, _from_roots([Fraction(1), Fraction(10008)])) == [1, 10008]
+
+
+@st.composite
+def _polynomials_with_rational_roots(draw):
+    """(f, roots): f = scale * prod (x - r)^e * g over Q, the planted roots r with
+    denominators that carry 3, 5 or 7 and multiplicities e of 1 to 3, g = x^2 + c
+    with c > 0 (irreducible, no rational root) or 1, and numerators, denominators,
+    c and the scale up to 2^bits."""
+    bits = draw(st.sampled_from([3, 24, 200]))
+    size = st.integers(1, 2 ** bits)
+    root = st.builds(lambda a, b, p: Fraction(a, b * p), st.integers(-2 ** bits, 2 ** bits),
+                     size, st.sampled_from([1, 3, 5, 7, 9, 15, 21, 35, 105]))
+    roots = draw(st.lists(root, max_size=4))
+    f = [Fraction(1)]
+    for r in roots:
+        for _ in range(draw(st.integers(1, 3))):
+            f = pmul(QQ, f, [-r, Fraction(1)])
+    if draw(st.booleans()):
+        f = pmul(QQ, f, [Fraction(draw(size), draw(size)), Fraction(0), Fraction(1)])
+    scale = Fraction(draw(st.sampled_from([-1, 1])) * draw(size), draw(size))
+    return pscale(QQ, scale, f), sorted(set(roots))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_polynomials_with_rational_roots())
+def test_rational_roots_match_the_fraction_reference(case):
+    f, roots = case
+    assert proots(QQ, f) == reference_rational_roots(f) == roots
+
+
+def _lift_primes(monkeypatch):
+    """The primes `_rational_roots` considers, in order, read from its primality test."""
+    tried = []
+
+    def record(n):
+        if is_prime(n):
+            tried.append(n)
+            return True
+        return False
+
+    monkeypatch.setattr(polynomials, "is_prime", record)
+    return tried
+
+
+def test_rational_roots_lift_from_the_first_good_small_prime(monkeypatch):
+    tried = _lift_primes(monkeypatch)
+    # 3 divides the leading coefficient of 3x - 1, so the root 1/3 lifts from 5
+    assert proots(QQ, [Fraction(-1), Fraction(3)]) == [Fraction(1, 3)]
+    assert tried == [3, 5]
+    # (x - 1)(x - 4) = (x - 1)^2 mod 3: squarefree over Q, a double root mod 3
+    tried.clear()
+    assert proots(QQ, _from_roots([Fraction(1), Fraction(4)])) == [1, 4]
+    assert tried == [3, 5]
+    # 1 and 1 + N meet mod every odd prime up to 199, so each one is skipped
+    odd = [q for q in PRIMES if 2 < q < 200]
+    N = prod(odd)
+    tried.clear()
+    start = time.perf_counter()
+    assert proots(QQ, _from_roots([Fraction(1), Fraction(1 + N)])) == [1, 1 + N]
+    assert time.perf_counter() - start < 0.5
+    assert tried == odd + [211]
+
+
+def test_rational_roots_take_the_integer_radical(monkeypatch):
+    # (x - 2)^3 (3x + 1): the radical over Z is the primitive 3x^2 - 5x - 2
+    f = pmul(QQ, _from_roots([Fraction(2)] * 3), [Fraction(1), Fraction(3)])
+    assert _zradical([int(c) for c in f]) == [-2, -5, 3]
+    assert proots(QQ, f) == [Fraction(-1, 3), Fraction(2)]
+    assert proots(QQ, pscale(QQ, Fraction(-7, 22), f)) == [Fraction(-1, 3), Fraction(2)]
+    # c x^k has the one root 0 and a nonzero constant has none; neither needs a prime
+    tried = _lift_primes(monkeypatch)
+    assert proots(QQ, [Fraction(0)] * 3 + [Fraction(5, 7)]) == [Fraction(0)]
+    assert proots(QQ, [Fraction(0), Fraction(-2, 9)]) == [Fraction(0)]
+    assert proots(QQ, [Fraction(7, 3)]) == []
+    assert tried == []
 
 
 def test_large_prime_roots():

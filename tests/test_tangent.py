@@ -51,16 +51,16 @@ from msgkit import (
 )
 from msgkit import symplectic, tangent
 from msgkit._record import _Record
-from msgkit.matrices import _pfaffian
-from msgkit.polynomials import (BinaryForm, _linear_grid, pdeg, pdivmod, peval, pgcd, pmat_det,
-                                 pmul, proots, ptrim)
+from msgkit.polynomials import (BinaryForm, _linear_grid, pdeg, pdivmod, pgcd, pmat_det, pmul,
+                                 proots, ptrim)
 from msgkit.symplectic import _isotropic_points
 from msgkit.tangent import (PhiKernelElement, _constraint_rows, _coprime_quadratic_minors,
                             _pencil_degeneracy, _pencil_minor_gcd, _pencil_pfaffian,
                             _resultant2, _sampled_points, _verify_seeded_pair)
-from conftest import (DATA_DIR, PRIMES, chart_differential_rank, degenerate_instance,
-                      random_alternating, random_alternating_nonsingular, random_complement,
-                      reference_eigenspaces, reference_pencil_pfaffian)
+from conftest import (DATA_DIR, PRIMES, chart_differential_rank, degenerate_instance, peval,
+                      pfaffian, random_alternating, random_alternating_nonsingular,
+                      random_complement, reference_eigenspaces,
+                      reference_lifted_pencil_pfaffian, reference_pencil_pfaffian)
 
 
 def half_standard_gram(field):
@@ -996,7 +996,7 @@ def test_pencil_pfaffian_squares_to_the_pencil_determinant(pencil):
     assert pmul(F, pf, pf) == pmat_det(F, _linear_grid(M2.neg().rows, M1.rows))
     assert len(pf) <= n // 2 + 1
     for x in range(n // 2 + 1):
-        value = _pfaffian(F, M1.scale(x).add(M2.neg()).rows)
+        value = pfaffian(F, M1.scale(x).add(M2.neg()).rows)
         assert value == peval(F, pf, F.element(x))
         if x == node:
             assert value == 0
@@ -1047,6 +1047,26 @@ def test_small_p_skew_lift_matches_the_field_reference(p, n):
             continue
         rep = check_even_eigenspaces(M1, M2)
         assert (rep.eigenvalues_in_field, rep.nullities) == expected
+
+
+@pytest.mark.parametrize("F", [QQ, PrimeField(3), PrimeField(5), PrimeField(7),
+                               PrimeField(2**31 - 1)], ids=str)
+def test_pencil_pfaffian_over_z_matches_both_field_routes(F):
+    # the integer interpolation gives what interpolating in the field gives, from
+    # the field's own Pfaffians or from those of the lift, at every size up to 10:
+    # random pencils, and planted ones with a repeated eigenvalue and one at a node
+    rng = Random(F.p if F != QQ else 0)
+    for n in range(0, 11, 2):
+        for trial in range(4):
+            if trial == 0 or not n:
+                M1, M2 = random_alternating(F, n, rng), random_alternating(F, n, rng)
+            else:
+                pool = [F.element(trial), F.random(rng)]
+                M1, M2 = _planted_pencil(F, random_invertible(F, n, rng),
+                                         [rng.choice(pool) for _ in range(n // 2)])
+            pf, _, _ = _pencil_pfaffian(M1, M2)
+            assert pf == reference_pencil_pfaffian(M1, M2)
+            assert pf == reference_lifted_pencil_pfaffian(M1, M2)
 
 
 @pytest.mark.parametrize("n", [4, 6, 8])
