@@ -30,7 +30,7 @@ from random import Random
 
 from . import __version__
 from .fields import Field, PrimeField, QQ, _digit_limit_error, _shown, field_from_spec
-from .matrices import Matrix, canonical_alternating, skew_normal_form
+from .matrices import Matrix, _congruent, canonical_alternating, skew_normal_form
 from .numerology import VARIANTS, _rho, rho2_special
 from .symplectic import (
     BudgetExceeded,
@@ -335,8 +335,8 @@ def cmd_normal_form(args) -> int:
     n = M.nrows  # the Schur steps and the re-verification each cost O(n^3)
     _require_budget(n ** 3, f"a normal form of n={n} (n^3 = {n ** 3})", enumeration_budget())
     P, rank = skew_normal_form(M)
-    product = P.transpose().mul(M).mul(P)
-    if product != canonical_alternating(field, M.nrows, rank):
+    canonical = canonical_alternating(field, n, rank)
+    if not _congruent(M, P, canonical):  # P^T M P, recomputed on ints
         raise ArithmeticError("normal form re-verification failed")
     _dump({
         "command": "normal-form",
@@ -344,7 +344,7 @@ def cmd_normal_form(args) -> int:
         "field": field.spec(),
         "input": obj,
         "P": P.encode(),
-        "canonical": product.encode(),
+        "canonical": canonical.encode(),
         "rank": rank,
     }, args)
     return 0

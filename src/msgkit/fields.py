@@ -24,7 +24,7 @@ from ._integers import is_prime
 from ._record import _Record
 
 MAX_PRIME = 2**31
-_RATIONAL_STRING = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
+_RATIONAL_STRING = re.compile(r"([+-]?[0-9]+)(?:/([0-9]+))?")
 _SHOWN = 40  # characters of a rejected input that an error message repeats
 
 
@@ -222,11 +222,12 @@ class RationalField(Field):
         if isinstance(x, str):
             # only what encode writes; Fraction alone would also take "2.5" and
             # "1e100000000", whose integer part has 10^8 digits
-            if not _RATIONAL_STRING.fullmatch(x):
+            m = _RATIONAL_STRING.fullmatch(x)
+            if m is None:
                 raise ValueError(
                     f"rational scalar string must be an integer or 'a/b': {_shown(x)}")
             try:
-                return Fraction(x)
+                return Fraction(int(m[1]), int(m[2] or 1))
             except ZeroDivisionError:
                 raise ValueError(f"rational scalar has zero denominator: {_shown(x)}") from None
             except ValueError:  # the grammar passed, so only the digit limit is left

@@ -6,10 +6,14 @@ first-nonzero pivoting: with exact arithmetic there is nothing numerical
 to stabilize, and a fixed pivot rule keeps every result reproducible.
 ``Matrix(...)`` checks every scalar (``field.element``) and the shape at
 the public boundary; internal code that built canonical scalars itself
-passes ``_trusted=True`` to skip both.
+passes ``_trusted=True`` to skip both, as ``Matrix.decode`` does after
+``field.decode``, keeping only its shape check.
 """
 
 from __future__ import annotations
+
+from fractions import Fraction
+from math import lcm
 
 from ._record import _Record
 from .fields import Field
@@ -158,17 +162,10 @@ class Matrix(_Record):
     # -- structure tests and invariants --------------------------------------
 
     def is_alternating(self) -> bool:
-        """True iff the matrix is skew-symmetric with zero diagonal."""
+        """True iff the matrix is skew-symmetric with zero diagonal, tested on its lift."""
         if not self.is_square():
             raise ValueError("alternating test needs a square matrix")
-        F = self.field
-        for i in range(self.nrows):
-            if self.rows[i][i]:
-                return False
-            for j in range(i + 1, self.nrows):
-                if self.rows[i][j] != F.neg(self.rows[j][i]):
-                    return False
-        return True
+        return _alternating(self.field.lift(self.rows)[2])
 
     def char_poly(self) -> list:
         """Coefficients of det(x*I - M), monic, c[i] = coefficient of x^i.
@@ -196,12 +193,14 @@ class Matrix(_Record):
     def decode(cls, field: Field, obj, ncols: int | None = None) -> "Matrix":
         if not isinstance(obj, list) or any(not isinstance(r, list) for r in obj):
             raise ValueError("matrix JSON must be an array of row arrays")
-        rows = [[field.decode(x) for x in row] for row in obj]
+        rows = [[field.decode(x) for x in row] for row in obj]  # canonical already
         if ncols is None:
             if not rows:
                 raise ValueError("cannot infer column count of an empty matrix")
             ncols = len(rows[0])
-        return cls(field, len(rows), ncols, rows)
+        if any(len(r) != ncols for r in rows):
+            raise ValueError(f"shape mismatch: expected {len(rows)}x{ncols}")
+        return cls(field, len(rows), ncols, rows, _trusted=True)
 
 
 # ---------------------------------------------------------------------------
@@ -246,6 +245,12 @@ def _skew_schur(p: int, G: list):
         d = g
 
 
+def _alternating(G: list) -> bool:
+    """G == -G^T (so a zero diagonal) for a square int matrix: on a field's lift, M alternating,
+    as over Q the lift is D M D with D > 0 and over F_p x below the diagonal is -((-x) mod p)."""
+    return all(a == -b for row, col in zip(G, zip(*G)) for a, b in zip(row, col))
+
+
 def _skew_rank(F: Field, rows) -> int:
     p, _, G = F.lift(rows)
     return 2 * sum(1 for _ in _skew_schur(p, G))  # two per pivot
@@ -272,10 +277,12 @@ def skew_normal_form(M: Matrix) -> tuple[Matrix, int]:
     over the field; every other u_i moves onto their orthogonal complement, so
     no pairing is evaluated from M.  The G[i] / (g d_i) left form the radical.
     """
-    if not M.is_alternating():
-        raise ValueError("skew_normal_form needs an alternating matrix")
+    if not M.is_square():
+        raise ValueError("alternating test needs a square matrix")
     F, n = M.field, M.nrows
     p, D, G = F.lift(M.rows)
+    if not _alternating(G):
+        raise ValueError("skew_normal_form needs an alternating matrix")
     G = [row + [di if j == i else 0 for j in range(n)] for i, (row, di) in enumerate(zip(G, D))]
     chosen, g = [], 1
     for a, b, d, g in _skew_schur(p, G):  # the vectors are the last n columns
@@ -285,6 +292,23 @@ def skew_normal_form(M: Matrix) -> tuple[Matrix, int]:
     radical = [F.quotients(row[-n:], 1, g * di) for row, di in zip(G, D)]
     P = Matrix(F, n, n, chosen + radical, _trusted=True).transpose()
     return P, len(chosen)
+
+
+def _congruent(M: Matrix, P: Matrix, C: Matrix) -> bool:
+    """P^T M P == C, recomputed from M and P on ints.  With M's lift A = D M D,
+    P^T M P = Q^T A Q for Q = D^-1 P, whose column c is q_c / s_c with q_c an int
+    vector; so the test is q_c^T A q_e == s_c s_e C[c][e] (mod p over F_p)."""
+    p, D, A = M.field.lift(M.rows)
+    Q = [[Fraction(x, d) for x, d in zip(col, D)] for col in zip(*P.rows)]
+    S = [lcm(*(x.denominator for x in q)) for q in Q]
+    Q = [[x.numerator * (s // x.denominator) for x in q] for q, s in zip(Q, S)]
+    AQ = [[sum(a * y for a, y in zip(row, q)) for row in A] for q in Q]  # A q_e, by e
+    for q, s, Cc in zip(Q, S, C.rows):
+        for Aq, t, x in zip(AQ, S, Cc):
+            g = sum(a * y for a, y in zip(q, Aq)) - s * t * x
+            if g % p if p else g:
+                return False
+    return True
 
 
 # ---------------------------------------------------------------------------

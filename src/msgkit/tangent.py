@@ -29,7 +29,7 @@ from random import Random
 
 from ._record import _Record
 from .fields import Field
-from .matrices import Matrix, _pfaffian, _skew_rank
+from .matrices import Matrix, _alternating, _pfaffian, _skew_rank
 from .polynomials import (BinaryForm, _linear_grid, binary_form_roots, pdeg, pgcd, pmat_det,
                           proots, ptrim)
 from .symplectic import (
@@ -510,6 +510,8 @@ def _pencil_pfaffian(M1: Matrix, M2: Matrix) -> tuple:
     coefficients Delta^k Pf(0) / k! are integers, and mapped into the field once."""
     F, n = M1.field, M1.nrows
     _, D, A1, A2 = F.lift(M1.rows, M2.rows)
+    if not (_alternating(A1) and _alternating(A2)):
+        raise ValueError("both matrices must be alternating")
     c = [_pfaffian([[x * u - v for u, v in zip(r1, r2)] for r1, r2 in zip(A1, A2)])
          for x in range(n // 2 + 1)]
     for k in range(1, len(c)):  # divided differences, exact over Z
@@ -537,8 +539,6 @@ def check_even_eigenspaces(M1: Matrix, M2: Matrix) -> EigenspaceReport:
         raise ValueError("need two square matrices of equal size")
     if M1.nrows % 2:
         raise ValueError("size must be even")
-    if not (M1.is_alternating() and M2.is_alternating()):
-        raise ValueError("both matrices must be alternating")
     n, F = M1.nrows, M1.field
     pf, A1, A2 = _pencil_pfaffian(M1, M2)
     if len(pf) != n // 2 + 1 or not pf[0]:

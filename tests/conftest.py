@@ -64,6 +64,20 @@ def distinct_denominator_alternating(n, rng, numerators=9):
     return Matrix(QQ, n, n, rows)
 
 
+def reference_is_alternating(M):
+    """The field-level alternation test, kept as the oracle of the lift-based
+    `Matrix.is_alternating`: a zero diagonal and M[i][j] == -M[j][i] above it,
+    compared through the field's own negation (Fractions over Q)."""
+    F = M.field
+    for i in range(M.nrows):
+        if M.rows[i][i]:
+            return False
+        for j in range(i + 1, M.nrows):
+            if M.rows[i][j] != F.neg(M.rows[j][i]):
+                return False
+    return True
+
+
 def random_alternating_nonsingular(field, n, rng):
     while True:
         M = random_alternating(field, n, rng)

@@ -243,6 +243,18 @@ def test_check_point_names_the_pairing_of_the_file_rows(tmp_path):
         2, "", "error: subspace is not isotropic for form 0: <v_1, v_2> = -1\n")
 
 
+@pytest.mark.parametrize("flags", [(), ("-O",)], ids=["plain", "O"])
+def test_check_point_ragged_gram_row_exit2(tmp_path, flags):
+    # Matrix.decode trusts the scalars field.decode returns, but not the row lengths
+    with open(os.path.join(DATA, "degenerate_n4k2.json"), encoding="utf-8") as fh:
+        obj = json.load(fh)
+    obj["forms"][0][2].pop()
+    path = tmp_path / "ragged.json"
+    path.write_text(json.dumps(obj))
+    assert run_cli("check-point", "--input", str(path), flags=flags) == (
+        2, "", "error: shape mismatch: expected 4x4\n")
+
+
 def test_check_point_malformed_json(tmp_path):
     path = tmp_path / "broken.json"
     path.write_text("{not json")
@@ -750,6 +762,53 @@ def test_normal_form_non_alternating_exit2(tmp_path):
     code, _, err = run_cli("normal-form", "--input", str(path))
     assert code == 2
     assert "alternating" in err
+
+
+_REFUSED_MATRICES = {
+    "non_alternating_f7": ({"field": {"kind": "prime", "p": 7},
+                            "matrix": [[0, 1, 2], [6, 0, 3], [5, 4, 1]]},
+                           "error: matrix is not alternating (skew with zero diagonal)\n"),
+    "ragged_q": ({"field": {"kind": "rational"},
+                  "matrix": [[0, "1/2", -3], ["-1/2", 0], [3, -2, 0]]},
+                 "error: shape mismatch: expected 3x3\n"),
+}
+
+
+@pytest.mark.parametrize("flags", [(), ("-O",)], ids=["plain", "O"])
+@pytest.mark.parametrize("name", list(_REFUSED_MATRICES))
+def test_normal_form_refusals_are_one_error_line(tmp_path, name, flags):
+    obj, message = _REFUSED_MATRICES[name]
+    path = tmp_path / "M.json"
+    path.write_text(json.dumps(obj))
+    assert run_cli("normal-form", "--input", str(path), flags=flags) == (2, "", message)
+
+
+_WRONG_NORMAL_FORM = """
+import sys
+from msgkit import Matrix, cli
+normal_form = cli.skew_normal_form
+
+def wrong(M):  # the elimination's P with one entry off, its rank kept
+    P, rank = normal_form(M)
+    rows = P.to_lists()
+    rows[-1][0] = M.field.add(rows[-1][0], M.field.one)
+    return Matrix(M.field, M.nrows, M.ncols, rows), rank
+
+cli.skew_normal_form = wrong
+cli.main(["normal-form", "--input", sys.argv[1]])
+"""
+
+
+@pytest.mark.parametrize("flags", [(), ("-O",)], ids=["plain", "O"])
+@pytest.mark.parametrize("field", [PrimeField(7), QQ], ids=str)
+def test_normal_form_re_verification_is_recomputed_from_m_and_p(tmp_path, field, flags):
+    M = random_alternating(field, 6, Random(5))
+    path = tmp_path / "M.json"
+    path.write_text(json.dumps({"field": field.spec(), "matrix": M.encode()}))
+    proc = subprocess.run([sys.executable, *flags, "-c", _WRONG_NORMAL_FORM, str(path)],
+                          capture_output=True, text=True, timeout=60)
+    assert (proc.returncode, proc.stdout) == (1, "")
+    assert proc.stderr.endswith("ArithmeticError: normal form re-verification failed\n")
 
 
 def _normal_form_inputs():

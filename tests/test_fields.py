@@ -1,7 +1,9 @@
+import sys
 from fractions import Fraction
 from random import Random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from msgkit import QQ, FieldMismatchError, Matrix, PrimeField, field_from_spec
 
@@ -131,3 +133,50 @@ def test_rational_strings_other_than_integers_and_a_over_b_are_value_errors():
         with pytest.raises(ValueError, match="integer or 'a/b'"):
             Matrix(QQ, 1, 1, [[bad]])
     assert [QQ.element(s) for s in ("+3", "007", "-4/8")] == [3, 7, Fraction(-1, 2)]
+
+
+@st.composite
+def _rational_strings(draw):
+    """Strings of the grammar [+-]?[0-9]+(/[0-9]+)?: signs, leading zeros, zero
+    numerators and unreduced fractions, at heights up to 2^200."""
+    def digits():
+        value = draw(st.one_of(st.integers(0, 9), st.integers(0, 2**200)))
+        return "0" * draw(st.integers(0, 3)) + str(value)
+
+    text = draw(st.sampled_from(["", "+", "-"])) + digits()
+    if draw(st.booleans()):
+        denominator = digits()
+        if int(denominator) == 0:
+            denominator += "1"
+        if draw(st.booleans()):  # unreduced: a common factor on both sides
+            k = draw(st.integers(2, 2**64))
+            text = f"{text[0] if text[0] in '+-' else ''}{int(text.lstrip('+-')) * k}"
+            denominator = str(int(denominator) * k)
+        text += "/" + denominator
+    return text
+
+
+@settings(max_examples=400, deadline=None)
+@given(_rational_strings())
+def test_rational_string_parse_matches_fraction(text):
+    # the two integer groups of the grammar's match, not a second parse by Fraction(str)
+    x = QQ.element(text)
+    assert type(x) is Fraction and x == Fraction(text) == QQ.decode(text)
+
+
+def test_rational_string_refusals_keep_their_messages():
+    limit = sys.get_int_max_str_digits()
+    for text in ("1/0", "-0/0", "+00/000"):
+        for parse in (QQ.element, QQ.decode):
+            with pytest.raises(ValueError) as info:
+                parse(text)
+            assert str(info.value) == f"rational scalar has zero denominator: {text!r}"
+    for text in ("1" * (limit + 1), "-" + "7" * (limit + 1), "1/" + "0" * (limit + 1),
+                 "0" * (limit + 1) + "/0", "3/" + "9" * (limit + 1)):
+        for parse in (QQ.element, QQ.decode):
+            with pytest.raises(ValueError) as info:
+                parse(text)
+            assert str(info.value) == (f"rational scalar {text[:40]!r}... ({len(text)} characters)"
+                                       f" exceeds the limit of {limit} digits per integer")
+    assert QQ.element("0" * limit) == 0
+    assert QQ.element("-" + "9" * limit + "/" + "3" * limit) == -3

@@ -1,5 +1,7 @@
 import json
 import os
+import subprocess
+import sys
 from fractions import Fraction
 from itertools import permutations
 from random import Random
@@ -24,12 +26,12 @@ from msgkit import (
     tangent_report,
 )
 from msgkit import _fp, cli
-from msgkit.fields import Field
-from msgkit.matrices import _skew_rank
+from msgkit.fields import Field, PrimeField as PrimeFieldClass, RationalField
+from msgkit.matrices import _congruent, _skew_rank
 from msgkit.polynomials import pmat_det
 from conftest import (DATA_DIR, PRIMES, degenerate_instance, distinct_denominator_alternating,
-                      pfaffian, random_alternating, reference_pfaffian,
-                      reference_skew_normal_form, reference_skew_rank)
+                      pfaffian, random_alternating, reference_is_alternating,
+                      reference_pfaffian, reference_skew_normal_form, reference_skew_rank)
 
 
 # --- rref / rank --------------------------------------------------------------
@@ -145,6 +147,90 @@ def test_alternating_rank_is_even():
             assert M.rank() % 2 == 0
 
 
+def _perturbed_alternating(M, rng):
+    """M and matrices one entry away from it: an entry changed above or below the
+    diagonal, a nonzero diagonal, a symmetric pair; over F_p also M given to
+    Matrix(...) as non-canonical ints, its lower triangle as negatives."""
+    F, n = M.field, M.nrows
+    out = [M]
+    if F == QQ:
+        def nonzero():
+            return Fraction(rng.choice((-1, 1)) * rng.randint(1, 9), rng.choice(PRIMES))
+    else:
+        def nonzero():
+            return rng.randrange(1, F.p)
+    for _ in range(3 if n else 0):
+        i, j = rng.randrange(n), rng.randrange(n)
+        rows = M.to_lists()
+        rows[i][j] = F.add(rows[i][j], nonzero())
+        out.append(Matrix(F, n, n, rows))
+        rows = M.to_lists()
+        rows[j][i] = rows[i][j] = nonzero() if i == j else rows[i][j] or nonzero()
+        out.append(Matrix(F, n, n, rows))
+    if F != QQ:
+        p = F.p
+        out.append(Matrix(F, n, n, [[x + p * rng.randint(-3, 3) for x in row] for row in M.rows]))
+        out.append(Matrix(F, n, n, [[x if i <= j else -M.rows[j][i] for j, x in enumerate(row)]
+                                    for i, row in enumerate(M.rows)]))
+        if n:
+            rows = [[x + p * rng.randint(-3, 3) for x in row] for row in M.rows]
+            rows[n - 1][0] += 1
+            out.append(Matrix(F, n, n, rows))
+    return out
+
+
+@pytest.mark.parametrize("F", [QQ, PrimeField(3), PrimeField(5), PrimeField(2**31 - 1)], ids=str)
+def test_is_alternating_on_the_lift_matches_the_field_reference(F):
+    # the test runs on the field's integer lift; the oracle compares Fractions
+    # (or residues) through the field's negation
+    rng = Random(71)
+    verdicts = []
+    for n in range(9):
+        for _ in range(12):
+            M = distinct_denominator_alternating(n, rng) if F == QQ else random_alternating(F, n, rng)
+            for C in _perturbed_alternating(M, rng):
+                verdicts.append(C.is_alternating())
+                assert verdicts[-1] == reference_is_alternating(C), C
+    assert True in verdicts and False in verdicts
+
+
+_REFUSALS = """
+from msgkit import (QQ, Matrix, PhiKernelElement, PrimeField, SymplecticForm,
+                    canonical_alternating, check_even_eigenspaces, skew_normal_form)
+F5 = PrimeField(5)
+J, I = canonical_alternating(QQ, 4, 4), Matrix.identity(QQ, 4)
+D = Matrix(F5, 2, 2, [[1, 1], [4, 0]])  # skew off the diagonal, 1 on it
+S = Matrix(F5, 2, 2, [[0, 1], [1, 0]])
+calls = [
+    lambda: skew_normal_form(I), lambda: skew_normal_form(D), lambda: skew_normal_form(S),
+    lambda: skew_normal_form(Matrix.zeros(QQ, 2, 3)), lambda: Matrix.zeros(F5, 1, 2).is_alternating(),
+    lambda: check_even_eigenspaces(J, I), lambda: check_even_eigenspaces(I, J),
+    lambda: check_even_eigenspaces(canonical_alternating(F5, 2, 2), S),
+    lambda: SymplecticForm(I), lambda: SymplecticForm(D),
+    lambda: PhiKernelElement([canonical_alternating(QQ, 2, 2), I]),
+    lambda: PhiKernelElement([S]),
+]
+for call in calls:
+    try:
+        call()
+    except ValueError as e:
+        print(f"{type(e).__name__}: {e}")
+"""
+
+
+@pytest.mark.parametrize("flags", [(), ("-O",)], ids=["plain", "optimized"])
+def test_alternation_refusals_keep_their_messages(flags):
+    proc = subprocess.run([sys.executable, *flags, "-c", _REFUSALS],
+                          capture_output=True, text=True, timeout=60)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout.splitlines() == (
+        ["ValueError: skew_normal_form needs an alternating matrix"] * 3
+        + ["ValueError: alternating test needs a square matrix"] * 2
+        + ["ValueError: both matrices must be alternating"] * 3
+        + ["ValueError: Gram matrix must be alternating"] * 2
+        + ["ValueError: coefficient matrices must be alternating"] * 2)
+
+
 # --- skew normal form ----------------------------------------------------------
 
 def test_skew_normal_form_trivial_cases():
@@ -172,6 +258,35 @@ def test_skew_normal_form_remultiplication():
 def test_skew_normal_form_rejects_non_alternating():
     with pytest.raises(ValueError):
         skew_normal_form(Matrix.identity(QQ, 2))
+
+
+@pytest.mark.parametrize("F", [QQ, PrimeField(3), PrimeField(7), PrimeField(2**31 - 1)], ids=str)
+def test_congruence_check_on_ints_matches_the_field_product(F):
+    # `_congruent`, the re-verification of `normal-form`, against P^T M P in the
+    # field: for the normal form, for P with one entry changed, and for a random
+    # P against its own product and that product one entry off
+    rng = Random(73)
+    verdicts = []
+    for n in range(9):
+        for _ in range(4):
+            M = distinct_denominator_alternating(n, rng) if F == QQ else random_alternating(F, n, rng)
+            P, r = skew_normal_form(M)
+            C = canonical_alternating(F, n, r)
+            cases = [(P, C)]
+            R = random_matrix(F, n, n, rng)
+            cases.append((R, R.transpose().mul(M).mul(R)))
+            if n:
+                i, j = rng.randrange(n), rng.randrange(n)
+                rows = P.to_lists()
+                rows[i][j] = F.add(rows[i][j], F.one)
+                cases.append((Matrix(F, n, n, rows), C))
+                rows = cases[1][1].to_lists()
+                rows[i][j] = F.add(rows[i][j], F.one)
+                cases.append((R, Matrix(F, n, n, rows)))
+            for Q, C in cases:
+                verdicts.append(_congruent(M, Q, C))
+                assert verdicts[-1] == (Q.transpose().mul(M).mul(Q) == C)
+    assert True in verdicts and False in verdicts
 
 
 def _reference_skew_normal_form(M):
@@ -396,6 +511,41 @@ def test_matrix_decode_validation():
         Matrix.decode(F, [])
     with pytest.raises(ValueError):
         Matrix.decode(F, [[1, "x"]])
+
+
+def test_matrix_decode_keeps_its_shape_check():
+    # decode trusts field.decode's scalars, not the row lengths
+    for F in (PrimeField(5), QQ):
+        for obj, ncols, shape in (([[1, 2], [3]], None, "2x2"), ([[1], [2, 3]], None, "2x1"),
+                                  ([[0, 1], [-1, 0], [2]], None, "3x2"),
+                                  ([[1, 2], [3, 4]], 3, "2x3"), ([[1, 2, 3]], 2, "1x2"),
+                                  ([[]], 1, "1x1")):
+            with pytest.raises(ValueError) as info:
+                Matrix.decode(F, obj, ncols)
+            assert str(info.value) == f"shape mismatch: expected {shape}"
+        assert Matrix.decode(F, [], 2).shape == (0, 2)
+
+
+def test_matrix_decode_canonicalizes_each_scalar_once(monkeypatch):
+    # Q's decode canonicalizes by `element`; F_p's reduces by itself.  Neither
+    # scalar goes through `element` a second time on its way into the rows.
+    calls = {"element": 0, "decode": 0}
+    for cls in (RationalField, PrimeFieldClass):
+        for name in calls:
+            method = getattr(cls, name)
+
+            def counted(self, x, method=method, name=name):
+                calls[name] += 1
+                return method(self, x)
+
+            monkeypatch.setattr(cls, name, counted)
+    M = Matrix.decode(QQ, [[0, "1/2", "-3/6"], ["-2/4", 7, "+0/5"]])
+    assert calls == {"element": 6, "decode": 6}
+    assert M.rows == ((0, Fraction(1, 2), Fraction(-1, 2)), (Fraction(-1, 2), 7, 0))
+    assert all(type(x) is Fraction for row in M.rows for x in row)
+    calls.update(element=0, decode=0)
+    assert Matrix.decode(PrimeField(5), [[1, -1, 7], [5, 0, 12]]).rows == ((1, 4, 2), (0, 0, 2))
+    assert calls == {"element": 0, "decode": 6}
 
 
 # --- trusted construction ------------------------------------------------------------
