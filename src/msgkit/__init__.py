@@ -39,7 +39,6 @@ from .symplectic import (
     SymplecticForm,
     decode_point,
     derive_seed,
-    encode_point,
     enumerate_isotropic_subspaces,
     enumerate_subspaces,
     enumeration_budget,

@@ -30,8 +30,8 @@ __all__ = [
 
 
 class SingularMatrixError(ValueError):
-    """A square matrix that must be nonsingular is not: raised by `Matrix.inverse`,
-    and by `SymplecticForm` for a degenerate Gram matrix."""
+    """A square matrix that must be nonsingular is not: raised by `SymplecticForm`
+    for a degenerate Gram matrix."""
 
 
 class Matrix(_Record):
@@ -119,15 +119,6 @@ class Matrix(_Record):
                           _trusted=True)
         return Matrix(F, self.nrows, other.ncols, F.matmul(self.rows, other.rows), _trusted=True)
 
-    __matmul__ = mul
-
-    def stack(self, other: "Matrix") -> "Matrix":
-        self.field.require_same(other.field)
-        if self.ncols != other.ncols:
-            raise ValueError("column counts differ")
-        return Matrix(self.field, self.nrows + other.nrows, self.ncols,
-                      self.rows + other.rows, _trusted=True)
-
     # -- elimination --------------------------------------------------------
 
     def rref(self) -> tuple["Matrix", int, tuple[int, ...]]:
@@ -148,16 +139,6 @@ class Matrix(_Record):
         F, n = self.field, self.ncols
         vecs = F.kernel(*F.rref(self.rows), n)
         return Matrix(F, len(vecs), n, vecs, _trusted=True)
-
-    def inverse(self) -> "Matrix":
-        """The right half of the RREF of [A | I]: A is invertible iff its pivots are 0..n-1."""
-        if not self.is_square():
-            raise ValueError("inverse of a non-square matrix")
-        F, n = self.field, self.nrows
-        rows, pivots = F.rref([r + e for r, e in zip(self.rows, Matrix.identity(F, n).rows)])
-        if pivots != tuple(range(n)):
-            raise SingularMatrixError("matrix is singular")
-        return Matrix(F, n, n, [row[n:] for row in rows], _trusted=True)
 
     # -- structure tests and invariants --------------------------------------
 
@@ -251,9 +232,10 @@ def _alternating(G: list) -> bool:
     return all(a == -b for row, col in zip(G, zip(*G)) for a, b in zip(row, col))
 
 
-def _skew_rank(F: Field, rows) -> int:
-    p, _, G = F.lift(rows)
-    return 2 * sum(1 for _ in _skew_schur(p, G))  # two per pivot
+def _skew_rank(p: int, G: list) -> int:
+    """Rank of an alternating int matrix G mod p (over Z if p = 0), which it consumes:
+    two per pivot of `_skew_schur`, whose pivot search reads G's entries as residues."""
+    return 2 * sum(1 for _ in _skew_schur(p, G))
 
 
 def _pfaffian(G: list) -> int:

@@ -461,16 +461,6 @@ def enumerate_isotropic_subspaces(k: int, F: FormSpace):
 # point files
 # ---------------------------------------------------------------------------
 
-def encode_point(F: FormSpace, V: Subspace) -> dict:
-    """The shared JSON input format: field, n, Gram matrices, subspace basis."""
-    return {
-        "field": F.field.spec(),
-        "n": F.dim,
-        "forms": [g.encode() for g in F.grams()],
-        "subspace": V.basis.encode(),
-    }
-
-
 def decode_point(obj: dict) -> tuple[FormSpace, Matrix]:
     """Parse a point file; returns the form space and the raw basis matrix.
 

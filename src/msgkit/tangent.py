@@ -136,7 +136,7 @@ class PointContext:
             complement = default_complement(subspace)
         elif complement.shape != (subspace.n - subspace.k, subspace.n):
             raise ValueError("complement has the wrong shape")
-        elif basis.stack(complement).rank() != subspace.n:
+        elif field.rank(basis.rows + complement.rows) != subspace.n:
             raise ValueError("basis plus complement do not span the ambient space")
         ct = complement.transpose().rows
         restrictions = [field.matmul(BG, ct) for BG in products]
@@ -254,10 +254,6 @@ class PhiKernelElement(_Record):
                 rows[j][i] = field.neg(c)
             mats.append(Matrix(field, k, k, rows, _trusted=True))
         return cls(mats)
-
-    def coefficient(self, i: int, j: int, t: int):
-        """a[i][j][t], 0-based, defined for all i != j by antisymmetry."""
-        return self.matrices[t].entry(i, j)
 
     @property
     def k(self) -> int:
@@ -378,8 +374,6 @@ def _pencil_minor_gcd(F: Field, R1, R2) -> BinaryForm:
                 v = min(v, d - pdeg(minor))
                 if pdeg(g) == 0 and v == 0:
                     return BinaryForm(F, 0, [F.one])
-    if not g:
-        return BinaryForm.zero(F)
     return BinaryForm.from_univariate(F, g, pdeg(g) + v)
 
 
@@ -504,12 +498,12 @@ class EigenspaceReport(_Record):
 
 
 def _pencil_pfaffian(M1: Matrix, M2: Matrix) -> tuple:
-    """Pf(x*M1 - M2), of degree <= n/2, and the rows A1, A2 of the field's lift of M1
-    and M2 on one D: Pf(x*M1 - M2) is Pf(x*A1 - A2) / prod(D).  The integer polynomial
+    """Pf(x*M1 - M2), of degree <= n/2, and p with the rows A1, A2 of the field's lift
+    of M1 and M2 on one D: Pf(x*M1 - M2) is Pf(x*A1 - A2) / prod(D).  The integer polynomial
     Pf(x*A1 - A2) is interpolated over Z from x = 0, 1, ..., n/2 in Newton form, whose
     coefficients Delta^k Pf(0) / k! are integers, and mapped into the field once."""
     F, n = M1.field, M1.nrows
-    _, D, A1, A2 = F.lift(M1.rows, M2.rows)
+    p, D, A1, A2 = F.lift(M1.rows, M2.rows)
     if not (_alternating(A1) and _alternating(A2)):
         raise ValueError("both matrices must be alternating")
     c = [_pfaffian([[x * u - v for u, v in zip(r1, r2)] for r1, r2 in zip(A1, A2)])
@@ -520,7 +514,7 @@ def _pencil_pfaffian(M1: Matrix, M2: Matrix) -> tuple:
     for k in reversed(range(len(c))):  # pf * (x - k) + c[k]
         pf = [a - k * b for a, b in zip([0] + pf, pf + [0])]
         pf[0] += c[k]
-    return ptrim(F.quotients(pf, 1, prod(D))), A1, A2
+    return ptrim(F.quotients(pf, 1, prod(D))), p, A1, A2
 
 
 def check_even_eigenspaces(M1: Matrix, M2: Matrix) -> EigenspaceReport:
@@ -531,8 +525,9 @@ def check_even_eigenspaces(M1: Matrix, M2: Matrix) -> EigenspaceReport:
     lifts).  Its leading coefficient is Pf(M1) and its constant term
     (-1)^(n/2) Pf(M2): both matrices are nonsingular when neither is 0.
     d*I - M2*M1^{-1} = (d*M1 - M2)*M1^{-1} has the nullity of d*M1 - M2, n minus
-    the skew rank of u*A1 - v*A2 on that lift, d = u/v (u = d, v = 1 for an int
-    residue): the parity claim this reports on.  No inverse is formed.
+    the skew rank of u*A1 - v*A2 on that lift (mod p over F_p), d = u/v (u = d,
+    v = 1 for an int residue): the parity claim this reports on.  No inverse is
+    formed, and nothing is lifted twice.
     """
     M1.field.require_same(M2.field)
     if M1.shape != M2.shape or not M1.is_square():
@@ -540,12 +535,15 @@ def check_even_eigenspaces(M1: Matrix, M2: Matrix) -> EigenspaceReport:
     if M1.nrows % 2:
         raise ValueError("size must be even")
     n, F = M1.nrows, M1.field
-    pf, A1, A2 = _pencil_pfaffian(M1, M2)
+    pf, p, A1, A2 = _pencil_pfaffian(M1, M2)
     if len(pf) != n // 2 + 1 or not pf[0]:
         raise ValueError("both matrices must be nonsingular")
     eigenvalues = proots(F, pf)
-    nullities = [n - _skew_rank(F, [[d.numerator * x - d.denominator * y for x, y in zip(r1, r2)]
-                                    for r1, r2 in zip(A1, A2)]) for d in eigenvalues]
+    nullities = []
+    for d in eigenvalues:  # u*A1 - v*A2 on the lift, as residues over F_p
+        u, v = d.numerator, d.denominator
+        G = [[u * x - v * y for x, y in zip(r1, r2)] for r1, r2 in zip(A1, A2)]
+        nullities.append(n - _skew_rank(p, [[x % p for x in row] for row in G] if p else G))
     return EigenspaceReport(tuple(eigenvalues), tuple(nullities),
                             all(nu % 2 == 0 for nu in nullities))
 

@@ -11,6 +11,7 @@ from msgkit import (
     PointContext,
     PrimeField,
     QQ,
+    SingularMatrixError,
     Subspace,
     SymplecticForm,
     random_matrix,
@@ -40,6 +41,36 @@ def golden_compare(name: str, text: str) -> None:
         pytest.fail(f"missing golden {name}; set MSGKIT_REGEN_GOLDEN=1 to record it")
     with open(path, "r", encoding="utf-8") as fh:
         assert fh.read() == text, f"golden mismatch: {name}"
+
+
+def inverse(M):
+    """The right half of the RREF of [M | I]: M is invertible iff its pivots are 0..n-1."""
+    if not M.is_square():
+        raise ValueError("inverse of a non-square matrix")
+    F, n = M.field, M.nrows
+    rows, pivots = F.rref([r + e for r, e in zip(M.rows, Matrix.identity(F, n).rows)])
+    if pivots != tuple(range(n)):
+        raise SingularMatrixError("matrix is singular")
+    return Matrix(F, n, n, [row[n:] for row in rows])
+
+
+def stack(A, B):
+    """The rows of A above the rows of B."""
+    A.field.require_same(B.field)
+    if A.ncols != B.ncols:
+        raise ValueError("column counts differ")
+    return Matrix(A.field, A.nrows + B.nrows, A.ncols, A.rows + B.rows)
+
+
+def encode_point(F, V):
+    """The point-file JSON that `decode_point` and `check-point` read: field, n,
+    Gram matrices, subspace basis."""
+    return {
+        "field": F.field.spec(),
+        "n": F.dim,
+        "forms": [g.encode() for g in F.grams()],
+        "subspace": V.basis.encode(),
+    }
 
 
 def random_alternating(field, n, rng):
@@ -89,7 +120,7 @@ def random_complement(V, rng):
     """A random complement of V; rejection-sampled until the stacked basis is invertible."""
     while True:
         C = random_matrix(V.field, V.n - V.k, V.n, rng)
-        if V.basis.stack(C).rank() == V.n:
+        if stack(V.basis, C).rank() == V.n:
             return C
 
 

@@ -54,11 +54,13 @@ def test_library_writes_private_attributes_only_on_self():
 
 
 def test_every_library_function_has_a_caller():
-    # a name is used when code reads it; words in comments and docstrings
-    # do not count, and neither do imports
+    # a name is used when program code reads it: the library, the demos and
+    # the benchmark; a function or class that only tests/ reaches belongs in
+    # tests/conftest.py.  Words in comments and docstrings do not count, and
+    # neither do imports
     used = set()
-    for _, tree in _parsed("src/msgkit/*.py", "tests/*.py", "demos/*.py",
-                           "perfbench/*.py", "perfbench/tests/*.py"):
+    for _, tree in _parsed("src/msgkit/*.py", "demos/*.py", "perfbench/*.py",
+                           "perfbench/tests/*.py"):
         for node in ast.walk(tree):
             if isinstance(node, ast.Name):
                 used.add(node.id)
@@ -68,7 +70,7 @@ def test_every_library_function_has_a_caller():
     for path, tree in _parsed("src/msgkit/*.py"):
         unused += [f"{os.path.basename(path)}:{node.lineno} {node.name}"
                    for node in ast.walk(tree)
-                   if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+                   if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
                    and not (node.name.startswith("__") and node.name.endswith("__"))
                    and node.name not in used]
     assert unused == []

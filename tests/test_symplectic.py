@@ -23,7 +23,6 @@ from msgkit import (
     decode_point,
     default_complement,
     derive_seed,
-    encode_point,
     enumerate_isotropic_subspaces,
     enumerate_subspaces,
     gaussian_binomial,
@@ -42,8 +41,8 @@ from msgkit import matrices, symplectic
 from msgkit.symplectic import _isotropic_points, _subspace_count
 from msgkit.tangent import (_constraint_rows, _pencil_degeneracy, _pencil_minor_gcd,
                             _seeded_pencil)
-from conftest import (GOLDEN_DIR, chart_differential_rank, golden_compare, isotropic_plane_count,
-                      random_complement)
+from conftest import (GOLDEN_DIR, chart_differential_rank, encode_point, golden_compare,
+                      isotropic_plane_count, random_complement, stack)
 
 
 # --- construction and validation ------------------------------------------------
@@ -260,7 +259,7 @@ def _reference_isotropic_subspace(k, F, rng, retries=64):
             constraint = None
             for G in F.grams():
                 block = span.mul(G)
-                constraint = block if constraint is None else constraint.stack(block)
+                constraint = block if constraint is None else stack(constraint, block)
             kernel = constraint.kernel_basis()
         else:
             kernel = Matrix.identity(field, n)
@@ -588,7 +587,7 @@ def test_point_context_restrictions_match_the_triple_product(n, k, m, p):
     for index, V in enumerate(enumerate_isotropic_subspaces(k, fs)):
         ctx = PointContext(V, fs)
         # the default complement is not rank-checked: it must complete V
-        assert V.basis.stack(default_complement(V)).rank() == n
+        assert stack(V.basis, default_complement(V)).rank() == n
         assert ctx.restrictions == triple(V.basis, ctx.complement)
         if index % 10:
             continue
@@ -605,8 +604,8 @@ def test_subspace_basis_carries_its_own_rref():
     spaces = []
     for F in (PrimeField(3), PrimeField(5), QQ):
         for r in range(5):
-            spaces.append(Subspace.from_span(random_matrix(F, r, 6, rng).stack(
-                Matrix.zeros(F, 1, 6))))  # a zero row: the span drops it
+            spaces.append(Subspace.from_span(stack(  # a zero row: the span drops it
+                random_matrix(F, r, 6, rng), Matrix.zeros(F, 1, 6))))
         fs = random_form_space(6, 2, F, rng)
         spaces += [V for V in (random_isotropic_subspace(k, fs, rng) for k in (1, 2, 3))
                    if V is not None]

@@ -57,10 +57,10 @@ from msgkit.symplectic import _isotropic_points
 from msgkit.tangent import (PhiKernelElement, _constraint_rows, _coprime_quadratic_minors,
                             _pencil_degeneracy, _pencil_minor_gcd, _pencil_pfaffian,
                             _resultant2, _sampled_points, _verify_seeded_pair)
-from conftest import (DATA_DIR, PRIMES, chart_differential_rank, degenerate_instance, peval,
-                      pfaffian, random_alternating, random_alternating_nonsingular,
+from conftest import (DATA_DIR, PRIMES, chart_differential_rank, degenerate_instance, inverse,
+                      peval, pfaffian, random_alternating, random_alternating_nonsingular,
                       random_complement, reference_eigenspaces,
-                      reference_lifted_pencil_pfaffian, reference_pencil_pfaffian)
+                      reference_lifted_pencil_pfaffian, reference_pencil_pfaffian, stack)
 
 
 def half_standard_gram(field):
@@ -248,6 +248,25 @@ def test_point_context_validation():
         PointContext(V, good, basis=Matrix(F, 2, 4, [[0, 0, 1, 0], [0, 0, 0, 1]]))
 
 
+@pytest.mark.parametrize("F", [PrimeField(5), QQ], ids=str)
+def test_point_context_refuses_a_complement_that_does_not_complete_the_basis(F):
+    # a caller's complement is checked for its shape, then ranked with the
+    # working basis; a random complement of V passes both
+    ctx = sample_context(6, 2, 2, F, Random(163))
+    V, fs, rng = ctx.subspace, ctx.forms, Random(167)
+    for _ in range(5):
+        C = random_complement(V, rng)
+        assert PointContext(V, fs, complement=C).complement == C
+        repeated = Matrix(F, 4, 6, [V.basis.rows[rng.randrange(2)]] + list(C.rows[1:]))
+        with pytest.raises(ValueError) as info:
+            PointContext(V, fs, complement=repeated)
+        assert str(info.value) == "basis plus complement do not span the ambient space"
+        for rows in (C.rows[1:], C.rows + V.basis.rows[:1]):
+            with pytest.raises(ValueError) as info:
+                PointContext(V, fs, complement=Matrix(F, len(rows), 6, rows))
+            assert str(info.value) == "complement has the wrong shape"
+
+
 @pytest.mark.parametrize("field", [PrimeField(3), PrimeField(7), QQ], ids=str)
 def test_point_context_names_the_first_non_isotropic_pairing(field):
     # the message carries exactly the (t, i, j, value) of isotropy_failure;
@@ -349,7 +368,7 @@ def test_decode_k2_structure(degenerate_ctx):
     assert ok and len(gens) == 2
     # at k = 2 the generators are v2 (x) eta and -v1 (x) eta for
     # eta = sum_t a[1][2][t] <,>_t
-    eta = [kelem.coefficient(0, 1, 0), kelem.coefficient(0, 1, 1)]
+    eta = [kelem.matrices[0].entry(0, 1), kelem.matrices[1].entry(0, 1)]
     assert gens[0].rows == ((0, 0), (eta[0], eta[1]))
     assert gens[1].rows == ((-eta[0], -eta[1]), (0, 0))
 
@@ -389,7 +408,7 @@ def _check_kernel_soundness(ctx):
         for t in range(ctx.m):
             for i in range(ctx.k):
                 for j in range(i + 1, ctx.k):
-                    flat.append(kelem.coefficient(i, j, t))
+                    flat.append(kelem.matrices[t].entry(i, j))
         vec = Matrix(ctx.field, 1, len(flat), [flat])
         assert vec.mul(C).is_zero()
         _, ok = decode_kernel_element(ctx, kelem)
@@ -504,7 +523,7 @@ def test_tangent_report_is_invariant_under_congruence(F):
     witnessed = 0
     for fs, V in points:
         g = random_invertible(F, fs.dim, rng)
-        g_inv = g.inverse()
+        g_inv = inverse(g)
         a = tangent_report(PointContext(V, fs))
         b = tangent_report(PointContext(Subspace.from_span(V.basis.mul(g_inv)),
                                         _congruent_forms(fs, g)))
@@ -884,7 +903,7 @@ def _inverse_route_eigenspaces(M1, M2):
     """Reference: N = M2*M1^{-1}, the roots of det(x*I - N), and the nullity
     of d*I - N at each; SingularMatrixError when M1 or M2 is singular."""
     F, n = M1.field, M1.nrows
-    N = M2.mul(M1.inverse())
+    N = M2.mul(inverse(M1))
     if M2.rank() != n:
         raise SingularMatrixError("M2 is singular")
     eigenvalues = proots(F, N.char_poly())
@@ -992,7 +1011,7 @@ def _pfaffian_pencils(draw):
 def test_pencil_pfaffian_squares_to_the_pencil_determinant(pencil):
     M1, M2, node = pencil
     F, n = M1.field, M1.nrows
-    pf, _, _ = _pencil_pfaffian(M1, M2)
+    pf, _, _, _ = _pencil_pfaffian(M1, M2)
     assert pmul(F, pf, pf) == pmat_det(F, _linear_grid(M2.neg().rows, M1.rows))
     assert len(pf) <= n // 2 + 1
     for x in range(n // 2 + 1):
@@ -1012,6 +1031,30 @@ def test_even_eigenspaces_read_no_determinant(monkeypatch):
         M1 = random_alternating_nonsingular(F, n, rng)
         M2 = random_alternating_nonsingular(F, n, rng)
         assert check_even_eigenspaces(M1, M2).all_even
+
+
+@pytest.mark.parametrize("F, ds", [
+    (PrimeField(5), [1, 1, 1]),
+    (PrimeField(5), [1, 2, 4]),
+    (PrimeField(2**31 - 1), [3, 3, 2**30]),
+    (QQ, [Fraction(2, 3), Fraction(2, 3), -5]),
+    (QQ, [Fraction(-7, 11), Fraction(13, 2), 1]),
+], ids=str)
+def test_even_eigenspaces_lift_the_pencil_once(monkeypatch, F, ds):
+    # each nullity is ranked on the lift the Pfaffian already took, so a
+    # pencil costs one Field.lift however many eigenvalues it has
+    lift, calls = type(F).lift, []
+
+    def counting(self, *matrices):
+        calls.append(len(matrices))
+        return lift(self, *matrices)
+
+    ds = [F.element(d) for d in ds]
+    M1, M2 = _planted_pencil(F, random_invertible(F, 6, Random(173)), ds)
+    monkeypatch.setattr(type(F), "lift", counting)
+    rep = check_even_eigenspaces(M1, M2)
+    assert calls == [2]
+    assert dict(zip(rep.eigenvalues_in_field, rep.nullities)) == {d: 2 * ds.count(d) for d in ds}
 
 
 def _planted_pencil(F, P, ds):
@@ -1038,7 +1081,7 @@ def test_small_p_skew_lift_matches_the_field_reference(p, n):
             pool = [rng.randrange(p), rng.randrange(p)]
             M1, M2 = _planted_pencil(F, random_invertible(F, n, rng),
                                      [rng.choice(pool) for _ in range(n // 2)])
-        pf, _, _ = _pencil_pfaffian(M1, M2)
+        pf, _, _, _ = _pencil_pfaffian(M1, M2)
         assert pf == reference_pencil_pfaffian(M1, M2)
         expected = reference_eigenspaces(M1, M2)
         if expected is None:
@@ -1064,7 +1107,7 @@ def test_pencil_pfaffian_over_z_matches_both_field_routes(F):
                 pool = [F.element(trial), F.random(rng)]
                 M1, M2 = _planted_pencil(F, random_invertible(F, n, rng),
                                          [rng.choice(pool) for _ in range(n // 2)])
-            pf, _, _ = _pencil_pfaffian(M1, M2)
+            pf, _, _, _ = _pencil_pfaffian(M1, M2)
             assert pf == reference_pencil_pfaffian(M1, M2)
             assert pf == reference_lifted_pencil_pfaffian(M1, M2)
 
@@ -1092,7 +1135,7 @@ def test_planted_rational_pencils_with_distinct_prime_denominators(n):
         assert rep.nullities == tuple(2 * ds.count(d) for d in eigenvalues)
         assert rep.all_even
         assert (rep.eigenvalues_in_field, rep.nullities) == reference_eigenspaces(M1, M2)
-        pf, _, _ = _pencil_pfaffian(M1, M2)
+        pf, _, _, _ = _pencil_pfaffian(M1, M2)
         assert pf == reference_pencil_pfaffian(M1, M2)
 
 
@@ -1226,7 +1269,7 @@ def _planted_pencils(draw):
     others = [i for i in range(n) if i not in (0, 2)]
     while True:
         Q = random_invertible(F, n, rng)
-        Qi = Q.inverse()
+        Qi = inverse(Q)
         block = random_alternating_nonsingular(F, n - 2, rng)
         radical = [[0] * n for _ in range(n)]
         for a, i in enumerate(others):
@@ -1268,7 +1311,7 @@ def test_planted_degenerate_pencils_agree_with_the_point_context_path(planted):
         assert (degeneracy is None) == (gcd.is_constant() and not gcd.is_zero())
         points += 1
         degenerate += degeneracy is not None
-        if Subspace.from_span(V.basis.stack(W.basis)) == V:
+        if Subspace.from_span(stack(V.basis, W.basis)) == V:
             through_w += 1
             assert ((F.one, lam), W) in degeneracy.witnesses
     # W itself at k = 2; at k = 3, W plus each of the p + 1 lines of W^perp / W
