@@ -233,8 +233,11 @@ def _alternating(G: list) -> bool:
 
 
 def _skew_rank(p: int, G: list) -> int:
-    """Rank of an alternating int matrix G mod p (over Z if p = 0), which it consumes:
-    two per pivot of `_skew_schur`, whose pivot search reads G's entries as residues."""
+    """Rank of an alternating int matrix G mod p (over Z if p = 0): two per pivot of
+    `_skew_schur`, on G reduced mod p first, as its pivot search reads residues.  Over Z
+    G itself is consumed."""
+    if p:
+        G = [[x % p for x in row] for row in G]
     return 2 * sum(1 for _ in _skew_schur(p, G))
 
 

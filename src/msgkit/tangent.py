@@ -134,10 +134,12 @@ class PointContext:
                 f"subspace is not isotropic for form {t}: <v_{i + 1}, v_{j + 1}> = {val}")
         if complement is None:
             complement = default_complement(subspace)
-        elif complement.shape != (subspace.n - subspace.k, subspace.n):
-            raise ValueError("complement has the wrong shape")
-        elif field.rank(basis.rows + complement.rows) != subspace.n:
-            raise ValueError("basis plus complement do not span the ambient space")
+        else:
+            field.require_same(complement.field)
+            if complement.shape != (subspace.n - subspace.k, subspace.n):
+                raise ValueError("complement has the wrong shape")
+            if field.rank(basis.rows + complement.rows) != subspace.n:
+                raise ValueError("basis plus complement do not span the ambient space")
         ct = complement.transpose().rows
         restrictions = [field.matmul(BG, ct) for BG in products]
         self.subspace = subspace
@@ -539,11 +541,8 @@ def check_even_eigenspaces(M1: Matrix, M2: Matrix) -> EigenspaceReport:
     if len(pf) != n // 2 + 1 or not pf[0]:
         raise ValueError("both matrices must be nonsingular")
     eigenvalues = proots(F, pf)
-    nullities = []
-    for d in eigenvalues:  # u*A1 - v*A2 on the lift, as residues over F_p
-        u, v = d.numerator, d.denominator
-        G = [[u * x - v * y for x, y in zip(r1, r2)] for r1, r2 in zip(A1, A2)]
-        nullities.append(n - _skew_rank(p, [[x % p for x in row] for row in G] if p else G))
+    nullities = [n - _skew_rank(p, [[d.numerator * x - d.denominator * y for x, y in zip(r1, r2)]
+                                    for r1, r2 in zip(A1, A2)]) for d in eigenvalues]
     return EigenspaceReport(tuple(eigenvalues), tuple(nullities),
                             all(nu % 2 == 0 for nu in nullities))
 

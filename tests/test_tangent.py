@@ -250,10 +250,15 @@ def test_point_context_validation():
 
 @pytest.mark.parametrize("F", [PrimeField(5), QQ], ids=str)
 def test_point_context_refuses_a_complement_that_does_not_complete_the_basis(F):
-    # a caller's complement is checked for its shape, then ranked with the
-    # working basis; a random complement of V passes both
+    # a caller's complement is checked for its field and its shape, then ranked
+    # with the working basis; a random complement of V passes all three
     ctx = sample_context(6, 2, 2, F, Random(163))
     V, fs, rng = ctx.subspace, ctx.forms, Random(167)
+    for other in ([PrimeField(7), QQ] if F != QQ else [PrimeField(5)]):
+        e = Matrix(other, 4, 6, [[int(j == i + 2) for j in range(6)] for i in range(4)])
+        with pytest.raises(FieldMismatchError) as info:
+            PointContext(V, fs, complement=e)
+        assert str(info.value) == f"mixed fields: {F} vs {other}"
     for _ in range(5):
         C = random_complement(V, rng)
         assert PointContext(V, fs, complement=C).complement == C
