@@ -3,7 +3,10 @@ given: `PrimeField` overrides `Field`'s generic row kernels with them."""
 
 from __future__ import annotations
 
+import struct
 from operator import mul as _times
+
+_WORDS = {1: "B", 2: "H", 4: "I", 8: "Q"}  # slot bytes: the struct format that cuts them
 
 
 def draw(rng, p: int, count: int) -> list[int]:
@@ -21,6 +24,24 @@ def mul(p: int, A, B) -> list[list[int]]:
     """A B, one dot product per entry, reduced once; B has at least one row."""
     cols = list(zip(*B))
     return [[sum(map(_times, row, col)) % p for col in cols] for row in A]
+
+
+def multiplier(p: int, B):
+    """A -> A B for a fixed B with at least one row, by Kronecker substitution: each row
+    of B is packed once into an int, a slot per column that holds len(B) (p - 1)^2, the
+    largest dot product, so a row of A B is one int dot product cut into slots mod p."""
+    size = -(-(len(B) * (p - 1) ** 2).bit_length() // 8)
+    size = min((w for w in _WORDS if w >= size), default=size)  # a machine word if one holds it
+    length = size * len(B[0])
+    if size in _WORDS:
+        words = struct.Struct(f"<{len(B[0])}{_WORDS[size]}")
+        pack, cut = lambda row: words.pack(*row), words.unpack
+    else:  # wider than any machine word: cut by byte slices
+        pack = lambda row: b"".join(x.to_bytes(size, "little") for x in row)
+        cut = lambda b: [int.from_bytes(b[i:i + size], "little") for i in range(0, length, size)]
+    packed = [int.from_bytes(pack(row), "little") for row in B]
+    return lambda A: [[y % p for y in cut(sum(map(_times, a, packed)).to_bytes(length, "little"))]
+                      for a in A]
 
 
 def rref(p: int, rows) -> tuple[list[list[int]], tuple[int, ...]]:

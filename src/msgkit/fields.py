@@ -51,7 +51,7 @@ class FieldMismatchError(ValueError):
 class Field(_Record):
     """Common interface; see PrimeField and RationalField.
 
-    The row kernels (draw, matmul, rref, rank, kernel) take and return lists of
+    The row kernels (draw, matmul, multiplier, rref, rank, kernel) take and return lists of
     canonical scalars.  Their bodies here are generic elimination through the
     field calls; PrimeField overrides them with the plain-int `_fp` kernels, so
     this is the one place that picks F_p or generic code.  `lift` and `quotients`
@@ -82,6 +82,10 @@ class Field(_Record):
                     acc = [add(x, mul(a, y)) for x, y in zip(acc, brow)]
             out.append(acc)
         return out
+
+    def multiplier(self, B):
+        """A -> A B for a fixed B with at least one row; PrimeField packs B once."""
+        return lambda A: self.matmul(A, B)
 
     def rref(self, rows) -> tuple[list[list], tuple[int, ...]]:
         """The nonzero rows of the reduced row echelon form and their pivot columns."""
@@ -171,6 +175,9 @@ class PrimeField(Field):
 
     def matmul(self, A, B) -> list[list[int]]:
         return _fp.mul(self.p, A, B)
+
+    def multiplier(self, B):
+        return _fp.multiplier(self.p, B)
 
     def rref(self, rows) -> tuple[list[list[int]], tuple[int, ...]]:
         return _fp.rref(self.p, rows)

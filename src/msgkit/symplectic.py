@@ -253,11 +253,28 @@ class Subspace(_Record):
         return f"Subspace(k={self.k}, n={self.n}, {self.field})"
 
 
-def _point_products(field: Field, B, grams):
-    """(the rows of B G_t per Gram matrix G_t, the first (t, i, j, value) with
-    (B G_t B^T)[i][j] != 0 or None): the one isotropy scan of given and sampled
-    points.  B and each G_t are lists of canonical rows; B may have none (k = 0)."""
-    products = [field.matmul(B, G) for G in grams]
+_LAST_PRODUCTS = (None, None)  # (field, Gram rows) of the last form space, and its map
+
+
+def _gram_products(F: FormSpace):
+    """A -> [A G_1, ..., A G_m] by one product with [G_1 | ... | G_m], packed once by
+    `Field.multiplier` and kept for the last form space by its field and Gram values."""
+    global _LAST_PRODUCTS
+    key = (F.field, tuple(f.gram.rows for f in F.forms))
+    last, products = _LAST_PRODUCTS
+    if key != last:
+        n, times = F.dim, F.field.multiplier([sum(rows, ()) for rows in zip(*key[1])])
+        blocks = [slice(c, c + n) for c in range(0, F.m * n, n)]
+        products = lambda A: [[r[b] for r in AG] for AG in [times(A)] for b in blocks]
+        _LAST_PRODUCTS = key, products
+    return products
+
+
+def _point_products(F: FormSpace, B):
+    """(the rows of B G_t per Gram matrix G_t, by `_gram_products`, and the first
+    (t, i, j, value) with (B G_t B^T)[i][j] != 0 or None): the one isotropy scan of
+    given and sampled points.  B is a list of canonical rows; it may have none (k = 0)."""
+    field, products = F.field, _gram_products(F)(B)
     Bt = list(zip(*B))
     failure = next(((t, i, j, x) for t, BG in enumerate(products)
                     for i, row in enumerate(field.matmul(BG, Bt)) for j, x in enumerate(row)
@@ -274,7 +291,7 @@ def isotropy_failure(V: Subspace, F: FormSpace):
     if V.n != F.dim:
         raise ValueError(f"dimension mismatch: subspace in n={V.n}, forms on n={F.dim}")
     V.field.require_same(F.field)
-    return _point_products(V.field, V.basis.rows, [G.rows for G in F.grams()])[1]
+    return _point_products(F, V.basis.rows)[1]
 
 
 def is_isotropic(V: Subspace, F: FormSpace) -> bool:
@@ -297,7 +314,7 @@ def random_isotropic_subspace(k: int, F: FormSpace, rng: Random) -> Subspace | N
     if not 1 <= k <= n // 2:
         raise ValueError(
             f"isotropic dimension must satisfy 1 <= k <= n/2 = {n // 2}, got {k}")
-    field, grams = F.field, [G.rows for G in F.grams()]
+    field, products = F.field, _gram_products(F)
     span, perp, perp_pivots = [], [], ()
     while True:
         K = field.kernel(perp, perp_pivots, n)
@@ -313,7 +330,7 @@ def random_isotropic_subspace(k: int, F: FormSpace, rng: Random) -> Subspace | N
         span = R
         if len(span) == k:
             return Subspace(Matrix(field, k, n, span, _trusted=True), _pivots=pivots)
-        perp, perp_pivots = field.rref(perp + [field.matmul([v], G)[0] for G in grams])
+        perp, perp_pivots = field.rref(perp + [vG[0] for vG in products([v])])
 
 
 # ---------------------------------------------------------------------------

@@ -73,8 +73,7 @@ def msg_expected_dim(n: int, k: int, m: int) -> int:
 
 
 def _non_pivot_columns(V: Subspace) -> list[int]:
-    pivot_set = set(V.pivots)
-    return [j for j in range(V.n) if j not in pivot_set]
+    return sorted(set(range(V.n)).difference(V.pivots))
 
 
 def _unit_restrictions(V: Subspace, products) -> list:
@@ -99,11 +98,11 @@ class PointContext:
     reported dimensions are provably independent of both choices; kernel
     coordinates are not, which is why the choices are recorded here.
     `restrictions` holds R_t = (B G_t) C^T, one per form, for the working basis
-    B.  B G_t is computed once per form and shared: `_point_products` scans
-    (B G_t) B^T for the isotropy check, so a failure names a pairing of the
-    working basis.  Only a complement the caller passes is rank-checked
-    against the basis: the default one holds the unit rows at the non-pivot
-    columns, which complete any basis of V.
+    B.  B G_t is formed for every form in one product and shared:
+    `_point_products` scans (B G_t) B^T for the isotropy check, so a failure
+    names a pairing of the working basis.  Only a complement the caller passes
+    is rank-checked against the basis: the default one holds the unit rows at
+    the non-pivot columns, which complete any basis of V.
     """
 
     __slots__ = ("subspace", "forms", "basis", "complement", "restrictions")
@@ -127,7 +126,7 @@ class PointContext:
                 raise ValueError("working basis has the wrong shape")
             if Subspace.from_span(basis) != subspace:
                 raise ValueError("working basis does not span the subspace")
-        products, failure = _point_products(field, basis.rows, [G.rows for G in forms.grams()])
+        products, failure = _point_products(forms, basis.rows)
         if failure is not None:
             t, i, j, val = failure
             raise ValueError(
@@ -474,16 +473,9 @@ def tangent_report(ctx: PointContext) -> TangentReport:
     kernel = [PhiKernelElement.from_flat(F, ctx.k, ctx.m, row)
               for row in F.kernel(echelon, pivots, len(rows))]
     degeneracy = find_degenerate_pencil(ctx) if ctx.m == 2 else None
-    return TangentReport(
-        n=ctx.n,
-        k=ctx.k,
-        m=ctx.m,
-        expected_dim=ctx.expected_dim(),
-        tangent_dim=ctx.k * (ctx.n - ctx.k) - rank,
-        phi_rank=rank,
-        phi_kernel=kernel,
-        degeneracy=degeneracy,
-    )
+    return TangentReport(n=ctx.n, k=ctx.k, m=ctx.m, expected_dim=ctx.expected_dim(),
+                         tangent_dim=ctx.k * (ctx.n - ctx.k) - rank, phi_rank=rank,
+                         phi_kernel=kernel, degeneracy=degeneracy)
 
 
 # ---------------------------------------------------------------------------
@@ -652,13 +644,13 @@ def verify_pair(
 
 def _sampled_points(k: int, fs: FormSpace, rng: Random, samples: int):
     """`samples` greedy draws as (pivots, RREF rows, restriction rows) records, stalls
-    skipped.  B G_t is formed once per form by `_point_products`, whose isotropy scan
-    must find nothing, and its non-pivot columns are the default complement's R_t."""
-    field, grams = fs.field, [G.rows for G in fs.grams()]
+    skipped.  B G_t is formed for every form by `_point_products` in one product, with
+    the pencil's packing that the first draw made; its isotropy scan must find nothing,
+    and its non-pivot columns are the default complement's R_t."""
     for _ in range(samples):
         V = random_isotropic_subspace(k, fs, rng)
         if V is not None:
-            products, failure = _point_products(field, V.basis.rows, grams)
+            products, failure = _point_products(fs, V.basis.rows)
             if failure is not None:
                 raise ArithmeticError("a sampled point is not isotropic")
             yield V.pivots, V.basis.rows, _unit_restrictions(V, products)

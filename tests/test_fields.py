@@ -6,6 +6,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from msgkit import QQ, FieldMismatchError, Matrix, PrimeField, field_from_spec
+from msgkit import _fp
+from msgkit.fields import Field
 
 
 def test_inverse_mod_7():
@@ -180,3 +182,49 @@ def test_rational_string_refusals_keep_their_messages():
                                        f" exceeds the limit of {limit} digits per integer")
     assert QQ.element("0" * limit) == 0
     assert QQ.element("-" + "9" * limit + "/" + "3" * limit) == -3
+
+
+# the multiplier's primes: slots of 1, 2, 4 and 8 bytes, and wider than a machine word
+_MULTIPLIER_PRIMES = [3, 5, 7, 251, 257, 65521, 2**31 - 1]
+
+
+@st.composite
+def _multiplier_operands(draw):
+    """(p, A, B): A with 0-5 rows and B with 1-40 rows and columns over F_p, their
+    entries random residues or only 0, 1 and p - 1, which fill every slot to its top."""
+    p = draw(st.sampled_from(_MULTIPLIER_PRIMES))
+    k, r, c = draw(st.integers(0, 5)), draw(st.integers(1, 40)), draw(st.integers(1, 40))
+    rng = Random(draw(st.integers(0, 2**32)))
+    values = range(p) if draw(st.booleans()) else (0, 1, p - 1)
+    matrix = lambda rows, cols: [[rng.choice(values) for _ in range(cols)] for _ in range(rows)]
+    return p, matrix(k, r), matrix(r, c)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_multiplier_operands())
+def test_prime_field_multiplier_matches_the_dot_products_and_the_generic_matmul(operands):
+    p, A, B = operands
+    F = PrimeField(p)
+    assert F.multiplier(B)(A) == _fp.mul(p, A, B) == Field.matmul(F, A, B)
+
+
+@pytest.mark.parametrize("p", [2**31 - 1, 65521, 3])
+def test_multiplier_at_the_largest_dot_products(p):
+    # every entry p - 1: each slot holds exactly len(B) (p - 1)^2; at p = 2^31 - 1 and
+    # 8 rows that needs 66 bits, so the slots are cut as byte slices, not machine words
+    for r in (1, 2, 7, 8, 40):
+        A, B = [[p - 1] * r] * 3, [[p - 1] * 5] * r
+        expected = [[r * (p - 1) ** 2 % p] * 5] * 3
+        assert PrimeField(p).multiplier(B)(A) == _fp.mul(p, A, B) == expected
+    assert (8 * (2**31 - 2) ** 2).bit_length() > 64
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 5), st.integers(1, 12), st.integers(1, 12), st.integers(0, 2**32))
+def test_rational_multiplier_matches_fraction_dot_products(k, r, c, seed):
+    rng = Random(seed)
+    A = [[QQ.random(rng) for _ in range(r)] for _ in range(k)]
+    B = [[QQ.random(rng) for _ in range(c)] for _ in range(r)]
+    expected = [[sum((a * b for a, b in zip(row, col)), Fraction(0)) for col in zip(*B)]
+                for row in A]
+    assert QQ.multiplier(B)(A) == QQ.matmul(A, B) == expected

@@ -53,27 +53,68 @@ def test_library_writes_private_attributes_only_on_self():
     assert found == []
 
 
+def _definitions(tree):
+    """(line, name) of every function and class in `tree`, and of every class-body
+    alias `name = method` of a function defined in the same class body: an alias is
+    one more name, and it needs a caller of its own."""
+    functions = (ast.FunctionDef, ast.AsyncFunctionDef)
+    for node in ast.walk(tree):
+        if isinstance(node, (*functions, ast.ClassDef)):
+            yield node.lineno, node.name
+        if isinstance(node, ast.ClassDef):
+            methods = {stmt.name for stmt in node.body if isinstance(stmt, functions)}
+            yield from ((target.lineno, target.id) for stmt in node.body
+                        if isinstance(stmt, ast.Assign) and isinstance(stmt.value, ast.Name)
+                        and stmt.value.id in methods
+                        for target in stmt.targets if isinstance(target, ast.Name))
+
+
+def _uncalled(library, callers):
+    """`file:line name` of each definition in the `library` files, dunder names
+    aside, that no `callers` file reads.  A name is read by an `ast.Name` or an
+    attribute that is loaded, not assigned; words in comments and docstrings do
+    not count, nor do imports."""
+    used = set()
+    for _, tree in _parsed(*callers):
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                used.add(node.attr)
+    return [f"{os.path.basename(path)}:{line} {name}"
+            for path, tree in _parsed(*library) for line, name in _definitions(tree)
+            if not (name.startswith("__") and name.endswith("__")) and name not in used]
+
+
 def test_every_library_function_has_a_caller():
     # a name is used when program code reads it: the library, the demos and
-    # the benchmark; a function or class that only tests/ reaches belongs in
-    # tests/conftest.py.  Words in comments and docstrings do not count, and
-    # neither do imports
-    used = set()
-    for _, tree in _parsed("src/msgkit/*.py", "demos/*.py", "perfbench/*.py",
-                           "perfbench/tests/*.py"):
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Name):
-                used.add(node.id)
-            elif isinstance(node, ast.Attribute):
-                used.add(node.attr)
-    unused = []
-    for path, tree in _parsed("src/msgkit/*.py"):
-        unused += [f"{os.path.basename(path)}:{node.lineno} {node.name}"
-                   for node in ast.walk(tree)
-                   if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
-                   and not (node.name.startswith("__") and node.name.endswith("__"))
-                   and node.name not in used]
-    assert unused == []
+    # the benchmark; a function, class or class-body alias that only tests/
+    # reaches belongs in tests/conftest.py
+    assert _uncalled(["src/msgkit/*.py"], ["src/msgkit/*.py", "demos/*.py", "perfbench/*.py",
+                                            "perfbench/tests/*.py"]) == []
+
+
+def test_the_caller_scan_reports_a_class_body_alias_nothing_reads(tmp_path):
+    # `alias = method` names the method a second time; the alias is reported
+    # when nothing reads it, as a def would be, and it counts as the method's
+    # reader when it is read; a dunder alias and a plain class constant are not
+    # definitions
+    library, caller = tmp_path / "planted.py", tmp_path / "caller.py"
+    library.write_text("class Thing:\n"
+                       "    size = 3\n"
+                       "\n"
+                       "    def method(self):\n"
+                       "        return self.size\n"
+                       "\n"
+                       "    alias = method\n"
+                       "    __call__ = method\n", encoding="utf-8")
+    files = [str(library), str(caller)]
+    caller.write_text("print(Thing().method())\n", encoding="utf-8")
+    assert _uncalled([str(library)], files) == ["planted.py:7 alias"]
+    caller.write_text("print(Thing().alias())\n", encoding="utf-8")
+    assert _uncalled([str(library)], files) == []
+    caller.write_text("print(Thing)\n", encoding="utf-8")
+    assert _uncalled([str(library)], files) == ["planted.py:7 alias"]
 
 
 def test_sampling_seed_constant_is_written_once():

@@ -1422,26 +1422,37 @@ def test_given_and_sampled_points_share_one_isotropy_scan(monkeypatch, F):
 
 @pytest.mark.parametrize("F", [PrimeField(3), QQ], ids=str)
 def test_a_working_basis_forms_each_product_once(monkeypatch, F):
-    # B G_t is formed once per form, for the working basis B, and shared by the
-    # isotropy scan and the restrictions, with the default or a given complement
+    # B G_t is formed for every form at once, by one application of the stacked
+    # Gram multiplier to the working basis B, and shared by the isotropy scan and
+    # the restrictions, with the default or a given complement; no matmul takes
+    # an n x n right factor
     rng = Random(151)
     ctx = sample_context(6, 2, 2, F, rng)
     V, fs, n = ctx.subspace, ctx.forms, ctx.n
     B = random_invertible(F, 2, rng).mul(V.basis)
     C = random_complement(V, rng)
-    left = []  # the left factor of each product by an n x n Gram matrix
-    matmul = type(F).matmul
+    left = []  # the left factor of each multiplier application
+    multiplier, matmul = type(F).multiplier, type(F).matmul
 
-    def counting(self, A, X):
-        if len(X) == n and len(X[0]) == n:
+    def counting(self, X):
+        times = multiplier(self, X)
+
+        def apply(A):
             left.append(tuple(map(tuple, A)))
+            return times(A)
+        return apply
+
+    def no_square(self, A, X):
+        assert not (len(X) == n and len(X[0]) == n), "a product by an n x n matrix"
         return matmul(self, A, X)
 
-    monkeypatch.setattr(type(F), "matmul", counting)
+    monkeypatch.setattr(type(F), "multiplier", counting)
+    monkeypatch.setattr(type(F), "matmul", no_square)
+    monkeypatch.setattr(symplectic, "_LAST_PRODUCTS", (None, None))  # pack under the wrapper
     for basis, complement in ((None, None), (B, None), (B, C)):
         del left[:]
         ctx = PointContext(V, fs, complement=complement, basis=basis)
-        assert left == [ctx.basis.rows] * fs.m
+        assert left == [ctx.basis.rows]
 
 
 _NON_ISOTROPIC_DRAW = """
