@@ -211,7 +211,7 @@ def test_prime_field_multiplier_matches_the_dot_products_and_the_generic_matmul(
 @pytest.mark.parametrize("p", [2**31 - 1, 65521, 3])
 def test_multiplier_at_the_largest_dot_products(p):
     # every entry p - 1: each slot holds exactly len(B) (p - 1)^2; at p = 2^31 - 1 and
-    # 8 rows that needs 66 bits, so the slots are cut as byte slices, not machine words
+    # 8 rows that needs 65 bits, so the slots are cut as byte slices, not machine words
     for r in (1, 2, 7, 8, 40):
         A, B = [[p - 1] * r] * 3, [[p - 1] * 5] * r
         expected = [[r * (p - 1) ** 2 % p] * 5] * 3

@@ -95,10 +95,9 @@ def test_every_library_function_has_a_caller():
 
 
 def test_the_caller_scan_reports_a_class_body_alias_nothing_reads(tmp_path):
-    # `alias = method` names the method a second time; the alias is reported
-    # when nothing reads it, as a def would be, and it counts as the method's
-    # reader when it is read; a dunder alias and a plain class constant are not
-    # definitions
+    # `alias = method` names the method a second time: the alias is reported
+    # when nothing reads it, as a def would be, and the method counts as read
+    # through it; a dunder alias and a plain class constant are not definitions
     library, caller = tmp_path / "planted.py", tmp_path / "caller.py"
     library.write_text("class Thing:\n"
                        "    size = 3\n"
