@@ -73,7 +73,8 @@ def msg_expected_dim(n: int, k: int, m: int) -> int:
 
 
 def _non_pivot_columns(V: Subspace) -> list[int]:
-    return sorted(set(range(V.n)).difference(V.pivots))
+    pivot_set = set(V.pivots)
+    return [j for j in range(V.n) if j not in pivot_set]
 
 
 def _unit_restrictions(V: Subspace, products) -> list:
@@ -473,9 +474,16 @@ def tangent_report(ctx: PointContext) -> TangentReport:
     kernel = [PhiKernelElement.from_flat(F, ctx.k, ctx.m, row)
               for row in F.kernel(echelon, pivots, len(rows))]
     degeneracy = find_degenerate_pencil(ctx) if ctx.m == 2 else None
-    return TangentReport(n=ctx.n, k=ctx.k, m=ctx.m, expected_dim=ctx.expected_dim(),
-                         tangent_dim=ctx.k * (ctx.n - ctx.k) - rank, phi_rank=rank,
-                         phi_kernel=kernel, degeneracy=degeneracy)
+    return TangentReport(
+        n=ctx.n,
+        k=ctx.k,
+        m=ctx.m,
+        expected_dim=ctx.expected_dim(),
+        tangent_dim=ctx.k * (ctx.n - ctx.k) - rank,
+        phi_rank=rank,
+        phi_kernel=kernel,
+        degeneracy=degeneracy,
+    )
 
 
 # ---------------------------------------------------------------------------

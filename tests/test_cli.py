@@ -446,25 +446,33 @@ def test_scan_builds_no_point_context_or_report(monkeypatch, capsys):
 
 
 _SAMPLED_GOLDENS = [
-    ("verify_sampled_n8_k3_p3_pairs2_seed5.json",
+    ("verify_sampled_n8_k3_p3_pairs2_seed5.json", 0,
      ("verify", "--scope", "sampled", "--n", "8", "--k", "3", "--p", "3", "--pairs", "2",
       "--samples", "40", "--seed", "5")),
-    ("verify_sampled_n8_k2_p2147483647_pairs2_seed5.json",
+    ("verify_sampled_n8_k2_p2147483647_pairs2_seed5.json", 0,
      ("verify", "--scope", "sampled", "--n", "8", "--k", "2", "--p", "2147483647",
       "--pairs", "2", "--samples", "20", "--seed", "5")),
-    ("scan_n8_k2_m2_p2147483647_seed5.json",
+    ("scan_n8_k2_m2_p2147483647_seed5.json", 0,
      ("scan", "--n", "8", "--k", "2", "--m", "2", "--p", "2147483647", "--samples", "40",
       "--seed", "5")),
+    # with a fault injected every point is a mismatch, whose record holds its basis
+    ("verify_sampled_n8_k3_p3_pairs2_seed5_fault.json", 1,
+     ("verify", "--scope", "sampled", "--n", "8", "--k", "3", "--p", "3", "--pairs", "2",
+      "--samples", "10", "--seed", "5", "--inject-fault")),
+    ("verify_sampled_n8_k2_p2147483647_pairs2_seed5_fault.json", 1,
+     ("verify", "--scope", "sampled", "--n", "8", "--k", "2", "--p", "2147483647",
+      "--pairs", "2", "--samples", "6", "--seed", "5", "--inject-fault")),
 ]
 
 
 @pytest.mark.parametrize("workers", ["1", "2"])
-@pytest.mark.parametrize("name,argv", _SAMPLED_GOLDENS, ids=[g[0][:-5] for g in _SAMPLED_GOLDENS])
-def test_sampled_goldens_at_one_and_two_workers(name, argv, workers):
+@pytest.mark.parametrize("name,status,argv", _SAMPLED_GOLDENS,
+                         ids=[g[0][:-5] for g in _SAMPLED_GOLDENS])
+def test_sampled_goldens_at_one_and_two_workers(name, status, argv, workers):
     # the sampler's points and the products at them, at a small and at the
     # largest admitted prime, pinned by bytes recorded before the packed kernel
     code, out, _ = run_cli(*argv, "--workers", workers)
-    assert code == 0
+    assert code == status
     golden_compare(name, out)
 
 
