@@ -364,10 +364,14 @@ def _require_budget(size: int, what: str, budget: int) -> None:
             f"{what} exceeds the budget of {budget} (raise MSGKIT_BUDGET to override)")
 
 
+def _non_pivot_columns(n: int, pivots: tuple[int, ...]) -> list[int]:
+    return [j for j in range(n) if j not in pivots]
+
+
 def _free_columns(n: int, pivots: tuple[int, ...]) -> list[list[int]]:
-    """Per echelon row, the columns right of its pivot that hold no pivot."""
-    pivot_set = set(pivots)
-    return [[j for j in range(pc + 1, n) if j not in pivot_set] for pc in pivots]
+    """Per echelon row, the non-pivot columns right of its pivot."""
+    cols = _non_pivot_columns(n, pivots)
+    return [[j for j in cols if j > pc] for pc in pivots]
 
 
 def enumerate_subspaces(n: int, k: int, field: Field):
@@ -453,7 +457,7 @@ def _isotropic_points(k: int, F: FormSpace):
 
     def generate():
         for pivots in itertools.combinations(range(n), k):
-            cols = [j for j in range(n) if j not in pivots]
+            cols = _non_pivot_columns(n, pivots)
             yield from extend(pivots, _free_columns(n, pivots), cols, [], [], [[]] * len(grams))
 
     return generate()

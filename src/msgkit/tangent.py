@@ -36,6 +36,7 @@ from .symplectic import (
     FormSpace,
     Subspace,
     _isotropic_points,
+    _non_pivot_columns,
     _point_products,
     derive_seed,
     random_independent_pair,
@@ -72,14 +73,9 @@ def msg_expected_dim(n: int, k: int, m: int) -> int:
     return k * (n - k) - m * (k * (k - 1) // 2)
 
 
-def _non_pivot_columns(V: Subspace) -> list[int]:
-    pivot_set = set(V.pivots)
-    return [j for j in range(V.n) if j not in pivot_set]
-
-
 def _unit_restrictions(V: Subspace, products) -> list:
     """Each form's B G_t at the non-pivot columns of V: R_t for `default_complement`."""
-    free = _non_pivot_columns(V)
+    free = _non_pivot_columns(V.n, V.pivots)
     return [[[row[j] for j in free] for row in BG] for BG in products]
 
 
@@ -87,7 +83,7 @@ def default_complement(V: Subspace) -> Matrix:
     """Identity rows at the non-pivot columns of the RREF basis."""
     F = V.field
     return Matrix(F, V.n - V.k, V.n, [[F.one if c == j else F.zero for c in range(V.n)]
-                                      for j in _non_pivot_columns(V)], _trusted=True)
+                                      for j in _non_pivot_columns(V.n, V.pivots)], _trusted=True)
 
 
 class PointContext:

@@ -6,7 +6,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from msgkit import QQ, FieldMismatchError, Matrix, PrimeField, field_from_spec
-from msgkit import _fp
 from msgkit.fields import Field
 
 
@@ -205,17 +204,18 @@ def _multiplier_operands(draw):
 def test_prime_field_multiplier_matches_the_dot_products_and_the_generic_matmul(operands):
     p, A, B = operands
     F = PrimeField(p)
-    assert F.multiplier(B)(A) == _fp.mul(p, A, B) == Field.matmul(F, A, B)
+    assert F.multiplier(B)(A) == F.matmul(A, B) == Field.matmul(F, A, B)
 
 
 @pytest.mark.parametrize("p", [2**31 - 1, 65521, 3])
 def test_multiplier_at_the_largest_dot_products(p):
     # every entry p - 1: each slot holds exactly len(B) (p - 1)^2; at p = 2^31 - 1 and
     # 8 rows that needs 65 bits, so the slots are cut as byte slices, not machine words
+    F = PrimeField(p)
     for r in (1, 2, 7, 8, 40):
         A, B = [[p - 1] * r] * 3, [[p - 1] * 5] * r
         expected = [[r * (p - 1) ** 2 % p] * 5] * 3
-        assert PrimeField(p).multiplier(B)(A) == _fp.mul(p, A, B) == expected
+        assert F.multiplier(B)(A) == F.matmul(A, B) == expected
     assert (8 * (2**31 - 2) ** 2).bit_length() > 64
 
 

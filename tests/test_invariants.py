@@ -73,16 +73,21 @@ def _uncalled(library, callers):
     """`file:line name` of each definition in the `library` files, dunder names
     aside, that no `callers` file reads.  A name is read by an `ast.Name` or an
     attribute that is loaded, not assigned; words in comments and docstrings do
-    not count, nor do imports."""
-    used = set()
-    for _, tree in _parsed(*callers):
+    not count, nor do imports.  A `self.<name>` load outside the `library` files
+    reads that file's own attribute, not a library name: a caller class's
+    `self.stack` is no read of `Matrix.stack`."""
+    library = list(_parsed(*library))
+    library_paths, used = {path for path, _ in library}, set()
+    for path, tree in _parsed(*callers):
+        own = path in library_paths
         for node in ast.walk(tree):
             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
                 used.add(node.id)
-            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load) and (
+                    own or not (isinstance(node.value, ast.Name) and node.value.id == "self")):
                 used.add(node.attr)
     return [f"{os.path.basename(path)}:{line} {name}"
-            for path, tree in _parsed(*library) for line, name in _definitions(tree)
+            for path, tree in library for line, name in _definitions(tree)
             if not (name.startswith("__") and name.endswith("__")) and name not in used]
 
 
@@ -97,7 +102,8 @@ def test_every_library_function_has_a_caller():
 def test_the_caller_scan_reports_a_class_body_alias_nothing_reads(tmp_path):
     # `alias = method` names the method a second time: the alias is reported
     # when nothing reads it, as a def would be, and the method counts as read
-    # through it; a dunder alias and a plain class constant are not definitions
+    # through it; a dunder alias and a plain class constant are not definitions,
+    # and a caller's `self.alias` reads its own attribute, not the library's
     library, caller = tmp_path / "planted.py", tmp_path / "caller.py"
     library.write_text("class Thing:\n"
                        "    size = 3\n"
@@ -113,6 +119,14 @@ def test_the_caller_scan_reports_a_class_body_alias_nothing_reads(tmp_path):
     caller.write_text("print(Thing().alias())\n", encoding="utf-8")
     assert _uncalled([str(library)], files) == []
     caller.write_text("print(Thing)\n", encoding="utf-8")
+    assert _uncalled([str(library)], files) == ["planted.py:7 alias"]
+    caller.write_text("class Tracer:\n"
+                      "    alias = 0\n"
+                      "\n"
+                      "    def run(self):\n"
+                      "        return self.alias\n"
+                      "\n"
+                      "print(Thing().method(), Tracer().run())\n", encoding="utf-8")
     assert _uncalled([str(library)], files) == ["planted.py:7 alias"]
 
 
@@ -154,24 +168,6 @@ def test_library_imports_only_what_it_reads():
                    for alias in node.names
                    if (alias.asname or alias.name).split(".")[0] not in read]
     assert unread == []
-
-
-def test_only_the_fields_module_imports_the_fp_kernels():
-    # PrimeField's row kernels are the one place that picks F_p code over
-    # generic elimination; a second importer of `_fp` is a second such place
-    importers = set()
-    for path, tree in _parsed("src/msgkit/*.py"):
-        for node in ast.walk(tree):
-            if isinstance(node, ast.ImportFrom):
-                base = ".".join(filter(None, ["msgkit" if node.level else "", node.module]))
-                names = [base] + [f"{base}.{alias.name}" for alias in node.names]
-            elif isinstance(node, ast.Import):
-                names = [alias.name for alias in node.names]
-            else:
-                continue
-            if "msgkit._fp" in names:
-                importers.add(os.path.basename(path))
-    assert sorted(importers) == ["fields.py"]
 
 
 def test_only_the_budget_reads_the_environment():

@@ -25,7 +25,7 @@ from msgkit import (
     standard_form,
     tangent_report,
 )
-from msgkit import _fp, cli
+from msgkit import cli
 from msgkit.fields import Field, PrimeField as PrimeFieldClass, RationalField
 from msgkit.matrices import _congruent, _skew_rank
 from msgkit.polynomials import pmat_det
@@ -720,12 +720,12 @@ def test_rank_matches_the_rref_pivot_count(M):
     assert all(T.rows[j][i] == x for i, row in enumerate(M.rows) for j, x in enumerate(row))
     assert M.rank() == M.rref()[1] == T.rank()
     if M.field != QQ:  # the F_p rank that `Matrix.rank` and the verify core share
-        assert _fp.rank(M.field.p, M.rows) == M.rref()[1]
+        assert M.field.rank(M.rows) == M.rref()[1]
 
 
 class _FieldCalls(Field):
     """F_p through field calls alone.  It is no `PrimeField`, so it takes
-    `Field`'s generic kernels (elimination and product): the oracle for `_fp`."""
+    `Field`'s generic kernels (elimination and product): the oracle for `PrimeField`'s."""
 
     __slots__ = ("p",)
     zero, one = 0, 1
@@ -753,12 +753,12 @@ class _FieldCalls(Field):
 @given(_rank_cases())
 def test_fp_kernels_match_the_field_call_path(M):
     assume(M.field != QQ)
-    p, m, n = M.field.p, M.nrows, M.ncols
+    F, p, m, n = M.field, M.field.p, M.nrows, M.ncols
     boxed = Matrix(_FieldCalls(p), m, n, M.rows, _trusted=True)
     R, rank, pivots = boxed.rref()
-    assert _fp.rref(p, M.rows) == ([list(r) for r in R.rows[:rank]], pivots)
+    assert F.rref(M.rows) == ([list(r) for r in R.rows[:rank]], pivots)
     assert M.rref()[0].rows == R.rows and M.rref()[1:] == (rank, pivots)
-    assert _fp.rank(p, M.rows) == rank
+    assert F.rank(M.rows) == rank
     kernel = boxed.kernel_basis().rows
     assert M.kernel_basis().rows == kernel
     # M M^T, and M^T M, whose right factor has no rows when M has none
@@ -767,7 +767,7 @@ def test_fp_kernels_match_the_field_call_path(M):
             Matrix(boxed.field, B.nrows, B.ncols, B.rows, _trusted=True)).rows
         assert A.mul(B).rows == product
         if B.nrows:
-            assert _fp.mul(p, A.rows, B.rows) == [list(r) for r in product]
+            assert F.matmul(A.rows, B.rows) == [list(r) for r in product]
 
 
 @pytest.mark.parametrize("p", [3, 5, 7, 2**31 - 1])
@@ -778,5 +778,5 @@ def test_fp_draw_is_the_randrange_stream(p):
     for seed in range(20):
         ours, ref = Random(seed), Random(seed)
         for count in (0, 1, 7, 64, 300):
-            assert _fp.draw(ours, p, count) == [ref.randrange(p) for _ in range(count)]
+            assert PrimeField(p).draw(ours, count) == [ref.randrange(p) for _ in range(count)]
             assert ours.getstate() == ref.getstate()

@@ -49,7 +49,7 @@ from msgkit import (
     verify_pair,
     verify_thm_equivalence,
 )
-from msgkit import symplectic, tangent
+from msgkit import cli, symplectic, tangent
 from msgkit._record import _Record
 from msgkit.polynomials import (BinaryForm, _linear_grid, pdeg, pdivmod, pgcd, pmat_det, pmul,
                                  proots, ptrim)
@@ -1393,6 +1393,27 @@ def test_sampled_points_build_no_point_context(monkeypatch, n, k):
     assert (points, len(contexts)) == (len(drawn), 0)
     if k == 3:
         assert len(minors) < len(drawn)
+
+
+def test_a_sampled_pencil_packs_its_stacked_gram_rows_once(monkeypatch):
+    # the n x m n Gram rows [G_1 | G_2] are packed at a pencil's first draw and the
+    # packing serves every later draw and point: once per sampled verify pair, and
+    # once per scan sample, whose sampler and check share one fresh pencil
+    n, F, shapes = 8, PrimeField(3), []
+    multiplier = PrimeField.multiplier
+
+    def counting(self, B):
+        shapes.append((len(B), len(B[0])))
+        return multiplier(self, B)
+
+    monkeypatch.setattr(PrimeField, "multiplier", counting)
+    monkeypatch.setattr(symplectic, "_LAST_PRODUCTS", (None, None))  # pack under the wrapper
+    points, _ = verify_pair(tangent._seeded_pencil(n, F, 0, 0), 3, scope="sampled",
+                            rng=Random(5), samples=20)
+    assert points > 1 and shapes.count((n, 2 * n)) == 1
+    del shapes[:]
+    assert cli._scan_sample(F, n, 3, 2, 1, 0) is not None
+    assert shapes.count((n, 2 * n)) == 1
 
 
 @pytest.mark.parametrize("F", [PrimeField(3), QQ], ids=str)
