@@ -476,6 +476,16 @@ def test_sampled_goldens_at_one_and_two_workers(name, status, argv, workers):
     golden_compare(name, out)
 
 
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_exhaustive_k3_fault_golden_at_one_and_two_workers(workers):
+    # every isotropic point of two n = 6, k = 3 pencils is a mismatch, so the bytes pin
+    # each point the walk yields, middle rows included, with its degeneracy
+    code, out, _ = run_cli("verify", "--n", "6", "--k", "3", "--p", "3", "--pairs", "2",
+                           "--seed", "9", "--inject-fault", "--workers", workers)
+    assert code == 1
+    golden_compare("verify_n6_k3_p3_pairs2_seed9_fault.json", out)
+
+
 def test_rational_scan_bytes_agree_across_workers():
     # pool workers compute over an unpickled copy of QQ, not QQ itself
     args = ("scan", "--n", "4", "--k", "2", "--m", "2", "--field", "rational",
