@@ -253,20 +253,20 @@ class Subspace(_Record):
         return f"Subspace(k={self.k}, n={self.n}, {self.field})"
 
 
-_LAST_PRODUCTS = (None, None)  # (field, Gram rows) of the last form space, and its map
+_LAST_PRODUCTS = (None, None)  # the last form space object and its map
 
 
 def _gram_products(F: FormSpace):
     """A -> [A G_1, ..., A G_m] by one product with [G_1 | ... | G_m], packed once by
-    `Field.multiplier` and kept for the last form space by its field and Gram values."""
+    `Field.multiplier` and kept for the last form space object."""
     global _LAST_PRODUCTS
-    key = (F.field, tuple(f.gram.rows for f in F.forms))
     last, products = _LAST_PRODUCTS
-    if key != last:
-        n, times = F.dim, F.field.multiplier([sum(rows, ()) for rows in zip(*key[1])])
+    if F is not last:
+        n, grams = F.dim, [f.gram.rows for f in F.forms]
+        times = F.field.multiplier([sum(rows, ()) for rows in zip(*grams)])
         blocks = [slice(c, c + n) for c in range(0, F.m * n, n)]
         products = lambda A: [[r[b] for r in AG] for AG in [times(A)] for b in blocks]
-        _LAST_PRODUCTS = key, products
+        _LAST_PRODUCTS = F, products
     return products
 
 
@@ -429,10 +429,10 @@ def _isotropic_points(k: int, F: FormSpace):
     """`enumerate_isotropic_subspaces` in plain ints: (pivots, RREF rows, pairings)
     with pairings[t][i] = <row_i, e_c>_t at the non-pivot columns c, R_t for the unit
     complement.  Each row is checked, apart from the elimination that solved it, against
-    w_t = G_t row^T of the rows above; its pairings are -w_t (G_t is alternating)."""
+    row G_t of the rows above, by `_gram_products`; its pairings are its row G_t at c."""
     n, field = F.dim, F.field
     _check_enumeration(n, k, field)
-    p, grams = field.p, [G.rows for G in F.grams()]
+    p, products = field.p, _gram_products(F)
 
     def extend(pivots, free, cols, rows, perps, pairings):
         i = len(rows)
@@ -446,19 +446,14 @@ def _isotropic_points(k: int, F: FormSpace):
                 row[j] = v
             if any(sum(map(mul, w, row)) % p for w in perps):
                 raise ArithmeticError(f"enumerated row {i + 1} is not isotropic to the rows above")
-            if i + 1 == k:
-                ws = []
-                new = [[-sum(map(mul, G[c], row)) % p for c in cols] for G in grams]
-            else:
-                ws = [[sum(map(mul, G_row, row)) % p for G_row in G] for G in grams]
-                new = [[-w[c] % p for c in cols] for w in ws]
+            ws = [rG[0] for rG in products([row])]
             yield from extend(pivots, free, cols, rows + [row], perps + ws,
-                              [R + [r] for R, r in zip(pairings, new)])
+                              [R + [[w[c] for c in cols]] for R, w in zip(pairings, ws)])
 
     def generate():
         for pivots in itertools.combinations(range(n), k):
             cols = _non_pivot_columns(n, pivots)
-            yield from extend(pivots, _free_columns(n, pivots), cols, [], [], [[]] * len(grams))
+            yield from extend(pivots, _free_columns(n, pivots), cols, [], [], [[]] * F.m)
 
     return generate()
 

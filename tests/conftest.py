@@ -197,6 +197,27 @@ def isotropic_plane_count(fs):
     return count
 
 
+def isotropic_count_by_double_counting(fs, j, bases):
+    """N_(j+1), the number of (j+1)-subspaces isotropic for every form of `fs` over F_q,
+    from the bases of all its isotropic j-subspaces W, by counting the pairs W < U twice.
+
+    Every subspace of an isotropic U is isotropic, so each U holds (q^(j+1) - 1)/(q - 1)
+    of the W.  W lies in (q^(n - r) - q^j)/(q^(j+1) - q^j) of the U, the (j+1)-subspaces
+    of its perp: the kernel of the m j rows G_t w^T, w in W's basis, of rank r, formed
+    here by plain dot products.
+    """
+    F, n = fs.field, fs.dim
+    q, grams = F.p, [G.rows for G in fs.grams()]
+    total = 0
+    for basis in bases:
+        r = F.rank([[sum(g * x for g, x in zip(G_row, w)) % q for G_row in G]
+                    for G in grams for w in basis])
+        total += (q ** (n - r) - q ** j) // (q ** (j + 1) - q ** j)
+    count, rest = divmod(total * (q - 1), q ** (j + 1) - 1)
+    assert rest == 0
+    return count
+
+
 def reference_skew_schur(F, G):
     """The 2x2-pivot elimination of an alternating matrix through the field's own
     operations (Fractions over Q), kept as the oracle of the fraction-free

@@ -42,7 +42,8 @@ from msgkit.symplectic import _isotropic_points, _subspace_count
 from msgkit.tangent import (_constraint_rows, _pencil_degeneracy, _pencil_minor_gcd,
                             _seeded_pencil)
 from conftest import (GOLDEN_DIR, chart_differential_rank, encode_point, golden_compare,
-                      isotropic_plane_count, random_complement, stack)
+                      isotropic_count_by_double_counting, isotropic_plane_count,
+                      random_complement, stack)
 
 
 # --- construction and validation ------------------------------------------------
@@ -637,6 +638,19 @@ def test_isotropic_enumeration_m1_closed_form(n, k, q):
 def test_isotropic_walk_matches_the_k2_closed_form(n, m, q):
     fs = random_form_space(n, m, PrimeField(q), Random(100 * n + 10 * m + q))
     assert sum(1 for _ in _isotropic_points(2, fs)) == isotropic_plane_count(fs)
+
+
+@pytest.mark.parametrize("k", [2, 3])
+@pytest.mark.parametrize("m,q", [(1, 3), (2, 3), (3, 3), (2, 5), (3, 5)])
+def test_isotropic_walk_matches_the_double_count_at_every_depth(m, q, k):
+    # the walk's isotropic j-subspaces fix how many (j+1)-subspaces it must find, from
+    # j = 0, whose one point W = 0 leaves every line, up to j = k - 1
+    fs = random_form_space(6, m, PrimeField(q), Random(100 * k + 10 * m + q))
+    bases = [rows for _, rows, _ in _isotropic_points(0, fs)]
+    for j in range(k):
+        above = [rows for _, rows, _ in _isotropic_points(j + 1, fs)]
+        assert len(above) == isotropic_count_by_double_counting(fs, j, bases) > 0
+        bases = above
 
 
 def test_verify_golden_per_pair_points_match_the_k2_closed_form():

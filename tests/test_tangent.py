@@ -1416,6 +1416,23 @@ def test_a_sampled_pencil_packs_its_stacked_gram_rows_once(monkeypatch):
     assert shapes.count((n, 2 * n)) == 1
 
 
+@pytest.mark.parametrize("k", [2, 3])
+def test_an_exhaustive_pencil_packs_its_stacked_gram_rows_once(monkeypatch, k):
+    # the walk takes each row's row G_t from the pencil's map, packed once after the
+    # budget check, and the points it yields share that packing
+    n, F, shapes = 6, PrimeField(3), []
+    multiplier = PrimeField.multiplier
+
+    def counting(self, B):
+        shapes.append((len(B), len(B[0])))
+        return multiplier(self, B)
+
+    monkeypatch.setattr(PrimeField, "multiplier", counting)
+    monkeypatch.setattr(symplectic, "_LAST_PRODUCTS", (None, None))  # pack under the wrapper
+    points, _ = verify_pair(tangent._seeded_pencil(n, F, 0, 0), k)
+    assert points > 1 and shapes.count((n, 2 * n)) == 1
+
+
 @pytest.mark.parametrize("F", [PrimeField(3), QQ], ids=str)
 def test_given_and_sampled_points_share_one_isotropy_scan(monkeypatch, F):
     # isotropy_failure, PointContext and each sampled record scan (B G_t) B^T
