@@ -1418,8 +1418,8 @@ def test_a_sampled_pencil_packs_its_stacked_gram_rows_once(monkeypatch):
 
 @pytest.mark.parametrize("k", [2, 3])
 def test_an_exhaustive_pencil_packs_its_stacked_gram_rows_once(monkeypatch, k):
-    # the walk takes each row's row G_t from the pencil's map, packed once after the
-    # budget check, and the points it yields share that packing
+    # the walk takes every row's row G_t, for both forms, from the pencil's map, so an
+    # exhaustive verify pair packs the n x 2n Gram rows [G_1 | G_2] once
     n, F, shapes = 6, PrimeField(3), []
     multiplier = PrimeField.multiplier
 
