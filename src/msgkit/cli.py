@@ -36,6 +36,7 @@ from .symplectic import (
     BudgetExceeded,
     Subspace,
     _require_budget,
+    _require_isotropic_dim,
     _subspace_count,
     decode_point,
     derive_seed,
@@ -247,8 +248,7 @@ def cmd_scan(args) -> int:
     field = _field_from_args(args)
     if args.samples < 1:
         raise ValueError("--samples must be >= 1")
-    if not 1 <= args.k <= args.n // 2:
-        raise ValueError(f"need 1 <= k <= n/2, got k={args.k}, n={args.n}")
+    _require_isotropic_dim(args.n, args.k)
     expected = msg_expected_dim(args.n, args.k, args.m)
     # a drawn form costs O(n^3): the one rank of each drawn P, then P^T J P
     _require_budget(args.samples * args.m * args.n ** 3,
@@ -284,8 +284,7 @@ def cmd_verify(args) -> int:
         raise ValueError("--pairs must be >= 1")
     if args.samples < 1:
         raise ValueError("--samples must be >= 1")
-    if not 1 <= args.k <= args.n // 2:
-        raise ValueError(f"need 1 <= k <= n/2, got k={args.k}, n={args.n}")
+    _require_isotropic_dim(args.n, args.k)
     # the budget is read and the whole run sized here, before any pencil is
     # drawn or any pool starts, so a malformed MSGKIT_BUDGET fails in both scopes
     budget = enumeration_budget()

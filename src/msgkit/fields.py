@@ -10,6 +10,8 @@ which every container in this package does.
 Characteristic 2 is excluded on purpose: the symplectic facts the rest
 of the package relies on (alternating == skew with zero diagonal, even
 rank) degenerate there.
+
+Below the fields sit `_Record`, the base of every value type, and `is_prime`.
 """
 
 from __future__ import annotations
@@ -20,9 +22,6 @@ import sys
 from fractions import Fraction
 from math import lcm
 from operator import mul as _times
-
-from ._integers import is_prime
-from ._record import _Record
 
 MAX_PRIME = 2**31
 _RATIONAL_STRING = re.compile(r"([+-]?[0-9]+)(?:/([0-9]+))?")
@@ -48,6 +47,31 @@ def _digit_limit_error(what: str, text: str) -> ValueError:
 
 class FieldMismatchError(ValueError):
     """Raised when operands belong to different fields."""
+
+
+class _Record:
+    """Equality ("same class, equal fields"), hash and repr over the fields named in
+    `__slots__`, written once for every value type: fields, matrices, forms, subspaces,
+    binary forms and result records.  A class whose repr is printed output defines its
+    own `__repr__`.  `dataclasses` would cost every CLI start its import.  A record
+    holding a list is unhashable, as its fields are."""
+
+    __slots__ = ()
+
+    def _fields(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self) -> int:
+        return hash(self._fields())
+
+    def __repr__(self) -> str:
+        body = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__name__}({body})"
 
 
 class Field(_Record):
@@ -130,6 +154,36 @@ class Field(_Record):
                 v[pc] = self.neg(row[fc])
             out.append(v)
         return out
+
+
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+
+
+def is_prime(n: int) -> bool:
+    """Miller-Rabin with the first twelve prime bases: deterministic below 3.3e24,
+    which covers every modulus and lifting prime this package picks; a larger n
+    gets a probabilistic answer with error below 2^-72."""
+    if n < 2:
+        return False
+    for p in _MR_BASES:
+        if n % p == 0:
+            return n == p
+    d = n - 1
+    s = 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
 
 
 class PrimeField(Field):

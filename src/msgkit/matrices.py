@@ -15,8 +15,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import lcm
 
-from ._record import _Record
-from .fields import Field
+from .fields import Field, _Record
 from .polynomials import _linear_grid, pmat_det
 
 __all__ = [

@@ -15,9 +15,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd, lcm
 
-from ._integers import is_prime
-from ._record import _Record
-from .fields import Field, PrimeField, RationalField
+from .fields import Field, PrimeField, RationalField, _Record, is_prime
 
 
 # ---------------------------------------------------------------------------

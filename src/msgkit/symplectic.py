@@ -22,8 +22,7 @@ import os
 from operator import mul
 from random import Random
 
-from ._record import _Record
-from .fields import Field, PrimeField, field_from_spec
+from .fields import Field, PrimeField, _Record, field_from_spec
 from .matrices import Matrix, SingularMatrixError, canonical_alternating, random_invertible
 
 DEFAULT_BUDGET = 10**7
@@ -299,6 +298,11 @@ def is_isotropic(V: Subspace, F: FormSpace) -> bool:
     return isotropy_failure(V, F) is None
 
 
+def _require_isotropic_dim(n: int, k: int) -> None:
+    if not 1 <= k <= n // 2:
+        raise ValueError(f"isotropic dimension must satisfy 1 <= k <= n/2 = {n // 2}, got {k}")
+
+
 def random_isotropic_subspace(k: int, F: FormSpace, rng: Random) -> Subspace | None:
     """Greedy extension by random vectors in the intersection of the perps.
 
@@ -311,9 +315,7 @@ def random_isotropic_subspace(k: int, F: FormSpace, rng: Random) -> Subspace | N
     which, like the kernel basis read off it, depends only on the row space.
     """
     n = F.dim
-    if not 1 <= k <= n // 2:
-        raise ValueError(
-            f"isotropic dimension must satisfy 1 <= k <= n/2 = {n // 2}, got {k}")
+    _require_isotropic_dim(n, k)
     field, products = F.field, _gram_products(F)
     span, perp, perp_pivots = [], [], ()
     while True:

@@ -27,8 +27,7 @@ from itertools import combinations
 from math import prod
 from random import Random
 
-from ._record import _Record
-from .fields import Field
+from .fields import Field, _Record
 from .matrices import Matrix, _alternating, _pfaffian, _skew_rank
 from .polynomials import (BinaryForm, _linear_grid, binary_form_roots, pdeg, pgcd, pmat_det,
                           proots, ptrim)
@@ -38,6 +37,7 @@ from .symplectic import (
     _isotropic_points,
     _non_pivot_columns,
     _point_products,
+    _require_isotropic_dim,
     derive_seed,
     random_independent_pair,
     random_isotropic_subspace,
@@ -617,8 +617,7 @@ def verify_pair(
         raise ValueError(f"fault injection needs k >= 2, got k={k}:"
                          " there is no constraint row to corrupt")
     field, n = fs.field, fs.dim
-    if not 1 <= k <= n // 2:
-        raise ValueError(f"isotropic dimension must satisfy 1 <= k <= n/2 = {n // 2}, got {k}")
+    _require_isotropic_dim(n, k)
     if scope == "exhaustive":
         records = _isotropic_points(k, fs)
     elif scope == "sampled":

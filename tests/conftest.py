@@ -16,7 +16,7 @@ from msgkit import (
     SymplecticForm,
     random_matrix,
 )
-from msgkit._integers import is_prime
+from msgkit.fields import is_prime
 from msgkit.matrices import _pfaffian
 from msgkit.polynomials import (_prime_roots, padd, pdeg, pdivmod, pgcd, pmonic, pmul, proots,
                                 ptrim)

@@ -263,12 +263,14 @@ def test_check_point_malformed_json(tmp_path):
     assert "JSON" in err or "json" in err
 
 
-@pytest.mark.parametrize("case", ["missing_file", "malformed_json", "budget", "bad_flag"])
+@pytest.mark.parametrize("case", ["missing_file", "malformed_json", "budget", "bad_flag",
+                                  "bad_k_verify", "bad_k_scan"])
 def test_refusals_print_one_error_line_and_exit_2(tmp_path, monkeypatch, capsys, case):
     # main's two except clauses: JSONDecodeError, a ValueError, first; then the rest
     missing, broken = tmp_path / "missing.json", tmp_path / "broken.json"
     broken.write_text("{")
     verify = ["verify", "--n", "4", "--k", "2", "--p", "3"]
+    bad_k = "isotropic dimension must satisfy 1 <= k <= n/2 = 2, got 3"
     argv, message = {
         "missing_file": (["check-point", "--input", str(missing)],
                          f"[Errno 2] No such file or directory: '{missing}'"),
@@ -278,6 +280,8 @@ def test_refusals_print_one_error_line_and_exit_2(tmp_path, monkeypatch, capsys,
         "budget": ([*verify, "--pairs", "1"], "verifying 1 pairs x 130 subspaces exceeds the"
                                               " budget of 129 (raise MSGKIT_BUDGET to override)"),
         "bad_flag": ([*verify, "--pairs", "0"], "--pairs must be >= 1"),
+        "bad_k_verify": (["verify", "--n", "4", "--k", "3", "--p", "3", "--pairs", "1"], bad_k),
+        "bad_k_scan": (["scan", "--n", "4", "--k", "3", "--m", "2", "--p", "3"], bad_k),
     }[case]
     if case == "budget":
         monkeypatch.setenv("MSGKIT_BUDGET", "129")

@@ -141,15 +141,17 @@ def test_sampling_seed_constant_is_written_once():
 
 def test_cli_import_loads_neither_the_pool_nor_dataclasses():
     # every CLI process pays for what `import msgkit.cli` loads: the pool
-    # module is imported where a pool starts, and result records are plain
-    # classes
+    # module is imported where a pool starts, result records are plain
+    # classes, and the package is its eight modules
     probe = ("import sys, msgkit.cli; "
-             "print(sorted({'concurrent.futures', 'dataclasses'} & set(sys.modules)))")
+             "print(sorted({'concurrent.futures', 'dataclasses'} & set(sys.modules))); "
+             "print(sorted(name for name in sys.modules if name.split('.')[0] == 'msgkit'))")
     path = os.pathsep.join(filter(None, [os.path.join(ROOT, "src"), os.environ.get("PYTHONPATH")]))
     proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
                           env=dict(os.environ, PYTHONPATH=path), timeout=60)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[]"
+    assert proc.stdout.splitlines() == ["[]", str(["msgkit", *(f"msgkit.{name}" for name in (
+        "cli", "fields", "matrices", "numerology", "polynomials", "symplectic", "tangent"))])]
 
 
 def test_library_imports_only_what_it_reads():

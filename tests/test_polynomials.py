@@ -19,7 +19,7 @@ from msgkit.polynomials import (
     pscale,
     ptrim,
 )
-from msgkit._integers import is_prime
+from msgkit.fields import is_prime
 from msgkit.polynomials import _zradical
 from msgkit.tangent import _pencil_minor_gcd
 from conftest import PRIMES, _interpolate, peval, reference_rational_roots

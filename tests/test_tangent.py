@@ -50,7 +50,7 @@ from msgkit import (
     verify_thm_equivalence,
 )
 from msgkit import cli, symplectic, tangent
-from msgkit._record import _Record
+from msgkit.fields import _Record
 from msgkit.polynomials import (BinaryForm, _linear_grid, pdeg, pdivmod, pgcd, pmat_det, pmul,
                                  proots, ptrim)
 from msgkit.symplectic import _isotropic_points
