@@ -5,11 +5,13 @@ JSON point file), `scan` (random sampling statistics), `verify` (exhaustive
 or sampled equivalence verification), and `normal-form` (alternating
 canonical form).
 
-Every JSON output embeds the tool version, the field spec, the seed, and
-an echo of the logical input parameters, so runs are self-describing and
-replayable.  Performance-only knobs (worker count, output path, format)
-are deliberately left out of the echo: summaries must be byte-identical
-across worker counts.
+Every answer goes through one writer, `_write`, and every JSON answer
+through `_answer`: one envelope (command, tool version, field spec, seeds)
+beside the command's own keys, among them an echo of the logical input
+parameters, so runs are self-describing and replayable.  Performance-only
+knobs (worker count, output path, format) are left out of the echo:
+summaries must be byte-identical across worker counts.  Answers are made
+and written past the interpreter's limit on int digits; input keeps it.
 
 Exit codes: 0 success / verified, 1 verification found mismatches,
 2 invalid input, budget exceeded, or a sampled verify that checked no point.
@@ -43,24 +45,45 @@ from .symplectic import (
     enumeration_budget,
     random_form_space,
 )
-from .tangent import (PointContext, _constraint_rows, _require_sampled_points, _sampled_points,
+from .tangent import (PointContext, _constraint_rows, _sampled_points, _verify_report,
                       _verify_seeded_pair, msg_expected_dim, tangent_report)
 
 _SEED_RULE = "splitmix64(seed, index)"
 
 
-def _dump(payload: dict, args) -> None:
-    _write_lines([json.dumps(payload, indent=2, sort_keys=True) + "\n"], args)
+def _write(args, make_lines) -> None:
+    """The one writer: the strings of `make_lines()` to --output or stdout, each as it
+    is made.  An answer is msgkit's own work, so it is made and written with the
+    interpreter's limit on int digits lifted; input, parsed before, keeps the limit."""
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        lines, out = make_lines(), getattr(args, "output", None)
+        if out:
+            with open(out, "w", encoding="utf-8") as fh:
+                fh.writelines(lines)
+        else:
+            sys.stdout.writelines(lines)
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
-def _write_lines(lines, args) -> None:
-    """Write the strings of `lines` to --output or stdout, each as it is made."""
-    out = getattr(args, "output", None)
-    if out:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.writelines(lines)
-    else:
-        sys.stdout.writelines(lines)
+def _envelope(args, field: Field | None = None) -> dict:
+    """The keys every JSON answer shares: the command, the tool version, the field,
+    and the root seed with its derivation when the command takes --seed."""
+    envelope = {"command": args.command, "version": __version__}
+    if field is not None:
+        envelope["field"] = field.spec()
+    if hasattr(args, "seed"):
+        envelope["seeds"] = {"root": args.seed, "derivation": _SEED_RULE}
+    return envelope
+
+
+def _answer(args, field: Field | None, keys) -> None:
+    """Write the envelope and the command's own keys, made by `keys()` inside the
+    writer so that their encodes run under its lift, as one sorted JSON object."""
+    _write(args, lambda: [json.dumps({**_envelope(args, field), **keys()},
+                                     indent=2, sort_keys=True) + "\n"])
 
 
 def _fail(message: str) -> int:
@@ -161,26 +184,25 @@ def cmd_rho(args) -> int:
     if args.m is not None and rs != range(2, 3):
         raise ValueError("--m applies to r = 2 only")
     if args.format == "plain" and size == 1 and len(variants) == 1 and args.m is None:
-        _write_lines([f"{first[f'rho_{variants[0]}']}\n"], args)
+        _write(args, lambda: [f"{first[f'rho_{variants[0]}']}\n"])
         return 0
     if args.format in ("plain", "csv"):
         sep = "\t" if args.format == "plain" else ","
         cols = sorted(first)
         lines = (sep.join(str(row[c]) for c in cols) + "\n" for row in chain([first], table))
-        _write_lines(chain([sep.join(cols) + "\n"], lines), args)
+        _write(args, lambda: chain([sep.join(cols) + "\n"], lines))
         return 0
-    # json: the bytes of `_dump`, with the rows array written one element at a time
+    # json: the bytes of `_answer`, with the rows array written one element at a time
     head, tail = json.dumps({
-        "command": "rho",
-        "version": __version__,
+        **_envelope(args),
         "input": {"r": args.r, "d": args.d, "k": args.k, "g": args.g,
                   "m": args.m, "variant": args.variant},
         "rows": [0],
     }, indent=2, sort_keys=True).split("\n    0\n")
     items = (json.dumps(row, indent=2, sort_keys=True).replace("\n", "\n    ")
              for row in chain([first], table))
-    _write_lines(chain([head, "\n    ", next(items)], (",\n    " + item for item in items),
-                       ["\n" + tail + "\n"]), args)
+    _write(args, lambda: chain([head, "\n    ", next(items)],
+                               (",\n    " + item for item in items), ["\n" + tail + "\n"]))
     return 0
 
 
@@ -201,13 +223,7 @@ def cmd_check_point(args) -> int:
     V = Subspace.from_span(basis)
     ctx = PointContext(V, fs, basis=basis)
     report = tangent_report(ctx)
-    _dump({
-        "command": "check-point",
-        "version": __version__,
-        "field": fs.field.spec(),
-        "input": obj,
-        "report": report.encode(),
-    }, args)
+    _answer(args, fs.field, lambda: {"input": obj, "report": report.encode()})
     return 0
 
 
@@ -258,10 +274,7 @@ def cmd_scan(args) -> int:
                           range(args.samples), args.workers)
     histogram = Counter(str(e) for e in excesses if e is not None)
     points = sum(histogram.values())
-    _dump({
-        "command": "scan",
-        "version": __version__,
-        "field": field.spec(),
+    _answer(args, field, lambda: {
         "input": {"n": args.n, "k": args.k, "m": args.m, "field": field.spec(),
                   "samples": args.samples, "seed": args.seed},
         "points": points,
@@ -269,8 +282,7 @@ def cmd_scan(args) -> int:
         "expected_dim": expected,
         "expected_dim_count": histogram["0"],
         "excess_dim_histogram": histogram,
-        "seeds": {"root": args.seed, "derivation": _SEED_RULE},
-    }, args)
+    })
     return 0
 
 
@@ -295,26 +307,22 @@ def cmd_verify(args) -> int:
     _require_budget(args.pairs * each, f"verifying {args.pairs} pairs x {each} {what}", budget)
     task = partial(_verify_seeded_pair, args.n, args.k, field, args.seed, scope=args.scope,
                    samples=args.samples, fault=args.inject_fault)
-    results = _run_tasks(task, range(args.pairs), args.workers)
-    _require_sampled_points(args.scope, [points for _, points, _ in results], args.samples)
-    mismatches = [{"pair": i, "forms": [g.encode() for g in fs.grams()], **rec.encode()}
-                  for i, (fs, _, recs) in enumerate(results) for rec in recs]
-    _dump({
-        "command": "verify",
-        "version": __version__,
-        "field": field.spec(),
+    report = _verify_report(_run_tasks(task, range(args.pairs), args.workers),
+                            args.scope, args.samples)
+    found = Counter(i for i, _, _ in report.mismatches)
+    _answer(args, field, lambda: {
         "input": {"n": args.n, "k": args.k, "p": args.p, "pairs": args.pairs,
                   "scope": args.scope, "samples": args.samples,
                   "seed": args.seed, "inject_fault": args.inject_fault},
-        "pairs_checked": len(results),
-        "points_checked": sum(points for _, points, _ in results),
-        "mismatch_count": len(mismatches),
-        "per_pair": [{"pair": i, "points": points, "mismatches": len(recs)}
-                     for i, (_, points, recs) in enumerate(results)],
-        "mismatches": mismatches,
-        "seeds": {"root": args.seed, "derivation": _SEED_RULE},
-    }, args)
-    return 1 if mismatches else 0
+        "pairs_checked": report.pairs_checked,
+        "points_checked": report.points_checked,
+        "mismatch_count": len(report.mismatches),
+        "per_pair": [{"pair": i, "points": points, "mismatches": found[i]}
+                     for i, points in enumerate(report.pair_points)],
+        "mismatches": [{"pair": i, "forms": [g.encode() for g in fs.grams()], **rec.encode()}
+                       for i, fs, rec in report.mismatches],
+    })
+    return 1 if report.mismatches else 0
 
 
 # ---------------------------------------------------------------------------
@@ -327,25 +335,16 @@ def cmd_normal_form(args) -> int:
         raise ValueError("matrix file must be {'field': ..., 'matrix': ...}")
     field = field_from_spec(obj["field"])
     M = Matrix.decode(field, obj["matrix"])
-    if not M.is_square():
-        raise ValueError("matrix must be square")
-    if not M.is_alternating():
-        raise ValueError("matrix is not alternating (skew with zero diagonal)")
-    n = M.nrows  # the Schur steps and the re-verification each cost O(n^3)
+    # the Schur steps and the re-verification each cost O(n^3); `skew_normal_form`
+    # refuses a matrix that is not square or not alternating, on its own lift
+    n = M.nrows
     _require_budget(n ** 3, f"a normal form of n={n} (n^3 = {n ** 3})", enumeration_budget())
     P, rank = skew_normal_form(M)
     canonical = canonical_alternating(field, n, rank)
     if not _congruent(M, P, canonical):  # P^T M P, recomputed on ints
         raise ArithmeticError("normal form re-verification failed")
-    _dump({
-        "command": "normal-form",
-        "version": __version__,
-        "field": field.spec(),
-        "input": obj,
-        "P": P.encode(),
-        "canonical": canonical.encode(),
-        "rank": rank,
-    }, args)
+    _answer(args, field, lambda: {"input": obj, "P": P.encode(),
+                                  "canonical": canonical.encode(), "rank": rank})
     return 0
 
 

@@ -266,7 +266,7 @@ def skew_normal_form(M: Matrix) -> tuple[Matrix, int]:
     F, n = M.field, M.nrows
     p, D, G = F.lift(M.rows)
     if not _alternating(G):
-        raise ValueError("skew_normal_form needs an alternating matrix")
+        raise ValueError("matrix is not alternating (skew with zero diagonal)")
     G = [row + [di if j == i else 0 for j in range(n)] for i, (row, di) in enumerate(zip(G, D))]
     chosen, g = [], 1
     for a, b, d, g in _skew_schur(p, G):  # the vectors are the last n columns

@@ -59,10 +59,7 @@ def rho2_special(d: int, k: int, g: int, m: int, variant: str) -> int:
 
 def bfm_bound(g: int, k: int) -> int:
     """3g - 3 - C(k+1, 2): the canonical-determinant rank-2 bound."""
-    if g < 2:
-        raise ValueError(f"genus must be >= 2, got {g}")
-    if k < 0:
-        raise ValueError(f"section count must be >= 0, got {k}")
+    _check_params(2, k, g)
     return 3 * g - 3 - comb(k + 1, 2)
 
 

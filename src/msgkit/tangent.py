@@ -659,13 +659,6 @@ def _sampled_points(k: int, fs: FormSpace, rng: Random, samples: int):
             yield V.pivots, V.basis.rows, _unit_restrictions(V, products)
 
 
-def _require_sampled_points(scope: str, pair_points: list[int], samples: int) -> None:
-    """Refuse a sampled run that checked no point: its verdict would be vacuous."""
-    if scope == "sampled" and not any(pair_points):
-        raise ValueError(f"sampled verify checked no point: all {samples} greedy draws of"
-                         f" each of the {len(pair_points)} pairs stalled")
-
-
 def _verify_seeded_pair(n: int, k: int, field: Field, seed: int, index: int, **options):
     """Pair `index` of a seeded run: `verify_pair` over the pencil drawn from the
     derived seed (seed, index), with points sampled from a stream apart from the
@@ -673,6 +666,20 @@ def _verify_seeded_pair(n: int, k: int, field: Field, seed: int, index: int, **o
     fs = _seeded_pencil(n, field, seed, index)
     rng = Random(derive_seed(seed, index) ^ 0xA5A5A5A5)
     return (fs, *verify_pair(fs, k, rng=rng, **options))
+
+
+def _verify_report(results, scope: str, samples: int) -> VerifyReport:
+    """The one verify fold, for the library and the CLI: the (fs, points, mismatches)
+    of `_verify_seeded_pair` for pairs 0, 1, ... in order.  A sampled run that checked
+    no point is refused: its verdict would be vacuous."""
+    report = VerifyReport(pair_points=[], mismatches=[])
+    for idx, (fs, points, mismatches) in enumerate(results):
+        report.pair_points.append(points)
+        report.mismatches.extend((idx, fs, rec) for rec in mismatches)
+    if scope == "sampled" and not any(report.pair_points):
+        raise ValueError(f"sampled verify checked no point: all {samples} greedy draws of"
+                         f" each of the {report.pairs_checked} pairs stalled")
+    return report
 
 
 def verify_thm_equivalence(
@@ -697,11 +704,6 @@ def verify_thm_equivalence(
     """
     if pairs < 1:
         raise ValueError("verification needs at least one pair")
-    report = VerifyReport(pair_points=[], mismatches=[])
-    for idx in range(pairs):
-        fs, points, mismatches = _verify_seeded_pair(
-            n, k, field, seed, idx, scope=scope, samples=samples_per_pair, fault=fault)
-        report.pair_points.append(points)
-        report.mismatches.extend((idx, fs, rec) for rec in mismatches)
-    _require_sampled_points(scope, report.pair_points, samples_per_pair)
-    return report
+    return _verify_report((_verify_seeded_pair(n, k, field, seed, idx, scope=scope,
+                                               samples=samples_per_pair, fault=fault)
+                           for idx in range(pairs)), scope, samples_per_pair)

@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import time
+from fractions import Fraction
 from itertools import product
 from random import Random
 
@@ -19,15 +20,25 @@ from msgkit import (
     random_form_space,
     random_invertible,
     random_isotropic_subspace,
+    rho_fixed,
     standard_form,
     tangent_report,
     verify_thm_equivalence,
 )
-from msgkit import cli
+from msgkit import cli, tangent
 from conftest import (distinct_denominator_alternating, golden_compare, random_alternating,
                       reference_skew_normal_form)
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
+
+
+@pytest.fixture
+def no_digit_limit():
+    """Lift this process's limit on int-to-str digits, to read answers past it."""
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    yield
+    sys.set_int_max_str_digits(limit)
 
 
 def run_cli(*args, env=None, flags=(), timeout=None):
@@ -127,6 +138,22 @@ def test_rho_overlong_flag_exits_2_with_a_short_message(flag, text):
     assert (code, out) == (2, "")
     assert len(err) < 200 and "Traceback" not in err
     assert ("expected an integer" if text[0] == "x" else "digits per integer") in err
+
+
+@pytest.mark.parametrize("flags", [(), ("-O",)], ids=["plain", "O"])
+def test_rho_answers_past_the_digit_limit_are_written(flags, no_digit_limit):
+    # 2000-digit --r and --g parse under the limit of 4300 digits, and their rho,
+    # of about 6000 digits, is written past it, in json and in plain
+    r, g = "9" * 2000, "8" * 2000
+    rho = rho_fixed(int(r), 8, 2, int(g))
+    assert len(str(rho)) > sys.int_info.default_max_str_digits
+    argv = ("rho", "--r", r, "--d", "8", "--k", "2", "--g", g)
+    code, out, err = run_cli(*argv, flags=flags)
+    assert (code, err) == (0, "")
+    row = json.loads(out)["rows"][0]
+    assert (row["rho_fixed"], row["rho_full"]) == (rho, rho + int(g))
+    code, out, err = run_cli(*argv, "--format", "plain", "--variant", "fixed", flags=flags)
+    assert (code, out, err) == (0, f"{rho}\n", "")
 
 
 def _rho_peak_rss_kib(rows: int, fmt: str) -> int:
@@ -718,6 +745,22 @@ def test_run_tasks_caps_the_pool_at_tasks_and_cpus(monkeypatch, capsys):
     assert _RecordingPool.sizes == [2, 3, 4, 2, 3, 2]
 
 
+@pytest.mark.parametrize("scope", ["exhaustive", "sampled"])
+def test_cli_verify_folds_its_pairs_once(monkeypatch, capsys, scope):
+    # the pool's results, in pair order, go through the library's own fold once
+    assert cli._verify_report is tangent._verify_report
+    fold, calls = cli._verify_report, []
+
+    def counting(results, *rest):
+        calls.append([points for _, points, _ in results])
+        return fold(results, *rest)
+
+    monkeypatch.setattr(cli, "_verify_report", counting)
+    assert cli.main(["verify", "--n", "4", "--k", "2", "--p", "3", "--pairs", "3",
+                     "--scope", scope, "--samples", "5", "--inject-fault"]) == 1
+    assert calls == [[p["points"] for p in json.loads(capsys.readouterr().out)["per_pair"]]]
+
+
 @pytest.mark.parametrize("n, scope, extra", [
     (4, "exhaustive", ()),
     (6, "sampled", ("--samples", "15")),
@@ -798,6 +841,55 @@ def test_normal_form_of_66_distinct_prime_denominators(tmp_path):
     assert (code, out) == (2, "")
     assert err == ("error: a normal form of n=12 (n^3 = 1728) exceeds the budget of 1727"
                    " (raise MSGKIT_BUDGET to override)\n")
+
+
+@pytest.mark.parametrize("field", [PrimeField(7), QQ], ids=str)
+def test_normal_form_lifts_twice(tmp_path, monkeypatch, capsys, field):
+    # `skew_normal_form` tests alternation on the lift it eliminates, and
+    # `_congruent` re-verifies P on a lift of its own; nothing else lifts
+    path = tmp_path / "M.json"
+    path.write_text(json.dumps({"field": field.spec(),
+                                "matrix": random_alternating(field, 6, Random(3)).encode()}))
+    lift, calls = type(field).lift, []
+
+    def counting(self, *matrices):
+        calls.append(len(matrices))
+        return lift(self, *matrices)
+
+    monkeypatch.setattr(type(field), "lift", counting)
+    assert cli.main(["normal-form", "--input", str(path)]) == 0
+    assert json.loads(capsys.readouterr().out)["rank"] == 6
+    assert calls == [1, 1]
+
+
+def _digit_limit_matrix() -> dict:
+    """A 4 x 4 alternating Q matrix with 1500-digit denominators from a fixed seed,
+    as the CI step draws it: its lift's row scales and the entries of P have more
+    digits than the interpreter converts to text by default."""
+    rng = Random(11)
+    M = [[0] * 4 for _ in range(4)]
+    for i, j in [(i, j) for i in range(4) for j in range(i + 1, 4)]:
+        b = rng.randrange(10 ** 1499, 10 ** 1500)
+        M[i][j], M[j][i] = f"1/{b}", f"-1/{b}"
+    return {"field": {"kind": "rational"}, "matrix": M}
+
+
+@pytest.mark.parametrize("flags", [(), ("-O",)], ids=["plain", "O"])
+def test_normal_form_past_the_digit_limit_is_written(tmp_path, flags, no_digit_limit):
+    obj = _digit_limit_matrix()
+    path = tmp_path / "M.json"
+    path.write_text(json.dumps(obj))
+    code, out, err = run_cli("normal-form", "--input", str(path), flags=flags)
+    assert (code, err) == (0, "")
+    data = json.loads(out)
+    assert data["rank"] == 4 and data["canonical"] == canonical_alternating(QQ, 4, 4).encode()
+    # P^T M P == canonical, re-verified here on Fractions read from the text
+    M, P, C = ([[Fraction(x) for x in row] for row in rows]
+               for rows in (obj["matrix"], data["P"], data["canonical"]))
+    assert max(len(str(x.denominator)) for row in P for x in row) > (
+        sys.int_info.default_max_str_digits)
+    assert [[sum(P[a][i] * M[a][b] * P[b][j] for a in range(4) for b in range(4))
+             for j in range(4)] for i in range(4)] == C
 
 
 def test_normal_form_non_alternating_exit2(tmp_path):

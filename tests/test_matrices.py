@@ -224,7 +224,7 @@ def test_alternation_refusals_keep_their_messages(flags):
                           capture_output=True, text=True, timeout=60)
     assert (proc.returncode, proc.stderr) == (0, "")
     assert proc.stdout.splitlines() == (
-        ["ValueError: skew_normal_form needs an alternating matrix"] * 3
+        ["ValueError: matrix is not alternating (skew with zero diagonal)"] * 3
         + ["ValueError: alternating test needs a square matrix"] * 2
         + ["ValueError: both matrices must be alternating"] * 3
         + ["ValueError: Gram matrix must be alternating"] * 2

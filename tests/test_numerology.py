@@ -70,6 +70,17 @@ def test_bfm_bound():
             assert bfm_bound(g, k) >= rho_fixed(2, 2 * g - 2, k, g)
 
 
+def test_bfm_bound_refusals_are_the_rho_ones():
+    # one rule for genus and sections: the section count is checked first
+    for g, k, message in ((1, 0, "genus must be >= 2, got 1"),
+                          (5, -1, "section count must be >= 0, got -1"),
+                          (1, -1, "section count must be >= 0, got -1")):
+        for call in (lambda: bfm_bound(g, k), lambda: rho_fixed(2, 0, k, g)):
+            with pytest.raises(ValueError) as info:
+                call()
+            assert str(info.value) == message
+
+
 def test_bfm_consistency_identity():
     # rho_full(2, 2g-2, k, g) - g + C(k,2) == 3g - 3 - C(k+1,2)
     for g in range(2, 51):

@@ -1206,6 +1206,24 @@ def test_equivalence_rejects_a_sampled_run_that_checks_no_point(fault):
                                samples_per_pair=5, fault=fault)
 
 
+@pytest.mark.parametrize("scope", ["exhaustive", "sampled"])
+def test_equivalence_folds_its_pairs_once(monkeypatch, scope):
+    # the serial results, in pair order, go through the one fold the CLI also takes
+    fold, calls = tangent._verify_report, []
+
+    def counting(results, *rest):
+        results = list(results)
+        calls.append([points for _, points, _ in results])
+        return fold(results, *rest)
+
+    monkeypatch.setattr(tangent, "_verify_report", counting)
+    report = verify_thm_equivalence(4, 2, PrimeField(3), pairs=3, scope=scope,
+                                    samples_per_pair=5, fault=True)
+    assert calls == [report.pair_points] and len(report.pair_points) == 3
+    assert report.mismatches and [i for i, _, _ in report.mismatches] == sorted(
+        i for i, _, _ in report.mismatches)
+
+
 def test_equivalence_reads_the_budget_at_the_call(monkeypatch):
     # the exhaustive walk is sized as all C(4,2)_3 = 130 subspaces
     monkeypatch.setenv("MSGKIT_BUDGET", "129")
