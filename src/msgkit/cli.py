@@ -1,20 +1,20 @@
 """Command-line front end.
 
-Subcommands: `rho` (formula tables), `check-point` (tangent report for a
-JSON point file), `scan` (random sampling statistics), `verify` (exhaustive
-or sampled equivalence verification), and `normal-form` (alternating
-canonical form).
+Subcommands: `rho` (formula tables), `check-point` (tangent report for a JSON
+point file), `scan` (random sampling statistics), `verify` (exhaustive or
+sampled equivalence verification), `normal-form` (alternating canonical form).
 
 Every answer goes through one writer, `_write`, and every JSON answer
-through `_answer`: one envelope (command, tool version, field spec, seeds)
-beside the command's own keys, among them an echo of the logical input
-parameters, so runs are self-describing and replayable.  Performance-only
-knobs (worker count, output path, format) are left out of the echo:
-summaries must be byte-identical across worker counts.  Answers are made
-and written past the interpreter's limit on int digits; input keeps it.
+through `_answer`: one envelope (command, version, field spec, seeds) beside
+the command's own keys, with an echo of the logical inputs but not of the
+workers, output path or format, so the bytes do not depend on the worker
+count.  Answers are written past the interpreter's int-digit limit; input
+keeps it.  An iterator value, rho's rows or verify's mismatches, is written
+an element at a time; a failed write leaves no partial --output file.
 
-Exit codes: 0 success / verified, 1 verification found mismatches,
-2 invalid input, budget exceeded, or a sampled verify that checked no point.
+Exit codes: 0 success, 1 verify found mismatches, 2 invalid input, budget
+exceeded or a sampled verify that checked no point, 3 internal failure (a
+failed self-check, a dead pool worker, no memory), 130 interrupted.
 """
 
 from __future__ import annotations
@@ -25,8 +25,9 @@ import os
 import re
 import sys
 from collections import Counter
+from collections.abc import Iterator
 from functools import partial
-from itertools import chain, product
+from itertools import chain, islice, product
 from math import comb, prod
 from random import Random
 
@@ -60,8 +61,14 @@ def _write(args, make_lines) -> None:
     try:
         lines, out = make_lines(), getattr(args, "output", None)
         if out:
-            with open(out, "w", encoding="utf-8") as fh:
-                fh.writelines(lines)
+            fh = open(out, "w", encoding="utf-8")  # a path that fails to open is never removed
+            try:
+                with fh:
+                    fh.writelines(lines)
+            except BaseException:  # no partial file: a failed or interrupted write removes it
+                if os.path.isfile(out) and not os.path.islink(out):  # never /dev/null or a link
+                    os.remove(out)
+                raise
         else:
             sys.stdout.writelines(lines)
     finally:
@@ -80,15 +87,27 @@ def _envelope(args, field: Field | None = None) -> dict:
 
 
 def _answer(args, field: Field | None, keys) -> None:
-    """Write the envelope and the command's own keys, made by `keys()` inside the
-    writer so that their encodes run under its lift, as one sorted JSON object."""
-    _write(args, lambda: [json.dumps({**_envelope(args, field), **keys()},
-                                     indent=2, sort_keys=True) + "\n"])
+    """Write the envelope and the command's own keys, made by `keys()` inside the writer
+    so that their encodes run under its lift, as one sorted JSON object; a value that is an
+    iterator is written an element at a time in the same bytes, its first before any write."""
+    def lines():
+        payload = {**_envelope(args, field), **keys()}
+        key = next((k for k, v in payload.items() if isinstance(v, Iterator)), None)
+        texts = (json.dumps(item, indent=2, sort_keys=True).replace("\n", "\n    ")
+                 for item in payload.get(key, ()))
+        first = list(islice(texts, 1))  # the iterator's place: one element to split at, or []
+        text = json.dumps({**payload, key: [0] * len(first)} if key else payload,
+                          indent=2, sort_keys=True)
+        if not first:
+            return [text + "\n"]
+        head, tail = text.split("\n    0\n")
+        return chain([head, "\n    ", *first], (",\n    " + t for t in texts), ["\n" + tail + "\n"])
+    _write(args, lines)
 
 
-def _fail(message: str) -> int:
+def _fail(message: str, status: int = 2) -> int:
     print(f"error: {message}", file=sys.stderr)
-    return 2
+    return status
 
 
 def _json_int(text: str) -> int:
@@ -192,17 +211,9 @@ def cmd_rho(args) -> int:
         lines = (sep.join(str(row[c]) for c in cols) + "\n" for row in chain([first], table))
         _write(args, lambda: chain([sep.join(cols) + "\n"], lines))
         return 0
-    # json: the bytes of `_answer`, with the rows array written one element at a time
-    head, tail = json.dumps({
-        **_envelope(args),
-        "input": {"r": args.r, "d": args.d, "k": args.k, "g": args.g,
-                  "m": args.m, "variant": args.variant},
-        "rows": [0],
-    }, indent=2, sort_keys=True).split("\n    0\n")
-    items = (json.dumps(row, indent=2, sort_keys=True).replace("\n", "\n    ")
-             for row in chain([first], table))
-    _write(args, lambda: chain([head, "\n    ", next(items)],
-                               (",\n    " + item for item in items), ["\n" + tail + "\n"]))
+    _answer(args, None, lambda: {"input": {"r": args.r, "d": args.d, "k": args.k, "g": args.g,
+                                           "m": args.m, "variant": args.variant},
+                                 "rows": chain([first], table)})
     return 0
 
 
@@ -319,8 +330,8 @@ def cmd_verify(args) -> int:
         "mismatch_count": len(report.mismatches),
         "per_pair": [{"pair": i, "points": points, "mismatches": found[i]}
                      for i, points in enumerate(report.pair_points)],
-        "mismatches": [{"pair": i, "forms": [g.encode() for g in fs.grams()], **rec.encode()}
-                       for i, fs, rec in report.mismatches],
+        "mismatches": ({"pair": i, "forms": [g.encode() for g in fs.grams()], **rec.encode()}
+                       for i, fs, rec in report.mismatches),
     })
     return 1 if report.mismatches else 0
 
@@ -427,6 +438,10 @@ def main(argv=None) -> int:
         return _fail(f"malformed JSON: {exc}")
     except (BudgetExceeded, ValueError, KeyError, TypeError, OSError) as exc:
         return _fail(str(exc))
+    except (ArithmeticError, RuntimeError, MemoryError) as exc:  # a self-check, a dead worker
+        return _fail(f"internal failure: {exc!r}", 3)
+    except KeyboardInterrupt:
+        return 130
 
 
 if __name__ == "__main__":

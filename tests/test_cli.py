@@ -682,6 +682,92 @@ def test_verify_malformed_budget_exits_2_in_both_scopes():
         assert "MSGKIT_BUDGET" in err and "Traceback" not in err
 
 
+_FAILED_SELF_CHECK = """
+import sys
+from msgkit import Matrix, Subspace, cli, tangent
+# span(e_1, e_2) as every draw: the seeded forms do not vanish on it
+tangent.random_isotropic_subspace = lambda k, fs, rng: Subspace(
+    Matrix(fs.field, k, fs.dim, [[int(i == j) for j in range(fs.dim)] for i in range(k)]))
+sys.exit(cli.main(sys.argv[1:]))
+"""
+
+_DEAD_POOL_WORKER = """
+import multiprocessing, os, sys
+from msgkit import cli
+multiprocessing.set_start_method("fork")
+os.cpu_count = lambda: 2
+
+def die(*args, **kwargs):  # a pool worker that dies at its first pair
+    os._exit(9)
+
+cli._verify_seeded_pair = die
+sys.exit(cli.main(sys.argv[1:]))
+"""
+
+
+@pytest.mark.parametrize("flags", [(), ("-O",)], ids=["plain", "O"])
+def test_a_failed_self_check_exits_3_with_one_error_line(flags):
+    # exit 1 means a counterexample, so a broken invariant must not read as one
+    argv = ("verify", "--scope", "sampled", "--n", "6", "--k", "2", "--p", "3", "--pairs", "1",
+            "--samples", "3", "--inject-fault")
+    proc = subprocess.run([sys.executable, *flags, "-c", _FAILED_SELF_CHECK, *argv],
+                          capture_output=True, text=True, timeout=60)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (
+        3, "", "error: internal failure: ArithmeticError('a sampled point is not isotropic')\n")
+
+
+@pytest.mark.parametrize("flags", [(), ("-O",)], ids=["plain", "O"])
+def test_a_dead_pool_worker_exits_3_with_one_error_line(flags):
+    argv = ("verify", "--n", "4", "--k", "2", "--p", "3", "--pairs", "2", "--workers", "2",
+            "--inject-fault")
+    proc = subprocess.run([sys.executable, *flags, "-c", _DEAD_POOL_WORKER, *argv],
+                          capture_output=True, text=True, timeout=60)
+    assert (proc.returncode, proc.stdout) == (3, "")
+    assert proc.stderr.startswith("error: internal failure: BrokenProcessPool(")
+    assert proc.stderr.count("\n") == 1
+
+
+@pytest.mark.parametrize("exc, status", [(ArithmeticError, 3), (KeyboardInterrupt, 130)])
+def test_a_failed_write_leaves_no_partial_output_file(tmp_path, monkeypatch, capsys, exc,
+                                                      status):
+    # the first record is made before the file opens, the third while it is written
+    path, encode, calls = tmp_path / "F.json", tangent.MismatchRecord.encode, []
+
+    def failing(self):
+        calls.append(self)
+        if len(calls) == 3:
+            assert path.exists()  # opened, its first bytes buffered or written
+            raise exc("record 3")
+        return encode(self)
+
+    monkeypatch.setattr(tangent.MismatchRecord, "encode", failing)
+    assert cli.main(["verify", "--n", "4", "--k", "2", "--p", "3", "--pairs", "3", "--seed",
+                     "2", "--inject-fault", "--output", str(path)]) == status
+    assert len(calls) == 3 and not path.exists()
+    out, err = capsys.readouterr()
+    assert out == "" and err == ("" if status == 130 else
+                                 "error: internal failure: ArithmeticError('record 3')\n")
+
+
+def test_a_failed_write_removes_no_path_it_did_not_make(tmp_path, monkeypatch, capsys):
+    # a directory fails to open and stays; a link is written through, and stays
+    argv = ["rho", "--r", "2", "--d", "8", "--k", "2", "--g", "5..6", "--output"]
+    (tmp_path / "dir").mkdir()
+    assert cli.main(argv + [str(tmp_path / "dir")]) == 2 and (tmp_path / "dir").is_dir()
+    link, rho, calls = tmp_path / "link", cli._rho, []
+    link.symlink_to(tmp_path / "target")
+
+    def failing(*args):
+        calls.append(args)
+        if len(calls) == 3:  # the first row's two variants are made before the file opens
+            raise ArithmeticError("row 2")
+        return rho(*args)
+
+    monkeypatch.setattr(cli, "_rho", failing)
+    assert cli.main(argv + [str(link)]) == 3
+    assert link.is_symlink() and (tmp_path / "target").exists()
+
+
 @pytest.mark.parametrize("argv, flag", [
     (("scan", "--n", "4", "--k", "1", "--p", "3", "--workers", "0"), "--workers"),
     (("verify", "--n", "4", "--k", "1", "--p", "3", "--pairs", "1",
@@ -932,7 +1018,7 @@ def wrong(M):  # the elimination's P with one entry off, its rank kept
     return Matrix(M.field, M.nrows, M.ncols, rows), rank
 
 cli.skew_normal_form = wrong
-cli.main(["normal-form", "--input", sys.argv[1]])
+sys.exit(cli.main(["normal-form", "--input", sys.argv[1]]))
 """
 
 
@@ -944,8 +1030,8 @@ def test_normal_form_re_verification_is_recomputed_from_m_and_p(tmp_path, field,
     path.write_text(json.dumps({"field": field.spec(), "matrix": M.encode()}))
     proc = subprocess.run([sys.executable, *flags, "-c", _WRONG_NORMAL_FORM, str(path)],
                           capture_output=True, text=True, timeout=60)
-    assert (proc.returncode, proc.stdout) == (1, "")
-    assert proc.stderr.endswith("ArithmeticError: normal form re-verification failed\n")
+    assert (proc.returncode, proc.stdout, proc.stderr) == (
+        3, "", "error: internal failure: ArithmeticError('normal form re-verification failed')\n")
 
 
 def _normal_form_inputs():
@@ -977,3 +1063,39 @@ def test_output_flag_writes_file(tmp_path):
                            "--output", str(out_path))
     assert code == 0 and out == ""
     assert json.loads(out_path.read_text())["rows"][0]["rho_fixed"] == 8
+
+
+@pytest.mark.parametrize("workers", ["1", "2"])
+@pytest.mark.parametrize("scope", ["exhaustive", "sampled"])
+@pytest.mark.parametrize("fault", [False, True], ids=["clean", "fault"])
+def test_verify_answers_are_the_bytes_of_one_dump(fault, scope, workers):
+    # the mismatches, streamed or empty, are written in the bytes of the whole payload's dump
+    code, out, _ = run_cli("verify", "--n", "4", "--k", "2", "--p", "3", "--pairs", "3",
+                           "--seed", "2", "--scope", scope, "--samples", "5",
+                           "--workers", workers, *(("--inject-fault",) * fault))
+    assert code == fault
+    assert out == json.dumps(json.loads(out), indent=2, sort_keys=True) + "\n"
+    assert bool(json.loads(out)["mismatches"]) == fault
+
+
+class _RecordingStdout:
+    """Stands in for sys.stdout: keeps every string written, one write each."""
+
+    def __init__(self):
+        self.writes = []
+
+    def writelines(self, lines):
+        self.writes.extend(lines)
+
+
+def test_verify_writes_its_mismatches_a_record_at_a_time(monkeypatch):
+    stdout = _RecordingStdout()
+    monkeypatch.setattr(sys, "stdout", stdout)
+    assert cli.main(["verify", "--n", "4", "--k", "2", "--p", "3", "--pairs", "3", "--seed", "2",
+                     "--inject-fault"]) == 1
+    out = "".join(stdout.writes)
+    head = out[:out.index('"mismatches": [')]
+    records = [json.dumps(r, indent=2, sort_keys=True).replace("\n", "\n    ")
+               for r in json.loads(out)["mismatches"]]
+    assert len(records) > 1
+    assert max(map(len, stdout.writes)) < len(head) + max(map(len, records))
