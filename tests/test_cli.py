@@ -694,8 +694,8 @@ sys.exit(cli.main(sys.argv[1:]))
 _DEAD_POOL_WORKER = """
 import multiprocessing, os, sys
 from msgkit import cli
-multiprocessing.set_start_method("fork")
-os.cpu_count = lambda: 2
+multiprocessing.set_start_method("fork")  # a worker finds `die` in its copy of this script
+os.cpu_count = lambda: 2  # two pairs start two workers, on one core too
 
 def die(*args, **kwargs):  # a pool worker that dies at its first pair
     os._exit(9)
@@ -749,7 +749,7 @@ def test_a_failed_write_leaves_no_partial_output_file(tmp_path, monkeypatch, cap
                                  "error: internal failure: ArithmeticError('record 3')\n")
 
 
-def test_a_failed_write_removes_no_path_it_did_not_make(tmp_path, monkeypatch, capsys):
+def test_a_failed_write_removes_no_path_it_did_not_make(tmp_path, monkeypatch):
     # a directory fails to open and stays; a link is written through, and stays
     argv = ["rho", "--r", "2", "--d", "8", "--k", "2", "--g", "5..6", "--output"]
     (tmp_path / "dir").mkdir()
