@@ -39,15 +39,15 @@ from .symplectic import (
     BudgetExceeded,
     Subspace,
     _require_budget,
+    _require_forms,
     _require_isotropic_dim,
     _subspace_count,
     decode_point,
     derive_seed,
-    enumeration_budget,
     random_form_space,
 )
-from .tangent import (PointContext, _constraint_rows, _sampled_points, _verify_report,
-                      _verify_seeded_pair, msg_expected_dim, tangent_report)
+from .tangent import (PointContext, _constraint_rows, _require_fault_row, _sampled_points,
+                      _verify_report, _verify_seeded_pair, msg_expected_dim, tangent_report)
 
 _SEED_RULE = "splitmix64(seed, index)"
 
@@ -184,7 +184,7 @@ def cmd_rho(args) -> int:
     # the grid is sized before any row is built, with one d per g when d is
     # linear in g; a range's length may pass ssize_t, so it is not len()
     size = prod(s.stop - s.start for s in (rs, ks, gs, ms, ds) if isinstance(s, range))
-    _require_budget(size, f"a rho grid of {size} rows", enumeration_budget())
+    _require_budget(size, f"a rho grid of {size} rows")
 
     def rows():
         for g, r in product(gs, rs):
@@ -229,8 +229,7 @@ def cmd_check_point(args) -> int:
     n, k, m = fs.dim, basis.nrows, fs.m
     R, C = m * (k * (k - 1) // 2), k * (n - k)
     minors = k * comb(n - k, k - 1) * (k - 1) ** 3 if m == 2 and k >= 2 else 0
-    _require_budget(R * C * min(R, C) + minors, f"checking a point with n={n}, k={k}, m={m}",
-                    enumeration_budget())
+    _require_budget(R * C * min(R, C) + minors, f"checking a point with n={n}, k={k}, m={m}")
     V = Subspace.from_span(basis)
     ctx = PointContext(V, fs, basis=basis)
     report = tangent_report(ctx)
@@ -277,10 +276,10 @@ def cmd_scan(args) -> int:
         raise ValueError("--samples must be >= 1")
     _require_isotropic_dim(args.n, args.k)
     expected = msg_expected_dim(args.n, args.k, args.m)
+    _require_forms(args.n, args.m)
     # a drawn form costs O(n^3): the one rank of each drawn P, then P^T J P
     _require_budget(args.samples * args.m * args.n ** 3,
-                    f"scanning {args.samples} samples x {args.m} forms x n^3 = {args.n ** 3}",
-                    enumeration_budget())
+                    f"scanning {args.samples} samples x {args.m} forms x n^3 = {args.n ** 3}")
     excesses = _run_tasks(partial(_scan_sample, field, args.n, args.k, args.m, args.seed),
                           range(args.samples), args.workers)
     histogram = Counter(str(e) for e in excesses if e is not None)
@@ -307,15 +306,16 @@ def cmd_verify(args) -> int:
         raise ValueError("--pairs must be >= 1")
     if args.samples < 1:
         raise ValueError("--samples must be >= 1")
+    # what every pair would refuse, and the whole run sized against the budget, come
+    # before any pencil is drawn or any pool starts: a bad MSGKIT_BUDGET fails in both scopes
     _require_isotropic_dim(args.n, args.k)
-    # the budget is read and the whole run sized here, before any pencil is
-    # drawn or any pool starts, so a malformed MSGKIT_BUDGET fails in both scopes
-    budget = enumeration_budget()
+    _require_forms(args.n, 2)
+    _require_fault_row(args.k, args.inject_fault)
     if args.scope == "sampled":
         each, what = args.samples * args.n ** 3, f"steps ({args.samples} samples x n^3)"
     else:
-        each, what = _subspace_count(args.n, args.k, args.p, budget)
-    _require_budget(args.pairs * each, f"verifying {args.pairs} pairs x {each} {what}", budget)
+        each, what = _subspace_count(args.n, args.k, args.p)
+    _require_budget(args.pairs * each, f"verifying {args.pairs} pairs x {each} {what}")
     task = partial(_verify_seeded_pair, args.n, args.k, field, args.seed, scope=args.scope,
                    samples=args.samples, fault=args.inject_fault)
     report = _verify_report(_run_tasks(task, range(args.pairs), args.workers),
@@ -349,7 +349,7 @@ def cmd_normal_form(args) -> int:
     # the Schur steps and the re-verification each cost O(n^3); `skew_normal_form`
     # refuses a matrix that is not square or not alternating, on its own lift
     n = M.nrows
-    _require_budget(n ** 3, f"a normal form of n={n} (n^3 = {n ** 3})", enumeration_budget())
+    _require_budget(n ** 3, f"a normal form of n={n} (n^3 = {n ** 3})")
     P, rank = skew_normal_form(M)
     canonical = canonical_alternating(field, n, rank)
     if not _congruent(M, P, canonical):  # P^T M P, recomputed on ints

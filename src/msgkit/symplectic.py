@@ -169,27 +169,26 @@ def standard_form(n: int, field: Field) -> SymplecticForm:
     return SymplecticForm(canonical_alternating(field, n, n))
 
 
-def random_symplectic_form(n: int, field: Field, rng: Random) -> SymplecticForm:
-    """P^T J P for P = `random_invertible(field, n, rng)`, whose rank is all a draw checks."""
-    if n < 2 or n % 2:
-        raise ValueError(f"symplectic forms need even n >= 2, got {n}")
-    return SymplecticForm._from_invertible(random_invertible(field, n, rng))
-
-
-def random_form_space(n: int, m: int, field: Field, rng: Random) -> FormSpace:
-    """m symplectic forms with independent Gram matrices, resampling on dependence.
-
-    Alternating n x n matrices form an n(n-1)/2-dimensional space, so for
-    n = 2 any two symplectic forms are dependent; sizes that cannot host m
-    independent forms are rejected outright.
-    """
+def _require_forms(n: int, m: int) -> None:
+    """Refuse m independent symplectic forms on F^n where none exist: alternating
+    n x n matrices span n(n-1)/2 dimensions, so at n = 2 any two are dependent."""
     if m < 1:
         raise ValueError("need m >= 1 forms")
     if n < 2 or n % 2:
         raise ValueError(f"symplectic forms need even n >= 2, got {n}")
     if m > n * (n - 1) // 2:
-        raise ValueError(
-            f"no {m} independent alternating forms exist in dimension {n}")
+        raise ValueError(f"no {m} independent alternating forms exist in dimension {n}")
+
+
+def random_symplectic_form(n: int, field: Field, rng: Random) -> SymplecticForm:
+    """P^T J P for P = `random_invertible(field, n, rng)`, whose rank is all a draw checks."""
+    _require_forms(n, 1)
+    return SymplecticForm._from_invertible(random_invertible(field, n, rng))
+
+
+def random_form_space(n: int, m: int, field: Field, rng: Random) -> FormSpace:
+    """m symplectic forms with independent Gram matrices, resampling on dependence."""
+    _require_forms(n, m)
     forms, guard = [], 0
     while len(forms) < m:
         candidate = random_symplectic_form(n, field, rng)
@@ -346,21 +345,22 @@ def _check_enumeration(n: int, k: int, field: Field) -> None:
         raise ValueError("exhaustive enumeration needs a finite prime field")
     if not 0 <= k <= n:
         raise ValueError(f"need 0 <= k <= n, got k={k}, n={n}")
-    budget = enumeration_budget()
-    total, what = _subspace_count(n, k, field.p, budget)
-    _require_budget(total, f"enumerating {total} {what}", budget)
+    total, what = _subspace_count(n, k, field.p)
+    _require_budget(total, f"enumerating {total} {what}")
 
 
-def _subspace_count(n: int, k: int, q: int, budget: int) -> tuple[int, str]:
+def _subspace_count(n: int, k: int, q: int) -> tuple[int, str]:
     """(C(n, k)_q, "subspaces"), or, not multiplied out, (budget + 1, "or more subspaces")
     when k(n-k) >= budget.bit_length(), as then C(n, k)_q >= q^(k(n-k)) > budget."""
+    budget = enumeration_budget()
     if k * (n - k) < budget.bit_length():
         return gaussian_binomial(n, k, q), "subspaces"
     return budget + 1, "or more subspaces"
 
 
-def _require_budget(size: int, what: str, budget: int) -> None:
-    """Refuse work of `size` units past the budget; `what` describes it."""
+def _require_budget(size: int, what: str) -> None:
+    """Refuse work of `size` units, described by `what`, past `enumeration_budget()`."""
+    budget = enumeration_budget()
     if size > budget:
         raise BudgetExceeded(
             f"{what} exceeds the budget of {budget} (raise MSGKIT_BUDGET to override)")
@@ -400,62 +400,56 @@ def enumerate_subspaces(n: int, k: int, field: Field):
     return generate()
 
 
-def _row_solutions(field: PrimeField, pivot: int, cols: list[int], perps: list[list[int]]):
-    """Free-entry vectors x, in lexicographic order, such that the row
-    e_pivot + sum_a x[a] e_{cols[a]} pairs to zero with every w in `perps`.
+def _row_solutions(field: PrimeField, n: int, pivot: int, cols: list[int], perps: list[list[int]]):
+    """The rows e_pivot + sum_c x_c e_c, c in `cols`, that pair to zero with every w
+    in `perps`, yielded one at a time in lexicographic order.
 
-    Each w gives the equation w[pivot] + sum_a x[a] w[cols[a]] = 0.  The
-    columns are eliminated right to left, so every solved entry depends
-    only on free parameters to its left; counting through the parameters
-    in order then lists the solutions in lexicographic order.
+    Each w gives the equation w[pivot] + sum_c x_c w[c] = 0.  The columns are
+    eliminated right to left, so every solved entry depends only on free entries
+    to its left; counting through the free entries in order then yields the rows
+    in lexicographic order.
     """
     p, f = field.p, len(cols)
     R, pivot_cols = field.rref([[w[c] for c in reversed(cols)] + [-w[pivot] % p] for w in perps])
     if f in pivot_cols:
-        return ()
-    solved = [(f - 1 - c, R[r][f], [(f - 1 - d, R[r][d]) for d in range(c + 1, f) if R[r][d]])
-              for r, c in enumerate(pivot_cols)]
-    params = sorted(set(range(f)) - {a for a, _, _ in solved})
-    out = []
-    for values in itertools.product(range(p), repeat=len(params)):
-        x = [0] * f
-        for a, v in zip(params, values):
-            x[a] = v
-        for a, const, deps in solved:
-            x[a] = (const - sum(c * x[d] for d, c in deps)) % p
-        out.append(x)
-    return out
+        return
+    solved = {cols[f - 1 - c]: (R[r][f], [(cols[f - 1 - d], R[r][d]) for d in range(c + 1, f)
+                                          if R[r][d]]) for r, c in enumerate(pivot_cols)}
+    free = [c for c in cols if c not in solved]
+    for values in itertools.product(range(p), repeat=len(free)):
+        row = [0] * n
+        row[pivot] = 1
+        for c, v in zip(free, values):
+            row[c] = v
+        for c, (const, deps) in solved.items():
+            row[c] = (const - sum(x * row[d] for d, x in deps)) % p
+        yield row
 
 
 def _isotropic_points(k: int, F: FormSpace):
-    """`enumerate_isotropic_subspaces` in plain ints: (pivots, RREF rows, pairings)
-    with pairings[t][i] = <row_i, e_c>_t at the non-pivot columns c, R_t for the unit
-    complement.  Each row is checked, apart from the elimination that solved it, against
-    row G_t of the rows above, by `_gram_products`; its pairings are its row G_t at c."""
-    n, field = F.dim, F.field
+    """`enumerate_isotropic_subspaces` in plain ints: (pivots, RREF rows, restrictions)
+    with restrictions[t][i] = <row_i, e_c>_t at the non-pivot columns c, R_t for the unit
+    complement, read off the perps: row_i G_t by `_gram_products`, at perps[i m + t].  Each
+    row is checked, apart from the elimination that solved it, against the perps above."""
+    n, field, m = F.dim, F.field, F.m
     _check_enumeration(n, k, field)
     p, products = field.p, _gram_products(F)
 
-    def extend(pivots, free, cols, rows, perps, pairings):
+    def extend(pivots, free, cols, rows, perps):
         i = len(rows)
         if i == k:
-            yield pivots, rows, pairings
+            yield pivots, rows, [[[w[c] for c in cols] for w in perps[t::m]] for t in range(m)]
             return
-        for x in _row_solutions(field, pivots[i], free[i], perps):
-            row = [0] * n
-            row[pivots[i]] = 1
-            for j, v in zip(free[i], x):
-                row[j] = v
+        for row in _row_solutions(field, n, pivots[i], free[i], perps):
             if any(sum(map(mul, w, row)) % p for w in perps):
                 raise ArithmeticError(f"enumerated row {i + 1} is not isotropic to the rows above")
-            ws = [rG[0] for rG in products([row])]
-            yield from extend(pivots, free, cols, rows + [row], perps + ws,
-                              [R + [[w[c] for c in cols]] for R, w in zip(pairings, ws)])
+            yield from extend(pivots, free, cols, rows + [row],
+                              perps + [rG[0] for rG in products([row])])
 
     def generate():
         for pivots in itertools.combinations(range(n), k):
             cols = _non_pivot_columns(n, pivots)
-            yield from extend(pivots, _free_columns(n, pivots), cols, [], [], [[]] * F.m)
+            yield from extend(pivots, _free_columns(n, pivots), cols, [], [])
 
     return generate()
 

@@ -588,6 +588,13 @@ def _seeded_pencil(n: int, field: Field, seed: int, index: int) -> FormSpace:
     return random_independent_pair(n, field, Random(derive_seed(seed, index)))
 
 
+def _require_fault_row(k: int, fault: bool) -> None:
+    """Refuse `fault` at k < 2, where there is no constraint row to corrupt."""
+    if fault and k < 2:
+        raise ValueError(f"fault injection needs k >= 2, got k={k}:"
+                         " there is no constraint row to corrupt")
+
+
 def verify_pair(
     fs: FormSpace,
     k: int,
@@ -613,9 +620,7 @@ def verify_pair(
     """
     if fs.m != 2:
         raise ValueError("equivalence verification needs pencils (m = 2)")
-    if fault and k < 2:
-        raise ValueError(f"fault injection needs k >= 2, got k={k}:"
-                         " there is no constraint row to corrupt")
+    _require_fault_row(k, fault)
     field, n = fs.field, fs.dim
     _require_isotropic_dim(n, k)
     if scope == "exhaustive":

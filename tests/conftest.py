@@ -1,6 +1,7 @@
 import os
 from fractions import Fraction
-from itertools import product
+from functools import cache
+from itertools import combinations, product
 from math import lcm, prod
 
 import pytest
@@ -137,10 +138,11 @@ def degenerate_instance():
     return fs, V
 
 
-def chart_differential_rank(V, fs):
-    """An independent tangent oracle: the rank of the differential at V of
-    X -> (B(X) G_t B(X)^T)_{i<j}, one upper triangle per form, in the affine
-    chart where B(X) is V's RREF basis with X added at its non-pivot columns.
+def chart_differential_columns(F, B, pivots, grams):
+    """The columns of the differential at B of X -> (B(X) G_t B(X)^T)_{i<j}, one upper
+    triangle per Gram matrix G_t, in the affine chart where B(X) is the RREF basis B,
+    of pivot columns `pivots`, with X added at its non-pivot columns; F gives the
+    field's zero, add and mul.
 
     The column for the unit direction E at row i and non-pivot column c is
     the upper triangle of E G_t B^T + B G_t E^T, written out entrywise: its
@@ -148,8 +150,7 @@ def chart_differential_rank(V, fs):
     tangent space is the kernel of this map, so its rank is the constraint
     rank; nothing here reads msgkit's constraint rows or restrictions.
     """
-    F, n, k, B = V.field, V.n, V.k, V.basis.rows
-    grams = [G.rows for G in fs.grams()]
+    n, k = len(grams[0]), len(B)
 
     def dot(u, w):
         acc = F.zero
@@ -159,7 +160,7 @@ def chart_differential_rank(V, fs):
 
     columns = []
     for i in range(k):
-        for c in (c for c in range(n) if c not in V.pivots):
+        for c in (c for c in range(n) if c not in pivots):
             column = []
             for G in grams:
                 Gcol = [G[l][c] for l in range(n)]
@@ -169,10 +170,143 @@ def chart_differential_rank(V, fs):
                         y = dot(B[a], Gcol) if b == i else F.zero
                         column.append(F.add(x, y))
             columns.append(column)
-    rows = len(grams) * (k * (k - 1) // 2)
-    if not columns or not rows:
+    return columns
+
+
+def chart_differential_rank(V, fs):
+    """An independent tangent oracle: the rank of `chart_differential_columns` at V."""
+    columns = chart_differential_columns(V.field, V.basis.rows, V.pivots,
+                                         [G.rows for G in fs.grams()])
+    if not columns or not columns[0]:
         return 0
-    return Matrix(F, len(columns), rows, columns).rank()
+    return Matrix(V.field, len(columns), len(columns[0]), columns).rank()
+
+
+def _reference_remainder(p, a, g):
+    """a mod the monic g over F_p, coefficient lists low degree first."""
+    a = list(a)
+    for i in reversed(range(len(a) - len(g) + 1)):
+        c = a[i + len(g) - 1]
+        for j, x in enumerate(g):
+            a[i + j] = (a[i + j] - c * x) % p
+    return a[:len(g) - 1]
+
+
+class ReferenceField:
+    """F_(p^e) = F_p[x]/(f), built from definitions and sharing no code with msgkit.
+
+    f is the first monic polynomial of degree e with no monic factor of degree 1..e/2,
+    found by trial division (Lidl and Niederreiter, Finite Fields, ch. 1-3).  An element
+    is the int whose base-p digits are its coefficients, low degree first, so F_p sits
+    inside with its own values.  Sums, products, negatives and inverses are tables.
+    """
+
+    def __init__(self, p, e):
+        q = self.q = p ** e
+        self.zero = 0
+        digits = [[a // p ** i % p for i in range(e)] for a in range(q)]
+        value = lambda d: sum(x * p ** i for i, x in enumerate(d))
+        monic = lambda d: (list(c) + [1] for c in product(range(p), repeat=d))
+        f = next(f for f in monic(e)
+                 if all(any(_reference_remainder(p, f, g)) for d in range(1, e // 2 + 1)
+                        for g in monic(d)))
+
+        def times(a, b):
+            c = [0] * (2 * e - 1)
+            for i, x in enumerate(digits[a]):
+                for j, y in enumerate(digits[b]):
+                    c[i + j] = (c[i + j] + x * y) % p
+            return value(_reference_remainder(p, c, f))
+
+        self._add = [[value([(x + y) % p for x, y in zip(digits[a], digits[b])])
+                      for b in range(q)] for a in range(q)]
+        self._mul = [[times(a, b) for b in range(q)] for a in range(q)]
+        self._neg = [self._add[a].index(0) for a in range(q)]
+        self._inv = [None] + [self._mul[a].index(1) for a in range(1, q)]
+
+    def add(self, a, b):
+        return self._add[a][b]
+
+    def mul(self, a, b):
+        return self._mul[a][b]
+
+    def rank(self, rows):
+        """Forward elimination: each pivot clears its column from the rows below it."""
+        rows, r = [list(row) for row in rows], 0
+        for c in range(len(rows[0]) if rows else 0):
+            i = next((i for i in range(r, len(rows)) if rows[i][c]), None)
+            if i is None:
+                continue
+            rows[r], rows[i] = rows[i], rows[r]
+            pivot = [self.mul(self._inv[rows[r][c]], x) for x in rows[r]]
+            for j in range(r + 1, len(rows)):
+                f = self._neg[rows[j][c]]
+                rows[j] = [self.add(x, self.mul(f, y)) for x, y in zip(rows[j], pivot)]
+            r += 1
+        return r
+
+
+@cache
+def reference_field(p, e):
+    return ReferenceField(p, e)
+
+
+def reference_pencil_degenerate(p, R1, R2):
+    """Whether rank(l R1 + m R2) <= k - 2 at some point (l : m) over the algebraic closure
+    of F_p, for k x w matrices R1, R2 over F_p: the pencil oracle from the definition.
+
+    Such a point is a common root of the (k-1)-minors, binary forms of degree k - 1, so
+    it lies in F_(p^e) for some e <= k - 1 (every point does when the minors all vanish),
+    and the points of P^1(F_(p^e)), e = 1..k-1, decide it with no minor.
+    """
+    k = len(R1)
+    for e in range(1, k):
+        F = reference_field(p, e)
+        for l, m in [(0, 1)] + [(1, x) for x in range(F.q)]:
+            if F.rank([[F.add(F.mul(l, x), F.mul(m, y)) for x, y in zip(r1, r2)]
+                       for r1, r2 in zip(R1, R2)]) <= k - 2:
+                return True
+    return False
+
+
+def reference_verify_points(fs, k):
+    """Exhaustive verify of the pencil `fs` over F_p at k from definitions, sharing no
+    code with msgkit: per simultaneously isotropic k-subspace, in RREF enumeration
+    order, (pivots, RREF rows, restrictions R_t, constraint rank, degenerate).
+
+    The RREF bases are enumerated a row at a time, each row's free entries filled in
+    every way and the row kept when it pairs to zero, by plain dot products, with the
+    rows above under every form.  R_t is B G_t at the non-pivot columns, the rank is
+    that of `chart_differential_columns` by `ReferenceField`'s elimination over F_p,
+    and the pencil side is `reference_pencil_degenerate`.
+    """
+    p, n = fs.field.p, fs.dim
+    grams = [[list(row) for row in G.rows] for G in fs.grams()]
+    Fp = reference_field(p, 1)
+
+    def bases(pivots, B, BG):  # BG[i][t] = B[i] G_t
+        i = len(B)
+        if i == k:
+            yield B, BG
+            return
+        cols = [c for c in range(pivots[i] + 1, n) if c not in pivots]
+        for values in product(range(p), repeat=len(cols)):
+            row = [int(c == pivots[i]) for c in range(n)]
+            for c, x in zip(cols, values):
+                row[c] = x
+            if not any(sum(x * y for x, y in zip(w, row)) % p for ws in BG for w in ws):
+                yield from bases(pivots, B + [row], BG + [
+                    [[sum(row[a] * G[a][b] for a in range(n)) % p for b in range(n)]
+                     for G in grams]])
+
+    points = []
+    for pivots in combinations(range(n), k):
+        cols = [c for c in range(n) if c not in pivots]
+        for B, BG in bases(pivots, [], []):
+            R = [[[rowG[t][c] for c in cols] for rowG in BG] for t in range(len(grams))]
+            rank = Fp.rank(chart_differential_columns(Fp, B, pivots, grams))
+            points.append((pivots, B, R, rank, reference_pencil_degenerate(p, *R)))
+    return points
 
 
 def isotropic_plane_count(fs):

@@ -682,6 +682,34 @@ def test_verify_malformed_budget_exits_2_in_both_scopes():
         assert "MSGKIT_BUDGET" in err and "Traceback" not in err
 
 
+_NO_POOL = """
+import os, sys
+from msgkit import cli
+os.cpu_count = lambda: 2  # two tasks start two workers, on one core too
+code = cli.main(sys.argv[1:])
+print(sorted(name for name in sys.modules if name.startswith("concurrent")))
+sys.exit(code)
+"""
+
+
+@pytest.mark.parametrize("flags", [(), ("-O",)], ids=["plain", "optimized"])
+@pytest.mark.parametrize("argv, message", [
+    ("verify --n 5 --k 2 --p 3 --pairs 2", "symplectic forms need even n >= 2, got 5"),
+    ("verify --n 2 --k 1 --p 3 --pairs 2",
+     "no 2 independent alternating forms exist in dimension 2"),
+    ("verify --n 4 --k 1 --p 3 --pairs 2 --inject-fault",
+     "fault injection needs k >= 2, got k=1: there is no constraint row to corrupt"),
+    ("scan --n 5 --k 2 --m 2 --p 3 --samples 4", "symplectic forms need even n >= 2, got 5"),
+    ("scan --n 4 --k 2 --m 7 --p 3 --samples 4",
+     "no 7 independent alternating forms exist in dimension 4"),
+])
+def test_a_run_no_pencil_can_serve_is_refused_before_any_pool_starts(argv, message, flags):
+    # every pair or sample would refuse it, so the parent does, with the library's rule
+    proc = subprocess.run([sys.executable, *flags, "-c", _NO_POOL, *argv.split(), "--workers", "2"],
+                          capture_output=True, text=True, timeout=60)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (2, "[]\n", f"error: {message}\n")
+
+
 _FAILED_SELF_CHECK = """
 import sys
 from msgkit import Matrix, Subspace, cli, tangent

@@ -1,3 +1,4 @@
+import itertools
 import json
 import os
 import subprocess
@@ -477,13 +478,14 @@ def test_enumeration_past_the_budget_is_refused_without_counting(n, k, monkeypat
     assert len(list(enumerate_subspaces(4, 2, PrimeField(3)))) == 130
 
 
-def test_subspace_count_is_exact_or_past_the_budget():
+def test_subspace_count_is_exact_or_past_the_budget(monkeypatch):
     for q in (3, 5):
         for n in range(10):
             for k in range(n + 1):
                 exact = gaussian_binomial(n, k, q)
                 for budget in (1, 2, 7, 129, 130, 10**4, 10**7):
-                    count, what = _subspace_count(n, k, q, budget)
+                    monkeypatch.setenv("MSGKIT_BUDGET", str(budget))
+                    count, what = _subspace_count(n, k, q)
                     if what == "subspaces":
                         assert count == exact
                     else:
@@ -556,9 +558,15 @@ def test_point_stream_matches_the_filter_and_the_point_contexts(n, k, m, p):
 _WRONG_SOLUTIONS = """
 import itertools, random
 from msgkit import matrices, symplectic
-# every fill of the free entries, as if the elimination had solved nothing
-symplectic._row_solutions = lambda field, pivot, cols, perps: itertools.product(
-    range(field.p), repeat=len(cols))
+
+def every_row(field, n, pivot, cols, perps):  # every fill, as if the elimination solved nothing
+    for values in itertools.product(range(field.p), repeat=len(cols)):
+        row = [int(c == pivot) for c in range(n)]
+        for c, v in zip(cols, values):
+            row[c] = v
+        yield row
+
+symplectic._row_solutions = every_row
 fs = symplectic.random_form_space(4, 2, symplectic.PrimeField(3), random.Random(3))
 list(symplectic._isotropic_points(2, fs))
 """
@@ -570,6 +578,24 @@ def test_point_stream_checks_isotropy_apart_from_the_elimination(flags):
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 1
     assert "ArithmeticError: enumerated row 2 is not isotropic" in proc.stderr
+
+
+def test_the_walk_draws_one_row_candidate_at_a_time(monkeypatch):
+    # at k = 1 every fill of row 0's free entries is a point, so a walk that holds
+    # one candidate at a time has drawn exactly i + 1 fills when it yields point i
+    fs = random_form_space(10, 2, PrimeField(3), Random(10))
+    draws, product = 0, itertools.product
+
+    def counting(*args, **kwargs):
+        nonlocal draws
+        for values in product(*args, **kwargs):
+            draws += 1
+            yield values
+
+    monkeypatch.setattr(itertools, "product", counting)
+    for i, _ in enumerate(_isotropic_points(1, fs)):
+        assert draws == i + 1
+    assert i + 1 == (3 ** 10 - 1) // 2
 
 
 @pytest.mark.parametrize("n,k,m,p", ORACLE_GRID,

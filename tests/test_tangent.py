@@ -1,5 +1,6 @@
 import itertools
 import json
+import operator
 import os
 import pickle
 import subprocess
@@ -44,6 +45,7 @@ from msgkit import (
     random_invertible,
     random_isotropic_subspace,
     random_matrix,
+    random_symplectic_form,
     standard_form,
     tangent_report,
     verify_pair,
@@ -59,8 +61,9 @@ from msgkit.tangent import (PhiKernelElement, _constraint_rows, _coprime_quadrat
                             _resultant2, _sampled_points, _verify_seeded_pair)
 from conftest import (DATA_DIR, PRIMES, chart_differential_rank, degenerate_instance, inverse,
                       peval, pfaffian, random_alternating, random_alternating_nonsingular,
-                      random_complement, reference_eigenspaces,
-                      reference_lifted_pencil_pfaffian, reference_pencil_pfaffian, stack)
+                      random_complement, reference_eigenspaces, reference_field,
+                      reference_lifted_pencil_pfaffian, reference_pencil_degenerate,
+                      reference_pencil_pfaffian, reference_verify_points, stack)
 
 
 def half_standard_gram(field):
@@ -1342,6 +1345,80 @@ def test_planted_degenerate_pencils_agree_with_the_point_context_path(planted):
     assert degenerate >= through_w
     assert len(ranks) >= 2  # the oracle saw the full rank and a drop below it
     assert verify_pair(fs, k) == (points, [])
+
+
+def _pencil_a_rank_two_form_apart(n, F, rng):
+    """Forms G and G + e_1 ^ e_2: the (n-2)-dimensional kernel of their difference holds
+    many degenerate points, which random pencils almost never reach."""
+    A = Matrix(F, n, n, [[int((i, j) == (0, 1)) - int((i, j) == (1, 0)) for j in range(n)]
+                         for i in range(n)])
+    while True:
+        G = random_symplectic_form(n, F, rng).gram
+        if G.add(A).rank() == n:
+            return FormSpace([SymplecticForm(G), SymplecticForm(G.add(A))])
+
+
+@pytest.mark.parametrize("n,k", [(4, 1), (4, 2), (6, 1), (6, 2), (6, 3)])
+def test_reference_verify_agrees_at_every_point(n, k):
+    # a verify from the definitions, sharing no code with msgkit, against the walk's
+    # records, verify's constraint rank and its pencil decision, point by point; the
+    # theorem then holds at every point on the reference's word alone
+    F, rng = PrimeField(3), Random(10 * n + k)
+    degenerate = 0
+    for fs in (random_form_space(n, 2, F, rng), _pencil_a_rank_two_form_apart(n, F, rng)):
+        reference = reference_verify_points(fs, k)
+        assert [point[:3] for point in reference] == list(_isotropic_points(k, fs))
+        for _, rows, restrictions, rank, degenerate_here in reference:
+            assert F.rank(_constraint_rows(F, k, n - k, restrictions)) == rank
+            assert (_pencil_degeneracy(F, *restrictions, rows) is not None) == degenerate_here
+            assert (rank == k * (k - 1)) == (not degenerate_here)
+            degenerate += degenerate_here
+    assert (degenerate > 0) == (k >= 2)
+
+
+def _pencil_degenerate_off_the_prime_field(p, k, w, rng):
+    """(R1, R2) = (P [I] Q, P [-C] Q), k x w, for C the companion matrix of a monic g of
+    degree k - 1 with no root in F_p (so irreducible at k <= 4), placed in the top-left
+    corner with zeros around it, and P, Q random invertible: the one nonzero (k-1)-minor
+    of x R1 + R2 before P and Q is det(x I - C) = g(x), so the pencil degenerates at the
+    roots of g, outside F_p."""
+    d, Fp = k - 1, reference_field(p, 1)
+    g = next(g for g in ([rng.randrange(p) for _ in range(d)] for _ in itertools.count())
+             if all((x ** d + sum(c * x ** i for i, c in enumerate(g))) % p for x in range(p)))
+    minus_c = [[-(i == j + 1) % p if j < d - 1 else g[i] for j in range(d)] for i in range(d)]
+    corner = lambda A: [[A[i][j] if i < d and j < d else 0 for j in range(w)] for i in range(k)]
+    times = lambda A, B: [[sum(map(operator.mul, r, c)) % p for c in zip(*B)] for r in A]
+    P, Q = (next(M for M in ([[rng.randrange(p) for _ in range(size)] for _ in range(size)]
+                             for _ in itertools.count()) if Fp.rank(M) == size)
+            for size in (k, w))
+    return (times(times(P, corner([[int(i == j) for j in range(d)] for i in range(d)])), Q),
+            times(times(P, corner(minus_c)), Q))
+
+
+@pytest.mark.parametrize("p,k", [(3, 2), (3, 3), (3, 4), (5, 2), (5, 3)])
+def test_pencil_decision_matches_the_definition_level_oracle(p, k):
+    # random and sparse k x w pairs, w = k-1..k+2, and at k >= 3 pairs that degenerate
+    # only off F_p: `_pencil_degeneracy` finds a degenerate combination iff some point
+    # of P^1(F_(p^e)), e < k, drops the rank of l R1 + m R2 to k - 2 or less
+    F, Fp, rng = PrimeField(p), reference_field(p, 1), Random(10 * p + k)
+    basis = [[int(i == j) for j in range(k)] for i in range(k)]
+    seen = []
+    for w, zeros, _ in itertools.product(range(k - 1, k + 3), (0, 0.5, 0.8, None), range(10)):
+        if zeros is None:
+            if k < 3:
+                continue
+            R1, R2 = _pencil_degenerate_off_the_prime_field(p, k, w, rng)
+            assert all(Fp.rank([[(l * x + m * y) % p for x, y in zip(r1, r2)]
+                                 for r1, r2 in zip(R1, R2)]) == k - 1
+                       for l, m in [(0, 1)] + [(1, x) for x in range(p)])
+            assert reference_pencil_degenerate(p, R1, R2)
+        else:
+            R1, R2 = ([[0 if rng.random() < zeros else rng.randrange(p) for _ in range(w)]
+                       for _ in range(k)] for _ in range(2))
+        degenerate = reference_pencil_degenerate(p, R1, R2)
+        assert (_pencil_degeneracy(F, R1, R2, basis) is not None) == degenerate
+        seen.append(degenerate)
+    assert 0 < sum(seen) < len(seen)
 
 
 def _count_verify_builds(monkeypatch):
