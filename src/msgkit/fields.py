@@ -77,9 +77,9 @@ class _Record:
 class Field(_Record):
     """Common interface; see PrimeField and RationalField.
 
-    The row kernels (draw, matmul, multiplier, rref, rank, kernel) take and return lists of
-    canonical scalars.  Their bodies here are generic elimination through the
-    field calls; PrimeField overrides all but `kernel` with plain-int F_p bodies,
+    The row kernels (draw, matmul, multiplier, extend, rref, rank, kernel) take and return
+    lists of canonical scalars.  Their bodies here are generic elimination through the
+    field calls; PrimeField overrides all but `rref` and `kernel` with plain-int F_p bodies,
     so this module is the one place that picks F_p or generic code.  `lift` and `quotients`
     take alternating rows to ints for `matrices._skew_schur` and back.
     """
@@ -113,31 +113,41 @@ class Field(_Record):
         """A -> A B for a fixed B with at least one row; PrimeField packs B once."""
         return lambda A: self.matmul(A, B)
 
-    def rref(self, rows) -> tuple[list[list], tuple[int, ...]]:
-        """The nonzero rows of the reduced row echelon form and their pivot columns."""
+    def extend(self, kept: dict, v) -> int | None:
+        """Grow the live RREF `kept` (pivot column -> row) by the row v: v is reduced by the
+        kept rows, and a remainder is scaled to a leading 1, cleared from the kept rows and
+        kept.  Returns its pivot column, or None, with `kept` unchanged, if v is in the span."""
         sub, mul = self.sub, self.mul
-        rows, pivots = [list(r) for r in rows], []
-        m = len(rows)
-        for c in range(len(rows[0]) if rows else 0):
-            r = len(pivots)
-            if r == m:
+        for c, row in kept.items():
+            f = v[c]
+            if f:
+                v = [sub(x, mul(f, y)) for x, y in zip(v, row)]
+        for c, x in enumerate(v):
+            if x:
                 break
-            for i in range(r, m):
-                if rows[i][c]:
-                    break
-            else:
-                continue
-            rows[r], rows[i] = rows[i], rows[r]
-            if rows[r][c] != self.one:
-                f = self.inv(rows[r][c])
-                rows[r] = [mul(f, x) for x in rows[r]]
-            pivot = rows[r]
-            for i, row in enumerate(rows):
-                f = row[c]
-                if f and i != r:
-                    rows[i] = [sub(x, mul(f, y)) for x, y in zip(row, pivot)]
-            pivots.append(c)
-        return rows[:len(pivots)], tuple(pivots)
+        else:
+            return None
+        if x != self.one:
+            f = self.inv(x)
+            v = [mul(f, y) for y in v]
+        for pc, row in kept.items():
+            f = row[c]
+            if f:
+                kept[pc] = [sub(x, mul(f, y)) for x, y in zip(row, v)]
+        kept[c] = list(v)
+        return c
+
+    def rref(self, rows) -> tuple[list[list], tuple[int, ...]]:
+        """The nonzero rows of the reduced row echelon form and their pivot columns: each
+        row extends the kept RREF of the rows before it, until every column has a pivot.
+        An RREF depends only on the row space, so the order of the rows does not matter."""
+        kept = {}
+        for v in rows:
+            if len(kept) == len(v):
+                break
+            self.extend(kept, v)
+        pivots = sorted(kept)
+        return [kept[c] for c in pivots], tuple(pivots)
 
     def rank(self, rows) -> int:
         return len(self.rref(rows)[1])
@@ -260,33 +270,27 @@ class PrimeField(Field):
         return lambda A: [[y % p for y in cut(sum(map(_times, a, packed)).to_bytes(length, "little"))]
                           for a in A]
 
-    def rref(self, rows) -> tuple[list[list[int]], tuple[int, ...]]:
-        """The nonzero RREF rows and their pivots.  Each row is reduced by the kept RREF of
-        the rows before it, scaled and cleared from it, until every column has a pivot.
-        An RREF depends only on the row space, so this is the one `Field.rref` gives."""
-        p, kept = self.p, {}  # kept: pivot column -> its row
-        for v in rows:
-            if len(kept) == len(v):
+    def extend(self, kept: dict, v) -> int | None:
+        """`Field.extend` on plain ints mod p."""
+        p = self.p
+        for c, row in kept.items():
+            f = v[c]
+            if f:
+                v = [(x - f * y) % p for x, y in zip(v, row)]
+        for c, x in enumerate(v):
+            if x:
                 break
-            for c, row in kept.items():
-                f = v[c]
-                if f:
-                    v = [(x - f * y) % p for x, y in zip(v, row)]
-            for c, x in enumerate(v):
-                if x:
-                    break
-            else:
-                continue
-            if x != 1:
-                f = pow(x, p - 2, p)
-                v = [f * y % p for y in v]
-            for pc, row in kept.items():
-                f = row[c]
-                if f:
-                    kept[pc] = [(x - f * y) % p for x, y in zip(row, v)]
-            kept[c] = list(v)
-        pivots = sorted(kept)
-        return [kept[c] for c in pivots], tuple(pivots)
+        else:
+            return None
+        if x != 1:
+            f = pow(x, p - 2, p)
+            v = [f * y % p for y in v]
+        for pc, row in kept.items():
+            f = row[c]
+            if f:
+                kept[pc] = [(x - f * y) % p for x, y in zip(row, v)]
+        kept[c] = list(v)
+        return c
 
     def rank(self, rows) -> int:
         """Rank by forward elimination alone: a pivot clears its column in the other

@@ -26,7 +26,7 @@ from .fields import Field, PrimeField, _Record, field_from_spec
 from .matrices import Matrix, SingularMatrixError, canonical_alternating, random_invertible
 
 DEFAULT_BUDGET = 10**7
-_RETRIES = 64  # random draws per sampler step before the kernel sweep
+_RETRIES = 64  # random draws per sampler step before the kernel sweep, or at a stall
 
 _MASK64 = (1 << 64) - 1
 
@@ -303,35 +303,46 @@ def _require_isotropic_dim(n: int, k: int) -> None:
 
 
 def random_isotropic_subspace(k: int, F: FormSpace, rng: Random) -> Subspace | None:
-    """Greedy extension by random vectors in the intersection of the perps.
+    """Greedy extension by random vectors in K, the kernel of the perp system.
 
-    Each step draws random combinations of the kernel basis of the perp
-    system; if _RETRIES draws fail to leave the span, a deterministic sweep
-    of the kernel basis settles whether any extension exists at all.  None
-    therefore means a genuine stall (the greedy span admits no further
-    simultaneously-isotropic extension), which can only happen for m >= 2.
-    The span and the perp system (v G_t per accepted v) are kept in RREF,
-    which, like the kernel basis read off it, depends only on the row space.
+    The span and the perp system (v G_t per accepted v) are live RREFs grown by
+    `Field.extend`.  A draw c is c at the perp system's free columns and minus the perp
+    rows there times c at its pivots: c times the kernel basis read off the RREF.  The
+    span is isotropic, so it lies in K, and a step stalls exactly when the span is all of
+    K.  The sampler then returns None, which only happens for m >= 2, after the _RETRIES
+    draws of a step, so the random stream does not depend on how a stall is found.
+    Below that, if the draws fail to leave the span, a sweep of the kernel basis must.
     """
     n = F.dim
     _require_isotropic_dim(n, k)
     field, products = F.field, _gram_products(F)
-    span, perp, perp_pivots = [], [], ()
+    span, perp = {}, {}  # pivot column -> row
     while True:
-        K = field.kernel(perp, perp_pivots, n)
-        draws = (field.matmul([field.draw(rng, len(K))], K)[0] for _ in range(_RETRIES))
-        # then the deterministic fallback: a kernel basis vector extends the span iff any does
-        for v in itertools.chain(draws, K):
-            if any(v):
-                R, pivots = field.rref(span + [v])
-                if len(pivots) > len(span):
-                    break
-        else:
+        free = _non_pivot_columns(n, perp)
+        if len(free) == len(span):  # the span is all of K
+            for _ in range(_RETRIES):
+                field.draw(rng, len(free))
             return None
-        span = R
+        for _ in range(_RETRIES):
+            c = field.draw(rng, len(free))
+            v = [field.zero] * n
+            for j, x in zip(free, c):
+                v[j] = x
+            for pc, row in perp.items():
+                v[pc] = field.neg(sum(map(mul, [row[j] for j in free], c)))
+            if field.extend(span, v) is not None:
+                break
+        else:  # a kernel basis vector leaves the span, as the span is smaller than K
+            v = next((v for v in field.kernel(list(perp.values()), list(perp), n)
+                      if field.extend(span, v) is not None), None)
+            if v is None:
+                raise ArithmeticError("no kernel basis vector leaves a span smaller than K")
         if len(span) == k:
-            return Subspace(Matrix(field, k, n, span, _trusted=True), _pivots=pivots)
-        perp, perp_pivots = field.rref(perp + [vG[0] for vG in products([v])])
+            pivots = tuple(sorted(span))
+            return Subspace(Matrix(field, k, n, [span[c] for c in pivots], _trusted=True),
+                            _pivots=pivots)
+        for vG in products([v]):
+            field.extend(perp, vG[0])
 
 
 # ---------------------------------------------------------------------------

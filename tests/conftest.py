@@ -1,7 +1,7 @@
 import os
 from fractions import Fraction
 from functools import cache
-from itertools import combinations, product
+from itertools import chain, combinations, product
 from math import lcm, prod
 
 import pytest
@@ -123,6 +123,64 @@ def random_complement(V, rng):
         C = random_matrix(V.field, V.n - V.k, V.n, rng)
         if stack(V.basis, C).rank() == V.n:
             return C
+
+
+def reference_rref(F, rows, ncols):
+    """Gauss-Jordan with first-nonzero pivots, column by column, through F.sub, F.mul
+    and F.inv only: the RREF padded with zero rows, the rank and the pivot columns."""
+    rows = [list(r) for r in rows]
+    pivots = []
+    for c in range(ncols):
+        r = len(pivots)
+        below = [i for i in range(r, len(rows)) if rows[i][c] != F.zero]
+        if not below:
+            continue
+        rows[r], rows[below[0]] = rows[below[0]], rows[r]
+        f = F.inv(rows[r][c])
+        rows[r] = [F.mul(f, x) for x in rows[r]]
+        for i in range(len(rows)):
+            if i != r:
+                g = rows[i][c]
+                rows[i] = [F.sub(x, F.mul(g, y)) for x, y in zip(rows[i], rows[r])]
+        pivots.append(c)
+    return rows, len(pivots), tuple(pivots)
+
+
+def reference_isotropic_subspace(k, fs, rng, retries=64):
+    """The greedy sampler as it was before it kept live RREFs, in field calls: at every
+    step it builds the kernel basis K of the perp system's RREF, tries `retries` draws
+    c K, each kept if the rank of the span with it grows, then sweeps K; None when no
+    vector of K leaves the span."""
+    field, n = fs.field, fs.dim
+    span, perp, perp_pivots = [], [], ()
+
+    def times(c, rows):
+        v = [field.zero] * len(rows[0])
+        for a, row in zip(c, rows):
+            v = [field.add(x, field.mul(a, y)) for x, y in zip(v, row)]
+        return v
+
+    while True:
+        K = []
+        for fc in (j for j in range(n) if j not in perp_pivots):
+            v = [field.zero] * n
+            v[fc] = field.one
+            for row, pc in zip(perp, perp_pivots):
+                v[pc] = field.neg(row[fc])
+            K.append(v)
+        draws = (times([field.random(rng) for _ in K], K) for _ in range(retries))
+        for v in chain(draws, K):
+            rows, rank, pivots = reference_rref(field, span + [v], n)
+            if rank > len(span):
+                break
+        else:
+            return None
+        span = rows[:rank]
+        if rank == k:
+            return Subspace(Matrix(field, k, n, span), pivots)
+        rows, rank, perp_pivots = reference_rref(
+            field, perp + [times(v, g.rows) for g in fs.grams()], n)
+        perp = rows[:rank]
 
 
 def degenerate_instance():

@@ -493,6 +493,13 @@ _SAMPLED_GOLDENS = [
     ("verify_sampled_n8_k2_p2147483647_pairs2_seed5_fault.json", 1,
      ("verify", "--scope", "sampled", "--n", "8", "--k", "2", "--p", "2147483647",
       "--pairs", "2", "--samples", "6", "--seed", "5", "--inject-fault")),
+    # 364 of the 400 samples stall, each after its retry draws, so the stall path is pinned
+    ("scan_n8_k4_m2_p3_seed1.json", 0,
+     ("scan", "--n", "8", "--k", "4", "--m", "2", "--p", "3", "--samples", "400", "--seed", "1")),
+    # every draw over Q takes the generic `Field.extend`
+    ("scan_n6_k2_m2_q_seed2.json", 0,
+     ("scan", "--n", "6", "--k", "2", "--m", "2", "--field", "rational", "--samples", "30",
+      "--seed", "2")),
 ]
 
 
@@ -501,7 +508,8 @@ _SAMPLED_GOLDENS = [
                          ids=[g[0][:-5] for g in _SAMPLED_GOLDENS])
 def test_sampled_goldens_at_one_and_two_workers(name, status, argv, workers):
     # the sampler's points and the products at them, at a small and at the
-    # largest admitted prime, pinned by bytes recorded before the packed kernel
+    # largest admitted prime, pinned by bytes recorded before the packed kernel; the
+    # stall-heavy and the rational scan, by bytes recorded before the live RREFs
     code, out, _ = run_cli(*argv, "--workers", workers)
     assert code == status
     golden_compare(name, out)
@@ -753,6 +761,27 @@ def test_a_dead_pool_worker_exits_3_with_one_error_line(flags):
     assert (proc.returncode, proc.stdout) == (3, "")
     assert proc.stderr.startswith("error: internal failure: BrokenProcessPool(")
     assert proc.stderr.count("\n") == 1
+
+
+_SWEEP_FINDS_NOTHING = """
+import sys
+from msgkit import cli, fields, symplectic
+symplectic._RETRIES = 0  # no draw, so every sampler step takes the kernel sweep
+fields.Field.kernel = lambda self, rows, pivots, n: []  # a sweep that finds no vector
+sys.exit(cli.main(sys.argv[1:]))
+"""
+
+
+@pytest.mark.parametrize("flags", [(), ("-O",)], ids=["plain", "O"])
+def test_a_sweep_that_cannot_leave_a_span_smaller_than_the_kernel_exits_3(flags):
+    # a stall is decided by dimension, so a sampler step below it must extend the span;
+    # a sweep that finds no vector is an internal failure, never a stall
+    argv = ("scan", "--n", "6", "--k", "2", "--m", "2", "--p", "3", "--samples", "3",
+            "--workers", "1")
+    proc = subprocess.run([sys.executable, *flags, "-c", _SWEEP_FINDS_NOTHING, *argv],
+                          capture_output=True, text=True, timeout=60)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (3, "", "error: internal failure: "
+        "ArithmeticError('no kernel basis vector leaves a span smaller than K')\n")
 
 
 @pytest.mark.parametrize("exc, status", [(ArithmeticError, 3), (KeyboardInterrupt, 130)])

@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from msgkit import QQ, FieldMismatchError, Matrix, PrimeField, field_from_spec
 from msgkit.fields import Field
+from conftest import reference_rref
 
 
 def test_inverse_mod_7():
@@ -228,3 +229,43 @@ def test_rational_multiplier_matches_fraction_dot_products(k, r, c, seed):
     expected = [[sum((a * b for a, b in zip(row, col)), Fraction(0)) for col in zip(*B)]
                 for row in A]
     assert QQ.multiplier(B)(A) == QQ.matmul(A, B) == expected
+
+
+@st.composite
+def _extend_rows(draw):
+    """(field, n, rows) over F_3, F_(2^31 - 1) or Q: up to n + 3 rows of length n, each
+    random, zero, or a planted combination of the rows before it."""
+    field = draw(st.sampled_from([PrimeField(3), PrimeField(2**31 - 1), QQ]))
+    n = draw(st.integers(1, 7))
+    rng, rows = Random(draw(st.integers(0, 2**32))), []
+    for kind in draw(st.lists(st.sampled_from(["random", "zero", "dependent"]), max_size=n + 3)):
+        if kind == "zero":
+            rows.append([field.zero] * n)
+        elif kind == "dependent" and rows:
+            v = [field.zero] * n
+            for row in rows:
+                f = field.random(rng)
+                v = [field.add(x, field.mul(f, y)) for x, y in zip(v, row)]
+            rows.append(v)
+        else:
+            rows.append(field.draw(rng, n))
+    return field, n, rows
+
+
+@settings(max_examples=300, deadline=None)
+@given(_extend_rows())
+def test_extend_keeps_the_rref_of_the_rows_so_far(case):
+    # the Gauss-Jordan oracle eliminates column by column, apart from any `Field` kernel
+    field, n, rows = case
+    kept = {}
+    for i, v in enumerate(rows):
+        before, given_row = {c: list(r) for c, r in kept.items()}, list(v)
+        pivot = field.extend(kept, v)
+        R, rank, pivots = reference_rref(field, rows[:i + 1], n)
+        assert v == given_row
+        assert tuple(sorted(kept)) == pivots and [kept[c] for c in pivots] == R[:rank]
+        if pivot is None:
+            assert rank == len(before) and kept == before
+        else:
+            assert rank == len(before) + 1 and pivot not in before
+        assert field.rref(rows[:i + 1]) == (R[:rank], pivots)

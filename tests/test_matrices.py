@@ -31,7 +31,8 @@ from msgkit.matrices import _congruent, _skew_rank
 from msgkit.polynomials import pmat_det
 from conftest import (DATA_DIR, PRIMES, degenerate_instance, distinct_denominator_alternating,
                       inverse, pfaffian, random_alternating, reference_is_alternating,
-                      reference_pfaffian, reference_skew_normal_form, reference_skew_rank)
+                      reference_pfaffian, reference_rref, reference_skew_normal_form,
+                      reference_skew_rank)
 
 
 # --- rref / rank --------------------------------------------------------------
@@ -631,26 +632,6 @@ def test_kernel_decoding_constructions_are_canonical(guarded_trust):
 
 # --- unboxed F_p elimination ------------------------------------------------------------
 
-def _reference_rref(F, rows, ncols):
-    """Gauss-Jordan with first-nonzero pivots, through F.sub, F.mul and F.inv only."""
-    rows = [list(r) for r in rows]
-    pivots = []
-    for c in range(ncols):
-        r = len(pivots)
-        below = [i for i in range(r, len(rows)) if rows[i][c] != F.zero]
-        if not below:
-            continue
-        rows[r], rows[below[0]] = rows[below[0]], rows[r]
-        f = F.inv(rows[r][c])
-        rows[r] = [F.mul(f, x) for x in rows[r]]
-        for i in range(len(rows)):
-            if i != r:
-                g = rows[i][c]
-                rows[i] = [F.sub(x, F.mul(g, y)) for x, y in zip(rows[i], rows[r])]
-        pivots.append(c)
-    return rows, len(pivots), tuple(pivots)
-
-
 @st.composite
 def _prime_matrices(draw):
     """An m x n matrix over F_3, F_5, F_7 or F_(2^31 - 1), m <= 6, n <= 9: random
@@ -667,7 +648,7 @@ def _prime_matrices(draw):
         dead = draw(st.sets(st.integers(0, max(0, n - 1))))
         rows = [[0 if j in dead else x for j, x in enumerate(r)] for r in rows]
     elif shape == "rref":
-        rows = _reference_rref(F, rows, n)[0]
+        rows = reference_rref(F, rows, n)[0]
     return Matrix(F, m, n, rows)
 
 
@@ -675,7 +656,7 @@ def _prime_matrices(draw):
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(_prime_matrices())
 def test_prime_rref_matches_boxed_reference(guarded_trust, M):
-    rows, rank, pivots = _reference_rref(M.field, M.rows, M.ncols)
+    rows, rank, pivots = reference_rref(M.field, M.rows, M.ncols)
     R, got_rank, got_pivots = M.rref()
     assert (R.rows, got_rank, got_pivots) == (tuple(map(tuple, rows)), rank, pivots)
 

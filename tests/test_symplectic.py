@@ -44,7 +44,7 @@ from msgkit.tangent import (_constraint_rows, _pencil_degeneracy, _pencil_minor_
                             _seeded_pencil)
 from conftest import (GOLDEN_DIR, chart_differential_rank, encode_point, golden_compare,
                       isotropic_count_by_double_counting, isotropic_plane_count,
-                      random_complement, stack)
+                      random_complement, reference_isotropic_subspace, stack)
 
 
 # --- construction and validation ------------------------------------------------
@@ -371,6 +371,25 @@ def test_row_sampler_matches_the_matrix_sampler(n, k, m, field):
         assert ours.getstate() == theirs.getstate()
         stalls += V is None
     assert stalls > 0 if (n, k) == (6, 3) else stalls == 0
+
+
+def test_live_rref_sampler_matches_the_kernel_basis_sampler():
+    # 210 (pencil, seed) cases over F_3, F_5 and Q at k = 1..4: the same Subspace or
+    # None, and the same generator state after it, against the sampler that builds its
+    # kernel basis K, draws c K and tests each draw by a Gauss-Jordan rank
+    cases = stalls = 0
+    for field in (PrimeField(3), PrimeField(5), QQ):
+        for k, n in [(1, 4), (1, 6), (2, 4), (2, 6), (3, 6), (3, 8), (4, 8)]:
+            for seed in range(10):
+                ours = Random(derive_seed(seed, k * n))
+                fs = random_form_space(n, 2, field, ours)
+                theirs = Random()
+                theirs.setstate(ours.getstate())
+                V = random_isotropic_subspace(k, fs, ours)
+                assert V == reference_isotropic_subspace(k, fs, theirs)
+                assert ours.getstate() == theirs.getstate()
+                cases, stalls = cases + 1, stalls + (V is None)
+    assert cases == 210 and 0 < stalls < cases
 
 
 class _ZeroBits(Random):
