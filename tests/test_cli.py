@@ -780,8 +780,9 @@ def test_a_sweep_that_cannot_leave_a_span_smaller_than_the_kernel_exits_3(flags)
             "--workers", "1")
     proc = subprocess.run([sys.executable, *flags, "-c", _SWEEP_FINDS_NOTHING, *argv],
                           capture_output=True, text=True, timeout=60)
-    assert (proc.returncode, proc.stdout, proc.stderr) == (3, "", "error: internal failure: "
-        "ArithmeticError('no kernel basis vector leaves a span smaller than K')\n")
+    error = "ArithmeticError('no kernel basis vector leaves a span smaller than K')"
+    assert (proc.returncode, proc.stdout, proc.stderr) == (
+        3, "", f"error: internal failure: {error}\n")
 
 
 @pytest.mark.parametrize("exc, status", [(ArithmeticError, 3), (KeyboardInterrupt, 130)])
