@@ -293,32 +293,21 @@ class PrimeField(Field):
         return c
 
     def rank(self, rows) -> int:
-        """Rank by forward elimination alone: a pivot clears its column in the other
-        rows, every row then drops that leading column, and zero rows drop out."""
-        p, rows, count = self.p, [r for r in rows if any(r)], 0
-        while rows:
-            for i, pivot in enumerate(rows):
-                if pivot[0]:
-                    break
-            else:  # a zero leading column holds no pivot
-                rows = [r[1:] for r in rows]
-                continue
-            del rows[i]
-            inv = pow(pivot[0], p - 2, p)
-            tail = pivot[1:]
-            rest = []
-            for r in rows:
-                f = r[0]
+        """The reduction half of `extend`, by echelon insertion: each row is reduced by the
+        rows kept so far at their pivot columns, and a nonzero remainder is kept unscaled,
+        with the inverse of its leading entry.  The rank is the number of rows kept."""
+        p, kept = self.p, []
+        for v in rows:
+            for c, inv, row in kept:
+                f = v[c]
                 if f:
                     f = f * inv % p
-                    r = [(x - f * y) % p for x, y in zip(r[1:], tail)]
-                else:
-                    r = r[1:]
-                if any(r):
-                    rest.append(r)
-            rows = rest
-            count += 1
-        return count
+                    v = [(x - f * y) % p for x, y in zip(v, row)]
+            for c, x in enumerate(v):
+                if x:
+                    kept.append((c, pow(x, p - 2, p), v))
+                    break
+        return len(kept)
 
     def lift(self, *matrices) -> tuple:
         """p, scales 1, and each matrix's upper triangle as residues, negated below."""

@@ -129,7 +129,7 @@ class Matrix(_Record):
         return Matrix(F, self.nrows, self.ncols, rows, _trusted=True), len(pivots), pivots
 
     def rank(self) -> int:
-        """Number of pivots, by `Field.rank`: over F_p, `PrimeField.rank`'s forward elimination."""
+        """Number of pivots, by `Field.rank`: over F_p, `PrimeField.rank`'s echelon insertion."""
         return self.field.rank(self.rows)
 
     def kernel_basis(self) -> "Matrix":

@@ -243,53 +243,6 @@ def test_sampler_postconditions():
         random_isotropic_subspace(4, fs, rng)  # k > n/2
 
 
-def _reference_isotropic_subspace(k, F, rng, retries=64):
-    """The sampler as it was before the perp system grew incrementally: it
-    rebuilds span G_t for every form at every step and forms kernel
-    combinations with boxed field calls."""
-    n = F.dim
-    field = F.field
-    span_rows = []
-
-    def extends(v):
-        r = len(span_rows)
-        return not r or Matrix(field, r + 1, n, span_rows + [v]).rank() > r
-
-    while len(span_rows) < k:
-        if span_rows:
-            span = Matrix(field, len(span_rows), n, span_rows)
-            constraint = None
-            for G in F.grams():
-                block = span.mul(G)
-                constraint = block if constraint is None else stack(constraint, block)
-            kernel = constraint.kernel_basis()
-        else:
-            kernel = Matrix.identity(field, n)
-        if kernel.nrows == 0:
-            return None
-        found = None
-        for _ in range(retries):
-            coeffs = [field.random(rng) for _ in range(kernel.nrows)]
-            v = [field.zero] * n
-            for c, krow in zip(coeffs, kernel.rows):
-                if c:
-                    v = [field.add(x, field.mul(c, y)) for x, y in zip(v, krow)]
-            if not any(v):
-                continue
-            if extends(v):
-                found = tuple(v)
-                break
-        if found is None:
-            for krow in kernel.rows:
-                if extends(krow):
-                    found = krow
-                    break
-        if found is None:
-            return None
-        span_rows.append(found)
-    return Subspace.from_span(Matrix(field, k, n, span_rows))
-
-
 @st.composite
 def _sampler_cases(draw):
     field = draw(st.sampled_from([PrimeField(3), PrimeField(5), QQ]))
@@ -309,49 +262,11 @@ def test_incremental_sampler_matches_the_rebuilding_reference(case):
     ours, theirs = Random(seed), Random(seed)
     for _ in range(3):
         V = random_isotropic_subspace(k, fs, ours)
-        assert V == _reference_isotropic_subspace(k, fs, theirs)
+        assert V == reference_isotropic_subspace(k, fs, theirs)
         assert ours.getstate() == theirs.getstate()
         if V is not None:
             assert V.pivots == Matrix(field, k, n, V.basis.rows).rref()[2]
             assert is_isotropic(V, fs)
-
-
-def _matrix_isotropic_subspace(k, F, rng, retries=64):
-    """The sampler as it was before it kept its systems as plain rows in RREF:
-    it builds a `Matrix` at every step, re-eliminates the whole perp system
-    for its kernel, and tests each draw against the span by a rank."""
-    n = F.dim
-    field = F.field
-    grams = F.grams()
-    span_rows = []
-    perp_rows = []
-
-    def extends(v):
-        r = len(span_rows)
-        return not r or Matrix(field, r + 1, n, span_rows + [v], _trusted=True).rank() > r
-
-    while True:
-        kernel = Matrix(field, len(perp_rows), n, perp_rows, _trusted=True).kernel_basis()
-        found = None
-        for _ in range(retries):
-            coeffs = Matrix(field, 1, kernel.nrows,
-                            [[field.random(rng) for _ in range(kernel.nrows)]], _trusted=True)
-            v = coeffs.mul(kernel).rows[0]
-            if any(v) and extends(v):
-                found = v
-                break
-        if found is None:
-            for krow in kernel.rows:
-                if extends(krow):
-                    found = krow
-                    break
-        if found is None:
-            return None
-        span_rows.append(found)
-        if len(span_rows) == k:
-            return Subspace.from_span(Matrix(field, k, n, span_rows, _trusted=True))
-        v = Matrix(field, 1, n, [found], _trusted=True)
-        perp_rows += [v.mul(G).rows[0] for G in grams]
 
 
 @pytest.mark.parametrize("n,k,m,field", [(8, 3, 2, PrimeField(3)), (6, 3, 2, PrimeField(3)),
@@ -367,7 +282,7 @@ def test_row_sampler_matches_the_matrix_sampler(n, k, m, field):
         theirs = Random()
         theirs.setstate(ours.getstate())
         V = random_isotropic_subspace(k, fs, ours)
-        assert V == _matrix_isotropic_subspace(k, fs, theirs)
+        assert V == reference_isotropic_subspace(k, fs, theirs)
         assert ours.getstate() == theirs.getstate()
         stalls += V is None
     assert stalls > 0 if (n, k) == (6, 3) else stalls == 0
@@ -405,7 +320,7 @@ def test_sampler_sweeps_the_kernel_basis_when_every_draw_fails(m):
     fs = random_form_space(8, m, PrimeField(3), Random(5))
     for k in (1, 2, 3, 4):
         V = random_isotropic_subspace(k, fs, _ZeroBits())
-        assert V == _matrix_isotropic_subspace(k, fs, _ZeroBits())
+        assert V == reference_isotropic_subspace(k, fs, _ZeroBits())
         assert m == 2 or (V is not None and V.k == k and is_isotropic(V, fs))
 
 

@@ -1358,12 +1358,19 @@ def _pencil_a_rank_two_form_apart(n, F, rng):
             return FormSpace([SymplecticForm(G), SymplecticForm(G.add(A))])
 
 
-@pytest.mark.parametrize("n,k", [(4, 1), (4, 2), (6, 1), (6, 2), (6, 3)])
-def test_reference_verify_agrees_at_every_point(n, k):
+_REFERENCE_VERIFY_CASES = [(3, 4, 1), (3, 4, 2), (3, 6, 1), (3, 6, 2), (3, 6, 3),
+                           (5, 4, 1), (5, 4, 2), (5, 6, 1)]
+
+
+@pytest.mark.parametrize("p,n,k", _REFERENCE_VERIFY_CASES,
+                         ids=[f"{n}-{k}" if p == 3 else f"p{p}-{n}-{k}"
+                              for p, n, k in _REFERENCE_VERIFY_CASES])
+def test_reference_verify_agrees_at_every_point(p, n, k):
     # a verify from the definitions, sharing no code with msgkit, against the walk's
     # records, verify's constraint rank and its pencil decision, point by point; the
-    # theorem then holds at every point on the reference's word alone
-    F, rng = PrimeField(3), Random(10 * n + k)
+    # theorem then holds at every point on the reference's word alone.  p = 5 stops at
+    # n = 6, k = 1: its k = 2 walk has 43,737 points
+    F, rng = PrimeField(p), Random(10 * n + k)
     degenerate = 0
     for fs in (random_form_space(n, 2, F, rng), _pencil_a_rank_two_form_apart(n, F, rng)):
         reference = reference_verify_points(fs, k)
@@ -1374,6 +1381,22 @@ def test_reference_verify_agrees_at_every_point(n, k):
             assert (rank == k * (k - 1)) == (not degenerate_here)
             degenerate += degenerate_here
     assert (degenerate > 0) == (k >= 2)
+
+
+@pytest.mark.parametrize("n,k", [(4, 2), (6, 2), (6, 3)])
+def test_verify_compares_on_a_pencil_with_many_degenerate_points(n, k):
+    # verify_pair on a pencil a rank-two form apart, where the pencil side decides many
+    # points degenerate: a clean run finds no mismatch at the reference's point count,
+    # and the fault, which drops only a full rank, mismatches exactly at the others
+    F = PrimeField(3)
+    fs = _pencil_a_rank_two_form_apart(n, F, Random(n + k))
+    reference = reference_verify_points(fs, k)
+    degenerate = sum(point[4] for point in reference)
+    assert degenerate > 0
+    assert verify_pair(fs, k) == (len(reference), [])
+    points, mismatches = verify_pair(fs, k, fault=True)
+    assert points == len(reference) and len(mismatches) == points - degenerate
+    assert all(record.degeneracy is None for record in mismatches)
 
 
 def _pencil_degenerate_off_the_prime_field(p, k, w, rng):
