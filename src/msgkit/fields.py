@@ -20,6 +20,8 @@ import re
 import struct
 import sys
 from fractions import Fraction
+from functools import lru_cache
+from itertools import combinations
 from math import lcm
 from operator import mul as _times
 
@@ -77,8 +79,8 @@ class _Record:
 class Field(_Record):
     """Common interface; see PrimeField and RationalField.
 
-    The row kernels (draw, matmul, multiplier, extend, rref, rank, kernel) take and return
-    lists of canonical scalars.  Their bodies here are generic elimination through the
+    The row kernels (draw, matmul, multiplier, pullback, extend, rref, rank, kernel) take and
+    return lists of canonical scalars.  Their bodies here are generic elimination through the
     field calls; PrimeField overrides all but `rref` and `kernel` with plain-int F_p bodies,
     so this module is the one place that picks F_p or generic code.  `lift` and `quotients`
     take alternating rows to ints for `matrices._skew_schur` and back.
@@ -112,6 +114,16 @@ class Field(_Record):
     def multiplier(self, B):
         """A -> A B for a fixed B with at least one row; PrimeField packs B once."""
         return lambda A: self.matmul(A, B)
+
+    def pullback(self, P) -> list[list]:
+        """P^T J P, J with blocks [[0, 1], [-1, 0]]: entry (i, j) is e_i . o_j - o_i . e_j for e_i,
+        o_i column i of P's even and odd rows, summed above the diagonal and negated below."""
+        n, E, O = len(P), list(zip(*P[0::2])), list(zip(*P[1::2]))
+        G = [[self.zero] * n for _ in range(n)]
+        for i, j in combinations(range(n), 2):
+            G[i][j] = x = self.sub(sum(map(_times, E[i], O[j])), sum(map(_times, O[i], E[j])))
+            G[j][i] = self.neg(x)
+        return G
 
     def extend(self, kept: dict, v) -> int | None:
         """Grow the live RREF `kept` (pivot column -> row) by the row v: v is reduced by the
@@ -196,6 +208,39 @@ def is_prime(n: int) -> bool:
     return True
 
 
+@lru_cache(maxsize=None)
+def _slots(bound: int, count: int, stride: int = 1) -> tuple:
+    """Slots of the narrowest machine word that holds `bound`, if one does: their bytes, a pack of
+    `count` ints `stride` slots apart into one int, and a cut of its bytes, by `struct` or slices."""
+    size = -(-bound.bit_length() // 8)
+    size = min((w for w in _WORDS if w >= size), default=size)
+    if (width := size * stride) in _WORDS:
+        words = struct.Struct(f"<{count}{_WORDS[width]}")
+        return size, lambda row: int.from_bytes(words.pack(*row), "little"), words.unpack
+    pack = lambda row: b"".join(x.to_bytes(width, "little") for x in row)
+    return (size, lambda row: int.from_bytes(pack(row), "little"),
+            lambda b: [int.from_bytes(b[i:i + width], "little") for i in range(0, width * count, width)])
+
+
+@lru_cache(maxsize=None)
+def _rank_slots(p: int, n: int) -> tuple:
+    """`PrimeField.rank`'s n residues, a slot each that holds (p - 1) p: the slot bits and mask, the
+    reductions (p - 1)^2 it holds on a residue, the pack, and the cut back to residues."""
+    size, pack, unpack = _slots((p - 1) * p, n)
+    table = bytes(x % p for x in range(256))  # the cut of a byte slot, x -> x mod p
+    cut = (lambda x: int.from_bytes(x.to_bytes(n, "little").translate(table), "little")) if size == 1 \
+        else lambda x: pack([y % p for y in unpack(x.to_bytes(size * n, "little"))])
+    return 8 * size, 256 ** size - 1, (256 ** size - p) // (p - 1) ** 2, pack, cut
+
+
+@lru_cache(maxsize=None)
+def _outer_slots(p: int, n: int) -> tuple:
+    """`PrimeField.pullback`'s n x n packing, in slots that hold n/2 sums e_i o_j + o_i (p - e_j):
+    a row at slot stride 1 and at stride n, the row p·1, and the cut of n² slots."""
+    size, line, _ = _slots(bound := n // 2 * (p - 1) * (2 * p - 1), n)
+    return line, _slots(bound, n, n)[1], line([p] * n), size * n * n, _slots(bound, n * n)[2]
+
+
 class PrimeField(Field):
     """F_p for an odd prime p, 3 <= p < 2**31.  Scalars are ints in [0, p)."""
 
@@ -257,18 +302,20 @@ class PrimeField(Field):
         of B is packed once into an int, a slot per column that holds len(B) (p - 1)^2, the
         largest dot product, so a row of A B is one int dot product cut into slots mod p."""
         p = self.p
-        size = -(-(len(B) * (p - 1) ** 2).bit_length() // 8)
-        size = min((w for w in _WORDS if w >= size), default=size)  # a machine word if one holds it
-        length = size * len(B[0])
-        if size in _WORDS:
-            words = struct.Struct(f"<{len(B[0])}{_WORDS[size]}")
-            pack, cut = lambda row: words.pack(*row), words.unpack
-        else:  # wider than any machine word: cut by byte slices
-            pack = lambda row: b"".join(x.to_bytes(size, "little") for x in row)
-            cut = lambda b: [int.from_bytes(b[i:i + size], "little") for i in range(0, length, size)]
-        packed = [int.from_bytes(pack(row), "little") for row in B]
+        size, pack, cut = _slots(len(B) * (p - 1) ** 2, len(B[0]))
+        length, packed = size * len(B[0]), [pack(row) for row in B]
         return lambda A: [[y % p for y in cut(sum(map(_times, a, packed)).to_bytes(length, "little"))]
                           for a in A]
+
+    def pullback(self, P) -> list[list[int]]:
+        """`Field.pullback` by packed outer products: ê_b·o_b, row b at slot stride n times it at
+        stride 1, is e_b o_bᵀ row-major, so Σ_b ê_b·o_b + ô_b·(p·1 - e_b) is P^T J P + p·o_i."""
+        p, n = self.p, len(P)
+        line, column, full, length, cut = _outer_slots(p, n)
+        acc = sum(column(e) * line(o) + column(o) * (full - line(e))
+                  for e, o in zip(P[0::2], P[1::2]))
+        G = [y % p for y in cut(acc.to_bytes(length, "little"))]
+        return [G[i:i + n] for i in range(0, n * n, n)]
 
     def extend(self, kept: dict, v) -> int | None:
         """`Field.extend` on plain ints mod p."""
@@ -293,20 +340,26 @@ class PrimeField(Field):
         return c
 
     def rank(self, rows) -> int:
-        """The reduction half of `extend`, by echelon insertion: each row is reduced by the
-        rows kept so far at their pivot columns, and a nonzero remainder is kept unscaled,
-        with the inverse of its leading entry.  The rank is the number of rows kept."""
+        """`extend`'s reduction half, by echelon insertion on rows packed a residue a slot: a row is
+        reduced by the rows kept so far at their pivot slots, x += (p - f) r, cut back to residues
+        before a slot could overflow and at the end, and kept unless zero, unscaled, with the
+        inverse of its lowest nonzero slot.  The rank is the number of rows kept."""
         p, kept = self.p, []
+        bits, mask, room, pack, cut = _rank_slots(p, len(rows[0]) if rows else 0)
         for v in rows:
-            for c, inv, row in kept:
-                f = v[c]
+            x, t = pack(v), 0
+            for shift, inv, r in kept:
+                f = (x >> shift & mask) * inv % p
                 if f:
-                    f = f * inv % p
-                    v = [(x - f * y) % p for x, y in zip(v, row)]
-            for c, x in enumerate(v):
-                if x:
-                    kept.append((c, pow(x, p - 2, p), v))
-                    break
+                    x += (p - f) * r
+                    t += 1
+                    if t == room:
+                        x, t = cut(x), 0
+            if t:
+                x = cut(x)
+            if x:
+                shift = ((x & -x).bit_length() - 1) // bits * bits
+                kept.append((shift, pow(x >> shift & mask, p - 2, p), x))
         return len(kept)
 
     def lift(self, *matrices) -> tuple:

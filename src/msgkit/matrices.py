@@ -129,7 +129,7 @@ class Matrix(_Record):
         return Matrix(F, self.nrows, self.ncols, rows, _trusted=True), len(pivots), pivots
 
     def rank(self) -> int:
-        """Number of pivots, by `Field.rank`: over F_p, `PrimeField.rank`'s echelon insertion."""
+        """Number of pivots, by `Field.rank`: over F_p, echelon insertion on packed rows."""
         return self.field.rank(self.rows)
 
     def kernel_basis(self) -> "Matrix":
@@ -305,7 +305,7 @@ def random_matrix(field: Field, nrows: int, ncols: int, rng) -> Matrix:
 
 
 def random_invertible(field: Field, n: int, rng) -> Matrix:
-    """Rejection sampling; over F_p a draw is singular with probability < 1/(p-1)."""
+    """Rejection sampling, one `Field.rank` a draw; over F_p a draw is singular w.p. < 1/(p-1)."""
     while True:
         M = random_matrix(field, n, n, rng)
         if M.rank() == n:

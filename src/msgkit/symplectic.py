@@ -87,22 +87,6 @@ class SymplecticForm(_Record):
             raise SingularMatrixError("symplectic form must be nondegenerate")
         self.gram = gram
 
-    @classmethod
-    def _from_invertible(cls, P: Matrix) -> "SymplecticForm":
-        """P^T J P for an invertible P, unchecked: alternating, and nondegenerate as
-        det(P^T J P) = det(P)^2.  J has blocks [[0, 1], [-1, 0]], so entry (i, j) is
-        e_i . o_j - o_i . e_j for e_i, o_i column i of P's even and odd rows; it is
-        summed above the diagonal only and negated into the lower triangle."""
-        field, n = P.field, P.nrows
-        E, O = list(zip(*P.rows[0::2])), list(zip(*P.rows[1::2]))
-        G = [[field.zero] * n for _ in range(n)]
-        for i, j in itertools.combinations(range(n), 2):
-            G[i][j] = x = field.element(sum(map(mul, E[i], O[j])) - sum(map(mul, O[i], E[j])))
-            G[j][i] = field.neg(x)
-        form = cls.__new__(cls)
-        form.gram = Matrix(field, n, n, G, _trusted=True)
-        return form
-
     @property
     def dim(self) -> int:
         return self.gram.nrows
@@ -181,9 +165,12 @@ def _require_forms(n: int, m: int) -> None:
 
 
 def random_symplectic_form(n: int, field: Field, rng: Random) -> SymplecticForm:
-    """P^T J P for P = `random_invertible(field, n, rng)`, whose rank is all a draw checks."""
+    """`Field.pullback` P^T J P of P = `random_invertible(field, n, rng)`, whose rank is all a draw
+    checks: P^T J P is alternating, and nondegenerate as det(P^T J P) = det(P)^2."""
     _require_forms(n, 1)
-    return SymplecticForm._from_invertible(random_invertible(field, n, rng))
+    P, form = random_invertible(field, n, rng), SymplecticForm.__new__(SymplecticForm)
+    form.gram = Matrix(field, n, n, field.pullback(P.rows), _trusted=True)
+    return form
 
 
 def random_form_space(n: int, m: int, field: Field, rng: Random) -> FormSpace:
