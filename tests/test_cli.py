@@ -493,6 +493,14 @@ _SAMPLED_GOLDENS = [
     ("verify_sampled_n8_k2_p2147483647_pairs2_seed5_fault.json", 1,
      ("verify", "--scope", "sampled", "--n", "8", "--k", "2", "--p", "2147483647",
       "--pairs", "2", "--samples", "6", "--seed", "5", "--inject-fault")),
+    # the packed rank's slot boundaries, recorded before it: byte slots cut after every
+    # reduction at p = 13, 2-byte words at p = 17; each record pins its Gram matrices
+    ("verify_sampled_n8_k3_p13_pairs2_seed5_fault.json", 1,
+     ("verify", "--scope", "sampled", "--n", "8", "--k", "3", "--p", "13", "--pairs", "2",
+      "--samples", "10", "--seed", "5", "--inject-fault")),
+    ("verify_sampled_n8_k3_p17_pairs2_seed5_fault.json", 1,
+     ("verify", "--scope", "sampled", "--n", "8", "--k", "3", "--p", "17", "--pairs", "2",
+      "--samples", "10", "--seed", "5", "--inject-fault")),
     # 364 of the 400 samples stall, each after its retry draws, so the stall path is pinned
     ("scan_n8_k4_m2_p3_seed1.json", 0,
      ("scan", "--n", "8", "--k", "4", "--m", "2", "--p", "3", "--samples", "400", "--seed", "1")),

@@ -7,7 +7,7 @@ from itertools import permutations
 from random import Random
 
 import pytest
-from hypothesis import HealthCheck, assume, given, settings, strategies as st
+from hypothesis import HealthCheck, assume, example, given, settings, strategies as st
 
 from msgkit import (
     Matrix,
@@ -663,11 +663,13 @@ def test_prime_rref_matches_boxed_reference(guarded_trust, M):
 
 @st.composite
 def _rank_cases(draw):
-    """An m x n matrix over F_3, F_5, F_7, F_(2^31 - 1) or Q, m <= 8, n <= 10:
-    random, sparse, with zeroed rows or columns, or with rows repeated as
-    multiples of earlier rows."""
-    F = draw(st.sampled_from([PrimeField(3), PrimeField(5), PrimeField(7),
-                              PrimeField(2**31 - 1), QQ]))
+    """An m x n matrix over Q or F_p, m <= 8, n <= 10: random, sparse, with zeroed rows or
+    columns, or with rows repeated as multiples of earlier rows.  The primes take every
+    slot width of the packed rank: 3 to 13 in bytes, which 13 cuts after each reduction,
+    17 and 101 in 2-byte words, 65521 in 4-byte words that hold one reduction, and
+    2^31 - 1 in 8-byte words."""
+    F = draw(st.sampled_from([PrimeField(p) for p in (3, 5, 7, 11, 13, 17, 101, 65521, 2**31 - 1)]
+                             + [QQ]))
     m, n = draw(st.integers(0, 8)), draw(st.integers(0, 10))
     if F == QQ:
         scalar = st.builds(Fraction, st.integers(-4, 4), st.integers(1, 3))
@@ -691,8 +693,22 @@ def _rank_cases(draw):
     return Matrix(F, m, n, rows)
 
 
-@settings(max_examples=600, deadline=None)
+def _long_rows(n, dead):
+    """L U over F_3 for L unit lower triangular with no zero below the diagonal and U unit
+    upper triangular with its rows in `dead` zeroed: rank n - len(dead), and echelon
+    insertion reduces row i by every kept row before it, so at n = 70 the last rows take
+    more reductions than the 63 a byte slot holds."""
+    F, rng = PrimeField(3), Random(70)
+    L = [[rng.choice((1, 2)) if j < i else int(j == i) for j in range(n)] for i in range(n)]
+    U = [[0] * n if i in dead else [rng.randrange(3) if j > i else int(j == i) for j in range(n)]
+         for i in range(n)]
+    return Matrix(F, n, n, F.matmul(L, U))
+
+
+@settings(max_examples=1200, deadline=None)
 @given(_rank_cases())
+@example(_long_rows(70, ()))
+@example(_long_rows(70, (3, 17, 40)))
 def test_rank_matches_the_rref_pivot_count(M):
     # row rank is column rank: the transpose is a second oracle, and the
     # check on its entries covers the empty shapes 0 x n and m x 0
@@ -701,7 +717,7 @@ def test_rank_matches_the_rref_pivot_count(M):
     assert all(T.rows[j][i] == x for i, row in enumerate(M.rows) for j, x in enumerate(row))
     assert M.rank() == M.rref()[1] == T.rank()
     if M.field != QQ:  # the F_p rank that `Matrix.rank` and the verify core share
-        assert M.field.rank(M.rows) == M.rref()[1]
+        assert M.field.rank(M.rows) == M.rref()[1] == reference_rref(M.field, M.rows, M.ncols)[1]
 
 
 class _FieldCalls(Field):
@@ -730,7 +746,7 @@ class _FieldCalls(Field):
         return pow(a, self.p - 2, self.p)
 
 
-@settings(max_examples=400, deadline=None)
+@settings(max_examples=800, deadline=None)
 @given(_rank_cases())
 def test_fp_kernels_match_the_field_call_path(M):
     assume(M.field != QQ)
@@ -749,6 +765,10 @@ def test_fp_kernels_match_the_field_call_path(M):
         assert A.mul(B).rows == product
         if B.nrows:
             assert F.matmul(A.rows, B.rows) == [list(r) for r in product]
+    # P^T J P on the leading square block of even size, if it is not empty
+    s = min(m, n) // 2 * 2
+    P = [row[:s] for row in M.rows[:s]]
+    assert s == 0 or F.pullback(P) == boxed.field.pullback(P)
 
 
 @pytest.mark.parametrize("p", [3, 5, 7, 2**31 - 1])
