@@ -28,7 +28,7 @@ from operator import mul as _times
 MAX_PRIME = 2**31
 _RATIONAL_STRING = re.compile(r"([+-]?[0-9]+)(?:/([0-9]+))?")
 _SHOWN = 40  # characters of a rejected input that an error message repeats
-_WORDS = {1: "B", 2: "H", 4: "I", 8: "Q"}  # slot bytes: the struct format that cuts them
+_WORDS = {2: "H", 4: "I", 8: "Q"}  # slot bytes: the struct format that packs and cuts them
 
 
 def _shown(x) -> str:
@@ -82,7 +82,9 @@ class Field(_Record):
     The row kernels (draw, matmul, multiplier, pullback, extend, rref, rank, kernel) take and
     return lists of canonical scalars.  Their bodies here are generic elimination through the
     field calls; PrimeField overrides all but `rref` and `kernel` with plain-int F_p bodies,
-    so this module is the one place that picks F_p or generic code.  `lift` and `quotients`
+    so this module is the one place that picks F_p or generic code.  Its `multiplier` and
+    `rank` run on rows packed into ints by the one helper `_slots`, and its `pullback` is a
+    `multiplier` product; Q keeps the `pullback` loop here.  `lift` and `quotients`
     take alternating rows to ints for `matrices._skew_schur` and back.
     """
 
@@ -209,36 +211,25 @@ def is_prime(n: int) -> bool:
 
 
 @lru_cache(maxsize=None)
-def _slots(bound: int, count: int, stride: int = 1) -> tuple:
-    """Slots of the narrowest machine word that holds `bound`, if one does: their bytes, a pack of
-    `count` ints `stride` slots apart into one int, and a cut of its bytes, by `struct` or slices."""
+def _slots(p: int, bound: int, count: int) -> tuple:
+    """Slots that hold `bound`, of one byte or the narrowest machine word, or of as many bytes as
+    it takes past 8: the slot bytes, a pack of `count` residues into one int, and a cut of such an
+    int back to residues mod p (translated bytes for byte slots, which a pack takes as they are)."""
     size = -(-bound.bit_length() // 8)
-    size = min((w for w in _WORDS if w >= size), default=size)
-    if (width := size * stride) in _WORDS:
-        words = struct.Struct(f"<{count}{_WORDS[width]}")
-        return size, lambda row: int.from_bytes(words.pack(*row), "little"), words.unpack
-    pack = lambda row: b"".join(x.to_bytes(width, "little") for x in row)
+    size = min((w for w in (1, *_WORDS) if w >= size), default=size)
+    length = size * count
+    if size == 1:
+        table = bytes(x % p for x in range(256))
+        return (1, lambda row: int.from_bytes(row, "little"),
+                lambda x: x.to_bytes(length, "little").translate(table))
+    if size in _WORDS:
+        words = struct.Struct(f"<{count}{_WORDS[size]}")
+        return (size, lambda row: int.from_bytes(words.pack(*row), "little"),
+                lambda x: [y % p for y in words.unpack(x.to_bytes(length, "little"))])
+    pack = lambda row: b"".join(y.to_bytes(size, "little") for y in row)
     return (size, lambda row: int.from_bytes(pack(row), "little"),
-            lambda b: [int.from_bytes(b[i:i + width], "little") for i in range(0, width * count, width)])
-
-
-@lru_cache(maxsize=None)
-def _rank_slots(p: int, n: int) -> tuple:
-    """`PrimeField.rank`'s n residues, a slot each that holds (p - 1) p: the slot bits and mask, the
-    reductions (p - 1)^2 it holds on a residue, the pack, and the cut back to residues."""
-    size, pack, unpack = _slots((p - 1) * p, n)
-    table = bytes(x % p for x in range(256))  # the cut of a byte slot, x -> x mod p
-    cut = (lambda x: int.from_bytes(x.to_bytes(n, "little").translate(table), "little")) if size == 1 \
-        else lambda x: pack([y % p for y in unpack(x.to_bytes(size * n, "little"))])
-    return 8 * size, 256 ** size - 1, (256 ** size - p) // (p - 1) ** 2, pack, cut
-
-
-@lru_cache(maxsize=None)
-def _outer_slots(p: int, n: int) -> tuple:
-    """`PrimeField.pullback`'s n x n packing, in slots that hold n/2 sums e_i o_j + o_i (p - e_j):
-    a row at slot stride 1 and at stride n, the row p·1, and the cut of n² slots."""
-    size, line, _ = _slots(bound := n // 2 * (p - 1) * (2 * p - 1), n)
-    return line, _slots(bound, n, n)[1], line([p] * n), size * n * n, _slots(bound, n * n)[2]
+            lambda x: [int.from_bytes(b[i:i + size], "little") % p
+                       for b in [x.to_bytes(length, "little")] for i in range(0, length, size)])
 
 
 class PrimeField(Field):
@@ -299,23 +290,20 @@ class PrimeField(Field):
 
     def multiplier(self, B):
         """A -> A B for a fixed B with at least one row, by Kronecker substitution: each row
-        of B is packed once into an int, a slot per column that holds len(B) (p - 1)^2, the
-        largest dot product, so a row of A B is one int dot product cut into slots mod p."""
+        of B is packed once by `_slots` into an int, a slot per column that holds len(B) (p - 1)^2,
+        the largest dot product, so a row of A B is one int dot product cut into slots mod p."""
         p = self.p
-        size, pack, cut = _slots(len(B) * (p - 1) ** 2, len(B[0]))
-        length, packed = size * len(B[0]), [pack(row) for row in B]
-        return lambda A: [[y % p for y in cut(sum(map(_times, a, packed)).to_bytes(length, "little"))]
-                          for a in A]
+        _, pack, cut = _slots(p, len(B) * (p - 1) ** 2, len(B[0]))
+        packed = [pack(row) for row in B]
+        return lambda A: [list(cut(sum(map(_times, a, packed)))) for a in A]
 
     def pullback(self, P) -> list[list[int]]:
-        """`Field.pullback` by packed outer products: ê_b·o_b, row b at slot stride n times it at
-        stride 1, is e_b o_bᵀ row-major, so Σ_b ê_b·o_b + ô_b·(p·1 - e_b) is P^T J P + p·o_i."""
-        p, n = self.p, len(P)
-        line, column, full, length, cut = _outer_slots(p, n)
-        acc = sum(column(e) * line(o) + column(o) * (full - line(e))
-                  for e, o in zip(P[0::2], P[1::2]))
-        G = [y % p for y in cut(acc.to_bytes(length, "little"))]
-        return [G[i:i + n] for i in range(0, n * n, n)]
+        """`Field.pullback` as Pᵀ times JP by `multiplier`: JP takes each pair of rows e, o of P
+        to o followed by -e."""
+        p, JP = self.p, []
+        for e, o in zip(P[0::2], P[1::2]):
+            JP += o, [-x % p for x in e]
+        return self.multiplier(JP)(zip(*P))
 
     def extend(self, kept: dict, v) -> int | None:
         """`Field.extend` on plain ints mod p."""
@@ -340,12 +328,14 @@ class PrimeField(Field):
         return c
 
     def rank(self, rows) -> int:
-        """`extend`'s reduction half, by echelon insertion on rows packed a residue a slot: a row is
-        reduced by the rows kept so far at their pivot slots, x += (p - f) r, cut back to residues
-        before a slot could overflow and at the end, and kept unless zero, unscaled, with the
-        inverse of its lowest nonzero slot.  The rank is the number of rows kept."""
+        """`extend`'s reduction half, by echelon insertion on rows packed by `_slots`, a residue a
+        slot that holds (p - 1) p: a row is reduced by the rows kept so far at their pivot slots,
+        x += (p - f) r, cut back to residues once (p - 1)^2 more would overflow a slot and at the
+        end, and kept unless zero, unscaled, with the inverse of its lowest nonzero slot.  The rank
+        is the number of rows kept."""
         p, kept = self.p, []
-        bits, mask, room, pack, cut = _rank_slots(p, len(rows[0]) if rows else 0)
+        size, pack, cut = _slots(p, (p - 1) * p, len(rows[0]) if rows else 0)
+        bits, mask, room = 8 * size, 256 ** size - 1, (256 ** size - p) // (p - 1) ** 2
         for v in rows:
             x, t = pack(v), 0
             for shift, inv, r in kept:
@@ -354,9 +344,9 @@ class PrimeField(Field):
                     x += (p - f) * r
                     t += 1
                     if t == room:
-                        x, t = cut(x), 0
+                        x, t = pack(cut(x)), 0
             if t:
-                x = cut(x)
+                x = pack(cut(x))
             if x:
                 shift = ((x & -x).bit_length() - 1) // bits * bits
                 kept.append((shift, pow(x >> shift & mask, p - 2, p), x))

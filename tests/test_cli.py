@@ -501,6 +501,14 @@ _SAMPLED_GOLDENS = [
     ("verify_sampled_n8_k3_p17_pairs2_seed5_fault.json", 1,
      ("verify", "--scope", "sampled", "--n", "8", "--k", "3", "--p", "17", "--pairs", "2",
       "--samples", "10", "--seed", "5", "--inject-fault")),
+    # recorded before the packed kernels shared one slot helper: 2- and 4-byte rank slots,
+    # 4- and 8-byte multiplier slots, at p = 101 and p = 65521
+    ("verify_sampled_n8_k3_p101_pairs2_seed5_fault.json", 1,
+     ("verify", "--scope", "sampled", "--n", "8", "--k", "3", "--p", "101", "--pairs", "2",
+      "--samples", "10", "--seed", "5", "--inject-fault")),
+    ("verify_sampled_n8_k3_p65521_pairs2_seed5_fault.json", 1,
+     ("verify", "--scope", "sampled", "--n", "8", "--k", "3", "--p", "65521", "--pairs", "2",
+      "--samples", "10", "--seed", "5", "--inject-fault")),
     # 364 of the 400 samples stall, each after its retry draws, so the stall path is pinned
     ("scan_n8_k4_m2_p3_seed1.json", 0,
      ("scan", "--n", "8", "--k", "4", "--m", "2", "--p", "3", "--samples", "400", "--seed", "1")),

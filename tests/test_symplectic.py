@@ -138,13 +138,14 @@ def test_random_form_deterministic_and_golden():
                    json.dumps(a.gram.encode(), sort_keys=True) + "\n")
 
 
-@settings(max_examples=240, deadline=None)
+@settings(max_examples=320, deadline=None)
 @given(st.sampled_from([PrimeField(3), PrimeField(5), PrimeField(13), PrimeField(17),
-                        PrimeField(2**31 - 1), QQ]), st.sampled_from([2, 4, 6, 8]),
-       st.integers(0, 2**32))
+                        PrimeField(101), PrimeField(65521), PrimeField(2**31 - 1), QQ]),
+       st.sampled_from([2, 4, 6, 8]), st.integers(0, 2**32))
 def test_random_symplectic_form_is_the_triple_product(field, n, seed):
-    # `Field.pullback` against P^T J P with J built, both on the same draws: at
-    # p = 2^31 - 1 and n = 8 the packed slots are wider than a machine word
+    # `Field.pullback` against P^T J P with J built, both on the same draws; at n = 8 its
+    # multiplier slots take 1, 2, 4 and 8 bytes at p = 3, 13, 101 and 65521, and at
+    # p = 2^31 - 1 they are wider than a machine word
     rng, ref = Random(seed), Random(seed)
     form = random_symplectic_form(n, field, rng)
     P = random_invertible(field, n, ref)
